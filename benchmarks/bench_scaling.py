@@ -1,15 +1,15 @@
-"""Performance regression — the three-tier PD² kernel stack vs. itself.
+"""Performance regression — the two-tier PD² kernel stack vs. itself.
 
 Three machine-checked claims, written to
 ``benchmarks/out/BENCH_scaling.json`` (machine-readable, alongside the
 human ``scaling.txt``):
 
 * **Simulator throughput, per kernel**: slots/second of
-  ``simulate_pfair`` through each tier — the reference heap simulator,
-  the packed-key fast path, and the struct-of-arrays vector kernel —
-  for N in {16, 64, 256} tasks on M=4, and, always, that all three
-  produce identical ``(slot, processor, task)`` allocations and
-  identical stats (``decisions_identical`` per grid point).
+  ``simulate_pfair`` through each tier — the reference heap simulator
+  and the struct-of-arrays vector kernel — for N in {16, 64, 256} tasks
+  on M=4, and, always, that both produce identical ``(slot, processor,
+  task)`` allocations and identical stats (``decisions_identical`` per
+  grid point).
 * **Campaign speedup**: wall-clock of the small Fig. 3 campaign
   (N=50, 10 grid points, 25 sets/point — the first loop of
   ``bench_fig3_min_processors.py``) under the fast path (serial and with
@@ -29,7 +29,7 @@ own section, so rerunning the throughput bench preserves the committed
 Two reduced modes for CI:
 
 * ``--quick`` (the perf-smoke job): one timing rep per kernel and grid
-  point, the full three-way decision-identity gate (hard), and a *soft*
+  point, the full two-way decision-identity gate (hard), and a *soft*
   throughput floor — a ``::warning`` annotation if the vector kernel
   lands under 5x the reference anywhere, because shared runners are too
   noisy to fail on timing.  Writes ``scaling.txt`` (the uploaded
@@ -99,8 +99,7 @@ def _sim_snapshot(result):
 #: ``simulate_pfair`` keyword sets selecting each kernel tier.
 KERNELS = {
     "reference": dict(fastpath=False),
-    "fastpath": dict(fastpath=True, vector=False),
-    "vector": dict(vector=True),
+    "vector": dict(fastpath=True),
 }
 
 
@@ -110,8 +109,6 @@ def _assert_sim_decisions_identical(n_tasks: int, slots: int) -> None:
         HYPERPERIOD_CACHE.clear()
         snaps[name] = _sim_snapshot(
             simulate_pfair(_make_tasks(n_tasks), M, slots, trace=True, **kw))
-    assert snaps["reference"] == snaps["fastpath"], (
-        f"fast path diverged from the reference at N={n_tasks}")
     assert snaps["reference"] == snaps["vector"], (
         f"vector kernel diverged from the reference at N={n_tasks}")
 
@@ -218,8 +215,8 @@ def test_kernel_throughput_and_campaign(benchmark, quick):
 
     sim_points = []
     for n in NS:
-        # Hard gate: all three kernels, identical decisions — quick mode
-        # keeps this at full strength.
+        # Hard gate: both kernels, identical decisions — quick mode keeps
+        # this at full strength.
         _assert_sim_decisions_identical(n, min(slots, 2000))
         rates = {k: _sim_rate(n, k, slots, reps) for k in KERNELS}
         sim_points.append({
@@ -227,25 +224,19 @@ def test_kernel_throughput_and_campaign(benchmark, quick):
             "processors": M,
             "slots": slots,
             "slots_per_sec_reference": round(rates["reference"], 1),
-            "slots_per_sec_fastpath": round(rates["fastpath"], 1),
             "slots_per_sec_vector": round(rates["vector"], 1),
-            "speedup_fastpath": round(
-                rates["fastpath"] / rates["reference"], 2),
             "speedup_vector": round(
                 rates["vector"] / rates["reference"], 2),
             "decisions_identical": True,
         })
 
     table = format_table(
-        ["N tasks", "ref kslots/s", "fast kslots/s", "vec kslots/s",
-         "fast x", "vec x"],
+        ["N tasks", "ref kslots/s", "vec kslots/s", "vec x"],
         [[p["n_tasks"], round(p["slots_per_sec_reference"] / 1000, 1),
-          round(p["slots_per_sec_fastpath"] / 1000, 1),
-          round(p["slots_per_sec_vector"] / 1000, 1),
-          p["speedup_fastpath"], p["speedup_vector"]]
+          round(p["slots_per_sec_vector"] / 1000, 1), p["speedup_vector"]]
          for p in sim_points],
         title=f"PD² simulator throughput over {slots} slots, M={M} "
-              "(reference / fast path / vector, identical decisions)")
+              "(reference / vector, identical decisions)")
 
     # Soft throughput floor: the vector kernel targets >= 5x the
     # reference on every grid point (>= 10x on at least one, on a quiet

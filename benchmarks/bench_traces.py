@@ -16,9 +16,9 @@ total utilization, and compared against a synthetic
   a real window (heavy-tailed runtimes, correlated width/runtime) from
   the uniform/simplex sampler.
 
-A hard decision-identity gate runs the trace-derived sets through all
-three PD² kernels (reference / packed-key fast path / struct-of-arrays
-vector) and asserts identical allocations — the CI ``traces-smoke``
+A hard decision-identity gate runs the trace-derived sets through both
+PD² kernels (reference / struct-of-arrays vector) and asserts identical
+allocations — the CI ``traces-smoke``
 contract, full strength even under ``--quick``.
 
 ``--quick`` writes the human table (``traces_real_vs_synthetic.txt``)
@@ -57,8 +57,7 @@ MAX_WINDOWS = 8 if full_scale() else 2
 #: bench_scaling stack, pointed at trace-derived sets).
 KERNELS = {
     "reference": dict(fastpath=False),
-    "fastpath": dict(fastpath=True, vector=False),
-    "vector": dict(vector=True),
+    "vector": dict(fastpath=True),
 }
 
 
@@ -115,16 +114,14 @@ def _sim_snapshot(result):
 
 
 def _assert_kernel_identity(specs, slots):
-    """The traces-smoke hard gate: all three PD² kernels, identical
-    decisions on this trace-derived set."""
+    """The traces-smoke hard gate: both PD² kernels, identical decisions
+    on this trace-derived set."""
     snaps = {}
     for name, kw in KERNELS.items():
         HYPERPERIOD_CACHE.clear()
         tasks = specs_to_pfair_tasks(specs, quantum=1000)
         snaps[name] = _sim_snapshot(
             simulate_pfair(tasks, M, slots, trace=True, **kw))
-    assert snaps["reference"] == snaps["fastpath"], \
-        "fast path diverged from the reference on a trace-derived set"
     assert snaps["reference"] == snaps["vector"], \
         "vector kernel diverged from the reference on a trace-derived set"
 

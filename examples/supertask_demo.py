@@ -12,7 +12,7 @@ Run:  python examples/supertask_demo.py
 
 from repro.core.supertask import Supertask, SupertaskSystem
 from repro.core.task import PeriodicTask
-from repro.sim.trace import render_schedule
+from repro.core.trace import render_schedule
 
 HORIZON = 900
 

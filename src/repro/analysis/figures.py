@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 from ..core.supertask import ComponentDispatch, Supertask, SupertaskSystem
 from ..core.task import IntraSporadicTask, PeriodicTask, PfairTask
 from ..sim.quantum import SimResult
-from ..sim.trace import render_schedule, render_windows
+from ..core.trace import render_schedule, render_windows
 from .experiments import CampaignRow
 from .report import format_table
 

@@ -26,19 +26,18 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
-from ..util.toggles import fastpath_enabled, vector_enabled
+from ..util.toggles import fastpath_enabled
 
 __all__ = ["WorkerPool", "worker_pool", "discard_worker_pool",
            "shutdown_worker_pool"]
 
 
-def _warm_init(fastpath_on: bool, vector_on: bool = True) -> None:
-    """Worker initializer: inherit the kernel toggles and pay the heavy
+def _warm_init(fastpath_on: bool) -> None:
+    """Worker initializer: inherit the kernel toggle and pay the heavy
     imports once per worker instead of once per shard."""
-    from ..util.toggles import set_fastpath, set_vector
+    from ..util.toggles import set_fastpath
 
     set_fastpath(fastpath_on)
-    set_vector(vector_on)
     from ..analysis import schedulability  # noqa: F401  (pulls in the chain)
 
 
@@ -56,7 +55,7 @@ class WorkerPool:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._config: Optional[Tuple[int, bool, bool]] = None
+        self._config: Optional[Tuple[int, bool]] = None
 
     def get(self, workers: int) -> ProcessPoolExecutor:
         """The warm pool for ``workers``, built or rebuilt on demand.
@@ -65,7 +64,7 @@ class WorkerPool:
         old pool first, so stale workers never serve new campaigns with
         the wrong toggle state.
         """
-        config = (workers, fastpath_enabled(), vector_enabled())
+        config = (workers, fastpath_enabled())
         with self._lock:
             if self._pool is None or self._config != config:
                 self.shutdown()

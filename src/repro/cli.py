@@ -42,9 +42,9 @@ from .campaign import (RunnerConfig, run_schedulability_campaign,
                        shutdown_worker_pool)
 from .analysis.schedulability import edf_ff_min_processors, pd2_min_processors
 from .core.task import PeriodicTask, TaskSet
+from .core.trace import render_schedule, render_windows
 from .overheads.model import OverheadModel
 from .sim.quantum import simulate_pfair
-from .sim.trace import render_schedule, render_windows
 from .traces.mapping import MAPPING_POLICIES as MAPPING_POLICY_CHOICES
 from .workload.spec import TaskSpec
 
@@ -82,17 +82,13 @@ def _cmd_windows(args: argparse.Namespace) -> int:
 
 
 def _apply_fastpath_flag(args: argparse.Namespace) -> None:
-    """Honour ``--no-fastpath`` / ``--no-vector``: force reference (or
-    non-vector) implementations process-wide (campaign workers inherit
-    through the pool initializer)."""
+    """Honour ``--no-fastpath``: force the reference implementations
+    process-wide (campaign workers inherit through the pool
+    initializer)."""
     if getattr(args, "no_fastpath", False):
         from .util.toggles import set_fastpath
 
         set_fastpath(False)
-    if getattr(args, "no_vector", False):
-        from .util.toggles import set_vector
-
-        set_vector(False)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -635,9 +631,6 @@ def _add_campaign_commands(sub: "argparse._SubParsersAction[argparse.ArgumentPar
                         help="which table to print from the finished rows")
         cp.add_argument("--no-fastpath", action="store_true",
                         help="force the reference analysis code paths")
-        cp.add_argument("--no-vector", action="store_true",
-                        help="disable the struct-of-arrays PD² kernel "
-                             "(keep the packed-key fast path)")
 
     cp = csub.add_parser("run", help="start a checkpointed campaign")
     cp.add_argument("run_dir", help="run directory (created if missing)")
@@ -866,9 +859,6 @@ def _add_worker_command(sub: "argparse._SubParsersAction[argparse.ArgumentParser
                    help="liveness frame interval while a shard computes")
     p.add_argument("--no-fastpath", action="store_true",
                    help="force the reference analysis code paths")
-    p.add_argument("--no-vector", action="store_true",
-                   help="disable the struct-of-arrays PD² kernel "
-                        "(keep the packed-key fast path)")
     p.set_defaults(fn=_cmd_worker)
 
 
@@ -937,10 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slots to simulate (default: 2 hyperperiods, <= 200)")
     p.add_argument("--no-fastpath", action="store_true",
                    help="force the reference simulator (disable the "
-                        "packed-key PD² fast path)")
-    p.add_argument("--no-vector", action="store_true",
-                   help="disable the struct-of-arrays PD² kernel "
-                        "(keep the packed-key fast path)")
+                        "struct-of-arrays PD² kernel)")
     p.add_argument("--width", type=int, default=60,
                    help="columns of schedule to print")
     p.set_defaults(fn=_cmd_schedule)
@@ -986,9 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-fastpath", action="store_true",
                        help="force the reference analysis/simulation code "
                             "paths (disable caches and fast paths)")
-        p.add_argument("--no-vector", action="store_true",
-                       help="disable the struct-of-arrays PD² kernel "
-                            "(keep the packed-key fast path)")
         p.set_defaults(fn=fn)
 
     _add_campaign_commands(sub)

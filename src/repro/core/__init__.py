@@ -6,7 +6,8 @@ over exact integer arithmetic, together with the decision engines that
 drive them (the slot-synchronous :mod:`~repro.core.quantum` engine and
 the event-driven :mod:`~repro.core.uniproc` engine).  See
 :mod:`repro.sim` for the campaign-level simulators layered on top
-(packed-key fast path, hyperperiod caching, staggered/variable quanta).
+(struct-of-arrays PD² kernel, hyperperiod caching, staggered/variable
+quanta).
 """
 
 from .rational import Weight, weight_sum

@@ -2,12 +2,11 @@
 
 The reference ready queue (:class:`~repro.core.quantum.QuantumSimulator`)
 is a heap of tuples ``(deadline, 1 - b, -D, task_id, index)`` built by
-:meth:`~repro.core.priority.PD2Priority.key`.  Every push/pop compares
-tuples element by element and every activation allocates a fresh tuple.
-This module packs the same chain into a single Python ``int`` so the heap
-holds plain integers — one machine comparison per level instead of up to
-five object comparisons — and so a whole period's worth of keys can be
-precomputed once per weight and reused for every job by adding a constant.
+:meth:`~repro.core.priority.PD2Priority.key`.  This module packs the same
+chain into a single integer — the canonical layout the struct-of-arrays
+kernel (:mod:`repro.sim.vector`) narrows per run into int64 sort keys —
+and precomputes the per-weight subtask parameter columns
+(:func:`_column_base`) that kernel builds its keys from.
 
 Layout (most significant first)::
 
@@ -36,28 +35,24 @@ Layout (most significant first)::
 The packed and tuple keys induce the same total order over all subtasks
 whose parameters fit the fixed-width fields — the hypothesis property
 test in ``tests/test_core_keytab.py`` is the load-bearing correctness
-argument for the fast path, and :func:`check_capacity` rejects systems
-that would overflow a field (they fall back to the reference simulator).
+argument, and :func:`pack_key` raises rather than emit a wrong order when
+a field would overflow.  Staticcheck R010 proves from this module's
+constants that generator defaults stay inside every field.
 
-Like :class:`~repro.core.subtask.WindowTable`, packed keys are periodic
-in the subtask index: subtask ``i = q*e + j`` has key
-``base[j] + q * job_step`` where ``job_step`` advances the deadline field
-by one period and the index field by one job's worth of subtasks.
-:class:`TaskKeyTable` precomputes ``base`` per task (folding in the task
-id and phase), making key generation two integer operations per subtask.
+Like :class:`~repro.core.subtask.WindowTable`, subtask parameters are
+periodic in the subtask index: subtask ``i = q*e + j`` has the
+parameters of subtask ``j + 1`` shifted by ``q`` periods, so one job's
+worth of columns per weight covers every job of every task.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .subtask import window_table
-
-if TYPE_CHECKING:
-    from .task import PeriodicTask
 
 __all__ = [
     "IDX_BITS",
@@ -67,10 +62,6 @@ __all__ = [
     "MAX_INDEX",
     "pack_key",
     "unpack_key",
-    "TaskKeyTable",
-    "task_key_table",
-    "check_capacity",
-    "column_block",
 ]
 
 #: Field widths.  A 32-bit index field allows ~4e9 subtasks per task
@@ -137,73 +128,6 @@ def unpack_key(key: int) -> Tuple[int, int, int]:
     return key >> _D_SHIFT, (key >> _ID_SHIFT) & _ID_MASK, key & _IDX_MASK
 
 
-class _SharedKeyTable:
-    """Per-weight packed parameters, shared by all tasks of one ``(e, p)``.
-
-    ``base[j]`` is the packed key of subtask ``j+1`` of job 1 with task id
-    0 and phase 0; ``rel[j]`` is its pseudo-release.  A concrete task
-    obtains its keys by adding ``task_id`` into the id field and its phase
-    into the deadline field — see :class:`TaskKeyTable`.
-    """
-
-    __slots__ = ("execution", "period", "base", "rel", "job_step")
-
-    def __init__(self, execution: int, period: int) -> None:
-        table = window_table(execution, period)
-        self.execution = execution
-        self.period = period
-        self.rel: List[int] = [table.release(i)
-                               for i in range(1, execution + 1)]
-        self.base: List[int] = [
-            pack_key(table.deadline(i), table.b_bit(i),
-                     table.group_deadline(i), 0, i)
-            for i in range(1, execution + 1)
-        ]
-        #: Key increment from one job to the next: the deadline field
-        #: advances by the period, the index field by ``e`` subtasks.
-        #: (The group-deadline field stores ``D - d``, which is
-        #: job-invariant, and the b-bit pattern repeats.)
-        self.job_step = (period << _D_SHIFT) + execution
-
-
-@lru_cache(maxsize=None)
-def _shared_key_table(execution: int, period: int) -> _SharedKeyTable:
-    return _SharedKeyTable(execution, period)
-
-
-class TaskKeyTable:
-    """O(1) packed-key generator for one task.
-
-    ``key(i)`` returns the packed PD² priority of subtask ``i`` (1-based)
-    and ``release(i)`` its pseudo-release, both in absolute slots
-    (the task's phase included).
-    """
-
-    __slots__ = ("execution", "period", "phase", "base", "rel", "job_step")
-
-    def __init__(self, execution: int, period: int, task_id: int,
-                 phase: int = 0) -> None:
-        shared = _shared_key_table(execution, period)
-        if not 0 <= task_id <= MAX_TASK_ID:
-            raise OverflowError(f"task id {task_id} outside [0, {MAX_TASK_ID}]")
-        self.execution = execution
-        self.period = period
-        self.phase = phase
-        offset = (phase << _D_SHIFT) | (task_id << _ID_SHIFT)
-        self.base: List[int] = [k + offset for k in shared.base]
-        self.rel: List[int] = ([r + phase for r in shared.rel]
-                               if phase else shared.rel)
-        self.job_step = shared.job_step
-
-    def key(self, index: int) -> int:
-        q, j = divmod(index - 1, self.execution)
-        return self.base[j] + q * self.job_step
-
-    def release(self, index: int) -> int:
-        q, j = divmod(index - 1, self.execution)
-        return self.rel[j] + q * self.period
-
-
 @lru_cache(maxsize=None)
 def _column_base(
     execution: int, period: int
@@ -233,45 +157,3 @@ def _column_base(
     bbar.setflags(write=False)
     gdd.setflags(write=False)
     return rel, dl, bbar, gdd
-
-
-def column_block(
-    execution: int, period: int, phase: int, start_index: int, count: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized subtask parameter columns for the struct-of-arrays kernel.
-
-    Returns int64 arrays ``(release, deadline, b_bar, gd_delta)`` of
-    length ``count`` covering subtasks ``start_index ..
-    start_index + count - 1`` (1-based) of a periodic task, releases and
-    deadlines in absolute slots (phase included).  Every parameter is
-    periodic in the index with period ``e`` (a job shifts times by ``p``),
-    so the whole block is one gather plus one vectorized add over the
-    cached :func:`_column_base` row — no per-subtask Python arithmetic.
-    """
-    rel0, dl0, bbar0, gdd0 = _column_base(execution, period)
-    idx0 = np.arange(start_index - 1, start_index - 1 + count, dtype=np.int64)
-    q, j = np.divmod(idx0, execution)
-    shift = q * period + phase
-    return rel0[j] + shift, dl0[j] + shift, bbar0[j], gdd0[j]
-
-
-def task_key_table(task: "PeriodicTask") -> TaskKeyTable:
-    """Build the :class:`TaskKeyTable` of a synchronous periodic task."""
-    return TaskKeyTable(task.execution, task.period, task.task_id,
-                        getattr(task, "phase", 0))
-
-
-def check_capacity(tasks: "Iterable[PeriodicTask]", horizon: int) -> bool:
-    """True when every packed-key field fits for ``tasks`` over ``horizon``.
-
-    Overflow is astronomically unlikely at realistic scales (ids beyond
-    4M, single-task horizons beyond 4G subtasks), but the fast path
-    degrades to the reference simulator rather than corrupting an order.
-    """
-    for t in tasks:
-        if t.task_id > MAX_TASK_ID:
-            return False
-        # Subtasks released within the horizon: at most ceil(h/p)*e + e.
-        if ((horizon // t.period + 2) * t.execution) > MAX_INDEX:
-            return False
-    return True

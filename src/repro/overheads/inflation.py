@@ -27,15 +27,18 @@ inflated length itself)::
   plus the task's cache reload ``D(T)``.
 
 The iteration state is the quantum count ``E = ceil(e'/q)``, an integer in
-``[1, P]``, so the fixed point is found exactly; the paper observes ~5
-iterations, which :func:`pd2_inflate` reports for the Sec.-4 claim check.
+``[1, P]``.  The result is the least ``E`` that covers the demand it
+induces — the fixed point whenever the iteration reaches one — found
+exactly in ``O(log P)`` evaluations however long the period; the paper
+observes ~5 iterations, which every :class:`PD2Inflation` reports for the
+Sec.-4 claim check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..workload.spec import TaskSpec
 from .model import OverheadModel
@@ -68,79 +71,66 @@ class PD2Inflation(NamedTuple):
 
 
 def pd2_inflate(spec: TaskSpec, model: OverheadModel, n_tasks: int,
-                processors: int, sched_cost: Optional[float] = None, *,
-                max_iterations: int = 64) -> PD2Inflation:
+                processors: int) -> PD2Inflation:
     """Fixed-point Eq. (3) inflation of one task for PD².
 
     Returns an inflation whose ``feasible`` flag is False when the inflated
-    cost exceeds the period (the task cannot run even alone).  The fixed
-    point is taken over ``E``; if the iteration ever cycles (possible in
-    principle because the ``min`` term can shrink as ``E`` grows), the
-    largest ``E`` seen is kept — a conservative (safe) choice.
-
-    ``sched_cost`` lets set-level callers pass a precomputed
-    ``S_PD2(n_tasks, processors)`` — it is the same for every task in a
-    set, and the Fig. 3 campaign inflates millions of tasks.
+    cost exceeds the period (the task cannot run even alone).  A one-row
+    call into the loop :func:`pd2_inflate_set` runs; see :func:`_inflate`
+    for the fixed point and its work bound.
     """
-    q = model.quantum
-    if spec.period % q != 0:
-        raise ValueError(
-            f"{spec.name or 'task'}: period {spec.period} not a quantum multiple"
-        )
-    p_quanta = spec.period // q
-    s_pd2 = (model.pd2_sched_cost(n_tasks, processors)
-             if sched_cost is None else sched_cost)
-    c = model.context_switch
-    switch_cost = c + spec.cache_delay
-    e = spec.execution
-    ceil = math.ceil
-
-    e_prime = e
-    e_quanta = -(-e_prime // q)
-    # The cycle-detection set is only needed from the second iteration on
-    # (it is empty during the first membership test), and most tasks
-    # converge in one or two — so its allocation is deferred.
-    seen: Optional[set] = None
-    iterations = 0
-    while True:
-        iterations += 1
-        preemptions = min(e_quanta - 1, p_quanta - e_quanta)
-        if preemptions < 0:  # E already exceeds the period: infeasible
-            return PD2Inflation(spec, e_prime, e_quanta, p_quanta, iterations)
-        new_e_prime = ceil(
-            e + e_quanta * s_pd2 + c + preemptions * switch_cost
-        )
-        new_quanta = -(-new_e_prime // q)
-        if new_quanta == e_quanta or iterations >= max_iterations:
-            return PD2Inflation(spec, new_e_prime, new_quanta, p_quanta, iterations)
-        if seen is None:
-            seen = {e_quanta}
-        elif new_quanta in seen:
-            # Cycle: keep the conservative (largest) quantum count.
-            e_quanta = max(new_quanta, e_quanta)
-            e_prime = e_quanta * q
-            return PD2Inflation(spec, e_prime, e_quanta, p_quanta, iterations)
-        else:
-            seen.add(e_quanta)
-        e_prime, e_quanta = new_e_prime, new_quanta
+    return _inflate((spec,), model.pd2_sched_cost(n_tasks, processors),
+                    model.context_switch, model.quantum)[0]
 
 
 def pd2_inflate_set(specs: Sequence[TaskSpec], model: OverheadModel,
                     processors: int) -> List[PD2Inflation]:
     """Inflate a whole set (``n_tasks`` is the set size, as in the paper).
 
-    The Eq. (3) fixed point is inlined here rather than delegated to
-    :func:`pd2_inflate` — the Fig. 3 search calls this for every candidate
-    M of every random set, and the per-task call overhead is measurable.
-    Keep the loop body in lockstep with :func:`pd2_inflate`; the test
-    suite pins the two to identical results over random sets.
+    The Fig. 3 search calls this for every candidate M of every random
+    set, so the fixed point runs as one loop over the set rather than a
+    call per task.
     """
     if not specs:
         return []
-    n = len(specs)
-    s_pd2 = model.pd2_sched_cost(n, processors)
-    c = model.context_switch
-    q = model.quantum
+    return _inflate(specs, model.pd2_sched_cost(len(specs), processors),
+                    model.context_switch, model.quantum)
+
+
+#: Iterations after which :func:`_inflate` stops stepping and bisects what
+#: is left.  Generated and trace-derived sets settle in at most six.
+_BISECT_AFTER = 32
+
+
+def _inflate(specs: Sequence[TaskSpec], s_pd2: float, c: int,
+             q: int) -> List[PD2Inflation]:
+    """Eq. (3) over the quantum count ``E = ceil(e'/q)``, one task per row.
+
+    Write ``f(E)`` for the quantum count of the demand that ``E`` quanta
+    induce.  The result is the least ``E`` in ``[1, P]`` that covers its
+    own demand, ``f(E) <= E``, or infeasible if no ``E`` does.  No
+    ``E < E0 = ceil(e/q)`` covers, since ``f(E) >= E0``.
+
+    The loop iterates ``E <- f(E)`` from ``E0``.  Up to ``(P+1)/2`` (the
+    rising branch, where the preemption bound is ``E-1``) ``f`` is
+    non-decreasing, so a climb there never passes the least covering
+    ``E`` on that branch.  Past it (the falling branch, bound ``P-E``)
+    ``f`` is non-increasing unless ``S_PD2`` exceeds ``C + D(T)``, in
+    which case ``f`` is non-decreasing everywhere.  Either way every
+    ``E`` below the last failing iterate fails too, so the first iterate
+    ``X`` with ``f(X) <= X`` bounds the answer from above, and if
+    ``f(X) = X`` it *is* the answer: the paper's fixed point.
+
+    When ``f(X) < X`` (the iteration turns back: only possible on the
+    falling branch), ``E`` covers exactly when it is at least the answer,
+    so each further iterate narrows the interval that holds it; a 2-cycle
+    straddling the answer closes it.  The rest is bisected
+    (:func:`_settle`) when an iterate falls outside the interval, when the
+    iteration passes ``P``, or after ``_BISECT_AFTER`` iterations.  The
+    work per task is therefore ``O(log P)`` evaluations whatever the
+    period, and the iteration counts the paper reports (about five) are
+    unchanged for every task that settles within the budget.
+    """
     ceil = math.ceil
     out: List[PD2Inflation] = []
     append = out.append
@@ -155,33 +145,101 @@ def pd2_inflate_set(specs: Sequence[TaskSpec], model: OverheadModel,
         e = spec.execution
         e_prime = e
         e_quanta = -(-e_prime // q)
-        seen = None
+        lo = e_quanta  # every E below lo fails to cover its demand
         iterations = 0
         while True:
             iterations += 1
             preemptions = min(e_quanta - 1, p_quanta - e_quanta)
-            if preemptions < 0:
+            if preemptions < 0 or iterations > _BISECT_AFTER:
+                # Past the period, or a long climb: bisect [lo, P].
                 append(PD2Inflation(spec, e_prime, e_quanta, p_quanta,
-                                    iterations))
+                                    iterations) if lo > p_quanta
+                       else _settle(spec, s_pd2, c, q, lo, iterations - 1))
                 break
             new_e_prime = ceil(e + e_quanta * s_pd2 + c
                                + preemptions * switch_cost)
             new_quanta = -(-new_e_prime // q)
-            if new_quanta == e_quanta or iterations >= 64:
+            if new_quanta == e_quanta:
                 append(PD2Inflation(spec, new_e_prime, new_quanta, p_quanta,
                                     iterations))
                 break
-            if seen is None:
-                seen = {e_quanta}
-            elif new_quanta in seen:
-                e_quanta = max(new_quanta, e_quanta)
-                append(PD2Inflation(spec, e_quanta * q, e_quanta, p_quanta,
-                                    iterations))
+            if new_quanta < e_quanta:
+                # e_quanta covers: the answer lies in [lo, e_quanta].
+                append(_settle(spec, s_pd2, c, q, lo, iterations,
+                               (e_quanta, new_e_prime), new_quanta))
                 break
-            else:
-                seen.add(e_quanta)
+            lo = e_quanta + 1
             e_prime, e_quanta = new_e_prime, new_quanta
     return out
+
+
+def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
+            iterations: int, known: Optional[Tuple[int, int]] = None,
+            nxt: Optional[int] = None) -> PD2Inflation:
+    """The least covering ``E`` at or above ``lo`` (see :func:`_inflate`),
+    every ``E < lo`` being known to fail.
+
+    ``known`` is a covering ``(E, demand)`` that bounds the search, else
+    it runs up to ``P``; ``nxt`` continues the iteration from ``known``
+    while it keeps narrowing the interval.  Bisection relies on ``f``
+    being monotone on each branch with steps ``f(E+1) - f(E)`` either all
+    at most 1 (the covering ``E`` form a suffix of the branch) or all at
+    least 1 (a prefix); each branch is searched for either form.
+    """
+    p_quanta = spec.period // q
+    e, switch_cost = spec.execution, c + spec.cache_delay
+    ceil = math.ceil
+    demand: Dict[int, int] = {}
+    hi = p_quanta
+    if known is not None:
+        hi, demand[hi] = known
+
+    def covers(e_quanta: int) -> bool:
+        nonlocal iterations
+        d = demand.get(e_quanta)
+        if d is None:
+            iterations += 1
+            preemptions = min(e_quanta - 1, p_quanta - e_quanta)
+            d = demand[e_quanta] = ceil(e + e_quanta * s_pd2 + c
+                                        + preemptions * switch_cost)
+        return -(-d // q) <= e_quanta
+
+    def result(e_quanta: int) -> PD2Inflation:
+        d = demand[e_quanta]
+        if -(-d // q) != e_quanta:  # covering, but not a fixed point
+            d = e_quanta * q
+        return PD2Inflation(spec, d, e_quanta, p_quanta, iterations)
+
+    while nxt is not None and lo <= nxt < hi and iterations < _BISECT_AFTER:
+        covered = covers(nxt)
+        f_nxt = -(-demand[nxt] // q)
+        if f_nxt == nxt:  # a fixed point: the answer
+            return result(nxt)
+        if covered:
+            hi = nxt
+        else:
+            lo = nxt + 1
+        if lo == hi:
+            return result(hi)
+        nxt = f_nxt
+    half = (p_quanta + 1) // 2  # the last E on the rising branch
+    for a, b in ((lo, min(hi, half)), (max(lo, half + 1), hi)):
+        if a > b:
+            continue
+        if covers(a):
+            return result(a)
+        if not covers(b):
+            continue
+        while b - a > 1:  # invariant: a fails, b covers
+            mid = (a + b) // 2
+            if covers(mid):
+                b = mid
+            else:
+                a = mid
+        return result(b)
+    # Nothing in [lo, P] covers (``P`` itself was tried last): infeasible.
+    d = demand[p_quanta]
+    return PD2Inflation(spec, d, -(-d // q), p_quanta, iterations)
 
 
 def pd2_total_weight(inflations: Sequence[PD2Inflation]) -> Fraction:

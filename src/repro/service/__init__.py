@@ -27,7 +27,7 @@ See ``docs/SERVICE.md`` for the wire protocol and
 from .cache import LRUCache
 from .client import (AdmissionClient, AsyncAdmissionClient,
                      ServiceResponseError)
-from .metrics import LatencyHistogram, MetricsRegistry
+from ..util.metrics import LatencyHistogram, MetricsRegistry
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import AdmissionServer, ServerThread
 from .state import ServiceError, ServiceState

@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable, Dict, List, Optional
 
-from .metrics import MetricsRegistry
+from ..util.metrics import MetricsRegistry
 from .protocol import ProtocolError, decode_line, encode, error_response
 
 __all__ = ["ConnectionPipeline"]

@@ -26,7 +26,7 @@ import time
 from typing import Any, Dict, Optional, Set, Tuple
 
 from .batching import ConnectionPipeline
-from .metrics import MetricsRegistry
+from ..util.metrics import MetricsRegistry
 from .protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError,
                        error_response, ok_response, parse_request,
                        parse_spec_sets, parse_specs)

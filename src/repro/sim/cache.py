@@ -19,37 +19,35 @@ points in time is determined by a small amount of boundary state:
   warm (the continuation rule the simulator's processor assignment
   implements).
 
-* **Hyperperiod memoisation** for the PD² fast path
-  (:class:`~repro.sim.fastpath.FastPD2Simulator`).  A synchronous
+* **Hyperperiod memoisation** for the PD² vector kernel
+  (:class:`~repro.sim.vector.VectorPD2Simulator`).  A synchronous
   periodic system is a deterministic automaton whose per-slot decisions
   depend only on the live subtasks, their windows, and the per-task
   affinity state.  At a hyperperiod boundary ``t = kH`` that state
   compresses to a tiny signature per task (relative eligibility, relative
   subtask index, processor affinity); when a signature repeats, the
   schedule between the two boundaries repeats forever after, so the
-  per-cycle :class:`~repro.sim.metrics.SimStats` delta can be *tiled*
-  across the remaining horizon instead of re-simulated.
-  :class:`HyperperiodMemo` implements the boundary sampling, cycle
-  detection and tiling; :data:`HYPERPERIOD_CACHE` remembers measured
-  cycle deltas across runs (keyed by the normalized task set), so a
-  repeated simulation of the same system only simulates its first
-  hyperperiod.
+  per-cycle :class:`~repro.core.metrics.SimStats` delta can be *tiled*
+  across the remaining horizon instead of re-simulated.  The kernel
+  samples signatures and tiles deltas; :class:`CycleLog` does the cycle
+  detection and :data:`HYPERPERIOD_CACHE` remembers measured cycle
+  deltas across runs (keyed by the normalized task set), so a repeated
+  simulation of the same system only simulates its first hyperperiod.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.keytab import unpack_key
 from ..core.task import PfairTask
+from ..core.trace import ScheduleTrace
 from ..util.lru import LRUCache
-from .trace import ScheduleTrace
 
 if TYPE_CHECKING:
-    from ..core.quantum import QuantumSimulator
+    from .vector import VectorPD2Simulator
 
 __all__ = [
     "CacheModel",
@@ -57,7 +55,6 @@ __all__ = [
     "count_cold_resumptions",
     "CycleDelta",
     "CycleLog",
-    "HyperperiodMemo",
     "HYPERPERIOD_CACHE",
     "hyperperiod_cache_key",
 ]
@@ -140,7 +137,7 @@ class CacheModel:
 
 
 # ---------------------------------------------------------------------------
-# Hyperperiod memoisation for the PD² fast path.
+# Hyperperiod memoisation for the PD² vector kernel.
 # ---------------------------------------------------------------------------
 
 #: Measured cycle deltas, shared across simulation runs in this process.
@@ -151,7 +148,7 @@ class CacheModel:
 HYPERPERIOD_CACHE = LRUCache(capacity=256)
 
 
-def hyperperiod_cache_key(sim: "QuantumSimulator") -> tuple:
+def hyperperiod_cache_key(sim: "VectorPD2Simulator") -> tuple:
     """Normalized identity of a simulation configuration.
 
     Everything the slot-to-slot evolution depends on, with task identity
@@ -176,10 +173,9 @@ class CycleDelta:
     indices relative to the boundary.  ``cycles`` is the cycle length in
     hyperperiods.
 
-    Deltas contain only plain integers relative to the boundary, and both
-    PD² kernels (:mod:`repro.sim.fastpath` and :mod:`repro.sim.vector`)
-    are decision-identical, so a delta measured by one kernel applies
-    verbatim to the other — :data:`HYPERPERIOD_CACHE` entries are shared.
+    Deltas contain only plain integers relative to the boundary, so a
+    delta measured in one run applies verbatim to any later run of an
+    equivalent system — :data:`HYPERPERIOD_CACHE` entries are shared.
     """
 
     __slots__ = ("cycles", "per_task", "busy", "idle")
@@ -193,13 +189,8 @@ class CycleDelta:
         self.idle = idle
 
 
-#: Backwards-compatible alias (the class was private before the vector
-#: kernel needed to share it).
-_CycleDelta = CycleDelta
-
-
 class CycleLog:
-    """Boundary-signature bookkeeping shared by both PD² fast kernels.
+    """Boundary-signature bookkeeping for one vector-kernel run.
 
     One instance serves one simulation run.  The owner samples a boundary
     signature at every hyperperiod multiple and drives the protocol:
@@ -213,11 +204,19 @@ class CycleLog:
        simulating; after :data:`MAX_BOUNDARIES` distinct signatures
        :attr:`exhausted` is set and the owner should stop sampling.
 
-    The class is agnostic to what signatures and snapshots contain — the
-    fastpath's heap-state capture and the vector kernel's column-state
-    capture produce identical tuples by construction, which is what makes
-    the cross-kernel cache sharing sound (and is asserted by the
-    differential suite).
+    The class is agnostic to what signatures and snapshots contain; the
+    vector kernel's boundary capture and tiling live with its columns.
+
+    Concurrency (docs/CONCURRENCY.md): :data:`HYPERPERIOD_CACHE` itself
+    is internally locked, but the *inner* per-configuration dict a log
+    fetches from it is mutated in place (``self._cached[sig] = delta``)
+    without a lock.  That is safe because simulations only ever run on
+    the main thread of their process (campaign drivers, or a campaign
+    worker's own main thread) — the admission service never simulates.
+    Growing a dict under the GIL is atomic per operation, and two
+    processes each mutate their own copy.  If simulations are ever
+    offloaded to threads, give the inner dict the same lock treatment as
+    :class:`~repro.util.lru.LRUCache`.
     """
 
     #: Boundaries sampled before giving up on finding a cycle.
@@ -252,184 +251,3 @@ class CycleLog:
         self._seen[sig] = (now, snapshot)
         if len(self._seen) >= self.MAX_BOUNDARIES:
             self.exhausted = True
-
-
-class HyperperiodMemo:
-    """Cycle detection and tiling for one :class:`FastPD2Simulator` run.
-
-    The simulator calls :meth:`on_boundary` whenever the clock reaches
-    ``next_boundary`` (a multiple of the hyperperiod ``H``), *before*
-    releasing that slot's eligible subtasks.  The memo samples the
-    boundary signature; on a repeat (or a cross-run cache hit) it applies
-    the measured per-cycle delta ``c`` times, advances the clock by
-    ``c`` cycles, and retires (``done``) so the remainder — less than one
-    cycle — is simulated plainly.
-
-    Safety gates: the memo retires without tiling if the run has recorded
-    any deadline miss, if the ready queue is non-empty at a boundary
-    (backlog means the system is overloaded and the boundary state is not
-    fully captured by the signature), or after 16 boundaries with no
-    repeat (aperiodic-looking affinity state; avoids unbounded snapshot
-    memory).  Tracing disables the memo entirely — a tiled cycle records
-    no allocations — as do nonzero phases (the simulator gates on both).
-
-    Concurrency (docs/CONCURRENCY.md): :data:`HYPERPERIOD_CACHE` itself
-    is internally locked, but the *inner* per-configuration dict a memo
-    fetches from it is mutated in place (``self._cached[sig] = delta``)
-    without a lock.  That is safe because simulations only ever run on
-    the main thread of their process (campaign drivers, or a campaign
-    worker's own main thread) — the admission service never simulates.
-    Growing a dict under the GIL is atomic per operation, and two
-    processes each mutate their own copy.  If simulations are ever
-    offloaded to threads, give the inner dict the same lock treatment as
-    :class:`~repro.util.lru.LRUCache`.
-    """
-
-    #: Boundaries sampled before giving up on finding a cycle.
-    MAX_BOUNDARIES = CycleLog.MAX_BOUNDARIES
-
-    def __init__(self, sim: "QuantumSimulator", hyperperiod: int) -> None:
-        self.sim = sim
-        self.H = hyperperiod
-        self.next_boundary = hyperperiod
-        self.done = False
-        self._log = CycleLog(hyperperiod_cache_key(sim))
-
-    # -- boundary protocol ---------------------------------------------------
-
-    def on_boundary(self, now: int, horizon: int) -> int:
-        """Sample the boundary at ``now``; returns the (possibly advanced)
-        clock.  Sets :attr:`done` when the memo retires."""
-        sim = self.sim
-        if sim.stats.misses or sim._ready:
-            self.done = True
-            return now
-        log = self._log
-        sig = self._signature(now)
-        delta = log.probe(sig)
-        if delta is None:
-            hit = log.previous(sig)
-            if hit is not None:
-                delta = self._measure(now, *hit)
-                log.store(sig, delta)
-        if delta is not None:
-            cycle_len = delta.cycles * self.H
-            c = (horizon - now) // cycle_len
-            if c > 0:
-                now = self._apply(now, delta, c)
-            self.done = True
-            return now
-        log.record(sig, now, self._snapshot())
-        if log.exhausted:
-            self.done = True
-        else:
-            self.next_boundary = now + self.H
-        return now
-
-    # -- state capture -------------------------------------------------------
-
-    def _signature(self, now: int) -> tuple:
-        """Boundary state, relative to ``now``, per task in task order.
-
-        Captures everything the future evolution depends on: the live
-        subtask (relative index and eligibility determine its window and
-        packed key up to a uniform shift) and the affinity state used by
-        processor assignment and the preemption/migration counters
-        (relative slot gap, absolute processor, relative job).
-        """
-        per_task = self.sim.stats.per_task
-        live: Dict[int, Tuple[int, int]] = {}
-        for elig, key in self.sim._pending:
-            _, tid, idx = unpack_key(key)
-            live[tid] = (elig, idx)
-        sig: List[tuple] = []
-        for t in self.sim.tasks:
-            elig, idx = live[t.task_id]
-            jobs = now // t.period
-            ts = per_task.get(t.task_id)
-            if ts is None:
-                affinity = (None, None, None)
-            else:
-                affinity = (now - ts.last_slot, ts.last_proc,
-                            ts.last_job - jobs)
-            sig.append((elig - now, idx - jobs * t.execution) + affinity)
-        return tuple(sig)
-
-    def _snapshot(self) -> tuple:
-        """Cumulative counters at a boundary, for later delta measurement."""
-        per_task = self.sim.stats.per_task
-        rows = []
-        for t in self.sim.tasks:
-            ts = per_task.get(t.task_id)
-            rows.append((ts.quanta, ts.preemptions, ts.migrations)
-                        if ts is not None else (0, 0, 0))
-        return (tuple(rows), self.sim.stats.busy_quanta,
-                self.sim.stats.idle_quanta)
-
-    def _measure(self, now: int, t0: int, snap: tuple) -> CycleDelta:
-        """Delta accumulated over the cycle ``[t0, now)``."""
-        rows, busy0, idle0 = snap
-        stats = self.sim.stats
-        per_task = []
-        for pos, t in enumerate(self.sim.tasks):
-            ts = stats.per_task[t.task_id]
-            q0, p0, m0 = rows[pos]
-            jobs0 = t0 // t.period
-            # Per-job preemption entries are only ever written for the
-            # *current* job, and job indices are monotone, so everything
-            # keyed past jobs0 accumulated inside the cycle.
-            jp_rel = tuple(sorted(
-                (j - jobs0, cnt)
-                for j, cnt in ts.job_preemptions.items() if j > jobs0
-            ))
-            per_task.append((ts.quanta - q0, ts.preemptions - p0,
-                             ts.migrations - m0, jp_rel))
-        return CycleDelta((now - t0) // self.H, tuple(per_task),
-                           stats.busy_quanta - busy0,
-                           stats.idle_quanta - idle0)
-
-    # -- tiling --------------------------------------------------------------
-
-    def _apply(self, now: int, delta: CycleDelta, c: int) -> int:
-        """Advance the simulator ``c`` cycles from the boundary at ``now``
-        by applying ``delta`` ``c`` times; returns the new clock."""
-        sim = self.sim
-        L = delta.cycles * self.H
-        stats = sim.stats
-        for pos, t in enumerate(sim.tasks):
-            dq, dp, dm, jp_rel = delta.per_task[pos]
-            ts = stats.per_task[t.task_id]
-            ts.quanta += c * dq
-            ts.preemptions += c * dp
-            ts.migrations += c * dm
-            jobs_per_cycle = L // t.period
-            if jp_rel:
-                jp = ts.job_preemptions
-                jobs_now = now // t.period
-                for i in range(c):
-                    base = jobs_now + i * jobs_per_cycle
-                    for j_rel, cnt in jp_rel:
-                        jp[base + j_rel] = cnt
-            ts.last_slot += c * L
-            ts.last_job += c * jobs_per_cycle
-            tid = t.task_id
-            if tid in sim.last_scheduled_index:
-                sim.last_scheduled_index[tid] += \
-                    c * jobs_per_cycle * t.execution
-        stats.busy_quanta += c * delta.busy
-        stats.idle_quanta += c * delta.idle
-        # Shift pending subtasks forward c cycles: a uniform time shift
-        # plus per-task key advances.  Eligibilities all move by the same
-        # amount and key order is shift-invariant, so positions still
-        # satisfy the heap property — rewrite in place.
-        shift = c * L
-        info_of = sim._info
-        new_pending = []
-        for elig, key in sim._pending:
-            info = info_of[unpack_key(key)[1]]
-            new_pending.append((
-                elig + shift,
-                key + c * (L // info.task.period) * info.tab.job_step,
-            ))
-        sim._pending[:] = new_pending
-        return now + shift

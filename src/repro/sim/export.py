@@ -15,7 +15,7 @@ import json
 from typing import Any, Dict, List
 
 from .quantum import SimResult
-from .trace import ScheduleTrace
+from ..core.trace import ScheduleTrace
 
 __all__ = [
     "trace_to_rows",

@@ -6,7 +6,7 @@ argument rests on (PD² is defined by what the engine does each slot), so
 the layering pass (rule R003) homes it in ``core`` beneath the
 campaign-level simulators.  What belongs at the ``sim`` layer is the
 dispatch between decision-identical implementations: ``simulate_pfair``
-picks the packed-key fast path (:mod:`repro.sim.fastpath`) when it
+picks the struct-of-arrays kernel (:mod:`repro.sim.vector`) when it
 supports the configuration and the reference engine otherwise.  The
 historical ``repro.sim.quantum`` import path keeps working for both.
 """
@@ -28,63 +28,39 @@ def simulate_pfair(
     horizon: int,
     policy: Optional[PriorityPolicy] = None,
     *,
-    vector: Optional[bool] = None,
     fastpath: Optional[bool] = None,
     **kwargs: object,
 ) -> SimResult:
     """One-call convenience wrapper: build a simulator and run it.
 
     Dispatches down the decision-identical kernel chain **vector →
-    fastpath → reference**: the struct-of-arrays
+    reference**: the struct-of-arrays
     :class:`~repro.sim.vector.VectorPD2Simulator` when it supports the
-    configuration, else the packed-key
-    :class:`~repro.sim.fastpath.FastPD2Simulator`, else the reference
-    :class:`QuantumSimulator`.  Each tier has an independent toggle
-    (:mod:`repro.util.toggles`): ``vector=False`` / ``--no-vector`` /
-    ``REPRO_NO_VECTOR=1`` skips the vector kernel, ``fastpath=False`` /
-    ``--no-fastpath`` / ``REPRO_NO_FASTPATH=1`` forces the reference
-    (it disables the vector tier too — both accelerated kernels are
-    "the fast path" from the caller's point of view).  Passing
-    ``vector=True`` or ``fastpath=True`` *requires* that tier and raises
-    if the configuration is unsupported.
+    configuration, else the reference :class:`QuantumSimulator`.  One
+    toggle (:mod:`repro.util.toggles`) governs the choice:
+    ``fastpath=False`` / ``--no-fastpath`` / ``REPRO_NO_FASTPATH=1``
+    forces the reference, and ``fastpath=True`` *requires* the vector
+    kernel and raises if the configuration is unsupported.
     """
     task_list = list(tasks)
+    explicit = fastpath is not None
     if fastpath is None:
         from ..util.toggles import fastpath_enabled
 
         fastpath = fastpath_enabled()
-        explicit = False
-    else:
-        explicit = fastpath
-    if vector is None:
-        from ..util.toggles import vector_enabled
-
-        vector = fastpath and vector_enabled()
-        explicit_vector = False
-    else:
-        explicit_vector = vector
-    if vector:
-        from .vector import VectorPD2Simulator
-        from .vector import supports as vector_supports
-
-        if vector_supports(task_list, processors, horizon, policy, kwargs):
-            return VectorPD2Simulator(task_list, processors, policy,
-                                      **kwargs).run(horizon)
-        if explicit_vector:
-            raise ValueError(
-                "vector=True but the configuration is not supported by "
-                "the vector kernel (see repro.sim.vector.supports)"
-            )
     if fastpath:
-        from .fastpath import FastPD2Simulator, supports
+        from .vector import VectorPD2Simulator, supports
 
         if supports(task_list, processors, horizon, policy, kwargs):
-            return FastPD2Simulator(task_list, processors, policy,
-                                    **kwargs).run(horizon)
+            return VectorPD2Simulator(task_list, processors, policy,
+                                      **kwargs).run(horizon)
         if explicit:
             raise ValueError(
                 "fastpath=True but the configuration is not supported by "
-                "the fast path (see repro.sim.fastpath.supports)"
+                "the vector kernel (see repro.sim.vector.supports)"
             )
+    # The reference has no hyperperiod memo: the flag is the vector
+    # kernel's, and its answers do not depend on it.
+    kwargs.pop("hyperperiod_memo", None)
     sim = QuantumSimulator(task_list, processors, policy, **kwargs)
     return sim.run(horizon)

@@ -2,7 +2,7 @@
 
 The paper's temporal-isolation discussion (Sec. 5.3) notes that EDF needs
 *added mechanisms* — bandwidth-reserving servers — to get the isolation
-Pfairness provides structurally.  :class:`repro.sim.uniproc.CBSServer`
+Pfairness provides structurally.  :class:`repro.core.uniproc.CBSServer`
 implements the constant-bandwidth server the paper cites (Abeni &
 Buttazzo); this module adds Spuri & Buttazzo's **Total Bandwidth Server**,
 the other canonical EDF server, so the comparison suite covers both
@@ -17,8 +17,8 @@ deadline-assignment styles:
   about ``C_k`` breaks isolation, which is exactly CBS's motivation.
 
 TBS needs no runtime machinery: deadlines are computable at arrival, so
-the server materialises plain EDF jobs (:class:`~repro.sim.uniproc.UniJob`
-with explicit deadlines) for :class:`~repro.sim.uniproc.UniprocSimulator`.
+the server materialises plain EDF jobs (:class:`~repro.core.uniproc.UniJob`
+with explicit deadlines) for :class:`~repro.core.uniproc.UniprocSimulator`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .uniproc import UniJob, UniTask
+from ..core.uniproc import UniJob, UniTask
 
 __all__ = ["TotalBandwidthServer"]
 

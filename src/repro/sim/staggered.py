@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PfairTask, Subtask
-from .engine import EventQueue
+from ..core.events import EventQueue
 
 __all__ = ["StaggeredResult", "StaggeredSimulator", "simulate_staggered"]
 

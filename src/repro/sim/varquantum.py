@@ -38,7 +38,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PfairTask, Subtask
-from .engine import EventQueue
+from ..core.events import EventQueue
 
 __all__ = ["VariableQuantumResult", "VariableQuantumSimulator",
            "simulate_variable_quantum"]

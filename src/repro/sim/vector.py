@@ -1,15 +1,14 @@
 """Struct-of-arrays PD² kernel: key-order placement instead of slot loops.
 
-:class:`VectorPD2Simulator` is the third (fastest) tier of the simulator
-stack — reference (:class:`~repro.core.quantum.QuantumSimulator`) →
-packed-key fastpath (:mod:`repro.sim.fastpath`) → this kernel — and like
-the fastpath it is *decision-identical* to the reference: same
-allocations (slot, processor, task, subtask), same
-:class:`~repro.sim.metrics.SimStats`, same miss records in the same
-order.  The differential suite (``tests/test_fastpath_differential.py``,
-``tests/test_sim_vector.py``) pins the identity three ways across
-randomized systems including early release, nonzero phases, overload and
-both affinity modes.
+:class:`VectorPD2Simulator` is the accelerated tier of the two-tier
+simulator stack — this kernel, falling back to the reference
+(:class:`~repro.core.quantum.QuantumSimulator`) — and it is
+*decision-identical* to the reference: same allocations (slot,
+processor, task, subtask), same :class:`~repro.core.metrics.SimStats`,
+same miss records in the same order.  The differential suite
+(``tests/test_kernel_differential.py``, ``tests/test_sim_vector.py``)
+pins the identity across randomized systems including early release,
+nonzero phases, overload and both affinity modes.
 
 Why it is fast — the key-order placement theorem
 ------------------------------------------------
@@ -54,12 +53,10 @@ That turns simulation into:
    because deadlines strictly increase within a task);
 2. one **global argsort** over the key column;
 3. a single **earliest-fit pass** in key order using a union-find
-   "next slot with spare capacity" pointer array (path halving).  This
-   *generalizes the fastpath's idle-slot skip*: the fastpath jumps the
-   clock over empty slots only; here no slot is ever visited — an idle
-   slot is simply never touched, and a full slot collapses to one
-   pointer hop, so whole stable slot ranges are skipped in O(alpha)
-   regardless of why they are stable;
+   "next slot with spare capacity" pointer array (path halving).  No
+   slot is ever visited: an idle slot is simply never touched, and a
+   full slot collapses to one pointer hop, so whole stable slot ranges
+   are skipped in O(alpha) regardless of why they are stable;
 4. **vectorized stats**: quanta, preemptions (gap within a job),
    per-job preemption counts, busy/idle and misses are computed from
    the placement columns with bincounts and shifted compares.  The
@@ -71,10 +68,10 @@ The hyperperiod memo (:mod:`repro.sim.cache`) composes by *chunking*:
 when the memo preconditions hold (synchronous system, no trace, memoing
 enabled, ``2·lcm < horizon``) the kernel runs one hyperperiod per chunk,
 carrying exact per-task state (live subtask, eligibility, affinity)
-across boundaries, and speaks the same :class:`~repro.sim.cache.CycleLog`
-protocol as the fastpath — signatures and deltas are constructed
-identically, so :data:`~repro.sim.cache.HYPERPERIOD_CACHE` entries are
-shared between both kernels in either direction.
+across boundaries, and drives the :class:`~repro.sim.cache.CycleLog`
+protocol at each boundary: signatures are relative to the boundary, so
+:data:`~repro.sim.cache.HYPERPERIOD_CACHE` entries replay across runs of
+equivalent systems.
 
 Everything is exact integer arithmetic: every numpy array in this module
 is int64 (or bool), enforced by staticcheck rule R001, which gates this
@@ -82,8 +79,8 @@ file to integer dtypes and flags any float dtype or true division.
 
 Use :func:`repro.sim.quantum.simulate_pfair`, which dispatches here
 automatically when :func:`supports` accepts the configuration and the
-toggle (``--no-vector`` / ``REPRO_NO_VECTOR``, :mod:`repro.util.toggles`)
-is on, falling back vector → fastpath → reference.
+toggle (``--no-fastpath`` / ``REPRO_NO_FASTPATH``,
+:mod:`repro.util.toggles`) is on, falling back vector → reference.
 """
 
 from __future__ import annotations
@@ -96,19 +93,19 @@ import numpy as np
 from ..core.keytab import _column_base
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PeriodicTask, PfairTask
-from .metrics import DeadlineMiss, SimStats, TaskStats
+from ..core.metrics import DeadlineMiss, SimStats, TaskStats
 from .quantum import DeadlineMissError, SimResult
-from .trace import ScheduleTrace
+from ..core.trace import ScheduleTrace
 
 __all__ = ["VectorPD2Simulator", "supports"]
 
 #: Largest number of precomputed subtasks per chunk before the kernel
-#: bows out (memory gate; the fastpath handles what falls through).
+#: bows out (memory gate; the reference handles what falls through).
 MAX_CHUNK_SUBTASKS = 4_000_000
 
 #: Largest chunk length in slots: the placement pass allocates the
 #: union-find pointer array and the occupancy countdown per slot.  Very
-#: long sparse horizons fall through to the fastpath's idle-slot skip.
+#: long horizons without memoisation fall through to the reference.
 MAX_CHUNK_SLOTS = 4_000_000
 
 #: Narrow keys must fit a signed int64 lane below the pad sentinel.
@@ -159,12 +156,13 @@ def supports(
 ) -> bool:
     """True when the vector kernel reproduces the reference exactly.
 
-    Same closed world as the fastpath — periodic tasks, PD² priorities,
-    fixed capacity, no arrivals or departures — plus the kernel's own
-    resource gates: distinct task ids (the row field *is* the task-id
-    tie-break), narrow keys that fit int64, and bounded per-chunk
-    subtask and slot counts.  Anything else falls through to the
-    fastpath or the reference via :func:`repro.sim.quantum.simulate_pfair`.
+    The workhorse configuration of every experiment in the paper —
+    periodic tasks (any phases), PD² priorities, fixed capacity, no
+    arrivals or departures — within the kernel's own resource gates:
+    distinct task ids (the row field *is* the task-id tie-break), narrow
+    keys that fit int64, and bounded per-chunk subtask and slot counts.
+    Anything else falls through to the reference via
+    :func:`repro.sim.quantum.simulate_pfair`.
     """
     if policy is not None and type(policy) is not PD2Priority:
         return False
@@ -198,9 +196,10 @@ def supports(
 class VectorPD2Simulator:
     """Struct-of-arrays drop-in for :class:`~repro.sim.quantum.QuantumSimulator`.
 
-    Accepts the same constructor surface as the fastpath (the unsupported
-    hooks must be ``None``/absent — :func:`supports` gates dispatch) and
-    produces an identical :class:`~repro.sim.quantum.SimResult`.
+    Accepts the reference's constructor surface plus ``hyperperiod_memo``
+    (the unsupported hooks must be ``None``/absent — :func:`supports`
+    gates dispatch) and produces an identical
+    :class:`~repro.sim.quantum.SimResult`.
     """
 
     def __init__(
@@ -331,8 +330,9 @@ class VectorPD2Simulator:
         t = 0
         while t < horizon:
             if log is not None and t > 0 and t % H == 0:
-                # Hyperperiod boundary: same protocol, same signatures
-                # and deltas as HyperperiodMemo on the fastpath.
+                # Hyperperiod boundary: sample the signature, then tile
+                # a known cycle or record this boundary.  Backlog or a
+                # miss means the signature does not capture the state.
                 if self.stats.misses or bool((self._elig < t).any()):
                     log = None
                 else:
@@ -712,12 +712,16 @@ class VectorPD2Simulator:
                 d2 = jp_all[rr]
                 d2[jj] = d2.get(jj, 0) + 1
 
-    # -- hyperperiod memo protocol (mirrors sim.cache.HyperperiodMemo) -------
+    # -- hyperperiod memo protocol (sim.cache.CycleLog) -----------------------
 
     def _signature(self, now: int) -> tuple:
-        """Boundary state per task in task order — tuple-identical to
-        :meth:`repro.sim.cache.HyperperiodMemo._signature`, which is what
-        makes cache entries interchangeable between kernels."""
+        """Boundary state per task in task order, relative to ``now``.
+
+        Captures everything the future evolution depends on: the live
+        subtask (relative index and eligibility determine its window and
+        key up to a uniform shift) and the affinity state used by
+        processor assignment and the preemption/migration counters
+        (relative slot gap, absolute processor, relative job)."""
         live = self._live
         elig = self._elig
         quanta = self._quanta
@@ -816,7 +820,7 @@ class VectorPD2Simulator:
 
     def _finalize(self, horizon: int) -> SimResult:
         """Sweep unfinished subtasks for misses (canonical key order, the
-        same order all three simulators emit) and package the result."""
+        same order the reference emits) and package the result."""
         self.stats.slots = horizon
         leftovers = []
         if self._n and horizon > 0:

@@ -11,9 +11,8 @@ AST alone — stdlib ``ast`` only, no third-party dependencies.
 Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
 
 * **R001 exactness** — no float literals, ``float()`` calls, or true
-  division in decision paths (``core/`` and ``sim/fastpath.py``); numpy
-  in the vectorized kernel (``sim/vector.py``) is gated to integer
-  dtypes.
+  division in decision paths (``core/`` and the vectorized kernel
+  ``sim/vector.py``); numpy in the kernel is gated to integer dtypes.
 * **R002 determinism** — no seedless RNGs, wall-clock reads, or
   environment reads outside ``util/toggles.py`` in ``core/`` + ``sim/``.
 * **R003 layering** — the import DAG ``util → core → workload →
@@ -52,7 +51,7 @@ lattice (:mod:`repro.staticcheck.nptypes`):
   kernel's narrow-key layout fits ``MAX_KEY_BITS`` for all systems
   ``supports()`` admits (subsumes R004, which delegates to it).
 * **R011 numpy-dtype-soundness** — no silent dtype promotion in the
-  integer kernels (``sim/vector.py``, ``sim/fastpath.py``): implicit
+  integer kernel (``sim/vector.py``): implicit
   float64 defaults, ``uint64``/signed mixing, true division, mixed
   integer widths inside sort keys.
 * **R012 wire-conformance** — every registered wire verb has a

@@ -510,14 +510,14 @@ class NumpyDtypeRule(Rule):
                    "integral: no silent float64/object promotion, no "
                    "mixed widths in key ordering")
 
-    FILES = ("sim/vector.py", "sim/fastpath.py")
+    FILES = ("sim/vector.py",)
 
     def check_module(self, module: ModuleInfo) -> Iterator[Violation]:
         if module.relpath not in self.FILES:
             return
         np_aliases = _import_aliases(module.tree, "numpy")
         if not np_aliases:
-            return  # fastpath.py: pure-python, trivially sound
+            return  # pure-python: trivially sound
         for cls, funcs in _class_functions(module.tree):
             attr_env: DtypeEnv = {}
             if cls is not None:

@@ -108,7 +108,7 @@ class ExactnessRule(Rule):
 
     PD² tie-breaks are exact: integer quanta, rational weights, integer
     packed keys.  A single float literal, ``float()`` conversion, or true
-    division (``/``) inside ``core/`` or ``sim/fastpath.py`` can silently
+    division (``/``) inside ``core/`` or ``sim/vector.py`` can silently
     change a priority comparison — the class of bug the differential
     suite can only catch by luck.  Metric/export conversions that
     genuinely need floats carry a line pragma with a justification.
@@ -124,11 +124,10 @@ class ExactnessRule(Rule):
     rule_id = "R001"
     name = "exactness"
     description = ("no float literals, float() calls, or true division "
-                   "in decision paths (core/, sim/fastpath.py); numpy in "
+                   "in decision paths (core/, sim/vector.py); numpy in "
                    "sim/vector.py restricted to integer dtypes")
 
     SCOPE_PACKAGES = ("core",)
-    SCOPE_FILES = ("sim/fastpath.py",)
     #: Vectorized decision kernels: base checks apply *and* numpy usage
     #: is gated to integer/bool dtypes (int64 keys survive exactly;
     #: float64 mantissas do not).
@@ -146,7 +145,6 @@ class ExactnessRule(Rule):
 
     def _in_scope(self, module: ModuleInfo) -> bool:
         return (module.package in self.SCOPE_PACKAGES
-                or module.relpath in self.SCOPE_FILES
                 or module.relpath in self.NUMPY_KERNEL_FILES)
 
     def check_module(self, module: ModuleInfo) -> Iterator[Violation]:
@@ -228,12 +226,12 @@ class DeterminismRule(Rule):
     ``core/`` and ``sim/`` results are memoised across runs (hyperperiod
     cache, analysis cache) and replayed in differential tests, so any
     global-state RNG, wall-clock read, or environment read there breaks
-    reproducibility.  That includes the accelerated kernels
-    (``sim/fastpath.py``, ``sim/vector.py``): their cycle deltas are
-    shared through one cache keyed only on task parameters, so a hidden
-    environment read in either kernel would poison replays in the other.  ``campaign/`` is in scope because its checkpoints
-    promise byte-identical resume: shard planning and seeding must stay
-    clock-free (only the runner's dispatch loop may read clocks, for
+    reproducibility.  That includes the accelerated kernel
+    (``sim/vector.py``): its cycle deltas are shared across runs through
+    one cache keyed only on task parameters, so a hidden environment
+    read in the kernel would poison later replays.  ``campaign/`` is in
+    scope because its checkpoints promise byte-identical resume: shard
+    planning and seeding must stay clock-free (only the runner's dispatch loop may read clocks, for
     backoff/timeouts/metrics — see :data:`CLOCK_EXEMPT_FILES`).
     ``distrib/`` inherits the same contract — wire codecs and the lease
     table are clock-free; only the three process-facing files (worker

@@ -7,8 +7,7 @@ and the fast-path toggle can be shared without import cycles.
 
 from .lru import LRUCache
 from .metrics import Counter, LatencyHistogram, MetricsRegistry
-from .toggles import fastpath_enabled, set_fastpath, set_vector, vector_enabled
+from .toggles import fastpath_enabled, set_fastpath
 
 __all__ = ["LRUCache", "fastpath_enabled", "set_fastpath",
-           "vector_enabled", "set_vector",
            "Counter", "LatencyHistogram", "MetricsRegistry"]

@@ -10,8 +10,9 @@ accurate to a bucket's width (buckets are spaced 1–2–5 per decade, so
 estimates are within ~2× and typically much closer).
 
 Two consumers share these primitives: the admission service's request
-metrics (:mod:`repro.service.metrics` re-exports this module and
-confines its registry to the event loop) and the campaign engine's
+metrics (:class:`~repro.service.server.AdmissionServer` confines its
+registry to the event loop: every update and the ``stats`` verb's
+snapshot run there) and the campaign engine's
 shard-progress surface (:mod:`repro.campaign.progress`, confined to the
 dispatching thread).  Neither takes locks: each registry instance is
 single-domain by construction, the types hold no global state, and an

@@ -1,32 +1,26 @@
-"""Process-wide kernel toggles.
+"""Process-wide kernel toggle.
 
-The accelerated PD² kernels — the packed-key fast path (idle-slot
-skipping, hyperperiod memoisation, integer-arithmetic first-fit packing)
-and the struct-of-arrays vector kernel above it — are
+The accelerated code paths — the struct-of-arrays PD² vector kernel and
+the analysis cache in front of the schedulability tests — are
 *decision-identical* to the reference implementations: the differential
-test suite proves it.  Escape hatches are still good engineering:
+test suite proves it.  An escape hatch is still good engineering:
+``--no-fastpath`` / ``REPRO_NO_FASTPATH=1`` forces every computation
+back onto the reference code paths, e.g. to bisect a suspected kernel
+bug or to benchmark the reference.
 
-* ``--no-fastpath`` / ``REPRO_NO_FASTPATH=1`` forces every computation
-  back onto the reference code paths (it implies the vector kernel is
-  off too — with the fast path disabled nothing accelerated runs);
-* ``--no-vector`` / ``REPRO_NO_VECTOR=1`` disables only the vector
-  kernel, leaving the packed-key fast path in place — e.g. to bisect a
-  suspected vector-kernel bug or to benchmark the middle tier.
-
-The toggles are read at call sites, not import time, so tests can flip
-them per-case.  Worker processes inherit them through the campaign pool
-initializer (:mod:`repro.analysis.experiments`) and through the
-environment variables.
+The toggle is read at call sites, not import time, so tests can flip it
+per-case.  Worker processes inherit it through the campaign pool
+initializer (:mod:`repro.campaign.pool`) and through the environment
+variable.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["fastpath_enabled", "set_fastpath", "vector_enabled", "set_vector"]
+__all__ = ["fastpath_enabled", "set_fastpath"]
 
 _override: bool | None = None
-_vector_override: bool | None = None
 
 
 def fastpath_enabled() -> bool:
@@ -41,19 +35,3 @@ def set_fastpath(enabled: bool | None) -> None:
     default (``REPRO_NO_FASTPATH``)."""
     global _override
     _override = enabled
-
-
-def vector_enabled() -> bool:
-    """True when the struct-of-arrays vector kernel may be used (the
-    default).  The dispatcher additionally requires the fast path to be
-    enabled — :func:`fastpath_enabled` false means reference-only."""
-    if _vector_override is not None:
-        return _vector_override
-    return os.environ.get("REPRO_NO_VECTOR", "") in ("", "0")
-
-
-def set_vector(enabled: bool | None) -> None:
-    """Force the vector kernel on/off; ``None`` restores the environment
-    default (``REPRO_NO_VECTOR``)."""
-    global _vector_override
-    _vector_override = enabled

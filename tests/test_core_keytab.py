@@ -1,8 +1,9 @@
 """Packed PD² key correctness: order-isomorphism with the tuple keys.
 
-The fast path's entire correctness story rests on the packed integer key
-inducing exactly the order of :meth:`PD2Priority.key` tuples; the
-hypothesis property here is the load-bearing argument (referenced from
+The vector kernel's correctness story rests on the packed integer key
+inducing exactly the order of :meth:`PD2Priority.key` tuples, over the
+per-weight subtask columns it builds its keys from; the hypothesis
+properties here are the load-bearing argument (referenced from
 ``repro/core/keytab.py``).
 """
 
@@ -13,10 +14,8 @@ from hypothesis import strategies as st
 from repro.core.keytab import (
     MAX_INDEX,
     MAX_TASK_ID,
-    TaskKeyTable,
-    check_capacity,
+    _column_base,
     pack_key,
-    task_key_table,
     unpack_key,
 )
 from repro.core.priority import PD2Priority
@@ -65,29 +64,46 @@ class TestPackedOrderProperty:
         assert unpack_key(pack_key(*p)) == (deadline, task_id, index)
 
 
+def _column_key(columns, period, phase, task_id, index):
+    """Packed key and release of subtask ``index`` from the job-0 columns,
+    shifted the way the vector kernel shifts them (``q`` periods plus the
+    phase)."""
+    rel, dl, bbar, gdd = columns
+    q, j = divmod(index - 1, len(rel))
+    shift = q * period + phase
+    deadline = int(dl[j]) + shift
+    group_deadline = 0 if gdd[j] < 0 else deadline + int(gdd[j])
+    key = pack_key(deadline, 1 - int(bbar[j]), group_deadline, task_id,
+                   index)
+    return key, int(rel[j]) + shift
+
+
 class TestAgainstRealSubtasks:
-    """The packed keys of real PeriodicTask subtasks equal pack_key of the
-    subtask's own parameters, and order them like PD2Priority."""
+    """The subtask columns the vector kernel reads reproduce every real
+    PeriodicTask subtask, and their packed keys order like PD2Priority."""
 
     @given(st.lists(
-        st.integers(2, 12).flatmap(
+        st.tuples(st.integers(2, 12).flatmap(
             lambda p: st.tuples(st.integers(1, p), st.just(p))),
+            st.sampled_from([0, 0, 3])),
         min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
-    def test_table_matches_subtasks(self, weights):
+    def test_table_matches_subtasks(self, weighted_phases):
         policy = PD2Priority()
-        tasks = [PeriodicTask(e, p, task_id=i)
-                 for i, (e, p) in enumerate(weights)]
+        tasks = [PeriodicTask(e, p, phase=ph, task_id=i)
+                 for i, ((e, p), ph) in enumerate(weighted_phases)]
         entries = []
         for t in tasks:
-            table = task_key_table(t)
-            horizon = 2 * t.period
+            columns = _column_base(t.execution, t.period)
+            horizon = 2 * t.period + t.phase
             for s in t.subtasks_until(horizon):
-                assert table.key(s.index) == pack_key(
-                    s.deadline, s.b_bit, s.group_deadline,
-                    t.task_id, s.index)
-                assert table.release(s.index) == s.release
-                entries.append((table.key(s.index), policy.key(s)))
+                key, release = _column_key(columns, t.period, t.phase,
+                                           t.task_id, s.index)
+                assert key == pack_key(s.deadline, s.b_bit,
+                                       s.group_deadline, t.task_id,
+                                       s.index)
+                assert release == s.release
+                entries.append((key, policy.key(s)))
         entries.sort(key=lambda kv: kv[0])
         assert [kv[1] for kv in entries] == sorted(kv[1] for kv in entries)
 
@@ -96,8 +112,6 @@ class TestBoundsAndCapacity:
     def test_task_id_overflow(self):
         with pytest.raises(OverflowError, match="task id"):
             pack_key(1, 0, 0, MAX_TASK_ID + 1, 1)
-        with pytest.raises(OverflowError, match="task id"):
-            TaskKeyTable(1, 2, MAX_TASK_ID + 1)
 
     def test_index_overflow(self):
         with pytest.raises(OverflowError, match="index"):
@@ -108,12 +122,3 @@ class TestBoundsAndCapacity:
         # anything else rather than emit a wrong order.
         with pytest.raises(OverflowError, match="group deadline"):
             pack_key(10, 0, 5, 0, 1)
-
-    def test_check_capacity(self):
-        ok = [PeriodicTask(1, 2, task_id=0)]
-        assert check_capacity(ok, horizon=1000)
-        big_id = [PeriodicTask(1, 2, task_id=MAX_TASK_ID + 1)]
-        assert not check_capacity(big_id, horizon=10)
-        # A horizon implying more subtasks than the index field holds.
-        dense = [PeriodicTask(1, 1, task_id=0)]
-        assert not check_capacity(dense, horizon=MAX_INDEX + 10)

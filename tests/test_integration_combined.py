@@ -21,7 +21,7 @@ from repro.fault.failures import FailureEvent, pd2_with_failures
 from repro.sim.export import result_to_dict
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.staggered import simulate_staggered
-from repro.sim.uniproc import UniTask, simulate_uniproc
+from repro.core.uniproc import UniTask, simulate_uniproc
 
 
 class TestOverloadBehaviour:

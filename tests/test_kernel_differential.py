@@ -1,15 +1,15 @@
-"""Differential testing: the accelerated kernels vs. the reference.
+"""Differential testing: the vector kernel vs. the reference.
 
-:class:`FastPD2Simulator` and :class:`VectorPD2Simulator` claim
-slot-for-slot identical decisions to :class:`QuantumSimulator` under
-PD².  This suite runs hundreds of randomized periodic task systems —
-including early-release, nonzero-phase, and overloaded (miss-recording)
-systems — through all three and asserts identical ``(slot, processor,
-task, subtask)`` allocations and identical :class:`SimStats`, including
-the canonical (priority-key) order of end-of-run unscheduled misses —
-the empirical half of the kernels' correctness argument (the analytical
-half is the packed-key order property in ``test_core_keytab.py`` and
-the key-order placement argument in ``sim/vector.py``).
+:class:`VectorPD2Simulator` claims slot-for-slot identical decisions to
+:class:`QuantumSimulator` under PD².  This suite runs hundreds of
+randomized periodic task systems — including early-release,
+nonzero-phase, and overloaded (miss-recording) systems — through both
+and asserts identical ``(slot, processor, task, subtask)`` allocations
+and identical :class:`SimStats`, including the canonical (priority-key)
+order of end-of-run unscheduled misses — the empirical half of the
+kernel's correctness argument (the analytical half is the packed-key
+order property in ``test_core_keytab.py`` and the key-order placement
+argument in ``sim/vector.py``).
 """
 
 import random
@@ -19,10 +19,8 @@ import pytest
 
 from repro.core.priority import PD2Priority
 from repro.core.task import PeriodicTask
-from repro.sim.fastpath import FastPD2Simulator, supports
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
-from repro.sim.vector import VectorPD2Simulator
-from repro.sim.vector import supports as vector_supports
+from repro.sim.vector import VectorPD2Simulator, supports
 
 N_RANDOM_SETS = 220
 
@@ -85,30 +83,24 @@ def _snapshot(result):
     }
 
 
-def _run_both(weights, phases, processors, horizon, er, **kwargs):
+def _run_both(weights, phases, processors, horizon, er, *, trace=True,
+              **kwargs):
+    """Reference and vector snapshots for one system.
+
+    ``trace=False`` lets the vector kernel memoise hyperperiods (tracing
+    disables the memo); the reference then runs untraced too.
+    """
     ref_tasks, _ = _build(weights, phases, er)
-    fast_tasks, _ = _build(weights, phases, er)
-    ref = QuantumSimulator(ref_tasks, processors, PD2Priority(),
-                           early_release=er, trace=True, **kwargs
-                           ).run(horizon)
-    assert supports(fast_tasks, processors, horizon, PD2Priority(), kwargs)
-    fast = FastPD2Simulator(fast_tasks, processors, PD2Priority(),
-                            early_release=er, trace=True, **kwargs
-                            ).run(horizon)
-    return _snapshot(ref), _snapshot(fast)
-
-
-def _run_three(weights, phases, processors, horizon, er, **kwargs):
-    """Reference, fastpath, and vector snapshots for one system."""
-    ref, fast = _run_both(weights, phases, processors, horizon, er, **kwargs)
     vec_tasks, _ = _build(weights, phases, er)
-    gate = dict(kwargs, trace=True)
-    assert vector_supports(vec_tasks, processors, horizon, PD2Priority(),
-                           gate)
+    ref = QuantumSimulator(ref_tasks, processors, PD2Priority(),
+                           early_release=er, trace=trace, **kwargs
+                           ).run(horizon)
+    gate = dict(kwargs, trace=trace)
+    assert supports(vec_tasks, processors, horizon, PD2Priority(), gate)
     vec = VectorPD2Simulator(vec_tasks, processors, PD2Priority(),
-                             early_release=er, trace=True, **kwargs
+                             early_release=er, trace=trace, **kwargs
                              ).run(horizon)
-    return ref, fast, _snapshot(vec)
+    return _snapshot(ref), _snapshot(vec)
 
 
 class TestDifferential:
@@ -117,8 +109,8 @@ class TestDifferential:
         saw_er = saw_phase = 0
         for trial in range(N_RANDOM_SETS):
             weights, phases, m, horizon, er = _random_system(rng)
-            ref, fast, vec = _run_three(weights, phases, m, horizon, er)
-            assert ref == fast == vec, (
+            ref, vec = _run_both(weights, phases, m, horizon, er)
+            assert ref == vec, (
                 f"trial {trial}: divergence on {weights} phases={phases} "
                 f"M={m} H={horizon} er={er}")
             saw_er += er
@@ -131,8 +123,8 @@ class TestDifferential:
         for trial in range(60):
             weights, phases, m, horizon, er = _random_system(
                 rng, overload_ok=True)
-            ref, fast, vec = _run_three(weights, phases, m, horizon, er)
-            assert ref == fast == vec, f"trial {trial}"
+            ref, vec = _run_both(weights, phases, m, horizon, er)
+            assert ref == vec, f"trial {trial}"
             seen_misses += bool(ref["misses_ran"] or ref["misses_never_ran"])
         assert seen_misses > 0  # the sample actually exercised overloads
 
@@ -141,21 +133,19 @@ class TestDifferential:
         for trial in range(40):
             weights, phases, m, horizon, er = _random_system(
                 rng, overload_ok=(trial % 2 == 0))
-            ref, fast, vec = _run_three(weights, phases, m, horizon, er,
-                                        preserve_affinity=False)
-            assert ref == fast == vec, f"trial {trial}"
+            ref, vec = _run_both(weights, phases, m, horizon, er,
+                                 preserve_affinity=False)
+            assert ref == vec, f"trial {trial}"
 
     def test_memoised_and_unmemoised_agree(self):
+        # Untraced runs let the vector kernel tile hyperperiods; the
+        # memoised result must still match the slot-by-slot reference.
         rng = random.Random(5)
-        for _ in range(25):
+        for trial in range(25):
             weights, phases, m, horizon, er = _random_system(rng)
-            tasks_a, _ = _build(weights, phases, er)
-            tasks_b, _ = _build(weights, phases, er)
-            a = FastPD2Simulator(tasks_a, m, early_release=er, trace=True,
-                                 hyperperiod_memo=True).run(horizon)
-            b = FastPD2Simulator(tasks_b, m, early_release=er, trace=True,
-                                 hyperperiod_memo=False).run(horizon)
-            assert _snapshot(a) == _snapshot(b)
+            ref, vec = _run_both(weights, phases, m, horizon, er,
+                                 trace=False)
+            assert ref == vec, f"trial {trial}"
 
     def test_vector_memoised_and_unmemoised_agree(self):
         rng = random.Random(6)
@@ -169,44 +159,48 @@ class TestDifferential:
                                    hyperperiod_memo=False).run(horizon)
             assert _snapshot(a) == _snapshot(b)
 
-    def test_hyperperiod_cache_shared_across_kernels(self):
-        # The memo protocol is kernel-agnostic: cycle deltas stored by
-        # the fastpath must replay bit-for-bit inside the vector kernel
-        # and vice versa.
+    def test_hyperperiod_cache_replays_across_runs(self):
+        # Cycle deltas stored by one run must replay bit-for-bit in a
+        # later run of an equivalent system (fresh task objects), and
+        # the replay must still match the reference.
         from repro.sim.cache import HYPERPERIOD_CACHE
 
         weights = [(1, 3), (2, 5), (1, 4)]
         horizon = 3600  # 60 hyperperiods of lcm(3,5,4)=60
-        for first, second in ((FastPD2Simulator, VectorPD2Simulator),
-                              (VectorPD2Simulator, FastPD2Simulator)):
-            HYPERPERIOD_CACHE.clear()
-            tasks_a, _ = _build(weights, [0, 0, 0], False)
-            tasks_b, _ = _build(weights, [0, 0, 0], False)
-            a = first(tasks_a, 2, hyperperiod_memo=True).run(horizon)
-            assert len(HYPERPERIOD_CACHE) > 0
-            b = second(tasks_b, 2, hyperperiod_memo=True).run(horizon)
-            assert _snapshot(a) == _snapshot(b)
         HYPERPERIOD_CACHE.clear()
+        try:
+            tasks_a, _ = _build(weights, [0, 0, 0], False)
+            a = VectorPD2Simulator(tasks_a, 2).run(horizon)
+            assert len(HYPERPERIOD_CACHE) > 0
+            hits = HYPERPERIOD_CACHE.hits
+            tasks_b, _ = _build(weights, [0, 0, 0], False)
+            b = VectorPD2Simulator(tasks_b, 2).run(horizon)
+            assert HYPERPERIOD_CACHE.hits > hits
+            ref = QuantumSimulator(_build(weights, [0, 0, 0], False)[0],
+                                   2).run(horizon)
+            assert _snapshot(a) == _snapshot(b) == _snapshot(ref)
+        finally:
+            HYPERPERIOD_CACHE.clear()
 
     def test_long_horizon_with_memoisation(self):
         # Many hyperperiods: the memoised tiling must match the reference
-        # exactly, including idle accounting from the idle-slot skipper.
+        # exactly, including idle accounting.  Phased systems keep the
+        # memo off, so the synchronous variant exercises the tiling.
         weights = [(1, 3), (2, 5), (1, 4)]
-        phases = [0, 1, 0]
         horizon = 6000  # 100 hyperperiods of lcm(3,5,4)=60
-        ref, fast = _run_both(weights, phases, 2, horizon, False)
-        assert ref == fast
+        for phases in ([0, 1, 0], [0, 0, 0]):
+            ref, vec = _run_both(weights, phases, 2, horizon, False,
+                                 trace=False)
+            assert ref == vec, f"phases={phases}"
 
     def test_dispatch_equivalence(self):
-        # simulate_pfair(fastpath=..., vector=...) are the public faces
-        # of the three simulators; spot-check the dispatcher end to end.
+        # simulate_pfair(fastpath=...) is the public face of both
+        # simulators; spot-check the dispatcher end to end.
         mk = lambda: [PeriodicTask(e, p, task_id=i)
                       for i, (e, p) in enumerate([(1, 2), (3, 7), (2, 5)])]
         ref = simulate_pfair(mk(), 2, 140, trace=True, fastpath=False)
-        fast = simulate_pfair(mk(), 2, 140, trace=True, fastpath=True,
-                              vector=False)
-        vec = simulate_pfair(mk(), 2, 140, trace=True, vector=True)
-        assert _snapshot(ref) == _snapshot(fast) == _snapshot(vec)
+        vec = simulate_pfair(mk(), 2, 140, trace=True, fastpath=True)
+        assert _snapshot(ref) == _snapshot(vec)
 
     def test_on_miss_raise_matches(self):
         from repro.sim.quantum import DeadlineMissError
@@ -216,26 +210,20 @@ class TestDifferential:
                       PeriodicTask(1, 2, task_id=2)]  # weight 1.5 on M=1
         with pytest.raises(DeadlineMissError) as ref_err:
             QuantumSimulator(mk(), 1, on_miss="raise").run(40)
-        with pytest.raises(DeadlineMissError) as fast_err:
-            FastPD2Simulator(mk(), 1, on_miss="raise").run(40)
         with pytest.raises(DeadlineMissError) as vec_err:
             VectorPD2Simulator(mk(), 1, on_miss="raise").run(40)
-        rm, fm = ref_err.value.miss, fast_err.value.miss
-        vm = vec_err.value.miss
+        rm, vm = ref_err.value.miss, vec_err.value.miss
         assert (rm.task.task_id, rm.subtask_index, rm.deadline,
                 rm.completed_at) == \
-               (fm.task.task_id, fm.subtask_index, fm.deadline,
-                fm.completed_at) == \
                (vm.task.task_id, vm.subtask_index, vm.deadline,
                 vm.completed_at)
 
     def test_finalize_miss_order_is_canonical(self):
         # End-of-run unscheduled misses come out in priority-key order
-        # from all three simulators (the canonical finalize order).
+        # from both simulators (the canonical finalize order).
         mk = lambda: [PeriodicTask(1, 2, task_id=i) for i in range(4)]
         snaps = [
             _snapshot(QuantumSimulator(mk(), 1, trace=True).run(9)),
-            _snapshot(FastPD2Simulator(mk(), 1, trace=True).run(9)),
             _snapshot(VectorPD2Simulator(mk(), 1, trace=True).run(9)),
         ]
         never = snaps[0]["misses_never_ran"]
@@ -246,4 +234,4 @@ class TestDifferential:
         keys = [pol.key(by_task[tid].subtask(idx))
                 for tid, idx, _ in never]
         assert keys == sorted(keys)
-        assert snaps[0] == snaps[1] == snaps[2]
+        assert snaps[0] == snaps[1]

@@ -8,7 +8,7 @@ from repro.core.erfair import ERPD2Scheduler
 from repro.core.pd2 import PD2Scheduler, schedule_pd2
 from repro.core.supertask import Supertask, SupertaskSystem
 from repro.core.task import PeriodicTask
-from repro.sim.metrics import job_response_times
+from repro.core.metrics import job_response_times
 from repro.sim.quantum import QuantumSimulator
 
 

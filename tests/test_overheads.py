@@ -1,8 +1,11 @@
 """Tests for the overhead model, Eq. (3) inflation, and the Fig. 2 harness."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overheads.inflation import (
     pd2_inflate,
@@ -147,9 +150,9 @@ class TestPD2Inflation:
         assert w16 >= w1
 
     def test_set_inflation_lockstep_with_scalar(self):
-        """pd2_inflate_set's inlined fixed point is pinned, field for
-        field (including iteration counts), to per-task pd2_inflate over
-        random sets — the contract its docstring promises."""
+        """pd2_inflate_set agrees, field for field (including iteration
+        counts), with per-task pd2_inflate over random sets — both run
+        the one fixed-point loop with S_PD2(n, M) of the whole set."""
         from repro.workload.generator import TaskSetGenerator
 
         model = OverheadModel()
@@ -158,20 +161,56 @@ class TestPD2Inflation:
             n = 1 + seed % 30
             specs = gen.generate(n, 0.1 + 0.4 * n)
             for m in (1, max(1, n // 2), n + 1):
-                s_pd2 = model.pd2_sched_cost(n, m)
                 assert pd2_inflate_set(specs, model, m) == [
-                    pd2_inflate(s, model, n, m, s_pd2) for s in specs]
+                    pd2_inflate(s, model, n, m) for s in specs]
 
     def test_set_inflation_lockstep_zero_model_and_edges(self):
         z = OverheadModel.zero()
         specs = [TaskSpec(1, 1000), TaskSpec(999, 1000),
                  TaskSpec(1000, 1000), TaskSpec(2500, 5000, cache_delay=100)]
         for m in (1, 2, 8):
-            s_pd2 = z.pd2_sched_cost(len(specs), m)
             assert pd2_inflate_set(specs, z, m) == [
-                pd2_inflate(s, z, len(specs), m, s_pd2) for s in specs]
+                pd2_inflate(s, z, len(specs), m) for s in specs]
         assert pd2_inflate_set([], z, 4) == []
 
+    def test_long_climb_reaches_the_true_fixed_point(self):
+        """A fixed point far from the start is found, not cut short.
+
+        q=1000, P=4000, e=q, D(T)=994, S_PD2(1, 1)=1: every step adds
+        one quantum (E -> E+1 while E <= 2000), and E=2001 is the first
+        E with f(E) = E.  Any fixed iteration cap below that (64, say)
+        stops short and passes sets the PD² test must reject.
+        """
+        q = 1000
+        spec = TaskSpec(q, 4000 * q, cache_delay=994)
+        inf = pd2_inflate(spec, OverheadModel(), 1, 1)
+        assert inf.quanta == 2001
+        assert inf.inflated_execution == 2_000_007
+        assert inf.feasible
+        assert pd2_inflate_set([spec], OverheadModel(), 1) == [inf]
+
+    def test_work_does_not_grow_with_the_period(self):
+        """The same one-quantum-per-step climb over a 4e12-quantum period
+        is bisected: a few dozen evaluations, not ~2e12 steps."""
+        q = 1000
+        spec = TaskSpec(q, 4 * 10**15, cache_delay=994)
+        inf = pd2_inflate(spec, OverheadModel(), 1, 1)
+        assert inf.quanta == 2 * 10**12 + 1
+        assert inf.feasible
+        assert inf.iterations < 200
+
+    def test_rarely_preempted_long_job_is_covered(self):
+        """The iteration from E0 passes the period, yet a larger share of
+        it covers its demand: E of P quanta are preempted at most P - E
+        times.  q=1, P=100, e=2, C=0, D(T)=10, S_PD2=0: f(E) =
+        2 + 10·min(E-1, 100-E), so the orbit 2 -> 12 -> 112 overshoots,
+        while E=92 (8 preemptions, demand 82) is the least E that covers."""
+        model = OverheadModel(context_switch=0, quantum=1,
+                              sched_pd2=lambda n, m: 0.0)
+        inf = pd2_inflate(TaskSpec(2, 100, cache_delay=10), model, 1, 1)
+        assert inf.quanta == 92
+        assert inf.inflated_execution == 92  # covering, not a fixed point
+        assert inf.feasible
 
 class TestMeasurement:
     def test_pd2_sample_positive(self):
@@ -192,3 +231,54 @@ class TestMeasurement:
         lo = measure_pd2_overhead(100, 1, task_sets=2, slots=300, seed=1)
         hi = measure_pd2_overhead(100, 8, task_sets=2, slots=300, seed=1)
         assert hi.mean_ns > lo.mean_ns
+
+
+def _eq3_map(spec, s_pd2, c, q):
+    """Eq. (3) as a map on the quantum count E, written independently."""
+    p_quanta = spec.period // q
+
+    def f(e_quanta):
+        preemptions = min(e_quanta - 1, p_quanta - e_quanta)
+        demand = math.ceil(spec.execution + e_quanta * s_pd2 + c
+                           + preemptions * (c + spec.cache_delay))
+        return -(-demand // q)
+    return f
+
+
+@st.composite
+def eq3_cases(draw):
+    q = draw(st.integers(1, 1000))
+    p_quanta = draw(st.integers(1, 300))
+    spec = TaskSpec(draw(st.integers(1, p_quanta * q)), p_quanta * q,
+                    cache_delay=draw(st.integers(0, 5 * q)))
+    c = draw(st.integers(0, q))
+    # Multiples of 1/64 keep every demand exact, so "least" is exact too.
+    s_pd2 = draw(st.integers(0, 64 * q)) / 64
+    return spec, c, q, s_pd2
+
+
+class TestEq3FixedPointProperty:
+    @given(eq3_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_result_is_the_least_covering_quantum_count(self, case):
+        spec, c, q, s_pd2 = case
+        model = OverheadModel(context_switch=c, quantum=q,
+                              sched_pd2=lambda n, m: s_pd2)
+        inf = pd2_inflate(spec, model, 1, 1)
+        f = _eq3_map(spec, s_pd2, c, q)
+        p_quanta = spec.period // q
+        e0 = -(-spec.execution // q)
+        covering = [e for e in range(e0, p_quanta + 1) if f(e) <= e]
+        if not covering:
+            assert not inf.feasible
+            return
+        # Sound (E quanta cover the demand E induces) and least.
+        assert inf.feasible
+        assert inf.quanta == covering[0]
+        assert f(inf.quanta) <= inf.quanta
+        # Where the orbit from E0 reaches a fixed point, it is that one.
+        orbit = [e0]
+        while orbit[-1] <= p_quanta and f(orbit[-1]) not in orbit:
+            orbit.append(f(orbit[-1]))
+        if orbit[-1] <= p_quanta and f(orbit[-1]) == orbit[-1]:
+            assert inf.quanta == orbit[-1]

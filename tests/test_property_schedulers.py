@@ -17,7 +17,7 @@ from strategies import feasible_task_systems
 from repro.core.erfair import ERPD2Scheduler
 from repro.core.pd2 import PD2Scheduler
 from repro.core.task import PeriodicTask
-from repro.sim.uniproc import UniTask, simulate_uniproc
+from repro.core.uniproc import UniTask, simulate_uniproc
 from repro.sim.validate import validate_schedule
 
 relaxed = settings(max_examples=25, deadline=None,

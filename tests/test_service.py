@@ -71,6 +71,17 @@ class TestSingleConnection:
             assert desc["system"]["feasible"]
         assert state.system.now == 4
 
+    def test_huge_period_query_answers_promptly(self, server):
+        """The Eq. (3) analysis runs on the event loop; a 4e12-quantum
+        period whose fixed point is ~2e12 one-quantum steps away must not
+        stall it."""
+        _, host, port = server
+        with AdmissionClient(host, port, timeout=10.0) as c:
+            q = c.query([TaskSpec(Q, 4 * 10**15, name="huge",
+                                  cache_delay=994)])
+            assert q["analysis"]["m_pd2"] == 1
+            assert c.ping()["pong"]
+
     def test_rejected_join_leaves_state_unchanged(self, server):
         state, host, port = server
         with AdmissionClient(host, port) as c:

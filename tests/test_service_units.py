@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.schedulability import task_set_cache_key, task_set_signature
 from repro.overheads.model import OverheadModel
 from repro.service.cache import LRUCache
-from repro.service.metrics import Counter, LatencyHistogram, MetricsRegistry
+from repro.util.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.service.protocol import (MAX_BATCH_SETS, ProtocolError,
                                     decode_line, encode, error_response,
                                     ok_response, parse_request, parse_specs,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import EventQueue
+from repro.core.events import EventQueue
 
 
 class TestEventQueue:

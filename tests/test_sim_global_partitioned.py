@@ -14,7 +14,7 @@ from repro.sim.partitioned import (
     reassign_after_failure,
 )
 from repro.sim.quantum import simulate_pfair
-from repro.sim.uniproc import UniTask
+from repro.core.uniproc import UniTask
 from repro.workload.spec import TaskSpec
 
 

@@ -1,10 +1,10 @@
 """Unit tests for the struct-of-arrays vector kernel.
 
-The heavy three-way decision-identity coverage lives in
-``test_fastpath_differential.py``; this file pins down the kernel's
-*edges*: the ``supports`` gates, the dispatcher fallback chain and its
-toggles, constructor validation, and the degenerate horizons the
-vectorized paths must not mishandle.
+The heavy decision-identity coverage lives in
+``test_kernel_differential.py``; this file pins down the kernel's
+*edges*: the ``supports`` gates, the dispatcher fallback and its toggle,
+constructor validation, and the degenerate horizons the vectorized paths
+must not mishandle.
 """
 
 import pytest
@@ -14,10 +14,11 @@ from repro.core.task import PeriodicTask, SporadicTask
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.vector import (
     MAX_CHUNK_SLOTS,
+    MAX_KEY_BITS,
     VectorPD2Simulator,
     supports,
 )
-from repro.util.toggles import set_fastpath, set_vector
+from repro.util.toggles import set_fastpath
 
 
 def _tasks():
@@ -29,7 +30,6 @@ def _tasks():
 def _reset_toggles():
     yield
     set_fastpath(None)
-    set_vector(None)
 
 
 class TestSupports:
@@ -65,7 +65,7 @@ class TestSupports:
 
     def test_rejects_oversized_chunks(self):
         # With the memo off, the chunk is the whole horizon; past the
-        # slot gate the kernel bows out to the fastpath's idle skipper.
+        # slot gate the kernel bows out to the reference.
         tasks = [PeriodicTask(1, 3, task_id=0)]
         big = MAX_CHUNK_SLOTS + 1
         assert not supports(tasks, 1, big, None, {"hyperperiod_memo": False})
@@ -74,22 +74,56 @@ class TestSupports:
         assert supports(tasks, 1, big, None, {})
 
 
+def _unsupported_inputs():
+    """Inputs that lose the accelerated path, by gate."""
+    dup = [PeriodicTask(1, 3, task_id=7), PeriodicTask(1, 4, task_id=7)]
+    # Memo off and no tiling: the chunk is the whole horizon.
+    long_chunk = ([PeriodicTask(1, 3, task_id=0)], MAX_CHUNK_SLOTS + 1,
+                  {"hyperperiod_memo": False})
+    # A period so large the narrow key's deadline field alone overflows.
+    wide = [PeriodicTask(1, 1 << MAX_KEY_BITS, task_id=0)]
+    return [
+        ("duplicate ids", dup, 20, {}),
+        ("chunk slots", *long_chunk),
+        ("key bits", wide, 20, {}),
+    ]
+
+
 class TestDispatch:
     def test_explicit_vector_unsupported_raises(self):
-        with pytest.raises(ValueError, match="vector=True"):
-            simulate_pfair(_tasks(), 2, 50, EPDFPriority(), vector=True)
+        with pytest.raises(ValueError, match="fastpath=True"):
+            simulate_pfair(_tasks(), 2, 50, EPDFPriority(), fastpath=True)
+
+    @pytest.mark.parametrize("label,tasks,horizon,kwargs",
+                             _unsupported_inputs())
+    def test_fastpath_true_raises_on_every_unsupported_gate(
+            self, label, tasks, horizon, kwargs):
+        assert not supports(tasks, 1, horizon, None, kwargs), label
+        with pytest.raises(ValueError, match="fastpath=True"):
+            simulate_pfair(tasks, 1, horizon, fastpath=True, **kwargs)
+
+    @pytest.mark.parametrize("label,tasks,horizon,kwargs",
+                             _unsupported_inputs())
+    def test_unsupported_inputs_fall_back_to_the_reference(
+            self, label, tasks, horizon, kwargs, monkeypatch):
+        # Every gate loses the vector tier but keeps the answers: auto
+        # dispatch lands on the reference.  The slot gate is lowered so
+        # the over-long chunk runs in milliseconds.
+        import repro.sim.vector as vec_mod
+
+        if label == "chunk slots":
+            monkeypatch.setattr(vec_mod, "MAX_CHUNK_SLOTS", 40)
+            horizon = 41
+        assert not vec_mod.supports(tasks, 1, horizon, None, kwargs), label
+        res = simulate_pfair(tasks, 1, horizon, **kwargs)
+        ref = QuantumSimulator(tasks, 1).run(horizon)
+        assert res.stats == ref.stats, label
 
     def test_unsupported_configuration_falls_back(self):
-        # EDF is outside both accelerated kernels: auto dispatch must
+        # EDF is outside the accelerated kernel: auto dispatch must
         # quietly land on the reference.
         res = simulate_pfair(_tasks(), 2, 50, EPDFPriority())
         assert res.policy_name == "EPDF"
-
-    def test_no_vector_toggle_skips_vector_tier(self):
-        set_vector(False)
-        res = simulate_pfair(_tasks(), 2, 50)
-        ref = QuantumSimulator(_tasks(), 2).run(50)
-        assert res.stats == ref.stats
 
     def test_no_fastpath_toggle_disables_vector_too(self, monkeypatch):
         # --no-fastpath means reference-only: the vector tier must not
@@ -108,12 +142,14 @@ class TestDispatch:
         assert res.stats == ref.stats
 
     def test_env_toggle(self, monkeypatch):
-        from repro.util.toggles import vector_enabled
+        from repro.util.toggles import fastpath_enabled
 
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        assert not vector_enabled()
-        monkeypatch.setenv("REPRO_NO_VECTOR", "0")
-        assert vector_enabled()
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        assert not fastpath_enabled()
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
+        assert fastpath_enabled()
+        set_fastpath(False)  # an explicit override beats the environment
+        assert not fastpath_enabled()
 
 
 class TestConstruction:

@@ -61,14 +61,16 @@ class TestExactness:
         assert "float() conversion" in messages[1]
         assert "true division" in messages[2]
 
-    def test_fastpath_is_in_scope_but_other_sim_files_are_not(self, tmp_path):
+    def test_vector_kernel_is_in_scope_but_other_sim_files_are_not(
+            self, tmp_path):
         root = make_tree(tmp_path, {
-            "sim/fastpath.py": "SPEEDUP = 2.5\n",
+            "sim/vector.py": "SPEEDUP = 2.5\n",
+            "sim/quantum.py": "RATIO = 0.5\n",      # dispatcher: not a kernel
             "sim/export.py": "SCALE = 2.5\n",       # export layer: floats fine
             "analysis/plots.py": "ALPHA = 0.3\n",   # reporting layer too
         })
         result = run_checks(root, select=["R001"])
-        assert anchors(result, "R001") == [("sim/fastpath.py", 1)]
+        assert anchors(result, "R001") == [("sim/vector.py", 1)]
 
     def test_floor_division_and_fraction_are_clean(self, tmp_path):
         root = make_tree(tmp_path, {"core/ok.py": (

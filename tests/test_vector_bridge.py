@@ -22,7 +22,7 @@ from repro.sim.quantum import QuantumSimulator
 from repro.sim.vector import MAX_KEY_BITS, VectorPD2Simulator, _key_layout
 from repro.sim.vector import supports as vector_supports
 
-from test_fastpath_differential import _snapshot
+from test_kernel_differential import _snapshot
 
 
 # ---------------------------------------------------------------------------
