@@ -8,8 +8,9 @@ This module is the bridge between the generic machinery (:mod:`.spec`,
   ``replicas=1`` a shard is one grid point with the historical seed
   offset, so results are byte-identical to the pre-engine
   ``analysis.experiments`` path (the benchmarks assert this).
-* :func:`assemble_rows` — the historical row aggregation, applied to
-  shard results concatenated in replica order.  Completion order never
+* :func:`assemble_rows` — the historical row aggregation
+  (:func:`campaign_row`, shared with trace replay), applied to shard
+  results concatenated in replica order.  Completion order never
   reaches this code, which is why an interrupted-and-resumed run
   serialises byte-for-byte like an uninterrupted one.
 * :func:`run_schedulability_campaign` — the long-standing entry point,
@@ -41,7 +42,7 @@ from .checkpoint import CheckpointStore
 from .runner import CampaignRunner, RunnerConfig, dispatch_jobs
 from .spec import CampaignGrid, ShardSpec, plan_shards, shards_by_point
 
-__all__ = ["evaluate_shard", "assemble_rows",
+__all__ = ["evaluate_shard", "campaign_row", "assemble_rows",
            "run_schedulability_campaign", "batch_analyze"]
 
 
@@ -64,6 +65,32 @@ def evaluate_shard(args: Tuple[ShardSpec, Optional[OverheadModel]]
             for _ in range(spec.sets)]
 
 
+def campaign_row(points: Sequence[SchedulabilityPoint], n_tasks: int,
+                 u: float) -> CampaignRow:
+    """Summarise one grid point's pooled task-set results as a row.
+
+    Shared by the synthetic and trace-replay assemblers, so both grids
+    serialise their rows with the same statistics code.
+    """
+    m_pd2 = [p.m_pd2 for p in points if p.m_pd2 is not None]
+    m_ff = [p.m_ff for p in points if p.m_ff is not None]
+    lp = [p.loss_pfair for p in points if p.loss_pfair is not None]
+    le = [p.loss_edf for p in points if p.loss_edf is not None]
+    lf = [p.loss_ff for p in points if p.loss_ff is not None]
+    return CampaignRow(
+        n_tasks=n_tasks,
+        utilization=u,
+        mean_utilization=u / n_tasks,
+        m_pd2=summarize(m_pd2 or [float("nan")]),
+        m_ff=summarize(m_ff or [float("nan")]),
+        loss_pfair=summarize(lp or [float("nan")]),
+        loss_edf=summarize(le or [float("nan")]),
+        loss_ff=summarize(lf or [float("nan")]),
+        infeasible_pd2=sum(1 for p in points if p.m_pd2 is None),
+        infeasible_ff=sum(1 for p in points if p.m_ff is None),
+    )
+
+
 def assemble_rows(grid: CampaignGrid,
                   results: Mapping[str, List[SchedulabilityPoint]],
                   progress: Optional[Callable[[str], None]] = None
@@ -84,23 +111,7 @@ def assemble_rows(grid: CampaignGrid,
         if progress is not None:
             progress(f"N={grid.n_tasks} U={u:.2f}: "
                      f"{len(points)} sets evaluated")
-        m_pd2 = [p.m_pd2 for p in points if p.m_pd2 is not None]
-        m_ff = [p.m_ff for p in points if p.m_ff is not None]
-        lp = [p.loss_pfair for p in points if p.loss_pfair is not None]
-        le = [p.loss_edf for p in points if p.loss_edf is not None]
-        lf = [p.loss_ff for p in points if p.loss_ff is not None]
-        rows.append(CampaignRow(
-            n_tasks=grid.n_tasks,
-            utilization=u,
-            mean_utilization=u / grid.n_tasks,
-            m_pd2=summarize(m_pd2 or [float("nan")]),
-            m_ff=summarize(m_ff or [float("nan")]),
-            loss_pfair=summarize(lp or [float("nan")]),
-            loss_edf=summarize(le or [float("nan")]),
-            loss_ff=summarize(lf or [float("nan")]),
-            infeasible_pd2=sum(1 for p in points if p.m_pd2 is None),
-            infeasible_ff=sum(1 for p in points if p.m_ff is None),
-        ))
+        rows.append(campaign_row(points, grid.n_tasks, u))
     return rows
 
 

@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Protocol, Sequence, Tuple
 
-__all__ = ["CampaignGrid", "GridLike", "ShardSpec", "plan_shards",
-           "shards_by_point", "POINT_SEED_STRIDE", "REPLICA_SEED_STRIDE"]
+__all__ = ["CampaignGrid", "GridLike", "ShardSpec", "point_shards",
+           "plan_shards", "shards_by_point", "POINT_SEED_STRIDE",
+           "REPLICA_SEED_STRIDE"]
 
 #: Seed offset between grid points (the 1000th prime) — unchanged from
 #: the original ``run_schedulability_campaign`` so engine results stay
@@ -165,6 +166,27 @@ def _replica_sets(sets_per_point: int, replicas: int) -> List[int]:
     return [base + (1 if r < extra else 0) for r in range(replicas)]
 
 
+def point_shards(k: int, utilization: float, *, n_tasks: int,
+                 sets_per_point: int, replicas: int,
+                 seed: int) -> List[ShardSpec]:
+    """The replica shards of grid point ``k``, in replica order.
+
+    The one place the seed strides and the ``p####r###`` id scheme live:
+    the synthetic planner and :meth:`repro.traces.replay.TraceGrid.plan`
+    both build their shards here.
+    """
+    point_seed = seed + POINT_SEED_STRIDE * k
+    return [ShardSpec(shard_id=f"p{k:04d}r{r:03d}",
+                      point_index=k,
+                      replica_index=r,
+                      n_tasks=n_tasks,
+                      utilization=utilization,
+                      sets=sets,
+                      seed=point_seed + REPLICA_SEED_STRIDE * r)
+            for r, sets in enumerate(_replica_sets(sets_per_point,
+                                                   replicas))]
+
+
 def plan_shards(grid: CampaignGrid) -> List[ShardSpec]:
     """Decompose ``grid`` into its full, ordered shard list.
 
@@ -172,21 +194,12 @@ def plan_shards(grid: CampaignGrid) -> List[ShardSpec]:
     always plans the same shards — the resume path replans and diffs
     against the checkpoint directory instead of persisting the plan.
     """
-    shards: List[ShardSpec] = []
-    for k, u in enumerate(grid.utilizations):
-        point_seed = grid.seed + POINT_SEED_STRIDE * k
-        for r, sets in enumerate(_replica_sets(grid.sets_per_point,
-                                               grid.replicas)):
-            shards.append(ShardSpec(
-                shard_id=f"p{k:04d}r{r:03d}",
-                point_index=k,
-                replica_index=r,
-                n_tasks=grid.n_tasks,
-                utilization=u,
-                sets=sets,
-                seed=point_seed + REPLICA_SEED_STRIDE * r,
-            ))
-    return shards
+    return [shard
+            for k, u in enumerate(grid.utilizations)
+            for shard in point_shards(k, u, n_tasks=grid.n_tasks,
+                                      sets_per_point=grid.sets_per_point,
+                                      replicas=grid.replicas,
+                                      seed=grid.seed)]
 
 
 def shards_by_point(shards: Sequence[ShardSpec]

@@ -52,9 +52,7 @@ from ..campaign.spec import CampaignGrid, GridLike
 from ..overheads.model import OverheadModel
 from ..traces.mapping import MappingConfig
 from ..traces.replay import (TraceGrid, TraceWindowPayload,
-                             assemble_trace_rows, build_window_payloads)
-from ..traces.fetch import sha256_file
-from ..traces.swf import parse_swf
+                             assemble_trace_rows, prepare_trace_campaign)
 from .coordinator import Coordinator, DistribConfig, NodeSpec
 
 __all__ = ["run_distributed_campaign", "run_distributed_trace_campaign"]
@@ -126,37 +124,20 @@ def run_distributed_trace_campaign(
     payloads ride inside the ``shard-run`` frames so worker nodes need
     no access to the trace file.
     """
-    path = Path(trace_path)
-    digest = sha256_file(path)
-    if grid is None:
-        grid = TraceGrid(trace_name=path.name, trace_sha256=digest,
-                         window_seconds=window_seconds,
-                         window_offsets=tuple(window_offsets),
-                         utilizations=tuple(utilizations),
-                         n_tasks=n_tasks, sets_per_point=sets_per_point,
-                         seed=seed, replicas=replicas,
-                         mapping=mapping or MappingConfig())
-    elif digest != grid.trace_sha256:
-        raise ValueError(
-            f"{path}: SHA-256 {digest} does not match the campaign's "
-            f"pinned trace {grid.trace_sha256} ({grid.trace_name}) — "
-            f"the log changed since the run started; resume needs the "
-            f"original file")
-    log = parse_swf(path, strict=False)
-    payloads, rejected = build_window_payloads(log, grid)
-    if rejected and progress is not None:
-        progress(f"skipped {len(rejected)} degenerate job(s) "
-                 f"(zero runtime / unusable width)")
-    final_grid = grid
+    pinned, payloads = prepare_trace_campaign(
+        trace_path, grid, window_seconds=window_seconds,
+        window_offsets=window_offsets, utilizations=utilizations,
+        n_tasks=n_tasks, sets_per_point=sets_per_point, seed=seed,
+        replicas=replicas, mapping=mapping, progress=progress)
     return _drive(
-        grid, nodes=nodes, run_dir=run_dir, model=model, resume=resume,
+        pinned, nodes=nodes, run_dir=run_dir, model=model, resume=resume,
         config=config, payloads=payloads,
-        assemble=lambda results: assemble_trace_rows(final_grid, results,
+        assemble=lambda results: assemble_trace_rows(pinned, results,
                                                      progress=progress),
-        result_note=f"trace-replay {grid.trace_name} "
-                    f"({len(grid.window_offsets)} window(s) x "
-                    f"{len(grid.utilizations)} points, "
-                    f"window={grid.window_seconds}s)",
+        result_note=f"trace-replay {pinned.trace_name} "
+                    f"({len(pinned.window_offsets)} window(s) x "
+                    f"{len(pinned.utilizations)} points, "
+                    f"window={pinned.window_seconds}s)",
         manifest_note=f"distributed trace-replay: {len(nodes)} node(s)")
 
 

@@ -43,14 +43,14 @@ two-pass rule exactly.
 That turns simulation into:
 
 1. a **vectorized precompute** (numpy int64 end to end): the per-weight
-   subtask parameter columns (:func:`repro.core.keytab._column_base`)
-   are concatenated once per run; every chunk then derives releases,
+   subtask parameter columns (:func:`_column_base`) are concatenated
+   once per run; every chunk then derives releases,
    deadlines and *narrow* per-run int64 priority keys
    ``|deadline | 1-b | gd | row|`` for all rows in a handful of gathers
    and adds (key and release are affine in the job number).  Narrow keys
-   induce the same order as :func:`repro.core.keytab.pack_key` over the
-   live set (row rank = task-id rank; the index field is unnecessary
-   because deadlines strictly increase within a task);
+   induce the same order as :meth:`~repro.core.priority.PD2Priority.key`
+   tuples over the live set (row rank = task-id rank; the subtask index
+   is unnecessary because deadlines strictly increase within a task);
 2. one **global argsort** over the key column;
 3. a single **earliest-fit pass** in key order using a union-find
    "next slot with spare capacity" pointer array (path halving).  No
@@ -85,15 +85,16 @@ toggle (``--no-fastpath`` / ``REPRO_NO_FASTPATH``,
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.keytab import _column_base
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PeriodicTask, PfairTask
 from ..core.metrics import DeadlineMiss, SimStats, TaskStats
+from ..core.subtask import window_table
 from .quantum import DeadlineMissError, SimResult
 from ..core.trace import ScheduleTrace
 
@@ -116,6 +117,42 @@ MAX_KEY_BITS = 62
 _PAD_KEY = 1 << 62
 
 
+@lru_cache(maxsize=None)
+def _column_base(
+    execution: int, period: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One job's subtask parameter columns for ``(e, p)``, phase 0.
+
+    Arrays of length ``e`` indexed by the within-job offset ``j`` (subtask
+    ``j+1`` of job 1): pseudo-release, pseudo-deadline, ``1 - b`` and the
+    job-invariant group-deadline offset ``D - d`` (``-1`` marks a light
+    task, whose group deadline is 0 by convention).  All int64.
+
+    Like :class:`~repro.core.subtask.WindowTable`, subtask parameters are
+    periodic in the subtask index: subtask ``i = q*e + j + 1`` has the
+    parameters of subtask ``j + 1`` shifted by ``q`` periods, so one
+    job's worth of columns per weight covers every job of every task.
+    """
+    table = window_table(execution, period)
+    rel = np.empty(execution, dtype=np.int64)
+    dl = np.empty(execution, dtype=np.int64)
+    bbar = np.empty(execution, dtype=np.int64)
+    gdd = np.empty(execution, dtype=np.int64)
+    for j in range(execution):
+        i = j + 1
+        d = table.deadline(i)
+        gd = table.group_deadline(i)
+        rel[j] = table.release(i)
+        dl[j] = d
+        bbar[j] = 1 - table.b_bit(i)
+        gdd[j] = (gd - d) if gd else -1
+    rel.setflags(write=False)
+    dl.setflags(write=False)
+    bbar.setflags(write=False)
+    gdd.setflags(write=False)
+    return rel, dl, bbar, gdd
+
+
 def _key_layout(tasks: List[PfairTask],
                 horizon: int) -> Tuple[int, int, int, int]:
     """``(dbias, gdbits, rowbits, total_bits)`` of the narrow key layout.
@@ -123,9 +160,12 @@ def _key_layout(tasks: List[PfairTask],
     Narrow keys are built per run: ``((deadline - t0 + dbias) << 1 | 1-b)
     << gdbits | gd_field) << rowbits | row``.  ``dbias`` keeps the
     deadline field nonnegative even for backlogged subtasks whose
-    deadlines lie a whole horizon before the chunk start; ``gd_field``
-    reverses ``D - d`` inside ``gdbits`` exactly like
-    :func:`repro.core.keytab.pack_key` does in 40 bits.
+    deadlines lie a whole horizon before the chunk start.  ``gd_field``
+    reverses the group-deadline tie-break inside ``gdbits`` bits: it
+    stores ``mask - 1 - (D - d)`` for a heavy subtask and ``mask`` (``2**
+    gdbits - 1``) for a light one (``D = 0``), so at equal deadlines it
+    orders like :meth:`~repro.core.priority.PD2Priority.key`'s ``-D``.
+    ``D - d`` is bounded by the period, which ``gdbits`` covers.
     """
     max_p = max(t.period for t in tasks)
     max_ph = max(getattr(t, "phase", 0) for t in tasks)
@@ -235,7 +275,7 @@ class VectorPD2Simulator:
 
         n = self._n = len(self.tasks)
         # Rows ranked by task id: the narrow key's row field then breaks
-        # ties exactly like the packed key's task-id field.
+        # ties exactly like PD2Priority.key's task-id component.
         order = sorted(range(n), key=lambda i: self.tasks[i].task_id)
         self._rows: List[PfairTask] = [self.tasks[i] for i in order]
         self._row_of: List[int] = [0] * n

@@ -18,9 +18,6 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
 * **R003 layering** — the import DAG ``util → core → workload →
   overheads/partition → sim → … → analysis/service`` admits no upward
   imports and no package cycles.
-* **R004 key-width safety** — the packed-key bit fields in
-  ``core/keytab.py`` hold the largest parameters the workload generator
-  emits.
 * **R005 hygiene** — no mutable default arguments, bare ``except``, or
   control-flow ``assert`` in library code.
 
@@ -44,12 +41,10 @@ Three more are *dataflow* rules, built on an integer interval domain
 function bodies (:mod:`repro.staticcheck.dataflow`), and a numpy dtype
 lattice (:mod:`repro.staticcheck.nptypes`):
 
-* **R010 packed-key-proof** — interval analysis *proves* every
-  or-packed key field in ``core/keytab.py`` fits its bit width from
-  the guards alone, that the workload generator's ``max_period``
-  defaults stay within every field capacity, and that the vector
-  kernel's narrow-key layout fits ``MAX_KEY_BITS`` for all systems
-  ``supports()`` admits (subsumes R004, which delegates to it).
+* **R010 packed-key-proof** — interval analysis *proves* that the
+  vector kernel's narrow-key layout fits ``MAX_KEY_BITS`` for every
+  system the workload generator's ``max_period`` defaults can produce,
+  and that the ``_PAD_KEY`` sentinel sits just above that budget.
 * **R011 numpy-dtype-soundness** — no silent dtype promotion in the
   integer kernel (``sim/vector.py``): implicit
   float64 defaults, ``uint64``/signed mixing, true division, mixed

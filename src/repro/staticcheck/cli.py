@@ -29,9 +29,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="AST-based invariant checker: exactness, determinism, "
-                    "layering, key-width safety, hygiene, the "
+                    "layering, hygiene, the "
                     "interprocedural concurrency rules (R006-R009), the "
-                    "dataflow rules (R010 packed-key overflow proof, "
+                    "dataflow rules (R010 vector key-budget proof, "
                     "R011 numpy dtype soundness, R012 wire conformance), "
                     "and the provenance rules (R013 seed provenance, "
                     "R014 ordering soundness, R015 canonical "
@@ -56,11 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", metavar="RULES",
         help="comma-separated rule ids to skip")
-    parser.add_argument(
-        "--no-project", action="store_true",
-        help="skip whole-project (ProjectIndex) rules — faster, but "
-             "R006-R010/R012-R014 are skipped and R004 falls back to "
-             "its cheap keyword-default check")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit")
@@ -117,6 +112,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
+    known = {rule.rule_id for rule in RULES}
+    for flag, ids in (("--select", select), ("--ignore", ignore)):
+        unknown = sorted(set(ids or ()) - known)
+        if unknown:
+            parser.error(f"{flag}: unknown rule id(s) {', '.join(unknown)} "
+                         f"(see --list-rules)")
     paths = [Path(p) for p in args.paths] if args.paths else [_DEFAULT_ROOT]
     for path in paths:
         if not path.exists():
@@ -131,8 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     everything: List[Violation] = []
     last_result: Optional[CheckResult] = None
     for path in paths:
-        result = Checker(path, select=select, ignore=ignore,
-                         use_project=not args.no_project).check()
+        result = Checker(path, select=select, ignore=ignore).check()
         last_result = result
         files_checked += result.files_checked
         suppressed += result.suppressed

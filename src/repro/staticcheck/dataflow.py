@@ -1,5 +1,5 @@
 """Intra-procedural dataflow: interval interpretation and the rules it
-powers (R010 packed-key overflow proofs, R012 wire conformance).
+powers (R010 vector key-budget proof, R012 wire conformance).
 
 This module is the *engine* half of the dataflow layer: an abstract
 interpreter over :mod:`ast` using the :mod:`~repro.staticcheck.intervals`
@@ -8,12 +8,10 @@ half lives in :mod:`~repro.staticcheck.nptypes`.
 
 The interpreter is deliberately intra-procedural — calls evaluate to
 :data:`~repro.staticcheck.intervals.TOP` unless they are one of the
-handful of pure builtins the key-packing code uses (``max``, ``min``,
+handful of pure builtins the key-layout code uses (``max``, ``min``,
 ``len``, ``abs``, ``int``, ``getattr`` with a default,
-``.bit_length()``).  What makes it strong enough to *prove* the packed
-key fits is guard refinement: ``if not 0 <= delta <= _MAX_GD_DELTA:
-raise`` bounds ``delta`` on the fall-through path, which is exactly how
-``core/keytab.py`` establishes its field invariants at runtime.
+``.bit_length()``).  Guard refinement makes it path-sensitive: ``if not
+0 <= x <= C: raise`` bounds ``x`` on the fall-through path.
 
 Everything here is stdlib-only; see the module docstring of
 :mod:`~repro.staticcheck.intervals` for the shared soundness contract
@@ -51,28 +49,6 @@ Env = Dict[str, Tuple[Interval, int]]
 # The abstract interpreter
 
 
-class OrPack:
-    """One ``(x << K) | y`` site: the shape every packed-key layer has.
-
-    Collected during evaluation so :class:`PackedKeyProofRule` can ask
-    "does the low operand provably fit below bit ``K``?" for every
-    or-pack a function performs.
-    """
-
-    __slots__ = ("node", "shift_bits", "low", "low_interval", "blame")
-
-    def __init__(self, node: ast.BinOp, shift_bits: int,
-                 low: ast.expr, low_interval: Interval,
-                 blame: Env) -> None:
-        self.node = node
-        self.shift_bits = shift_bits
-        self.low = low
-        self.low_interval = low_interval
-        #: Snapshot of the names the low operand mentions, for witness
-        #: chains ("task_id ∈ [0, 4194303] (bound at line 121)").
-        self.blame = blame
-
-
 class IntervalInterpreter:
     """Abstract interpreter for one function body over integer intervals.
 
@@ -97,9 +73,6 @@ class IntervalInterpreter:
         self.env: Env = dict(seeds or {})
         self.attr_assumptions = dict(attr_assumptions or {})
         self.len_assumptions = dict(len_assumptions or {})
-        #: id(BitOr node) -> OrPack, overwritten per evaluation so the
-        #: final environment at each site wins.
-        self.orpacks: Dict[int, OrPack] = {}
         #: Every ``return`` value seen: an Interval, or a tuple of
         #: Intervals for ``return a, b, c``.
         self.returns: List[object] = []
@@ -119,17 +92,8 @@ class IntervalInterpreter:
                 return bound[0]
             return self.consts.get(node.id, TOP)
         if isinstance(node, ast.BinOp):
-            left = self.eval(node.left)
-            right = self.eval(node.right)
-            if isinstance(node.op, ast.BitOr) and \
-                    isinstance(node.left, ast.BinOp) and \
-                    isinstance(node.left.op, ast.LShift):
-                shift = self.eval(node.left.right).is_const()
-                if shift is not None and shift >= 1:
-                    self.orpacks[id(node)] = OrPack(
-                        node, shift, node.right, right,
-                        self._snapshot_names(node.right))
-            return apply_binop(node.op, left, right)
+            return apply_binop(node.op, self.eval(node.left),
+                               self.eval(node.right))
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
                 return self.eval(node.operand).neg()
@@ -211,17 +175,6 @@ class IntervalInterpreter:
             hi = pick(known_his) if known_his else None
             lo = None if any(lo is None for lo in los) else pick(los)
         return Interval(lo, hi)
-
-    def _snapshot_names(self, node: ast.expr) -> Env:
-        out: Env = {}
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id not in out:
-                bound = self.env.get(sub.id)
-                if bound is not None:
-                    out[sub.id] = bound
-                elif sub.id in self.consts:
-                    out[sub.id] = (self.consts[sub.id], 0)
-        return out
 
     # -- statement execution -----------------------------------------
 
@@ -461,7 +414,7 @@ def _target_names(target: ast.expr) -> Set[str]:
 
 def const_env(tree: ast.Module) -> Dict[str, Interval]:
     """Interval environment of a module's top-level constant assigns,
-    evaluated in source order (``_GD_MASK = (1 << GD_BITS) - 1`` works)."""
+    evaluated in source order (``_PAD_KEY = 1 << MAX_KEY_BITS`` works)."""
     interp = IntervalInterpreter()
     env: Dict[str, Interval] = {}
     for node in tree.body:
@@ -480,77 +433,42 @@ def const_env(tree: ast.Module) -> Dict[str, Interval]:
 
 
 # ---------------------------------------------------------------------------
-# Witness-chain helpers
-
-
-def _src(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        return "<expr>"
-
-
-def _blame_name(pack: OrPack) -> Optional[Tuple[str, Interval, int]]:
-    """The name most responsible for an or-pack overflow: the first one
-    (source order) whose own interval escapes the field."""
-    limit = (1 << pack.shift_bits) - 1
-    first: Optional[Tuple[str, Interval, int]] = None
-    for sub in ast.walk(pack.low):
-        if not isinstance(sub, ast.Name):
-            continue
-        bound = pack.blame.get(sub.id)
-        if bound is None:
-            continue
-        if first is None:
-            first = (sub.id, bound[0], bound[1])
-        if not bound[0].within(0, limit):
-            return (sub.id, bound[0], bound[1])
-    return first
-
-
-# ---------------------------------------------------------------------------
-# R010 — packed-key overflow proof
+# R010 — vector narrow-key budget proof
 
 
 class PackedKeyProofRule(Rule):
-    """Prove — not spot-check — that the packed PD² key never overflows.
+    """Prove — not spot-check — that the vector kernel's narrow PD² key
+    never overflows.
 
-    Four sub-proofs over the real source (no hand-maintained constants):
+    Two sub-proofs over the real source (no hand-maintained constants):
 
-    1. **Or-pack fit**: every ``(x << K) | y`` in ``core/keytab.py``
-       has ``y`` provably in ``[0, 2**K - 1]`` under the function's own
-       guards, so no field can bleed into the one above it.
-    2. **Generator bounds**: the workload generator's ``max_period``
-       defaults fit the group-deadline and index capacities derived by
-       interval-evaluating the keytab constants (subsumes R004's
-       string-match with an actual dataflow proof).
-    3. **Vector engagement floor**: replaying ``sim/vector.py``'s
-       ``_key_layout`` under the generator defaults (periods ≤ the
-       default ``max_period``, horizon ≤ 2**24, ≤ 64 tasks) proves the
-       narrowed per-chunk key fits ``MAX_KEY_BITS`` — i.e. the runtime
-       ``supports()`` gate is not vacuously rejecting the default
-       campaigns, and widening ``max_period`` fails here at lint time.
-    4. **Sentinel consistency**: ``MAX_KEY_BITS <= 62`` (one bit below
+    1. **Vector engagement floor**: replaying ``sim/vector.py``'s
+       ``_key_layout`` under the workload generator's ``max_period``
+       defaults (periods ≤ the default ``max_period``, horizon ≤ 2**24,
+       ≤ 64 tasks) proves the narrow per-chunk key fits
+       ``MAX_KEY_BITS`` — i.e. the runtime ``supports()`` gate is not
+       vacuously rejecting the default campaigns, and widening
+       ``max_period`` fails here at lint time.
+    2. **Sentinel consistency**: ``MAX_KEY_BITS <= 62`` (one bit below
        int64's sign after the pad) and ``_PAD_KEY == 1 << MAX_KEY_BITS``.
 
     Violations anchor at the *witness origin* — the line where the
-    unprovable value enters (a parameter, a generator default) — with
-    the full chain to the overflow sink in the message, so pragmas and
-    baseline entries suppress at the origin.
+    unprovable value enters (a generator default) — with the full chain
+    to the overflow sink in the message, so pragmas and baseline entries
+    suppress at the origin.
     """
 
     rule_id = "R010"
     name = "packed-key-proof"
-    description = ("dataflow proof that packed-key or-packs, generator "
-                   "bounds, and the vector key budget cannot overflow")
+    description = ("dataflow proof that the vector kernel's narrow key "
+                   "fits its bit budget under the generator defaults")
     uses_project = True
 
-    KEYTAB = "core/keytab.py"
     GENERATOR = "workload/generator.py"
     DISTRIBUTIONS = "workload/distributions.py"
     VECTOR = "sim/vector.py"
 
-    #: Engagement-floor assumptions for sub-proof 3: the static claim is
+    #: Engagement-floor assumptions for sub-proof 1: the static claim is
     #: "default campaigns engage the vector kernel", quantified over
     #: horizons up to 2**24 slots and task sets up to 64 tasks.
     H_FLOOR_BITS = 24
@@ -560,48 +478,10 @@ class PackedKeyProofRule(Rule):
                       ) -> Iterator[Violation]:
         by_relpath = {table.info.relpath: table
                       for table in project.modules.values()}
-        keytab = by_relpath.get(self.KEYTAB)
-        if keytab is not None:
-            yield from self._check_orpacks(keytab.info)
-        yield from self._check_generator_bounds(by_relpath)
         yield from self._check_vector_floor(by_relpath)
         vector = by_relpath.get(self.VECTOR)
         if vector is not None:
             yield from self._check_pad_sentinel(vector.info)
-
-    # -- sub-proof 1: every or-pack fits its field --------------------
-
-    def _check_orpacks(self, module: ModuleInfo) -> Iterator[Violation]:
-        consts = const_env(module.tree)
-        for func in _all_functions(module.tree):
-            interp = IntervalInterpreter(consts=consts)
-            for arg in _all_args(func):
-                interp.env[arg.arg] = (TOP, arg.lineno)
-            interp.exec_block(func.body)
-            for pack in interp.orpacks.values():
-                limit = (1 << pack.shift_bits) - 1
-                if pack.low_interval.within(0, limit):
-                    continue
-                blame = _blame_name(pack)
-                chain: List[str] = []
-                origin_line = pack.node.lineno
-                if blame is not None:
-                    name, interval, line = blame
-                    origin_line = line or pack.node.lineno
-                    chain.append(f"{name} ∈ {interval.describe()} "
-                                 f"(bound at line {line})")
-                chain.append(f"'{_src(pack.low)}' ∈ "
-                             f"{pack.low_interval.describe()}")
-                chain.append(f"or-packed into the {pack.shift_bits}-bit "
-                             f"field at line {pack.node.lineno} "
-                             f"(must fit [0, {limit}])")
-                yield Violation(
-                    path=module.relpath, line=origin_line, col=0,
-                    rule_id=self.rule_id,
-                    message=f"cannot prove packed-key field fits in "
-                            f"{func.name}: " + " -> ".join(chain))
-
-    # -- sub-proof 2: generator defaults vs field capacities ----------
 
     def _generator_defaults(self, by_relpath: Dict[str, object]
                             ) -> List[Tuple[int, int, str]]:
@@ -621,48 +501,7 @@ class PackedKeyProofRule(Rule):
                 out.append((*found, self.DISTRIBUTIONS))
         return out
 
-    def _check_generator_bounds(self, by_relpath: Dict[str, object]
-                                ) -> Iterator[Violation]:
-        keytab = by_relpath.get(self.KEYTAB)
-        if keytab is None or self.GENERATOR not in by_relpath:
-            return
-        consts = const_env(keytab.info.tree)
-        # The group-deadline capacity is whatever pack_key's own guard
-        # enforces — derived from the source, not restated here.
-        gd_cap = consts.get("_MAX_GD_DELTA", TOP).is_const()
-        idx_bits = consts.get("IDX_BITS", TOP).is_const()
-        idx_cap = None if idx_bits is None else (1 << idx_bits) - 1
-        if gd_cap is None or idx_cap is None:
-            yield Violation(
-                path=self.KEYTAB, line=1, col=0, rule_id=self.rule_id,
-                message="cannot interval-evaluate keytab field "
-                        "capacities (_MAX_GD_DELTA / IDX_BITS) — keep "
-                        "them constant integer expressions")
-            return
-        guard_line = _guard_line(keytab.info.tree, "pack_key",
-                                 "_MAX_GD_DELTA")
-        gd_line = _const_line(keytab.info.tree, "GD_BITS")
-        for period, lineno, relpath in self._generator_defaults(by_relpath):
-            if period > gd_cap:
-                yield Violation(
-                    path=relpath, line=lineno, col=0,
-                    rule_id=self.rule_id,
-                    message=f"max_period={period} (default at line "
-                            f"{lineno}) -> D - d can reach the period "
-                            f"-> exceeds the group-deadline capacity "
-                            f"{gd_cap} (GD_BITS at {self.KEYTAB}:"
-                            f"{gd_line}) -> pack_key would raise at "
-                            f"{self.KEYTAB}:{guard_line}")
-            if period > idx_cap:
-                yield Violation(
-                    path=relpath, line=lineno, col=0,
-                    rule_id=self.rule_id,
-                    message=f"max_period={period} (default at line "
-                            f"{lineno}) -> exceeds the {idx_bits}-bit "
-                            f"index field capacity {idx_cap} in "
-                            f"{self.KEYTAB}")
-
-    # -- sub-proof 3: vector per-chunk key budget ---------------------
+    # -- sub-proof 1: vector per-chunk key budget ---------------------
 
     def _check_vector_floor(self, by_relpath: Dict[str, object]
                             ) -> Iterator[Violation]:
@@ -729,7 +568,7 @@ class PackedKeyProofRule(Rule):
                     f"{max_bits_line}) -> supports() would reject "
                     f"default campaigns (vector kernel disengaged)")
 
-    # -- sub-proof 4: pad sentinel ------------------------------------
+    # -- sub-proof 2: pad sentinel ------------------------------------
 
     def _check_pad_sentinel(self, module: ModuleInfo
                             ) -> Iterator[Violation]:
@@ -816,20 +655,6 @@ def _const_line(tree: ast.Module, name: str) -> int:
                 node.targets[0].id == name:
             return node.lineno
     return 1
-
-
-def _guard_line(tree: ast.Module, func: str, const_name: str) -> int:
-    """Line of the Compare inside ``func`` that mentions ``const_name``
-    (the runtime guard a static proof points back to)."""
-    node = _find_function(tree, func)
-    if node is None:
-        return 1
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Compare) and any(
-                isinstance(n, ast.Name) and n.id == const_name
-                for n in ast.walk(sub)):
-            return sub.lineno
-    return node.lineno
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The engine knows nothing about individual invariants — it parses every
 ``*.py`` under a root, hands :class:`ModuleInfo` records to the rules
 (per-module pass, then a whole-project ``finalize`` pass for cross-file
-rules like layering and key-width safety), and filters the results
+rules like layering), and filters the results
 through ``# staticcheck: allow[...]`` pragmas.
 """
 
@@ -57,7 +57,7 @@ class ModuleInfo:
     @property
     def module_parts(self) -> Tuple[str, ...]:
         """Dotted-module components relative to the root package,
-        e.g. ``('core', 'keytab')``; ``__init__`` is dropped so a
+        e.g. ``('core', 'priority')``; ``__init__`` is dropped so a
         package's init file resolves to the package itself."""
         parts = self.relpath[:-3].split("/")  # strip ".py"
         if parts and parts[-1] == "__init__":
@@ -131,8 +131,7 @@ class Checker:
 
     def __init__(self, root: Path, rules: Optional[Sequence[object]] = None,
                  select: Optional[Iterable[str]] = None,
-                 ignore: Optional[Iterable[str]] = None,
-                 use_project: bool = True) -> None:
+                 ignore: Optional[Iterable[str]] = None) -> None:
         from .rules import RULES
 
         root = Path(root).resolve()
@@ -150,21 +149,10 @@ class Checker:
         if ignore is not None:
             dropped = set(ignore)
             chosen = [r for r in chosen if r.rule_id not in dropped]
-        #: With ``use_project=False`` (``--no-project``) the expensive
-        #: ProjectIndex is never built and project rules are skipped;
-        #: rules with a ``configure`` hook (R004) learn about it so
-        #: cheap fallbacks can re-engage.
-        self.use_project = use_project
         self.rules = chosen
         #: The ProjectIndex of the last ``check()`` run, if one was
         #: built (``None`` otherwise) — introspection for tests.
         self.project = None
-        active_ids = {r.rule_id for r in chosen}
-        for rule in chosen:
-            configure = getattr(rule, "configure", None)
-            if configure is not None:
-                configure(active_ids=active_ids,
-                          project_enabled=use_project)
 
     def check(self) -> CheckResult:
         modules: List[ModuleInfo] = []
@@ -183,8 +171,7 @@ class Checker:
             raw.extend(rule.finalize(modules))
 
         project_rules = [r for r in self.rules
-                         if getattr(r, "uses_project", False)] \
-            if self.use_project else []
+                         if getattr(r, "uses_project", False)]
         if project_rules:
             # Deferred import: callgraph imports ModuleInfo from here.
             from .callgraph import ProjectIndex

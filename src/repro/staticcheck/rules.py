@@ -1,4 +1,4 @@
-"""The domain rules: R001–R005.
+"""The domain rules: R001–R003 and R005.
 
 Each rule is a small class with a ``check_module`` hook (one file at a
 time) and an optional ``finalize`` hook (after every file is parsed, for
@@ -8,14 +8,15 @@ need to know about pragmas.
 
 The rule ids are stable API — baselines, pragmas, and CI logs refer to
 them — so new checks get new ids rather than changing what an existing id
-means.
+means, and a retired id (R004, the packed-key width check) is never
+reused.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence,
+                    Set, Tuple)
 
 from .engine import ModuleInfo
 from .violations import Violation
@@ -29,7 +30,6 @@ __all__ = [
     "ExactnessRule",
     "DeterminismRule",
     "LayeringRule",
-    "KeyWidthRule",
     "HygieneRule",
     "LAYERS",
 ]
@@ -540,177 +540,6 @@ class LayeringRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R004 — packed-key width safety
-
-
-class _ConstEvaluator:
-    """Evaluate the constant integer expressions a module defines at top
-    level (``GD_BITS = 40``, ``_GD_MASK = (1 << GD_BITS) - 1``, …)."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.env: Dict[str, int] = {}
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name):
-                value = self._eval(node.value)
-                if value is not None:
-                    self.env[node.targets[0].id] = value
-
-    def _eval(self, node: ast.AST) -> Optional[int]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-                and not isinstance(node.value, bool):
-            return node.value
-        if isinstance(node, ast.Name):
-            return self.env.get(node.id)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            inner = self._eval(node.operand)
-            return None if inner is None else -inner
-        if isinstance(node, ast.BinOp):
-            left, right = self._eval(node.left), self._eval(node.right)
-            if left is None or right is None:
-                return None
-            op = node.op
-            if isinstance(op, ast.Add):
-                return left + right
-            if isinstance(op, ast.Sub):
-                return left - right
-            if isinstance(op, ast.Mult):
-                return left * right
-            if isinstance(op, ast.FloorDiv):
-                return left // right if right else None
-            if isinstance(op, ast.LShift):
-                return left << right
-            if isinstance(op, ast.RShift):
-                return left >> right
-            if isinstance(op, ast.BitOr):
-                return left | right
-            if isinstance(op, ast.BitAnd):
-                return left & right
-            if isinstance(op, ast.Pow):
-                return left ** right
-        return None
-
-
-def _keyword_default(tree: ast.Module, func: str, arg: str,
-                     *, method_of: Optional[str] = None
-                     ) -> Optional[Tuple[int, int]]:
-    """``(value, lineno)`` of an int default for ``arg`` of ``func``."""
-    scope: Iterable[ast.stmt] = tree.body
-    if method_of is not None:
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == method_of:
-                scope = node.body
-                break
-        else:
-            return None
-    for node in scope:
-        if isinstance(node, ast.FunctionDef) and node.name == func:
-            args = node.args
-            for arg_list, defaults in (
-                    (args.posonlyargs + args.args, args.defaults),
-                    (args.kwonlyargs, args.kw_defaults)):
-                named = arg_list[len(arg_list) - len(defaults):] \
-                    if defaults is args.defaults else arg_list
-                for a, d in zip(named, defaults):
-                    if a.arg == arg and isinstance(d, ast.Constant) and \
-                            isinstance(d.value, int):
-                        return d.value, d.lineno
-    return None
-
-
-class KeyWidthRule(Rule):
-    """The packed-key bit fields must hold what the generator emits.
-
-    ``core/keytab.py`` packs the PD² tie-break chain into fixed-width
-    fields; ``workload/generator.py`` decides the largest period the
-    campaigns can produce.  Those two files evolve independently — this
-    rule re-derives the field capacities from the keytab AST and checks
-    them against the generator's default bounds, so widening the workload
-    without widening the key fields fails at lint time instead of
-    corrupting a priority order at simulation time.
-    """
-
-    rule_id = "R004"
-    name = "key-width-safety"
-    description = ("core/keytab.py bit-field capacities must cover the "
-                   "max period the workload generator emits "
-                   "(delegates to R010's dataflow proof when available)")
-
-    KEYTAB = "core/keytab.py"
-    GENERATOR = "workload/generator.py"
-    DISTRIBUTIONS = "workload/distributions.py"
-
-    def __init__(self) -> None:
-        #: When the R010 dataflow proof runs in the same pass, this
-        #: keyword-default string-match is strictly weaker — R004 stands
-        #: down and stays the cheap fallback under ``--no-project``.
-        self._delegated = False
-
-    def configure(self, *, active_ids: Set[str],
-                  project_enabled: bool) -> None:
-        self._delegated = project_enabled and "R010" in active_ids
-
-    def finalize(self, modules: Sequence[ModuleInfo]) -> Iterator[Violation]:
-        if self._delegated:
-            return
-        by_path = {m.relpath: m for m in modules}
-        keytab = by_path.get(self.KEYTAB)
-        generator = by_path.get(self.GENERATOR)
-        if keytab is None or generator is None:
-            return  # partial tree (single-file runs, fixtures)
-
-        consts = _ConstEvaluator(keytab.tree).env
-        missing = [name for name in ("GD_BITS", "ID_BITS", "IDX_BITS")
-                   if name not in consts]
-        if missing:
-            yield Violation(
-                path=self.KEYTAB, line=1, col=0, rule_id=self.rule_id,
-                message="cannot evaluate bit-field constants "
-                        f"{', '.join(missing)} — keep them literal ints")
-            return
-        # Capacities as pack_key() enforces them: the gd-field stores
-        # D - d in [0, 2**GD_BITS - 3] (GD_LIGHT and the top value are
-        # reserved), the index field holds subtask counts.
-        gd_capacity = (1 << consts["GD_BITS"]) - 3
-        idx_capacity = (1 << consts["IDX_BITS"]) - 1
-
-        max_periods: List[Tuple[int, int, str]] = []
-        found = _keyword_default(generator.tree, "__init__", "max_period",
-                                 method_of="TaskSetGenerator")
-        if found is not None:
-            max_periods.append((*found, self.GENERATOR))
-        distributions = by_path.get(self.DISTRIBUTIONS)
-        if distributions is not None:
-            found = _keyword_default(distributions.tree,
-                                     "log_uniform_periods", "max_period")
-            if found is not None:
-                max_periods.append((*found, self.DISTRIBUTIONS))
-        if not max_periods:
-            yield Violation(
-                path=self.GENERATOR, line=1, col=0, rule_id=self.rule_id,
-                message="cannot find an integer max_period default to "
-                        "check the packed-key fields against")
-            return
-
-        for period, lineno, relpath in max_periods:
-            # D - d is bounded by the period; periods are in ticks and a
-            # quantum is >= 1 tick, so the tick bound is the worst case.
-            if period > gd_capacity:
-                yield Violation(
-                    path=relpath, line=lineno, col=0, rule_id=self.rule_id,
-                    message=f"max_period={period} exceeds the "
-                            f"{consts['GD_BITS']}-bit group-deadline "
-                            f"field (capacity {gd_capacity}) in "
-                            f"{self.KEYTAB}")
-            if period > idx_capacity:
-                yield Violation(
-                    path=relpath, line=lineno, col=0, rule_id=self.rule_id,
-                    message=f"max_period={period} exceeds the "
-                            f"{consts['IDX_BITS']}-bit index field "
-                            f"(capacity {idx_capacity}) in {self.KEYTAB}")
-
-
-# ---------------------------------------------------------------------------
 # R005 — hygiene
 
 
@@ -797,7 +626,6 @@ RULES: Tuple[Rule, ...] = (
     ExactnessRule(),
     DeterminismRule(),
     LayeringRule(),
-    KeyWidthRule(),
     HygieneRule(),
 ) + CONCURRENCY_RULES + (
     PackedKeyProofRule(),

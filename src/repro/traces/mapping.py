@@ -25,8 +25,8 @@ Two period policies, selected by :class:`MappingConfig`:
 
 Clamping into ``[min_period, max_period]`` is not cosmetic: the
 defaults equal :class:`~repro.workload.generator.TaskSetGenerator`'s
-range, which is what staticcheck R004 proves safe against the packed
-key-tab bit fields — trace-derived tasks must not widen it.
+range, which is what staticcheck R010 proves fits the vector kernel's
+narrow-key budget — trace-derived tasks must not widen it.
 
 Everything is pure integer/:class:`~fractions.Fraction` arithmetic —
 no clock, no RNG, no environment (R002 scope) — so mapping the same

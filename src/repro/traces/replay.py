@@ -42,11 +42,10 @@ import numpy as np
 from ..analysis.experiments import CampaignRow
 from ..analysis.persistence import save_campaign
 from ..analysis.schedulability import SchedulabilityPoint, evaluate_task_set
-from ..analysis.stats import summarize
 from ..campaign.checkpoint import CheckpointStore
 from ..campaign.runner import CampaignRunner, RunnerConfig
-from ..campaign.spec import (POINT_SEED_STRIDE, REPLICA_SEED_STRIDE,
-                             ShardSpec, _replica_sets)
+from ..campaign.sched import campaign_row
+from ..campaign.spec import ShardSpec, point_shards, shards_by_point
 from ..overheads.model import OverheadModel
 from ..workload.spec import TaskSpec
 from .fetch import sha256_file
@@ -55,8 +54,9 @@ from .mapping import MappingConfig, machine_size, map_jobs, \
 from .swf import SWFLog, parse_swf
 
 __all__ = ["TRACE_GRID_KIND", "TraceGrid", "TraceWindowPayload",
-           "build_window_payloads", "evaluate_trace_shard",
-           "assemble_trace_rows", "run_trace_campaign"]
+           "build_window_payloads", "prepare_trace_campaign",
+           "evaluate_trace_shard", "assemble_trace_rows",
+           "run_trace_campaign"]
 
 #: Manifest tag distinguishing trace-replay manifests from synthetic
 #: ones (``CheckpointStore.load_grid`` refuses grids carrying a kind).
@@ -151,24 +151,13 @@ class TraceGrid:
     def plan(self) -> List[ShardSpec]:
         """The full ordered shard list — identical id scheme and seed
         arithmetic as the synthetic planner, points window-major."""
-        shards: List[ShardSpec] = []
-        splits = _replica_sets(self.sets_per_point, self.replicas)
-        k = 0
-        for _offset in self.window_offsets:
-            for u in self.utilizations:
-                point_seed = self.seed + POINT_SEED_STRIDE * k
-                for r, sets in enumerate(splits):
-                    shards.append(ShardSpec(
-                        shard_id=f"p{k:04d}r{r:03d}",
-                        point_index=k,
-                        replica_index=r,
-                        n_tasks=self.n_tasks,
-                        utilization=u,
-                        sets=sets,
-                        seed=point_seed + REPLICA_SEED_STRIDE * r,
-                    ))
-                k += 1
-        return shards
+        points = [u for _ in self.window_offsets for u in self.utilizations]
+        return [shard
+                for k, u in enumerate(points)
+                for shard in point_shards(
+                    k, u, n_tasks=self.n_tasks,
+                    sets_per_point=self.sets_per_point,
+                    replicas=self.replicas, seed=self.seed)]
 
 
 @dataclass(frozen=True)
@@ -289,37 +278,70 @@ def assemble_trace_rows(grid: TraceGrid,
     per (window, utilization) point.  Group rows back into windows with
     ``len(grid.utilizations)``-sized slices (the CLI does, per figure).
     """
-    by_point: Dict[int, List[ShardSpec]] = {}
-    for shard in grid.plan():
-        by_point.setdefault(shard.point_index, []).append(shard)
+    by_point = shards_by_point(grid.plan())
     rows: List[CampaignRow] = []
     for k in sorted(by_point):
         u = grid.utilizations[k % len(grid.utilizations)]
         offset = grid.window_offsets[grid.window_of(k)]
         points: List[SchedulabilityPoint] = []
-        for shard in sorted(by_point[k], key=lambda s: s.replica_index):
+        for shard in by_point[k]:
             points.extend(results[shard.shard_id])
         if progress is not None:
             progress(f"window@{offset}s U={u:.2f}: "
                      f"{len(points)} sets evaluated")
-        m_pd2 = [p.m_pd2 for p in points if p.m_pd2 is not None]
-        m_ff = [p.m_ff for p in points if p.m_ff is not None]
-        lp = [p.loss_pfair for p in points if p.loss_pfair is not None]
-        le = [p.loss_edf for p in points if p.loss_edf is not None]
-        lf = [p.loss_ff for p in points if p.loss_ff is not None]
-        rows.append(CampaignRow(
-            n_tasks=grid.n_tasks,
-            utilization=u,
-            mean_utilization=u / grid.n_tasks,
-            m_pd2=summarize(m_pd2 or [float("nan")]),
-            m_ff=summarize(m_ff or [float("nan")]),
-            loss_pfair=summarize(lp or [float("nan")]),
-            loss_edf=summarize(le or [float("nan")]),
-            loss_ff=summarize(lf or [float("nan")]),
-            infeasible_pd2=sum(1 for p in points if p.m_pd2 is None),
-            infeasible_ff=sum(1 for p in points if p.m_ff is None),
-        ))
+        rows.append(campaign_row(points, grid.n_tasks, u))
     return rows
+
+
+def prepare_trace_campaign(
+    trace_path: Union[str, Path],
+    grid: Optional[TraceGrid],
+    *,
+    window_seconds: int,
+    window_offsets: Sequence[int],
+    utilizations: Sequence[float],
+    n_tasks: int,
+    sets_per_point: int,
+    seed: int,
+    replicas: int,
+    mapping: Optional[MappingConfig],
+    progress: Optional[Callable[[str], None]],
+) -> Tuple[TraceGrid, Dict[str, TraceWindowPayload]]:
+    """Pin the trace and map its windows: ``(grid, payloads)``.
+
+    The trace file is hashed before anything else.  With an explicit
+    ``grid`` (the resume path — rebuilt from the run's manifest) the
+    hash must match the grid's pinned ``trace_sha256``, so a resumed
+    run can never silently mix windows from a modified log; otherwise a
+    fresh grid pins the hash.  The log is then parsed leniently and
+    every window mapped once (:func:`build_window_payloads`).
+
+    Lenient parsing (``strict=False``) is deliberate here: archive logs
+    carry fractional seconds, and the campaign entry points are where
+    real files enter.  The strict default stays on the library parser.
+    """
+    path = Path(trace_path)
+    digest = sha256_file(path)
+    if grid is None:
+        grid = TraceGrid(trace_name=path.name, trace_sha256=digest,
+                         window_seconds=window_seconds,
+                         window_offsets=tuple(window_offsets),
+                         utilizations=tuple(utilizations),
+                         n_tasks=n_tasks, sets_per_point=sets_per_point,
+                         seed=seed, replicas=replicas,
+                         mapping=mapping or MappingConfig())
+    elif digest != grid.trace_sha256:
+        raise ValueError(
+            f"{path}: SHA-256 {digest} does not match the campaign's "
+            f"pinned trace {grid.trace_sha256} ({grid.trace_name}) — "
+            f"the log changed since the run started; resume needs the "
+            f"original file")
+    log = parse_swf(path, strict=False)
+    payloads, rejected = build_window_payloads(log, grid)
+    if rejected and progress is not None:
+        progress(f"skipped {len(rejected)} degenerate job(s) "
+                 f"(zero runtime / unusable width)")
+    return grid, payloads
 
 
 def run_trace_campaign(
@@ -344,40 +366,16 @@ def run_trace_campaign(
 ) -> List[CampaignRow]:
     """Run (or resume) a trace-replay campaign end to end.
 
-    The trace file is hashed before anything else; with an explicit
-    ``grid`` (the resume path — rebuilt from the run's manifest) the
-    hash must match the grid's pinned ``trace_sha256``, so a resumed
-    run can never silently mix windows from a modified log.  Fresh runs
-    pin the hash into the new grid.  Everything else — checkpointing,
-    retry, worker pools, status files — is the stock campaign engine
-    with trace payloads riding along.
-
-    Lenient parsing (``strict=False``) is deliberate here: archive logs
-    carry fractional seconds, and the driver is where real files enter.
-    The strict default stays on the library parser.
+    :func:`prepare_trace_campaign` pins the trace (resume refuses a
+    modified log) and maps the windows; everything else —
+    checkpointing, retry, worker pools, status files — is the stock
+    campaign engine with trace payloads riding along.
     """
-    path = Path(trace_path)
-    digest = sha256_file(path)
-    if grid is None:
-        grid = TraceGrid(trace_name=path.name, trace_sha256=digest,
-                         window_seconds=window_seconds,
-                         window_offsets=tuple(window_offsets),
-                         utilizations=tuple(utilizations),
-                         n_tasks=n_tasks, sets_per_point=sets_per_point,
-                         seed=seed, replicas=replicas,
-                         mapping=mapping or MappingConfig())
-    elif digest != grid.trace_sha256:
-        raise ValueError(
-            f"{path}: SHA-256 {digest} does not match the campaign's "
-            f"pinned trace {grid.trace_sha256} ({grid.trace_name}) — "
-            f"the log changed since the run started; resume needs the "
-            f"original file")
-
-    log = parse_swf(path, strict=False)
-    payloads, rejected = build_window_payloads(log, grid)
-    if rejected and progress is not None:
-        progress(f"skipped {len(rejected)} degenerate job(s) "
-                 f"(zero runtime / unusable width)")
+    grid, payloads = prepare_trace_campaign(
+        trace_path, grid, window_seconds=window_seconds,
+        window_offsets=window_offsets, utilizations=utilizations,
+        n_tasks=n_tasks, sets_per_point=sets_per_point, seed=seed,
+        replicas=replicas, mapping=mapping, progress=progress)
 
     store = CheckpointStore(run_dir) if run_dir is not None else None
     cfg = config if config is not None else RunnerConfig(workers=workers)

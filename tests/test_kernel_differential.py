@@ -7,8 +7,8 @@ nonzero-phase, and overloaded (miss-recording) systems — through both
 and asserts identical ``(slot, processor, task, subtask)`` allocations
 and identical :class:`SimStats`, including the canonical (priority-key)
 order of end-of-run unscheduled misses — the empirical half of the
-kernel's correctness argument (the analytical half is the packed-key
-order property in ``test_core_keytab.py`` and the key-order placement
+kernel's correctness argument (the analytical half is the narrow-key
+order property in ``test_sim_vector.py`` and the key-order placement
 argument in ``sim/vector.py``).
 """
 

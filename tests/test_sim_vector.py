@@ -4,10 +4,15 @@ The heavy decision-identity coverage lives in
 ``test_kernel_differential.py``; this file pins down the kernel's
 *edges*: the ``supports`` gates, the dispatcher fallback and its toggle,
 constructor validation, and the degenerate horizons the vectorized paths
-must not mishandle.
+must not mishandle.  It also holds the hypothesis properties the kernel's
+correctness rests on: the per-weight subtask columns reproduce every
+real subtask, and the narrow int64 keys order like
+:meth:`PD2Priority.key` tuples.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.priority import EPDFPriority, PD2Priority
 from repro.core.task import PeriodicTask, SporadicTask
@@ -16,6 +21,7 @@ from repro.sim.vector import (
     MAX_CHUNK_SLOTS,
     MAX_KEY_BITS,
     VectorPD2Simulator,
+    _column_base,
     supports,
 )
 from repro.util.toggles import set_fastpath
@@ -194,3 +200,73 @@ class TestDegenerateHorizons:
         a = VectorPD2Simulator(_tasks(), 2).run(60)
         b = VectorPD2Simulator(_tasks(), 2).run(60)
         assert a.stats == b.stats
+
+
+# ---------------------------------------------------------------------------
+# Subtask columns and narrow keys against real subtasks
+
+
+#: Up to five tasks with weights e/p (p in [2, 12], so heavy tasks and
+#: group-deadline ties are common) and phases 0 or 3.
+real_systems = st.lists(
+    st.tuples(st.integers(2, 12).flatmap(
+        lambda p: st.tuples(st.integers(1, p), st.just(p))),
+        st.sampled_from([0, 0, 3])),
+    min_size=1, max_size=5)
+
+
+def _build(weighted_phases, ids):
+    return [PeriodicTask(e, p, phase=ph, task_id=tid)
+            for ((e, p), ph), tid in zip(weighted_phases, ids)]
+
+
+def _narrow_key(sim, row, index):
+    """Narrow key of subtask ``index`` of ``row`` as a chunk starting at
+    slot 0 builds it: the static ``_K0c`` column plus the job shift."""
+    q, j = divmod(index - 1, int(sim._e_arr[row]))
+    shift = q * int(sim._p_arr[row]) + int(sim._ph_arr[row])
+    g = int(sim._barr[row]) + j
+    return int(sim._K0c[g]) + (shift + sim._dbias) * sim._KSH
+
+
+class TestAgainstRealSubtasks:
+    """The columns the vector kernel reads reproduce every real
+    PeriodicTask subtask, and its narrow keys order like PD2Priority."""
+
+    @given(real_systems)
+    @settings(max_examples=100, deadline=None)
+    def test_table_matches_subtasks(self, weighted_phases):
+        for t in _build(weighted_phases, range(len(weighted_phases))):
+            rel, dl, bbar, gdd = _column_base(t.execution, t.period)
+            for s in t.subtasks_until(2 * t.period + t.phase):
+                q, j = divmod(s.index - 1, t.execution)
+                shift = q * t.period + t.phase
+                assert int(rel[j]) + shift == s.release
+                assert int(dl[j]) + shift == s.deadline
+                assert 1 - int(bbar[j]) == s.b_bit
+                assert (0 if gdd[j] < 0
+                        else s.deadline + int(gdd[j])) == s.group_deadline
+
+    @given(real_systems, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_narrow_keys_order_like_pd2_tuples(self, weighted_phases, rnd):
+        # Sparse, shuffled task ids: the row field must rank by task id,
+        # not by list position.
+        ids = rnd.sample(range(1000), len(weighted_phases))
+        tasks = _build(weighted_phases, ids)
+        horizon = 2 * max(t.period for t in tasks) + 3
+        sim = VectorPD2Simulator(tasks, len(tasks))
+        sim.run(horizon)
+        policy = PD2Priority()
+        entries = []
+        for pos, t in enumerate(tasks):
+            row = sim._row_of[pos]
+            for s in t.subtasks_until(2 * t.period + t.phase):
+                key = _narrow_key(sim, row, s.index)
+                assert 0 <= key < 1 << MAX_KEY_BITS
+                entries.append((key, policy.key(s)))
+        keys = [k for k, _ in entries]
+        assert len(set(keys)) == len(keys)       # a strict total order
+        for ka, ta in entries:
+            for kb, tb in entries:
+                assert (ka < kb) == (ta < tb)

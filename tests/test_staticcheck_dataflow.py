@@ -1,7 +1,7 @@
 """Tests for the staticcheck dataflow layer: intervals, R010–R012.
 
 Fixture trees mimic the ``src/repro`` layout (the dataflow rules key off
-canonical relpaths like ``core/keytab.py``).  Every rule gets at least
+canonical relpaths like ``sim/vector.py``).  Every rule gets at least
 one seeded true positive whose message is asserted to carry a
 multi-step ``->`` witness chain, plus the origin-anchoring contract:
 pragmas and baselines suppress at the witness *origin* line, never at
@@ -13,7 +13,6 @@ import ast
 from repro.staticcheck import run_checks
 from repro.staticcheck.baseline import write_baseline
 from repro.staticcheck.cli import main as staticcheck_main
-from repro.staticcheck.engine import Checker
 from repro.staticcheck.intervals import (BOTTOM, TOP, Interval, bounded,
                                          const, refine_by_compare)
 from repro.staticcheck.nptypes import infer_function
@@ -75,108 +74,13 @@ class TestIntervals:
 
 
 # ---------------------------------------------------------------------------
-# R010 — packed-key overflow proofs
-
-#: A keytab whose or-pack is fully guarded: provable, stays silent.
-GUARDED_KEYTAB = (
-    "FIELD_BITS = 8\n"
-    "def pack(deadline, flag, payload):\n"
-    "    if not 0 <= flag <= 1:\n"
-    "        raise OverflowError('flag')\n"
-    "    if not 0 <= payload <= 255:\n"
-    "        raise OverflowError('payload')\n"
-    "    return ((deadline << 1 | flag) << FIELD_BITS) | payload\n"
-)
-
-#: Same shape with the payload guard dropped: the seeded overflow.
-UNGUARDED_KEYTAB = (
-    "FIELD_BITS = 8\n"
-    "def pack(deadline, flag, payload):\n"          # line 2: origin
-    "    if not 0 <= flag <= 1:\n"
-    "        raise OverflowError('flag')\n"
-    "    return ((deadline << 1 | flag) << FIELD_BITS) | payload\n"  # sink
-)
-
-
-class TestPackedKeyOrPacks:
-    def test_guarded_pack_is_proven_silent(self, tmp_path):
-        root = make_tree(tmp_path, {"core/keytab.py": GUARDED_KEYTAB})
-        assert run_checks(root, select=["R010"]).ok
-
-    def test_seeded_overflow_fires_with_witness_chain(self, tmp_path):
-        root = make_tree(tmp_path, {"core/keytab.py": UNGUARDED_KEYTAB})
-        result = run_checks(root, select=["R010"])
-        # Anchored at the origin (the unguarded parameter), not the sink.
-        assert anchors(result, "R010") == [("core/keytab.py", 2)]
-        message = hits(result, "R010")[0].message
-        assert message.count("->") >= 2          # multi-step chain
-        assert "payload" in message
-        assert "8-bit field at line 5" in message
-
-    def test_pragma_suppresses_at_origin_not_sink(self, tmp_path):
-        # Pragma on the sink line: the finding is anchored at the
-        # origin, so it must NOT be suppressed there...
-        sink_pragma = UNGUARDED_KEYTAB.replace(
-            "| payload\n", "| payload  # staticcheck: ignore[R010]\n")
-        root = make_tree(tmp_path, {"core/keytab.py": sink_pragma})
-        assert not run_checks(root, select=["R010"]).ok
-        # ...while the same pragma on the origin line suppresses it.
-        origin_pragma = UNGUARDED_KEYTAB.replace(
-            "def pack(deadline, flag, payload):\n",
-            "def pack(deadline, flag, payload):"
-            "  # staticcheck: ignore[R010]\n")
-        root2 = make_tree(tmp_path / "b",
-                          {"core/keytab.py": origin_pragma})
-        result = run_checks(root2, select=["R010"])
-        assert result.ok and result.suppressed == 1
-
-    def test_baseline_suppresses_dataflow_finding(self, tmp_path):
-        root = make_tree(tmp_path, {"core/keytab.py": UNGUARDED_KEYTAB})
-        baseline = tmp_path / "baseline.json"
-        result = run_checks(root, select=["R010"])
-        write_baseline(baseline, result.violations)
-        code = staticcheck_main([str(root), "--select", "R010",
-                                 "--baseline", str(baseline), "-q"])
-        assert code == 0
-
+# R010 — vector narrow-key budget proof
 
 GENERATOR_5000 = (
     "class TaskSetGenerator:\n"
-    "    def __init__(self, max_period: int = 5000):\n"   # line 2
+    "    def __init__(self, max_period: int = 5000):\n"   # line 2: origin
     "        self.max_period = max_period\n"
 )
-
-SMALL_FIELD_KEYTAB = (
-    "IDX_BITS = 8\n"
-    "GD_BITS = 10\n"
-    "_MAX_GD_DELTA = (1 << GD_BITS) - 2\n"
-    "def pack_key(delta):\n"
-    "    if not 0 <= delta <= _MAX_GD_DELTA:\n"           # line 5: guard
-    "        raise OverflowError(delta)\n"
-    "    return delta\n"
-)
-
-
-class TestGeneratorBounds:
-    def test_default_exceeding_capacity_fires_at_default_line(
-            self, tmp_path):
-        root = make_tree(tmp_path, {
-            "core/keytab.py": SMALL_FIELD_KEYTAB,
-            "workload/generator.py": GENERATOR_5000,
-        })
-        result = run_checks(root, select=["R010"])
-        locs = anchors(result, "R010")
-        # 5000 > both the 1022 gd capacity and the 255 index capacity.
-        assert locs == [("workload/generator.py", 2)] * 2
-        gd_msg = [v.message for v in hits(result, "R010")
-                  if "group-deadline" in v.message][0]
-        assert "max_period=5000" in gd_msg
-        assert "core/keytab.py:5" in gd_msg       # points at the guard
-        assert gd_msg.count("->") >= 2
-
-    def test_real_tree_capacities_hold(self):
-        assert run_checks(REPO_SRC, select=["R010"]).ok
-
 
 VECTOR_LAYOUT = (
     "MAX_KEY_BITS = {bits}\n"
@@ -240,42 +144,42 @@ class TestVectorFloor:
         assert any("supports() no longer gates" in v.message
                    for v in hits(result, "R010"))
 
+    def test_pragma_suppresses_at_origin_not_sink(self, tmp_path):
+        # Pragma on the sink (the layout's bit total): the finding is
+        # anchored at the generator default, so it must NOT be
+        # suppressed there...
+        shrunk = VECTOR_LAYOUT.format(bits=16)
+        sink_pragma = shrunk.replace(
+            "dbits + 1 + gdbits + rowbits\n",
+            "dbits + 1 + gdbits + rowbits  # staticcheck: ignore[R010]\n")
+        root = make_tree(tmp_path / "a", {
+            "sim/vector.py": sink_pragma,
+            "workload/generator.py": GENERATOR_5000,
+        })
+        assert not run_checks(root, select=["R010"]).ok
+        # ...while the same pragma on the origin line suppresses it.
+        origin_pragma = GENERATOR_5000.replace(
+            "max_period: int = 5000):\n",
+            "max_period: int = 5000):  # staticcheck: ignore[R010]\n")
+        root2 = make_tree(tmp_path / "b", {
+            "sim/vector.py": shrunk,
+            "workload/generator.py": origin_pragma,
+        })
+        result = run_checks(root2, select=["R010"])
+        assert result.ok and result.suppressed == 1
 
-# ---------------------------------------------------------------------------
-# R004 delegation (satellite: cheap fallback under --no-project)
-
-
-class TestKeyWidthDelegation:
-    FIXTURE = {
-        "core/keytab.py": SMALL_FIELD_KEYTAB,
-        "workload/generator.py": GENERATOR_5000,
-    }
-
-    def test_r004_stands_down_when_r010_runs(self, tmp_path):
-        root = make_tree(tmp_path, self.FIXTURE)
-        result = Checker(root, select=["R004", "R010"]).check()
-        assert not hits(result, "R004")          # delegated
-        assert hits(result, "R010")              # the proof fires instead
-
-    def test_r004_fires_without_project_rules(self, tmp_path):
-        root = make_tree(tmp_path, self.FIXTURE)
-        result = Checker(root, select=["R004", "R010"],
-                         use_project=False).check()
-        assert hits(result, "R004")              # cheap fallback engaged
-        assert not hits(result, "R010")          # project rules skipped
-
-    def test_r004_fires_when_r010_not_selected(self, tmp_path):
-        root = make_tree(tmp_path, self.FIXTURE)
-        result = Checker(root, select=["R004"]).check()
-        assert hits(result, "R004")
-
-    def test_cli_no_project_flag(self, tmp_path):
-        root = make_tree(tmp_path,
-                         {"core/keytab.py": UNGUARDED_KEYTAB})
-        assert staticcheck_main([str(root), "--select", "R010",
-                                 "-q"]) == 1
-        assert staticcheck_main([str(root), "--select", "R010",
-                                 "--no-project", "-q"]) == 0
+    def test_baseline_suppresses_dataflow_finding(self, tmp_path):
+        root = make_tree(tmp_path / "pkg", {
+            "sim/vector.py": VECTOR_LAYOUT.format(bits=16),
+            "workload/generator.py": GENERATOR_5000,
+        })
+        baseline = tmp_path / "baseline.json"
+        result = run_checks(root, select=["R010"])
+        assert not result.ok
+        write_baseline(baseline, result.violations)
+        code = staticcheck_main([str(root), "--select", "R010",
+                                 "--baseline", str(baseline), "-q"])
+        assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,16 @@
 """Bridge tests at the R010-proven boundary.
 
-The staticcheck dataflow rule R010 *proves* (statically) that the
-packed-key fields cannot overflow for any workload the generator can
-emit, and that ``sim.vector``'s narrow-key budget covers every system
-``supports()`` admits.  These tests exercise the same boundary
-*dynamically*: keytab round-trips at the exact field edges, the
-overflow guards the proof leans on actually raise one past the edge,
-and the vector kernel still reproduces the reference simulator
-decision-for-decision on systems whose ``_key_layout`` sits at (and
-just under) the 62-bit ceiling.
+The staticcheck dataflow rule R010 *proves* (statically) that
+``sim.vector``'s narrow-key budget covers every system the workload
+generator can emit and that ``supports()`` gates on it.  This test
+exercises the same boundary *dynamically*: the vector kernel still
+reproduces the reference simulator decision-for-decision on systems
+whose ``_key_layout`` sits at (and just under) the 62-bit ceiling.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.keytab import (_MAX_GD_DELTA, GD_BITS, MAX_INDEX,
-                               MAX_TASK_ID, pack_key, unpack_key)
 from repro.core.priority import PD2Priority
 from repro.core.task import PeriodicTask
 from repro.sim.quantum import QuantumSimulator
@@ -23,59 +18,6 @@ from repro.sim.vector import MAX_KEY_BITS, VectorPD2Simulator, _key_layout
 from repro.sim.vector import supports as vector_supports
 
 from test_kernel_differential import _snapshot
-
-
-# ---------------------------------------------------------------------------
-# Keytab round-trips at the exact field edges R010 certifies
-
-
-@given(deadline=st.integers(0, 1 << 20),
-       b_bit=st.integers(0, 1),
-       gd_off=st.integers(0, 3),
-       tid_off=st.integers(0, 3),
-       idx_off=st.integers(0, 3))
-@settings(max_examples=200, deadline=None)
-def test_roundtrip_at_field_edges(deadline, b_bit, gd_off, tid_off,
-                                  idx_off):
-    task_id = MAX_TASK_ID - tid_off
-    index = MAX_INDEX - idx_off
-    group_deadline = deadline + _MAX_GD_DELTA - gd_off
-    key = pack_key(deadline, b_bit, group_deadline, task_id, index)
-    assert unpack_key(key) == (deadline, task_id, index)
-
-
-@given(deadline=st.integers(1, 1 << 20), tid=st.integers(0, MAX_TASK_ID),
-       idx=st.integers(0, MAX_INDEX))
-@settings(max_examples=100, deadline=None)
-def test_group_deadline_order_holds_at_the_edge(deadline, tid, idx):
-    # Deeper group deadline = higher priority = smaller key; a light
-    # task (gd 0) sorts after every heavy one.  Both must hold right at
-    # the maximum representable offset.
-    at_edge = pack_key(deadline, 1, deadline + _MAX_GD_DELTA, tid, idx)
-    near_edge = pack_key(deadline, 1, deadline + _MAX_GD_DELTA - 1,
-                         tid, idx)
-    light = pack_key(deadline, 1, 0, tid, idx)
-    assert at_edge < near_edge < light
-
-
-def test_guards_raise_one_past_each_proven_edge():
-    ok = dict(deadline=5, b_bit=1, group_deadline=0, task_id=0, index=0)
-    pack_key(**ok)  # in-range baseline
-    for overflow in (
-        dict(ok, b_bit=2),
-        dict(ok, b_bit=-1),
-        dict(ok, group_deadline=5 + _MAX_GD_DELTA + 1),
-        dict(ok, task_id=MAX_TASK_ID + 1),
-        dict(ok, index=MAX_INDEX + 1),
-    ):
-        try:
-            pack_key(**overflow)
-        except OverflowError:
-            continue
-        raise AssertionError(f"no OverflowError for {overflow}")
-    # The delta capacity R010 measures the generator against really is
-    # the GD-field capacity minus the reserved light-task sentinel.
-    assert _MAX_GD_DELTA == (1 << GD_BITS) - 2
 
 
 # ---------------------------------------------------------------------------
