@@ -114,7 +114,7 @@ MAX_KEY_BITS = 62
 
 #: ``_PAD_KEY`` sorts after every real narrow key, so the per-row pad
 #: items (which carry the previous chunk's state) are never placed.
-_PAD_KEY = 1 << 62
+_PAD_KEY = 1 << MAX_KEY_BITS
 
 
 @lru_cache(maxsize=None)
@@ -355,17 +355,15 @@ class VectorPD2Simulator:
                      << rowbits | rowf)
         self._KSH = 1 << (1 + gdbits + rowbits)
 
-        use_memo = (self.hyperperiod_memo and self.trace is None
-                    and all(t.phase == 0 for t in tasks))
+        chunk = _chunk_length(tasks, horizon,
+                              self.hyperperiod_memo and self.trace is None)
         H = 0
         log = None
-        if use_memo:
-            period_lcm = lcm(*(t.period for t in tasks))
-            if 2 * period_lcm < horizon:
-                from .cache import CycleLog, hyperperiod_cache_key
+        if chunk < horizon:
+            from .cache import CycleLog, hyperperiod_cache_key
 
-                H = self._H = period_lcm
-                log = CycleLog(hyperperiod_cache_key(self))
+            H = self._H = chunk
+            log = CycleLog(hyperperiod_cache_key(self))
 
         t = 0
         while t < horizon:

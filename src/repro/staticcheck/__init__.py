@@ -36,15 +36,10 @@ the concurrency model written down in docs/CONCURRENCY.md:
 * **R009 fork-safety** — nothing transitively holding a lock, socket,
   or event loop crosses a process boundary.
 
-Three more are *dataflow* rules, built on an integer interval domain
-(:mod:`repro.staticcheck.intervals`), an abstract interpreter over
-function bodies (:mod:`repro.staticcheck.dataflow`), and a numpy dtype
-lattice (:mod:`repro.staticcheck.nptypes`):
+Two more are *dataflow* rules, built on a numpy dtype lattice
+(:mod:`repro.staticcheck.nptypes`) and a syntactic wire-protocol model
+(:mod:`repro.staticcheck.dataflow`):
 
-* **R010 packed-key-proof** — interval analysis *proves* that the
-  vector kernel's narrow-key layout fits ``MAX_KEY_BITS`` for every
-  system the workload generator's ``max_period`` defaults can produce,
-  and that the ``_PAD_KEY`` sentinel sits just above that budget.
 * **R011 numpy-dtype-soundness** — no silent dtype promotion in the
   integer kernel (``sim/vector.py``): implicit
   float64 defaults, ``uint64``/signed mixing, true division, mixed

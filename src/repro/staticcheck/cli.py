@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .baseline import load_baseline, split_by_baseline, write_baseline
-from .engine import Checker, CheckResult
+from .engine import Checker, CheckResult, _split_rule_ids
 from .rules import RULES
 from .violations import Violation
 
@@ -31,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="AST-based invariant checker: exactness, determinism, "
                     "layering, hygiene, the "
                     "interprocedural concurrency rules (R006-R009), the "
-                    "dataflow rules (R010 vector key-budget proof, "
-                    "R011 numpy dtype soundness, R012 wire conformance), "
+                    "dataflow rules (R011 numpy dtype soundness, "
+                    "R012 wire conformance), "
                     "and the provenance rules (R013 seed provenance, "
                     "R014 ordering soundness, R015 canonical "
                     "serialization).",
@@ -110,11 +110,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.write_baseline and args.baseline is None:
         parser.error("--write-baseline requires --baseline FILE")
 
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
+    # Same id parser as the pragmas: spaces and empty parts are dropped.
+    select = None if args.select is None else _split_rule_ids(args.select)
+    ignore = None if args.ignore is None else _split_rule_ids(args.ignore)
     known = {rule.rule_id for rule in RULES}
     for flag, ids in (("--select", select), ("--ignore", ignore)):
-        unknown = sorted(set(ids or ()) - known)
+        if ids is not None and not ids:
+            parser.error(f"{flag}: no rule ids given")
+        unknown = sorted((ids or set()) - known)
         if unknown:
             parser.error(f"{flag}: unknown rule id(s) {', '.join(unknown)} "
                          f"(see --list-rules)")

@@ -9,9 +9,9 @@ pass has a *name*, every rule **declares** the passes it needs
 (:attr:`~repro.staticcheck.rules.Rule.needs`), and a pass is constructed
 the first time a selected rule asks for it — never because some other
 rule in the catalog would have wanted it.  ``--select R013`` therefore
-builds the seed-taint pass and nothing else: not the interval
-interpreter, not the dtype lattice (``tests/test_staticcheck_provenance.
-py`` pins this with a constructor tripwire).
+builds the seed-taint pass and nothing else, not the thread-domain
+or ordering passes (``tests/test_staticcheck_provenance.py`` pins this
+through :func:`built_passes`).
 
 A pass factory takes the :class:`~repro.staticcheck.callgraph.
 ProjectIndex` and returns an analysis object; results are memoised per

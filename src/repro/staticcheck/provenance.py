@@ -401,7 +401,7 @@ class CanonicalSerializationRule(Rule):
 
     A module rule on purpose: proving a dumps call canonical needs only
     the call's own keywords and the sink its result flows into within
-    the enclosing scope — no call graph, no interval interpreter, so
+    the enclosing scope — no call graph, no project pass, so
     ``--select R015`` stays cheap (the pass-isolation test pins that).
     """
 

@@ -49,8 +49,7 @@ class Rule:
     #: Named project passes (see :mod:`~repro.staticcheck.passes`) this
     #: rule consumes.  The engine constructs exactly the union of the
     #: *selected* rules' declarations, so ``--select R013`` builds the
-    #: seed-taint pass and nothing else — not the interval interpreter,
-    #: not the ordering classifier.
+    #: seed-taint pass and nothing else — not the ordering classifier.
     needs: Tuple[str, ...] = ()
 
     def check_module(self, module: ModuleInfo) -> Iterable[Violation]:
@@ -615,7 +614,7 @@ class HygieneRule(Rule):
 #: modules; the imports sit at the bottom because all subclass Rule
 #: (defined above).
 from .concurrency import CONCURRENCY_RULES  # noqa: E402
-from .dataflow import PackedKeyProofRule, WireConformanceRule  # noqa: E402
+from .dataflow import WireConformanceRule  # noqa: E402
 from .nptypes import NumpyDtypeRule  # noqa: E402
 from .ordering import OrderingSoundnessRule  # noqa: E402
 from .provenance import (CanonicalSerializationRule,  # noqa: E402
@@ -628,7 +627,6 @@ RULES: Tuple[Rule, ...] = (
     LayeringRule(),
     HygieneRule(),
 ) + CONCURRENCY_RULES + (
-    PackedKeyProofRule(),
     NumpyDtypeRule(),
     WireConformanceRule(),
     SeedProvenanceRule(),

@@ -25,8 +25,9 @@ Two period policies, selected by :class:`MappingConfig`:
 
 Clamping into ``[min_period, max_period]`` is not cosmetic: the
 defaults equal :class:`~repro.workload.generator.TaskSetGenerator`'s
-range, which is what staticcheck R010 proves fits the vector kernel's
-narrow-key budget — trace-derived tasks must not widen it.
+range, whose corner ``tests/test_sim_vector.py`` checks against the
+vector kernel's narrow-key budget (reading this class's own default) —
+trace-derived tasks must not widen it.
 
 Everything is pure integer/:class:`~fractions.Fraction` arithmetic —
 no clock, no RNG, no environment (R002 scope) — so mapping the same

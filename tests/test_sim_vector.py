@@ -3,12 +3,16 @@
 The heavy decision-identity coverage lives in
 ``test_kernel_differential.py``; this file pins down the kernel's
 *edges*: the ``supports`` gates, the dispatcher fallback and its toggle,
-constructor validation, and the degenerate horizons the vectorized paths
-must not mishandle.  It also holds the hypothesis properties the kernel's
-correctness rests on: the per-weight subtask columns reproduce every
-real subtask, and the narrow int64 keys order like
+constructor validation, the degenerate horizons the vectorized paths
+must not mishandle, and the narrow-key bit budget under the real
+``max_period`` defaults.  It also holds the hypothesis properties the
+kernel's correctness rests on: the per-weight subtask columns reproduce
+every real subtask, and the narrow int64 keys order like
 :meth:`PD2Priority.key` tuples.
 """
+
+import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +26,13 @@ from repro.sim.vector import (
     MAX_KEY_BITS,
     VectorPD2Simulator,
     _column_base,
+    _key_layout,
     supports,
 )
+from repro.traces.mapping import MappingConfig
 from repro.util.toggles import set_fastpath
+from repro.workload.distributions import log_uniform_periods
+from repro.workload.generator import TaskSetGenerator
 
 
 def _tasks():
@@ -200,6 +208,67 @@ class TestDegenerateHorizons:
         a = VectorPD2Simulator(_tasks(), 2).run(60)
         b = VectorPD2Simulator(_tasks(), 2).run(60)
         assert a.stats == b.stats
+
+
+# ---------------------------------------------------------------------------
+# Narrow-key budget under the real max_period defaults
+
+
+def _max_period_defaults():
+    """Every ``max_period`` default a task set is built under, read from
+    the live signatures so that raising one is seen here."""
+    def arg_default(func):
+        return inspect.signature(func).parameters["max_period"].default
+
+    mapping = {f.name: f.default for f in dataclasses.fields(MappingConfig)}
+    return {
+        "TaskSetGenerator": arg_default(TaskSetGenerator.__init__),
+        "log_uniform_periods": arg_default(log_uniform_periods),
+        "MappingConfig": mapping["max_period"],
+    }
+
+
+MAX_PERIOD_DEFAULTS = _max_period_defaults()
+
+#: Default campaigns must engage the vector kernel for horizons up to
+#: 2**24 slots and task sets of up to 64 tasks.
+BUDGET_HORIZON = 2 ** 24
+BUDGET_TASKS = 64
+
+
+class TestKeyBudget:
+    """Default task sets fit the narrow key, so ``supports()`` does not
+    send them to the reference simulator."""
+
+    def test_pad_sentinel_fits_int64(self):
+        # _PAD_KEY is 1 << MAX_KEY_BITS: it must stay a positive int64.
+        assert MAX_KEY_BITS <= 62
+
+    # Every term of _key_layout is non-decreasing in the largest period,
+    # the largest phase, the horizon and the task count.  The corner
+    # (all periods and phases at max_period, the longest horizon, the
+    # most tasks) therefore has the widest layout in the whole box, and
+    # checking it checks every task set inside.
+    @pytest.mark.parametrize("source", list(MAX_PERIOD_DEFAULTS))
+    def test_max_period_default_fits(self, source):
+        max_period = MAX_PERIOD_DEFAULTS[source]
+        tasks = [PeriodicTask(1, max_period, phase=max_period, task_id=i)
+                 for i in range(BUDGET_TASKS)]
+        bits = _key_layout(tasks, BUDGET_HORIZON)[3]
+        assert bits <= MAX_KEY_BITS, (
+            f"{source} max_period={max_period}: {bits}-bit key exceeds "
+            f"MAX_KEY_BITS={MAX_KEY_BITS}")
+
+    @given(st.sampled_from(list(MAX_PERIOD_DEFAULTS.values())), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_task_sets_inside_the_box_fit(self, max_period, data):
+        n = data.draw(st.integers(1, BUDGET_TASKS))
+        tasks = [PeriodicTask(1, data.draw(st.integers(1, max_period)),
+                              phase=data.draw(st.integers(0, max_period)),
+                              task_id=i)
+                 for i in range(n)]
+        horizon = data.draw(st.integers(1, BUDGET_HORIZON))
+        assert _key_layout(tasks, horizon)[3] <= MAX_KEY_BITS
 
 
 # ---------------------------------------------------------------------------

@@ -1,185 +1,17 @@
-"""Tests for the staticcheck dataflow layer: intervals, R010–R012.
+"""Tests for the staticcheck dataflow rules: R011 and R012.
 
 Fixture trees mimic the ``src/repro`` layout (the dataflow rules key off
 canonical relpaths like ``sim/vector.py``).  Every rule gets at least
 one seeded true positive whose message is asserted to carry a
-multi-step ``->`` witness chain, plus the origin-anchoring contract:
-pragmas and baselines suppress at the witness *origin* line, never at
-the sink.
+multi-step ``->`` witness chain.
 """
 
 import ast
 
 from repro.staticcheck import run_checks
-from repro.staticcheck.baseline import write_baseline
-from repro.staticcheck.cli import main as staticcheck_main
-from repro.staticcheck.intervals import (BOTTOM, TOP, Interval, bounded,
-                                         const, refine_by_compare)
 from repro.staticcheck.nptypes import infer_function
 
 from test_staticcheck import REPO_SRC, anchors, hits, make_tree
-
-
-# ---------------------------------------------------------------------------
-# The interval domain
-
-
-class TestIntervals:
-    def test_lattice_basics(self):
-        assert const(5).join(const(9)) == bounded(5, 9)
-        assert bounded(0, 10).meet(bounded(5, 20)) == bounded(5, 10)
-        assert bounded(5, 3).is_empty() and BOTTOM.is_empty()
-        assert TOP.join(const(1)) == TOP
-        assert bounded(0, 4).widen(bounded(0, 9)) == Interval(0, None)
-        assert bounded(0, 9).widen(bounded(0, 4)) == bounded(0, 9)
-
-    def test_arithmetic_transfer(self):
-        assert bounded(1, 3).add(const(10)) == bounded(11, 13)
-        assert bounded(1, 3).mul(bounded(2, 4)) == bounded(2, 12)
-        assert bounded(4, 9).floordiv(const(2)) == bounded(2, 4)
-        assert bounded(0, 100).mod(const(7)) == bounded(0, 6)
-        assert bounded(0, 3).lshift(const(4)) == bounded(0, 48)
-        assert bounded(8, 64).rshift(const(3)) == bounded(1, 8)
-
-    def test_bitor_bound_is_next_power_of_two(self):
-        # x in [0, 5], y in [0, 9]: x | y < 16 and >= max(x, y).
-        assert bounded(0, 5).bitor(bounded(0, 9)) == bounded(0, 15)
-        # Negative operands widen to TOP — never a wrong narrow bound.
-        assert bounded(-1, 5).bitor(const(1)) == TOP
-
-    def test_bit_length_monotone(self):
-        assert bounded(1, 1000).bit_length() == bounded(1, 10)
-        assert const(0).bit_length() == const(0)
-
-    @staticmethod
-    def _eval(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return const(node.value)
-        return TOP
-
-    def test_refine_by_chained_compare(self):
-        test = ast.parse("0 <= x <= 100", mode="eval").body
-        refined = refine_by_compare(test, self._eval)
-        assert refined["x"][0] == bounded(0, 100)
-
-    def test_negated_chain_refines_nothing(self):
-        # `not (0 <= x <= C)` is a disjunction: no contiguous interval.
-        test = ast.parse("0 <= x <= 100", mode="eval").body
-        assert refine_by_compare(test, self._eval, negated=True) == {}
-
-    def test_negated_single_compare_flips(self):
-        test = ast.parse("x < 10", mode="eval").body
-        refined = refine_by_compare(test, self._eval, negated=True)
-        assert refined["x"][0] == Interval(10, None)
-
-
-# ---------------------------------------------------------------------------
-# R010 — vector narrow-key budget proof
-
-GENERATOR_5000 = (
-    "class TaskSetGenerator:\n"
-    "    def __init__(self, max_period: int = 5000):\n"   # line 2: origin
-    "        self.max_period = max_period\n"
-)
-
-VECTOR_LAYOUT = (
-    "MAX_KEY_BITS = {bits}\n"
-    "_PAD_KEY = 1 << MAX_KEY_BITS\n"
-    "def _key_layout(tasks, horizon):\n"
-    "    max_p = max(t.period for t in tasks)\n"
-    "    max_ph = max(getattr(t, 'phase', 0) for t in tasks)\n"
-    "    dbias = horizon + 2 * max_p + max_ph + 2\n"
-    "    dbits = (2 * dbias).bit_length()\n"
-    "    gdbits = (max_p + 2).bit_length()\n"
-    "    rowbits = max(1, (len(tasks) - 1).bit_length())\n"
-    "    return dbias, gdbits, rowbits, dbits + 1 + gdbits + rowbits\n"
-    "class VectorPD2Simulator:\n"
-    "    def supports(self, tasks, horizon):\n"
-    "        return _key_layout(tasks, horizon)[3] <= MAX_KEY_BITS\n"
-)
-
-
-class TestVectorFloor:
-    def test_budget_proven_under_generator_defaults(self, tmp_path):
-        root = make_tree(tmp_path, {
-            "sim/vector.py": VECTOR_LAYOUT.format(bits=62),
-            "workload/generator.py": GENERATOR_5000,
-        })
-        assert run_checks(root, select=["R010"]).ok
-
-    def test_shrunk_budget_fires_at_generator_default(self, tmp_path):
-        root = make_tree(tmp_path, {
-            "sim/vector.py": VECTOR_LAYOUT.format(bits=16),
-            "workload/generator.py": GENERATOR_5000,
-        })
-        result = run_checks(root, select=["R010"])
-        assert anchors(result, "R010") == [("workload/generator.py", 2)]
-        message = hits(result, "R010")[0].message
-        assert "_key_layout" in message
-        assert "MAX_KEY_BITS=16" in message
-        assert "supports()" in message
-        assert message.count("->") >= 3
-
-    def test_pad_sentinel_mismatch_fires(self, tmp_path):
-        bad = VECTOR_LAYOUT.format(bits=62).replace(
-            "_PAD_KEY = 1 << MAX_KEY_BITS",
-            "_PAD_KEY = 1 << (MAX_KEY_BITS - 1)")
-        root = make_tree(tmp_path, {
-            "sim/vector.py": bad,
-            "workload/generator.py": GENERATOR_5000,
-        })
-        result = run_checks(root, select=["R010"])
-        assert anchors(result, "R010") == [("sim/vector.py", 2)]
-        assert "_PAD_KEY" in hits(result, "R010")[0].message
-
-    def test_missing_supports_gate_fires(self, tmp_path):
-        gateless = VECTOR_LAYOUT.format(bits=62).replace(
-            "return _key_layout(tasks, horizon)[3] <= MAX_KEY_BITS",
-            "return True")
-        root = make_tree(tmp_path, {
-            "sim/vector.py": gateless,
-            "workload/generator.py": GENERATOR_5000,
-        })
-        result = run_checks(root, select=["R010"])
-        assert any("supports() no longer gates" in v.message
-                   for v in hits(result, "R010"))
-
-    def test_pragma_suppresses_at_origin_not_sink(self, tmp_path):
-        # Pragma on the sink (the layout's bit total): the finding is
-        # anchored at the generator default, so it must NOT be
-        # suppressed there...
-        shrunk = VECTOR_LAYOUT.format(bits=16)
-        sink_pragma = shrunk.replace(
-            "dbits + 1 + gdbits + rowbits\n",
-            "dbits + 1 + gdbits + rowbits  # staticcheck: ignore[R010]\n")
-        root = make_tree(tmp_path / "a", {
-            "sim/vector.py": sink_pragma,
-            "workload/generator.py": GENERATOR_5000,
-        })
-        assert not run_checks(root, select=["R010"]).ok
-        # ...while the same pragma on the origin line suppresses it.
-        origin_pragma = GENERATOR_5000.replace(
-            "max_period: int = 5000):\n",
-            "max_period: int = 5000):  # staticcheck: ignore[R010]\n")
-        root2 = make_tree(tmp_path / "b", {
-            "sim/vector.py": shrunk,
-            "workload/generator.py": origin_pragma,
-        })
-        result = run_checks(root2, select=["R010"])
-        assert result.ok and result.suppressed == 1
-
-    def test_baseline_suppresses_dataflow_finding(self, tmp_path):
-        root = make_tree(tmp_path / "pkg", {
-            "sim/vector.py": VECTOR_LAYOUT.format(bits=16),
-            "workload/generator.py": GENERATOR_5000,
-        })
-        baseline = tmp_path / "baseline.json"
-        result = run_checks(root, select=["R010"])
-        assert not result.ok
-        write_baseline(baseline, result.violations)
-        code = staticcheck_main([str(root), "--select", "R010",
-                                 "--baseline", str(baseline), "-q"])
-        assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +249,9 @@ class TestWireConformance:
 
 
 # ---------------------------------------------------------------------------
-# The acceptance gate: all three rules clean on the real tree
+# The acceptance gate: both rules clean on the real tree
 
 
 def test_real_tree_clean_under_dataflow_rules():
-    result = run_checks(REPO_SRC, select=["R010", "R011", "R012"])
+    result = run_checks(REPO_SRC, select=["R011", "R012"])
     assert result.ok, "\n".join(v.render() for v in result.violations)

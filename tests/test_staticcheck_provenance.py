@@ -8,10 +8,8 @@ only at the origin, and the final gates run the real tree — which must
 stay clean under all three rules with an empty baseline.
 
 The pass-isolation tests pin satellite behaviour: ``--select R013``
-builds the seed-taint pass and nothing else (a monkeypatched
-``IntervalInterpreter`` constructor would blow up if the dataflow layer
-were constructed), and ``--select R015`` never builds a ProjectIndex at
-all.  The hypothesis test pins that the R014 binding classifier is a
+builds the seed-taint pass and nothing else, and ``--select R015``
+never builds a ProjectIndex at all.  The hypothesis test pins that the R014 binding classifier is a
 monotone fixpoint: permuting a function's assignment statements never
 changes the classification.
 """
@@ -497,19 +495,6 @@ class TestPassIsolation:
                           select=["R015"])
         assert checker.check().ok
         assert checker.project is None
-
-    def test_select_r013_never_builds_the_interval_interpreter(
-            self, tmp_path, monkeypatch):
-        from repro.staticcheck import dataflow
-
-        def boom(self, *args, **kwargs):
-            raise AssertionError(
-                "IntervalInterpreter constructed under --select R013")
-
-        monkeypatch.setattr(dataflow.IntervalInterpreter, "__init__", boom)
-        checker = Checker(make_tree(tmp_path, self.FIXTURE),
-                          select=["R013"])
-        assert checker.check().ok
 
     def test_unregistered_pass_fails_loudly(self, tmp_path):
         from repro.staticcheck.callgraph import ProjectIndex

@@ -1,9 +1,9 @@
-"""Bridge tests at the R010-proven boundary.
+"""Bridge tests at the narrow-key budget boundary.
 
-The staticcheck dataflow rule R010 *proves* (statically) that
-``sim.vector``'s narrow-key budget covers every system the workload
-generator can emit and that ``supports()`` gates on it.  This test
-exercises the same boundary *dynamically*: the vector kernel still
+``tests/test_sim_vector.py`` checks that ``sim.vector``'s narrow-key
+budget covers every task set the real ``max_period`` defaults allow,
+and ``supports()`` sends any wider layout to the reference simulator.
+This test exercises the boundary itself: the vector kernel still
 reproduces the reference simulator decision-for-decision on systems
 whose ``_key_layout`` sits at (and just under) the 62-bit ceiling.
 """
