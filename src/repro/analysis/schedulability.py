@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from ..overheads.inflation import pd2_inflate_set
+from ..overheads.inflation import pd2_search
 from ..overheads.model import OverheadModel
 from ..partition.heuristics import PartitionFailure
 from ..partition.partitioner import edf_ff
@@ -129,32 +129,12 @@ def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
             hit = ANALYSIS_CACHE.get(ckey)
             if hit is not None:
                 return hit
-    result: Tuple[Optional[int], Optional[float], int] = (None, None, 0)
     u_raw = total_utilization(specs) if u_total is None else u_total
-    m = max(1, -(-u_raw.numerator // u_raw.denominator))  # ceil
-    while m <= cap:
-        inflations = pd2_inflate_set(specs, model, m)
-        # One pass: feasibility, the exact total weight (unnormalised
-        # num/den, as in pd2_total_weight), and the max iteration count.
-        feasible = True
-        num, den, iters = 0, 1, 0
-        for inf in inflations:
-            e_q, p_q = inf.quanta, inf.period_quanta
-            if e_q > p_q:
-                feasible = False
-                break
-            num = num * p_q + e_q * den
-            den *= p_q
-            if inf.iterations > iters:
-                iters = inf.iterations
-        if feasible:
-            if num <= m * den:      # total <= m, cross-multiplied
-                result = (m, float(Fraction(num, den)), iters)
-                break
-            # Jump straight to the implied lower bound instead of +1 steps.
-            m = max(m + 1, -(-num // den))  # ceil(total)
-        else:
-            break  # some task infeasible alone; more CPUs won't help
+    first = max(1, -(-u_raw.numerator // u_raw.denominator))  # ceil
+    found = pd2_search(specs, model, first, cap)
+    result: Tuple[Optional[int], Optional[float], int] = (
+        (None, None, 0) if found is None
+        else (found[0], float(found[1]), found[2]))
     if ckey is not None:
         ANALYSIS_CACHE.put(ckey, result)
     return result
@@ -245,19 +225,22 @@ class SchedulabilityPoint:
         return (self.m_ff - math.ceil(self.inflated_u_edf)) / self.m_ff
 
 
-def evaluate_task_set(specs: Sequence[TaskSpec],
-                      model: OverheadModel) -> SchedulabilityPoint:
+def evaluate_task_set(specs: Sequence[TaskSpec], model: OverheadModel, *,
+                      cache: bool = True) -> SchedulabilityPoint:
     """Compute the Fig. 3/Fig. 4 quantities for one task set.
 
     Shares the cached analyses with the ``*_min_processors`` entry points
     — the inflated totals fall straight out of the searches, so nothing
-    is computed twice.
+    is computed twice.  ``cache=False`` neither reads nor writes
+    :data:`ANALYSIS_CACHE` and skips the cache key: for callers whose
+    sets practically never repeat (freshly generated random sets), the
+    key would be pure cost.  Results are the same either way.
     """
     u_exact = total_utilization(specs)
     u_raw = float(u_exact)
     if specs:
-        digest = (task_set_cache_key(specs, model) if fastpath_enabled()
-                  else _UNSET)
+        digest = (task_set_cache_key(specs, model)
+                  if cache and fastpath_enabled() else None)
         m_pd2, u_pd2, iters = _pd2_analysis(specs, model, len(specs),
                                             digest, u_exact)
         m_ff, u_edf = _edf_ff_analysis(specs, model, digest)

@@ -12,15 +12,18 @@ correctness proofs are stated over exact rationals.
 faster than :class:`fractions.Fraction` (no normalisation on every
 arithmetic op, hashing on the reduced pair, rich comparisons by
 cross-multiplication).  Use :func:`weight_sum` to form exact feasibility
-sums such as the Pfair test ``sum(wt) <= M``.
+sums such as the Pfair test ``sum(wt) <= M``, and :func:`exact_sum` for
+the same sum over raw ``(num, den)`` pairs when the terms are never
+needed as values.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
-__all__ = ["Weight", "weight_sum"]
+__all__ = ["Weight", "weight_sum", "exact_sum"]
 
 
 class Weight:
@@ -202,3 +205,36 @@ def weight_sum(weights: Iterable[Weight]) -> Weight:
             num //= g
             den //= g
     return Weight(num, den)
+
+
+#: Terms :func:`exact_sum` folds left to right rather than splitting.
+_SUM_RUN = 64
+
+
+def exact_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
+    """Exact ``sum(nums[i] / dens[i])`` (every ``dens[i] > 0``), as a
+    reduced :class:`~fractions.Fraction`.
+
+    No term is normalised and only the result is reduced, so the work
+    is integer multiplication plus one gcd.  A left fold multiplies an
+    ever-growing denominator by one small factor per term, which is
+    quadratic in the bit length, so longer inputs are split in halves
+    whose sums are added: the large products then pair operands of
+    similar size.  Rational addition is exact in any order, so the
+    result equals the left fold's.
+    """
+    return Fraction(*_sum_pair(nums, dens))
+
+
+def _sum_pair(nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, int]:
+    """:func:`exact_sum` as an unreduced ``(num, den)`` pair."""
+    if len(dens) > _SUM_RUN:
+        mid = len(dens) // 2
+        n1, d1 = _sum_pair(nums[:mid], dens[:mid])
+        n2, d2 = _sum_pair(nums[mid:], dens[mid:])
+        return n1 * d2 + n2 * d1, d1 * d2
+    num, den = 0, 1
+    for n, d in zip(nums, dens):
+        num = num * d + n * den
+        den *= d
+    return num, den

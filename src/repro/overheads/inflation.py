@@ -38,12 +38,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import gt, truediv
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..core.rational import exact_sum
 from ..workload.spec import TaskSpec
 from .model import OverheadModel
 
-__all__ = ["PD2Inflation", "pd2_inflate", "pd2_inflate_set", "pd2_total_weight"]
+__all__ = ["PD2Inflation", "pd2_inflate", "pd2_inflate_set", "pd2_search",
+           "pd2_total_weight"]
 
 
 class PD2Inflation(NamedTuple):
@@ -97,14 +100,93 @@ def pd2_inflate_set(specs: Sequence[TaskSpec], model: OverheadModel,
                     model.context_switch, model.quantum)
 
 
-#: Iterations after which :func:`_inflate` stops stepping and bisects what
+def pd2_search(specs: Sequence[TaskSpec], model: OverheadModel, first: int,
+               cap: int) -> Optional[Tuple[int, Fraction, int]]:
+    """The least ``M`` in ``[first, cap]`` that passes Eq. (2) on the set
+    inflated for ``M`` processors, as ``(M, exact total quantised weight
+    at M, largest Eq. (3) iteration count at M)``.
+
+    ``None`` when no such ``M`` exists, or when some task is infeasible
+    alone at a candidate ``M`` (more processors only raise ``S_PD2``).
+    The total weight is non-decreasing in ``M``, so a candidate whose
+    total exceeds it can jump to ``max(M + 1, ceil(total))`` and the
+    first success is the least.
+
+    The per-task constants are prepared once; each candidate runs
+    :func:`_climb` and keeps only quanta and iteration counts.  Eq. (2)
+    is screened on the float total: its terms ``E/P`` lie in ``(0, 1]``
+    and each is rounded once (``2**-53``), and left-to-right summation
+    adds at most ``2**-53`` times each partial sum, so the float total
+    is within ``(n + 1)**2 * 2**-53`` of the exact one.  Unless it lies
+    within twice that of an integer, it has the exact total's floor and
+    ceiling, so the comparison with ``M`` and the jump are the exact
+    ones.  Otherwise (harmonic sets whose weights sum to an integer
+    land here) the decision is made on the exact total.  The exact
+    total is built once more for the accepted ``M``.
+    """
+    if first > cap:
+        return None
+    c, q = model.context_switch, model.quantum
+    rows = _rows(specs, c, q)
+    n = len(rows)
+    periods = [row[3] for row in rows]
+    margin = (n + 1) ** 2 * 2.0 ** -52
+    m = first
+    while m <= cap:
+        _, quanta, iterations = _climb(rows, model.pd2_sched_cost(n, m), c, q)
+        if any(map(gt, quanta, periods)):
+            return None  # some task infeasible alone
+        total = sum(map(truediv, quanta, periods))
+        if abs(total - round(total)) <= margin:
+            exact = exact_sum(quanta, periods)
+            if exact <= m:
+                return m, exact, max(iterations, default=0)
+            m = max(m + 1, math.ceil(exact))
+        elif total < m:
+            return (m, exact_sum(quanta, periods),
+                    max(iterations, default=0))
+        else:
+            m = max(m + 1, math.ceil(total))
+    return None
+
+
+#: Iterations after which :func:`_climb` stops stepping and bisects what
 #: is left.  Generated and trace-derived sets settle in at most six.
 _BISECT_AFTER = 32
+
+#: One prepared task: ``(spec, e, E0 = ceil(e/q), P = p/q, C + D(T))``.
+_Row = Tuple[TaskSpec, int, int, int, int]
+
+
+def _rows(specs: Sequence[TaskSpec], c: int, q: int) -> List[_Row]:
+    """The per-task constants of Eq. (3), which do not depend on ``M``."""
+    rows: List[_Row] = []
+    for spec in specs:
+        p = spec.period
+        if p % q != 0:
+            raise ValueError(
+                f"{spec.name or 'task'}: period {p} not a quantum multiple"
+            )
+        e = spec.execution
+        rows.append((spec, e, -(-e // q), p // q, c + spec.cache_delay))
+    return rows
 
 
 def _inflate(specs: Sequence[TaskSpec], s_pd2: float, c: int,
              q: int) -> List[PD2Inflation]:
-    """Eq. (3) over the quantum count ``E = ceil(e'/q)``, one task per row.
+    """Eq. (3) for every task, as :class:`PD2Inflation` rows."""
+    rows = _rows(specs, c, q)
+    e_primes, quanta, iterations = _climb(rows, s_pd2, c, q)
+    return [PD2Inflation(row[0], e_prime, e_quanta, row[3], its)
+            for row, e_prime, e_quanta, its
+            in zip(rows, e_primes, quanta, iterations)]
+
+
+def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
+           ) -> Tuple[List[int], List[int], List[int]]:
+    """Eq. (3) over the quantum count ``E = ceil(e'/q)``: per row, the
+    inflated execution ``e'``, the quantum count and the iterations, as
+    three parallel lists.
 
     Write ``f(E)`` for the quantum count of the demand that ``E`` quanta
     induce.  The result is the least ``E`` in ``[1, P]`` that covers its
@@ -130,47 +212,51 @@ def _inflate(specs: Sequence[TaskSpec], s_pd2: float, c: int,
     work per task is therefore ``O(log P)`` evaluations whatever the
     period, and the iteration counts the paper reports (about five) are
     unchanged for every task that settles within the budget.
+
+    This is the only implementation of the climb: :func:`pd2_inflate_set`
+    wraps its lists into :class:`PD2Inflation` rows, and :func:`pd2_search`
+    runs it once per candidate ``M`` on rows prepared once.
     """
-    ceil = math.ceil
-    out: List[PD2Inflation] = []
-    append = out.append
-    for spec in specs:
-        p = spec.period
-        if p % q != 0:
-            raise ValueError(
-                f"{spec.name or 'task'}: period {p} not a quantum multiple"
-            )
-        p_quanta = p // q
-        switch_cost = c + spec.cache_delay
-        e = spec.execution
+    ceil, bisect_after = math.ceil, _BISECT_AFTER
+    e_primes: List[int] = []
+    quanta: List[int] = []
+    iterations: List[int] = []
+    for spec, e, e_quanta, p_quanta, switch_cost in rows:
         e_prime = e
-        e_quanta = -(-e_prime // q)
         lo = e_quanta  # every E below lo fails to cover its demand
-        iterations = 0
+        its = 0
         while True:
-            iterations += 1
-            preemptions = min(e_quanta - 1, p_quanta - e_quanta)
-            if preemptions < 0 or iterations > _BISECT_AFTER:
+            its += 1
+            # min(E - 1, P - E), without the call
+            preemptions = (e_quanta - 1 if e_quanta + e_quanta <= p_quanta + 1
+                           else p_quanta - e_quanta)
+            if preemptions < 0 or its > bisect_after:
                 # Past the period, or a long climb: bisect [lo, P].
-                append(PD2Inflation(spec, e_prime, e_quanta, p_quanta,
-                                    iterations) if lo > p_quanta
-                       else _settle(spec, s_pd2, c, q, lo, iterations - 1))
+                if lo <= p_quanta:
+                    settled = _settle(spec, s_pd2, c, q, lo, its - 1)
+                    e_prime, e_quanta, its = (settled.inflated_execution,
+                                              settled.quanta,
+                                              settled.iterations)
                 break
             new_e_prime = ceil(e + e_quanta * s_pd2 + c
                                + preemptions * switch_cost)
             new_quanta = -(-new_e_prime // q)
             if new_quanta == e_quanta:
-                append(PD2Inflation(spec, new_e_prime, new_quanta, p_quanta,
-                                    iterations))
+                e_prime = new_e_prime
                 break
             if new_quanta < e_quanta:
                 # e_quanta covers: the answer lies in [lo, e_quanta].
-                append(_settle(spec, s_pd2, c, q, lo, iterations,
-                               (e_quanta, new_e_prime), new_quanta))
+                settled = _settle(spec, s_pd2, c, q, lo, its,
+                                  (e_quanta, new_e_prime), new_quanta)
+                e_prime, e_quanta, its = (settled.inflated_execution,
+                                          settled.quanta, settled.iterations)
                 break
             lo = e_quanta + 1
             e_prime, e_quanta = new_e_prime, new_quanta
-    return out
+        e_primes.append(e_prime)
+        quanta.append(e_quanta)
+        iterations.append(its)
+    return e_primes, quanta, iterations
 
 
 def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
@@ -245,12 +331,8 @@ def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
 def pd2_total_weight(inflations: Sequence[PD2Inflation]) -> Fraction:
     """Exact total quantised weight ``sum E/P`` — compare against M.
 
-    Accumulated as an unnormalised numerator/denominator pair, reduced by
-    one final gcd — exactly the same rational as summing the ``weight``
-    fractions, minus a gcd per task.
+    The same rational as summing the ``weight`` fractions, minus a gcd
+    per task (:func:`~repro.core.rational.exact_sum`).
     """
-    num, den = 0, 1
-    for inf in inflations:
-        num = num * inf.period_quanta + inf.quanta * den
-        den *= inf.period_quanta
-    return Fraction(num, den)
+    return exact_sum([inf.quanta for inf in inflations],
+                     [inf.period_quanta for inf in inflations])

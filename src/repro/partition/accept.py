@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..workload.spec import TaskSpec
-from .bins import ProcessorBin
+from .bins import SHADOW_MARGIN, ProcessorBin
 
 __all__ = [
     "AcceptanceTest",
@@ -97,11 +97,22 @@ class EDFUtilizationTest(AcceptanceTest):
 
     def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
                   ) -> Optional[Tuple[ProcessorBin, Fraction]]:
+        # Screened on the bins' float shadows: a shadow that clears the
+        # task's utilization by more than SHADOW_MARGIN admits, one that
+        # misses it by more skips, and only the rest (NaN included: the
+        # ``not <`` test) pay for the exact probe.  See SHADOW_MARGIN for
+        # why no decision differs from probing every bin exactly.
         e, p = spec.execution, spec.period
+        u = e / p
+        admits, misses = u + SHADOW_MARGIN, u - SHADOW_MARGIN
         for b in bins:
-            num, den = b.load_num, b.load_den
-            if num * p + e * den <= den * p:
+            spare = b.spare_shadow
+            if spare > admits:
                 return b, _Ratio(e, p)
+            if not spare < misses:
+                num, den = b.load_num, b.load_den
+                if num * p + e * den <= den * p:
+                    return b, _Ratio(e, p)
         return None
 
 
@@ -147,23 +158,34 @@ class EDFOverheadTest(AcceptanceTest):
 
     def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
                   ) -> Optional[Tuple[ProcessorBin, Fraction]]:
-        # The inlined body of admit, once per bin without the method-call
-        # overhead — Fig. 3 campaigns spend most of their EDF-side time in
-        # exactly this scan.
+        # The body of admit, once per bin without the method-call overhead
+        # and screened on the float shadows as in EDFUtilizationTest —
+        # Fig. 3 campaigns spend most of their EDF-side time in exactly
+        # this scan.  ``misses_any`` is the screen for the cheapest cost a
+        # bin can charge (no cache term), so a full bin is skipped before
+        # its own inflated cost is formed.
         e, p = spec.execution, spec.period
-        fixed = self.fixed_inflation
+        e_fixed = e + self.fixed_inflation
+        misses_any = e_fixed / p - SHADOW_MARGIN
         for b in bins:
             if b.max_period is not None and p > b.max_period:
                 raise ValueError(
                     "EDFOverheadTest requires tasks in non-increasing "
                     "period order"
                 )
-            e_prime = e + fixed + b.max_cache_delay
+            spare = b.spare_shadow
+            if spare < misses_any:
+                continue
+            e_prime = e_fixed + b.max_cache_delay
             if e_prime > p:
                 continue
-            num, den = b.load_num, b.load_den
-            if num * p + e_prime * den <= den * p:
+            slack = spare - e_prime / p
+            if slack > SHADOW_MARGIN:
                 return b, _Ratio(e_prime, p)
+            if not slack < -SHADOW_MARGIN:
+                num, den = b.load_num, b.load_den
+                if num * p + e_prime * den <= den * p:
+                    return b, _Ratio(e_prime, p)
         return None
 
 

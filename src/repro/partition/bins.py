@@ -10,12 +10,35 @@ preemption delay among resident tasks, which inflates every *later*
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, List, Optional
 
+from ..core.rational import exact_sum
 from ..workload.spec import TaskSpec
 
-__all__ = ["ProcessorBin", "Partition"]
+__all__ = ["ProcessorBin", "Partition", "SHADOW_MARGIN"]
+
+#: How far :attr:`ProcessorBin.spare_shadow` may stray from the exact
+#: spare capacity before a first-fit screen must not trust it.
+#:
+#: Rounding bound.  The shadow is set from the exact load as
+#: ``1.0 - num/den`` (int true division rounds correctly): error at
+#: most ``2**-52``.  Each :meth:`ProcessorBin.add` subtracts a correctly
+#: rounded ``u = num/den``: error at most ``2**-53 * u`` for the
+#: quotient plus ``2**-53 * |result|`` for the subtraction, which is at
+#: most ``2**-52`` while ``u`` and the shadow lie in ``[0, 1]``.  After
+#: ``n`` adds the error is at most ``(n + 1) * 2**-52``; resetting from
+#: the exact load every ``_SHADOW_ADDS = 2**20`` adds caps it at
+#: ``2**-32 < 2.4e-10``.  A screen that compares the shadow with a
+#: rounded utilization adds at most ``3 * 2**-53`` more, so the total
+#: stays below ``2.5e-10``, and a 1e-9 margin covers it four times over.
+#: A shadow that leaves ``[-SHADOW_MARGIN, 1]`` is reset from the exact
+#: load, and an exact load outside that range (above 1 or below 0, which
+#: no acceptance test commits) sets it to NaN, which every screen
+#: comparison fails, so such a bin is always probed exactly.
+SHADOW_MARGIN = 1e-9
+_SHADOW_ADDS = 1 << 20
 
 
 class ProcessorBin:
@@ -30,6 +53,13 @@ class ProcessorBin:
         #: exactness.  ``load`` exposes the reduced :class:`Fraction`.
         self.load_num: int = 0
         self.load_den: int = 1
+        #: Float shadow of the spare capacity ``1 - load``, within
+        #: :data:`SHADOW_MARGIN` of the exact value (or NaN).  The EDF
+        #: first-fit scans settle a probe on the shadow alone when it
+        #: clears or misses the task's utilization by more than the
+        #: margin, and cross-multiply only inside it.
+        self.spare_shadow: float = 1.0
+        self._shadow_adds = 0
         #: Largest D(T) among resident tasks (for Eq. (3) inflation of
         #: subsequently added, shorter-period tasks).
         self.max_cache_delay: int = 0
@@ -49,6 +79,15 @@ class ProcessorBin:
     def load(self, value: Fraction) -> None:
         f = Fraction(value)
         self.load_num, self.load_den = f.numerator, f.denominator
+        self._reset_shadow()
+
+    def _reset_shadow(self) -> None:
+        """Set the shadow from the exact load (NaN outside the range the
+        rounding bound covers)."""
+        spare = 1.0 - self.load_num / self.load_den
+        self.spare_shadow = (spare if -SHADOW_MARGIN <= spare <= 1.0
+                             else math.nan)
+        self._shadow_adds = 0
 
     @property
     def spare(self) -> Fraction:
@@ -60,6 +99,13 @@ class ProcessorBin:
         num, den = utilization.numerator, utilization.denominator
         self.load_num = self.load_num * den + num * self.load_den
         self.load_den *= den
+        adds = self._shadow_adds + 1
+        spare = self.spare_shadow - num / den
+        if adds < _SHADOW_ADDS and -SHADOW_MARGIN <= spare <= 1.0:
+            self.spare_shadow = spare
+            self._shadow_adds = adds
+        else:
+            self._reset_shadow()
         if spec.cache_delay > self.max_cache_delay:
             self.max_cache_delay = spec.cache_delay
         if self.min_period is None or spec.period < self.min_period:
@@ -90,12 +136,8 @@ class Partition:
         return len(self.bins)
 
     def total_load(self) -> Fraction:
-        # Accumulate the bins' raw num/den pairs; one reduction at the end.
-        num, den = 0, 1
-        for b in self.bins:
-            num = num * b.load_den + b.load_num * den
-            den *= b.load_den
-        return Fraction(num, den)
+        return exact_sum([b.load_num for b in self.bins],
+                         [b.load_den for b in self.bins])
 
     def bin_of(self, name: str) -> Optional[ProcessorBin]:
         for b in self.bins:

@@ -150,6 +150,8 @@ class OnlinePartitioner:
                         (t.cache_delay for t in b.tasks), default=0)
                     b.min_period = min(
                         (t.period for t in b.tasks), default=None)
+                    b.max_period = max(
+                        (t.period for t in b.tasks), default=None)
                     return
         raise AssertionError("committed task missing from all bins")
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..workload.spec import TaskSpec
+from ..workload.spec import TaskSpec, total_utilization
 from .swf import SWFJob, SWFLog
 
 __all__ = ["MAPPING_POLICIES", "MappingConfig", "TraceMappingError",
@@ -296,8 +296,7 @@ def scale_to_utilization(specs: Sequence[TaskSpec],
     if goal <= 0:
         raise ValueError(f"target utilization must be positive, got "
                          f"{target}")
-    total = sum(Fraction(s.execution, s.period) for s in specs)
-    factor = goal / total
+    factor = goal / total_utilization(specs)
     return [replace(s, execution=min(s.period,
                                      max(1, round(s.execution * factor))))
             for s in specs]

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
+from ..core.rational import exact_sum
+
 __all__ = ["TaskSpec", "total_utilization", "max_utilization"]
 
 
@@ -108,17 +110,10 @@ class TaskSpec:
 
 
 def total_utilization(specs: Iterable[TaskSpec]) -> Fraction:
-    """Exact summed utilization.
-
-    Accumulates an unnormalised numerator/denominator pair and reduces
-    once at the end: one gcd instead of one per task, with the same exact
-    result (rational addition needs no intermediate normalisation).
-    """
-    num, den = 0, 1
-    for s in specs:
-        num = num * s.period + s.execution * den
-        den *= s.period
-    return Fraction(num, den)
+    """Exact summed utilization (one gcd in all; see
+    :func:`~repro.core.rational.exact_sum`)."""
+    specs = list(specs)
+    return exact_sum([s.execution for s in specs], [s.period for s in specs])
 
 
 def max_utilization(specs: Iterable[TaskSpec]) -> Fraction:

@@ -3,11 +3,11 @@
 Two of this PR's acceptance criteria live here:
 
 * **the cross-domain cache race**: ``ANALYSIS_CACHE`` is written from the
-  ``ServerThread`` event loop (service ``analyze``) and from campaign
+  ``ServerThread`` event loop (service ``analyze``) and from analysis
   code on the main thread.  The stress test drives both at once — several
   client threads hammering ``admit``/``query``/``leave`` while the main
-  thread runs a schedulability campaign over overlapping task sets — and
-  then checks the system is still coherent.  Before ``LRUCache`` grew its
+  thread runs a schedulability campaign and cached analyses of
+  overlapping task sets — and then checks the system is still coherent.  Before ``LRUCache`` grew its
   internal lock this interleaving could corrupt the LRU's recency list;
   the test must pass repeatably (CI runs it three times).
 
@@ -21,8 +21,9 @@ import threading
 
 import pytest
 
+from repro.analysis.schedulability import ANALYSIS_CACHE, evaluate_task_set
 from repro.campaign import run_schedulability_campaign
-from repro.analysis.schedulability import ANALYSIS_CACHE
+from repro.overheads.model import OverheadModel
 from repro.service import AdmissionClient, ServerThread, ServiceState
 from repro.workload.spec import TaskSpec
 
@@ -67,11 +68,16 @@ class TestServiceCampaignStress:
             ]
             for t in threads:
                 t.start()
-            # The campaign runs serially on the main thread (workers=1):
-            # every evaluate_task_set call reads/writes ANALYSIS_CACHE
-            # while the service's analyze verb does the same on the loop.
+            # The campaign runs serially on the main thread (workers=1).
+            # Its freshly generated sets skip the cache, so the main
+            # thread's cache traffic comes from the cached analyses
+            # below, which read/write ANALYSIS_CACHE while the service's
+            # analyze verb does the same on the loop.
             rows = run_schedulability_campaign(
                 3, [0.5, 0.8, 1.1], sets_per_point=6, seed=42)
+            for k in range(60):
+                evaluate_task_set([spec(1, 3 + k % 4, "m.a"),
+                                   spec(1, 5, "m.b")], OverheadModel())
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads), \

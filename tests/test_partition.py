@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.partition.accept import (
+    AcceptanceTest,
     EDFOverheadTest,
     EDFUtilizationTest,
     RMHyperbolicTest,
@@ -13,7 +14,7 @@ from repro.partition.accept import (
     RMResponseTimeTest,
     rm_response_time,
 )
-from repro.partition.bins import Partition, ProcessorBin
+from repro.partition.bins import SHADOW_MARGIN, Partition, ProcessorBin
 from repro.partition.bounds import (
     lopez_beta,
     lopez_guarantee,
@@ -367,3 +368,164 @@ class TestOnlinePartitioner:
         # ...but FFD repacking gives bins 1.0 and 0.5, making room.
         assert op.repartition()
         assert op.try_join(spec(1, 2, "big")) is not None
+
+
+class _CountingBin(ProcessorBin):
+    """A bin that counts reads of its exact load made while ``probing``
+    is set — i.e. the cross-multiplied probes a first-fit scan makes."""
+
+    probing = False
+    exact_probes = 0
+
+    @property
+    def load_num(self):
+        if _CountingBin.probing:
+            _CountingBin.exact_probes += 1
+        return self._load_num
+
+    @load_num.setter
+    def load_num(self, value):
+        self._load_num = value
+
+
+@st.composite
+def ff_feeds(draw, overhead):
+    """``(fixed inflation, tasks)`` for a first-fit feed in non-increasing
+    period order.  A prefix of two or more tasks whose inflated costs sum
+    to exactly one period fills bin 0 to load 1, so the probe that
+    completes it meets a shadow equal to its utilization (inside the
+    margin); arbitrary tasks with cache delays follow."""
+    fixed = draw(st.integers(0, 3)) if overhead else 0
+    units = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    scale = draw(st.integers(fixed + 1, fixed + 5))
+    period = scale * sum(units)
+    prefix = [spec(u * scale - fixed, period, f"f{i}")
+              for i, u in enumerate(units)]
+    rest = draw(st.lists(
+        st.integers(1, period).flatmap(lambda p: st.tuples(
+            st.integers(1, p), st.just(p), st.integers(0, 3))),
+        max_size=14))
+    rest = sorted((spec(e, p, f"t{i}", d) for i, (e, p, d) in enumerate(rest)),
+                  key=lambda s: -s.period)
+    return fixed, prefix + rest
+
+
+def _assert_shadow_synced(bins):
+    for b in bins:
+        assert abs(b.spare_shadow - (1 - float(b.load))) <= SHADOW_MARGIN
+
+
+class TestFirstFitScreen:
+    """The EDF first-fit scans screen bins on a float shadow of their
+    spare capacity; every decision must equal the base-class scan, which
+    probes ``admit`` (exact) on every bin."""
+
+    def _check_feed(self, accept, tasks):
+        fast, ref = [], []
+        _CountingBin.exact_probes = 0
+        for t in tasks:
+            _CountingBin.probing = True
+            try:
+                got = accept.first_fit(fast, t)
+            finally:
+                _CountingBin.probing = False
+            want = AcceptanceTest.first_fit(accept, ref, t)
+            if want is None:
+                assert got is None
+                for bins in (fast, ref):
+                    bins.append(_CountingBin(len(bins)))
+                    u = accept.admit(bins[-1], t)
+                    if u is None:
+                        return  # infeasible alone: both packers stop here
+                    bins[-1].add(t, u)
+            else:
+                assert got is not None
+                assert got[0].index == want[0].index
+                u = Fraction(got[1].numerator, got[1].denominator)
+                assert u == want[1]
+                got[0].add(t, got[1])
+                want[0].add(t, want[1])
+            assert [b.load for b in fast] == [b.load for b in ref]
+            _assert_shadow_synced(fast)
+        # The completing probe of the exact prefix ran the exact branch.
+        assert _CountingBin.exact_probes > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(ff_feeds(overhead=False))
+    def test_utilization_test_matches_exact_scan(self, feed):
+        _, tasks = feed
+        self._check_feed(EDFUtilizationTest(), tasks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ff_feeds(overhead=True))
+    def test_overhead_test_matches_exact_scan(self, feed):
+        fixed, tasks = feed
+        self._check_feed(EDFOverheadTest(fixed), tasks)
+
+    @pytest.mark.parametrize("accept", [EDFUtilizationTest(),
+                                        EDFOverheadTest(0)])
+    def test_probes_inside_the_margin_are_decided_exactly(self, accept):
+        """Spare 1/100000 against utilizations 1e-10 either side of it:
+        both probes land inside the margin, and the exact test rejects
+        the larger and admits the smaller."""
+        b = ProcessorBin(0)
+        b.add(spec(99_999, 100_001), Fraction(99_999, 100_000))
+        assert abs(b.spare_shadow - 1 / 99_999) <= SHADOW_MARGIN
+        assert accept.first_fit([b], spec(1, 99_999)) is None
+        got = accept.first_fit([b], spec(1, 100_001))
+        assert got is not None and got[0] is b
+
+    def test_period_order_error_fires_on_a_screened_bin(self):
+        """Bin 0 is full, so the screen would skip it; the feed-order
+        check still runs on it first, exactly as the exact scan does."""
+        b = ProcessorBin(0)
+        b.add(spec(10, 10), Fraction(1))
+        with pytest.raises(ValueError, match="non-increasing period"):
+            EDFOverheadTest(0).first_fit([b], spec(1, 20))
+
+    def test_out_of_range_load_is_probed_exactly(self):
+        """A load the rounding bound does not cover (here above 1) turns
+        the shadow into NaN, which defers every probe to the exact test."""
+        b = _CountingBin(0)
+        b.add(spec(2, 2), Fraction(3, 2))
+        assert b.spare_shadow != b.spare_shadow  # NaN
+        _CountingBin.exact_probes = 0
+        _CountingBin.probing = True
+        try:
+            assert EDFUtilizationTest().first_fit([b], spec(1, 4)) is None
+        finally:
+            _CountingBin.probing = False
+        assert _CountingBin.exact_probes == 1
+        b.load = Fraction(1, 2)
+        _assert_shadow_synced([b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 11),
+                              st.integers(1, 12), st.sampled_from([4, 6, 12])),
+                    min_size=1, max_size=40),
+           st.booleans())
+    def test_shadow_tracks_load_through_join_leave_repartition(self, ops,
+                                                               overhead):
+        accept = EDFOverheadTest(0) if overhead else EDFUtilizationTest()
+        op = OnlinePartitioner(3, accept=accept)
+        for join, k, e, p in ops:
+            name = f"t{k}"
+            if join and name not in op._committed:
+                try:
+                    op.try_join(spec(min(e, p), p, name))
+                except ValueError:
+                    pass  # an online join out of period order
+            elif not join and name in op._committed:
+                op.leave(name)
+            _assert_shadow_synced(op.partition.bins)
+        op.repartition()
+        _assert_shadow_synced(op.partition.bins)
+
+    def test_shadow_reset_after_failover(self):
+        from repro.sim.partitioned import reassign_after_failure
+
+        part = edf_ff([spec(1, 2, "a"), spec(1, 3, "b"), spec(2, 3, "c"),
+                       spec(1, 6, "d"), spec(1, 4, "e")]).partition
+        reassign_after_failure(part, 0)
+        _assert_shadow_synced(part.bins)
+        assert part.bins[0].load == 0 and part.bins[0].max_period is None
