@@ -24,12 +24,11 @@ stress:
 staticcheck:
 	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro
 
-# Just the dataflow rules, baseline-free — mirrors the CI hard gate
-# (R011 numpy dtype soundness, R012 wire conformance;
-# docs/STATIC_ANALYSIS.md).
+# Just the dataflow rule, baseline-free — mirrors the CI hard gate
+# (R012 wire conformance; docs/STATIC_ANALYSIS.md).
 staticcheck-dataflow:
 	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro \
-		--select R011,R012
+		--select R012
 
 # The determinism-provenance layer, baseline-free — mirrors the CI hard
 # gate (R013 seed provenance, R014 ordering soundness, R015 canonical

@@ -53,8 +53,8 @@ TARGET_U = Fraction(17, 5)  # 0.85 * M, exactly
 HORIZON = 20_000 if full_scale() else 4_000
 MAX_WINDOWS = 8 if full_scale() else 2
 
-#: ``simulate_pfair`` keyword sets selecting each kernel tier (the
-#: bench_scaling stack, pointed at trace-derived sets).
+#: ``simulate_pfair`` keyword sets selecting each kernel tier, run on
+#: trace-derived sets.
 KERNELS = {
     "reference": dict(fastpath=False),
     "vector": dict(fastpath=True),

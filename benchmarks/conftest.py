@@ -27,9 +27,9 @@ OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 def pytest_addoption(parser):
     parser.addoption(
         "--quick", action="store_true", default=False,
-        help="bench_scaling: one timing rep per kernel and grid point, "
-             "hard decision-identity gate, soft (::warning) throughput "
-             "floor, no JSON rewrite — the CI perf-smoke configuration")
+        help="bench_traces: reduced horizon, full-strength kernel "
+             "decision-identity gate, no JSON rewrite — the CI "
+             "traces-smoke configuration")
 
 
 @pytest.fixture

@@ -73,9 +73,12 @@ protocol at each boundary: signatures are relative to the boundary, so
 :data:`~repro.sim.cache.HYPERPERIOD_CACHE` entries replay across runs of
 equivalent systems.
 
-Everything is exact integer arithmetic: every numpy array in this module
-is int64 (or bool), enforced by staticcheck rule R001, which gates this
-file to integer dtypes and flags any float dtype or true division.
+Everything is exact integer arithmetic.  Every column the simulator
+keeps is int64 or bool, and every key handed to a sort is a signed
+integer: the int64 priority keys, plus one audited int32 radix key in
+:meth:`VectorPD2Simulator._fold_affinity`.  ``TestDtypes`` in
+``tests/test_sim_vector.py`` checks both on the running kernel;
+staticcheck rule R001 bans float dtypes and true division in this file.
 
 Use :func:`repro.sim.quantum.simulate_pfair`, which dispatches here
 automatically when :func:`supports` accepts the configuration and the

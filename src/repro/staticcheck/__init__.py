@@ -12,7 +12,7 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
 
 * **R001 exactness** — no float literals, ``float()`` calls, or true
   division in decision paths (``core/`` and the vectorized kernel
-  ``sim/vector.py``); numpy in the kernel is gated to integer dtypes.
+  ``sim/vector.py``); numpy float dtypes are banned in the kernel.
 * **R002 determinism** — no seedless RNGs, wall-clock reads, or
   environment reads outside ``util/toggles.py`` in ``core/`` + ``sim/``.
 * **R003 layering** — the import DAG ``util → core → workload →
@@ -36,14 +36,9 @@ the concurrency model written down in docs/CONCURRENCY.md:
 * **R009 fork-safety** — nothing transitively holding a lock, socket,
   or event loop crosses a process boundary.
 
-Two more are *dataflow* rules, built on a numpy dtype lattice
-(:mod:`repro.staticcheck.nptypes`) and a syntactic wire-protocol model
-(:mod:`repro.staticcheck.dataflow`):
+One more is a *dataflow* rule, built on a syntactic wire-protocol
+model (:mod:`repro.staticcheck.dataflow`):
 
-* **R011 numpy-dtype-soundness** — no silent dtype promotion in the
-  integer kernel (``sim/vector.py``): implicit
-  float64 defaults, ``uint64``/signed mixing, true division, mixed
-  integer widths inside sort keys.
 * **R012 wire-conformance** — every registered wire verb has a
   handler, every emitted verb is registered, every emitted field is
   read by a peer, and persisted payloads are format-tag-checked where
@@ -71,6 +66,11 @@ classifier (see docs/DETERMINISM.md):
 Each project rule *declares* the analysis passes it needs
 (:mod:`repro.staticcheck.passes`), so ``--select R013`` builds the
 seed-taint pass and nothing else.
+
+Retired ids (R004, R010, R011) are never reused.  The vector kernel's
+key budget and dtype soundness are checked by tests that run the real
+kernel (``TestKeyBudget`` and ``TestDtypes`` in
+``tests/test_sim_vector.py``).
 
 Call-graph resolution is unsound in the direction of silence: dynamic
 dispatch degrades to an ``unknown`` target, so these rules miss dynamic

@@ -31,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="AST-based invariant checker: exactness, determinism, "
                     "layering, hygiene, the "
                     "interprocedural concurrency rules (R006-R009), the "
-                    "dataflow rules (R011 numpy dtype soundness, "
-                    "R012 wire conformance), "
+                    "dataflow rule R012 (wire conformance), "
                     "and the provenance rules (R013 seed provenance, "
                     "R014 ordering soundness, R015 canonical "
                     "serialization).",

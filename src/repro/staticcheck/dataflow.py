@@ -4,8 +4,7 @@ R012 checks that the JSON-lines wire protocol spoken by ``service/`` and
 ``distrib/`` stays closed under evolution: every registered verb has a
 handler, every emitted verb and request field has a reader, and every
 module that defines a wire-format tag checks it before reading a
-decoded payload's keys.  The numpy dtype rule (R011) lives in
-:mod:`~repro.staticcheck.nptypes`.
+decoded payload's keys.
 
 The analysis is purely syntactic over :mod:`ast` and stdlib-only.  Like
 the other project rules it is unsound toward silence: frames built

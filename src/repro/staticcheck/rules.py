@@ -8,8 +8,7 @@ need to know about pragmas.
 
 The rule ids are stable API — baselines, pragmas, and CI logs refer to
 them — so new checks get new ids rather than changing what an existing id
-means, and a retired id (R004, the packed-key width check) is never
-reused.
+means, and a retired id (R004, R010, R011) is never reused.
 """
 
 from __future__ import annotations
@@ -113,23 +112,25 @@ class ExactnessRule(Rule):
     genuinely need floats carry a line pragma with a justification.
 
     The vectorized kernel (``sim/vector.py``) gets the same base checks
-    *plus* numpy dtype gating: every array it builds must carry an
-    integer (or bool) dtype.  A single ``np.float64`` column — or one
-    ``np.true_divide`` — silently rounds the packed 62-bit priority keys
-    above 2**53 and reorders ties, so float dtypes and numpy's
-    true-division entry points are flagged outright.
+    *plus* numpy dtype gating.  A single ``np.float64`` column — or one
+    ``np.true_divide`` — silently rounds the narrow 62-bit priority keys
+    above 2**53 and reorders ties, so spelled float dtypes and numpy's
+    true-division entry points are flagged outright.  Implicit ones
+    (``np.zeros(n)``, ``uint64`` mixed with signed) are not visible per
+    statement; ``TestDtypes`` in ``tests/test_sim_vector.py`` checks the
+    running kernel's dtypes.
     """
 
     rule_id = "R001"
     name = "exactness"
     description = ("no float literals, float() calls, or true division "
-                   "in decision paths (core/, sim/vector.py); numpy in "
-                   "sim/vector.py restricted to integer dtypes")
+                   "in decision paths (core/, sim/vector.py); no numpy "
+                   "float dtypes in sim/vector.py")
 
     SCOPE_PACKAGES = ("core",)
-    #: Vectorized decision kernels: base checks apply *and* numpy usage
-    #: is gated to integer/bool dtypes (int64 keys survive exactly;
-    #: float64 mantissas do not).
+    #: Vectorized decision kernels: base checks apply *and* numpy float
+    #: dtypes are flagged (int64 keys survive exactly; float64 mantissas
+    #: do not).
     NUMPY_KERNEL_FILES = ("sim/vector.py",)
 
     #: ``np.<attr>`` spellings of inexact dtypes.
@@ -610,12 +611,11 @@ class HygieneRule(Rule):
                 and test.comparators[0].value is None)
 
 
-#: The concurrency, dataflow, and provenance rules live in their own
-#: modules; the imports sit at the bottom because all subclass Rule
+#: The concurrency, wire-conformance, and provenance rules live in their
+#: own modules; the imports sit at the bottom because all subclass Rule
 #: (defined above).
 from .concurrency import CONCURRENCY_RULES  # noqa: E402
 from .dataflow import WireConformanceRule  # noqa: E402
-from .nptypes import NumpyDtypeRule  # noqa: E402
 from .ordering import OrderingSoundnessRule  # noqa: E402
 from .provenance import (CanonicalSerializationRule,  # noqa: E402
                          SeedProvenanceRule)
@@ -627,7 +627,6 @@ RULES: Tuple[Rule, ...] = (
     LayeringRule(),
     HygieneRule(),
 ) + CONCURRENCY_RULES + (
-    NumpyDtypeRule(),
     WireConformanceRule(),
     SeedProvenanceRule(),
     OrderingSoundnessRule(),

@@ -8,7 +8,10 @@ a plain search written from the public ``pd2_inflate_set`` and
 float) and the same largest iteration count — on generator sets, the
 zero model, integer totals, infeasible tasks and rows that leave the
 climb for bisection.  (The EDF first-fit scan has its own differential
-test, ``TestFirstFitScreen`` in ``tests/test_partition.py``.)
+test, ``TestFirstFitScreen`` in ``tests/test_partition.py``.)  Last,
+``evaluate_task_set`` must give the same point whether its analyses come
+from a cold or warm ``ANALYSIS_CACHE``, skip the cache, or run with the
+fast path off.
 """
 
 import math
@@ -18,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import utilization_grid
-from repro.analysis.schedulability import _pd2_analysis
+from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_analysis,
+                                           evaluate_task_set)
 from repro.core.rational import exact_sum
 from repro.overheads import inflation
 from repro.overheads.inflation import pd2_inflate_set, pd2_total_weight
 from repro.overheads.model import OverheadModel
+from repro.util.toggles import set_fastpath
 from repro.workload.generator import TaskSetGenerator
 from repro.workload.spec import TaskSpec, total_utilization
 
@@ -166,3 +171,30 @@ class TestPD2SearchMatchesReference:
                               sched_pd2=lambda n, m: s64 * m / 64)
         specs = [TaskSpec(e, p, cache_delay=d) for e, p, d in rows]
         assert_same(specs, model)
+
+
+class TestAnalysisCache:
+    @pytest.mark.parametrize("n", [12, 50])
+    def test_cache_never_changes_a_point(self, n):
+        model = OverheadModel()
+        sets = [TaskSetGenerator(10 * n + j).generate(n, u)
+                for j, u in enumerate(utilization_grid(n, points=4))]
+        ANALYSIS_CACHE.clear()
+        try:
+            cold = [evaluate_task_set(specs, model) for specs in sets]
+            hits = ANALYSIS_CACHE.info()["hits"]
+            warm = [evaluate_task_set(specs, model) for specs in sets]
+            # One PD² and one EDF-FF hit per set: the warm pass really
+            # read its answers from the cache.
+            assert ANALYSIS_CACHE.info()["hits"] - hits == 2 * len(sets)
+            hits = ANALYSIS_CACHE.info()["hits"]
+            uncached = [evaluate_task_set(specs, model, cache=False)
+                        for specs in sets]
+            set_fastpath(False)
+            reference = [evaluate_task_set(specs, model) for specs in sets]
+            # ... and neither bypass read it.
+            assert ANALYSIS_CACHE.info()["hits"] == hits
+        finally:
+            set_fastpath(None)
+            ANALYSIS_CACHE.clear()
+        assert cold == warm == uncached == reference

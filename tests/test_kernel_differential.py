@@ -3,7 +3,8 @@
 :class:`VectorPD2Simulator` claims slot-for-slot identical decisions to
 :class:`QuantumSimulator` under PD².  This suite runs hundreds of
 randomized periodic task systems — including early-release,
-nonzero-phase, and overloaded (miss-recording) systems — through both
+nonzero-phase, and overloaded (miss-recording) systems — and generator
+sets of up to 256 tasks through both
 and asserts identical ``(slot, processor, task, subtask)`` allocations
 and identical :class:`SimStats`, including the canonical (priority-key)
 order of end-of-run unscheduled misses — the empirical half of the
@@ -21,6 +22,7 @@ from repro.core.priority import PD2Priority
 from repro.core.task import PeriodicTask
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.vector import VectorPD2Simulator, supports
+from repro.workload.generator import TaskSetGenerator
 
 N_RANDOM_SETS = 220
 
@@ -235,3 +237,20 @@ class TestDifferential:
                 for tid, idx, _ in never]
         assert keys == sorted(keys)
         assert snaps[0] == snaps[1]
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_generator_sets(self, n):
+        # Far larger than the random systems above: N tasks at
+        # U = 0.85·M on M=4, 2,000 slots.
+        specs = TaskSetGenerator(1, quantum=1, min_period=50,
+                                 max_period=5000).generate(n, 0.85 * 4)
+
+        def run(fastpath):
+            # fastpath=True raises rather than fall back, so the vector
+            # kernel is known to have run.
+            tasks = [PeriodicTask(s.execution, s.period, task_id=i)
+                     for i, s in enumerate(specs)]
+            return _snapshot(simulate_pfair(tasks, 4, 2000, trace=True,
+                                            fastpath=fastpath))
+
+        assert run(False) == run(True), f"divergence at N={n}"

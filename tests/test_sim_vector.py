@@ -4,20 +4,24 @@ The heavy decision-identity coverage lives in
 ``test_kernel_differential.py``; this file pins down the kernel's
 *edges*: the ``supports`` gates, the dispatcher fallback and its toggle,
 constructor validation, the degenerate horizons the vectorized paths
-must not mishandle, and the narrow-key bit budget under the real
-``max_period`` defaults.  It also holds the hypothesis properties the
-kernel's correctness rests on: the per-weight subtask columns reproduce
-every real subtask, and the narrow int64 keys order like
-:meth:`PD2Priority.key` tuples.
+must not mishandle, the narrow-key bit budget under the real
+``max_period`` defaults, and the kernel's dtype soundness (integer
+columns, signed-integer sort keys).  It also holds the hypothesis
+properties the kernel's correctness rests on: the per-weight subtask
+columns reproduce every real subtask, and the narrow int64 keys order
+like :meth:`PD2Priority.key` tuples.
 """
 
 import dataclasses
 import inspect
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.vector as vec_mod
 from repro.core.priority import EPDFPriority, PD2Priority
 from repro.core.task import PeriodicTask, SporadicTask
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
@@ -32,7 +36,10 @@ from repro.sim.vector import (
 from repro.traces.mapping import MappingConfig
 from repro.util.toggles import set_fastpath
 from repro.workload.distributions import log_uniform_periods
-from repro.workload.generator import TaskSetGenerator
+from repro.workload.generator import TaskSetGenerator, specs_to_pfair_tasks
+
+from strategies import feasible_task_systems
+from test_vector_bridge import _assemble, _edge_period
 
 
 def _tasks():
@@ -123,8 +130,6 @@ class TestDispatch:
         # Every gate loses the vector tier but keeps the answers: auto
         # dispatch lands on the reference.  The slot gate is lowered so
         # the over-long chunk runs in milliseconds.
-        import repro.sim.vector as vec_mod
-
         if label == "chunk slots":
             monkeypatch.setattr(vec_mod, "MAX_CHUNK_SLOTS", 40)
             horizon = 41
@@ -142,8 +147,6 @@ class TestDispatch:
     def test_no_fastpath_toggle_disables_vector_too(self, monkeypatch):
         # --no-fastpath means reference-only: the vector tier must not
         # even be consulted when the fast path toggle is off.
-        import repro.sim.vector as vec_mod
-
         calls = []
         real = vec_mod.supports
         monkeypatch.setattr(
@@ -339,3 +342,83 @@ class TestAgainstRealSubtasks:
         for ka, ta in entries:
             for kb, tb in entries:
                 assert (ka < kb) == (ta < tb)
+
+
+# ---------------------------------------------------------------------------
+# Dtype soundness: int64/bool columns and signed-integer sort keys
+
+
+class _RecordingNumpy:
+    """Stands in for ``numpy`` inside ``repro.sim.vector``: forwards
+    every attribute and records the dtype of each key handed to a sort."""
+
+    SORTS = frozenset({"argsort", "lexsort", "searchsorted", "sort"})
+
+    def __init__(self):
+        self.sort_keys = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.SORTS:
+            return attr
+
+        def recording(*args, **kwargs):
+            for arg in args:   # lexsort takes a tuple of keys
+                keys = arg if isinstance(arg, (tuple, list)) else (arg,)
+                self.sort_keys.extend(
+                    (name, np.asarray(key).dtype) for key in keys)
+            return attr(*args, **kwargs)
+
+        return recording
+
+
+def _assert_dtype_sound(tasks, processors, horizon, **kwargs):
+    recorder = _RecordingNumpy()
+    sim = VectorPD2Simulator(tasks, processors, **kwargs)
+    with mock.patch.object(vec_mod, "np", recorder):
+        sim.run(horizon)
+    columns = {name: value.dtype for name, value in vars(sim).items()
+               if isinstance(value, np.ndarray)}
+    assert {"_live", "_elig", "_quanta", "_K0c"} <= set(columns)
+    wide = {name: str(dtype) for name, dtype in columns.items()
+            if dtype not in (np.dtype(np.int64), np.dtype(bool))}
+    assert not wide, f"columns outside int64/bool: {wide}"
+    assert recorder.sort_keys, "the kernel sorted nothing"
+    unsigned = [(func, str(dtype)) for func, dtype in recorder.sort_keys
+                if dtype.kind != "i"]
+    assert not unsigned, f"sort keys that are not signed integers: {unsigned}"
+
+
+class TestDtypes:
+    """Every column the kernel keeps is int64 or bool, and every key it
+    sorts on is a signed integer (the ``_fold_affinity`` radix key is an
+    audited int32), on the real kernel: a silent float64, uint64 or
+    object promotion would reorder ties above 2**53 or wrap."""
+
+    @given(feasible_task_systems(max_processors=4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_systems(self, system, trace):
+        tasks, processors, horizon = system
+        # Untraced runs over three hyperperiods take the memo's chunked
+        # path; traced runs place the whole horizon in one chunk.
+        _assert_dtype_sound(tasks, processors,
+                            horizon if trace else 3 * horizon, trace=trace)
+
+    @pytest.mark.parametrize("n, processors", [(16, 4), (64, 4), (256, 4),
+                                               (64, 12)])
+    def test_generator_sets(self, n, processors):
+        # M=12 takes the bitmask affinity fold for machines above M=7.
+        specs = TaskSetGenerator(n, quantum=1, min_period=50,
+                                 max_period=5000).generate(
+            n, 0.85 * processors)
+        _assert_dtype_sound(specs_to_pfair_tasks(specs), processors, 2000,
+                            trace=True)
+
+    @pytest.mark.parametrize("small, n_edge, horizon",
+                             [([(1, 3, 0)], 1, 16),
+                              ([(2, 5, 1), (3, 7, 4)], 2, 64)])
+    def test_key_budget_edge(self, small, n_edge, horizon):
+        tasks = _assemble(small, _edge_period(small, n_edge, horizon),
+                          n_edge)
+        assert _key_layout(tasks, horizon)[3] >= MAX_KEY_BITS - 2
+        _assert_dtype_sound(tasks, len(tasks), horizon, trace=True)

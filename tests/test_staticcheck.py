@@ -521,32 +521,29 @@ class TestCli:
         assert staticcheck_main(["--list-rules"]) == 0
         listed = [line.split()[0]
                   for line in capsys.readouterr().out.splitlines()]
-        # Retired ids (the gaps after R003 and R009) are never reused.
+        # Retired ids (R004, R010, R011) are never reused.
         assert listed == ["R001", "R002", "R003", "R005", "R006", "R007",
-                          "R008", "R009", "R011", "R012", "R013", "R014",
-                          "R015"]
+                          "R008", "R009", "R012", "R013", "R014", "R015"]
 
     def test_unknown_rule_ids_are_usage_errors(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"core/mod.py": "X = 0.5\n"})
         for flag, ids in (("--select", "R004"), ("--select", "R010"),
-                          ("--ignore", "R999"), ("--select", "R001,R999")):
+                          ("--select", "R011"), ("--ignore", "R999"),
+                          ("--select", "R001,R999")):
             with pytest.raises(SystemExit) as exc:
                 staticcheck_main([str(root), flag, ids])
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert flag in err and ids.split(",")[-1] in err
 
-    @pytest.mark.parametrize("ids", ["R011, R012", " R011 ,R012,"])
+    @pytest.mark.parametrize("ids", ["R001, R012", " R001 ,R012,"])
     def test_rule_lists_parse_like_pragmas(self, tmp_path, capsys, ids):
         # Spaces around ids and a trailing comma are accepted, as in
-        # ``# staticcheck: allow[R011, R012]``.
+        # ``# staticcheck: allow[R001, R012]``.
         import json
 
         root = make_tree(tmp_path, {
-            "sim/vector.py": ("import numpy as np\n"
-                              "def build(n):\n"
-                              "    acc = np.zeros(n)\n"
-                              "    return acc\n"),
+            "core/mod.py": "X = 0.5\n",
             "campaign/store.py": ("import json\n"
                                   "FORMAT = 'repro-store-v1'\n"
                                   "def load(text):\n"
@@ -555,7 +552,7 @@ class TestCli:
         assert staticcheck_main([str(root), "--select", ids,
                                  "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in report["violations"]} == {"R011", "R012"}
+        assert {v["rule"] for v in report["violations"]} == {"R001", "R012"}
 
     def test_empty_rule_list_is_a_usage_error(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"core/mod.py": "X = 0.5\n"})
