@@ -3,8 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test stress bench figures full-figures examples clean \
-	staticcheck staticcheck-dataflow staticcheck-provenance lint \
-	typecheck check
+	staticcheck lint typecheck check
 
 install:
 	$(PYTHON) setup.py develop
@@ -20,22 +19,10 @@ stress:
 			tests/test_concurrency_stress.py || exit 1; \
 	done
 
-# Domain invariant checker (stdlib-only; always available).
+# Domain invariant checker (stdlib-only; always available): every rule,
+# one hard gate — the same run CI makes (docs/STATIC_ANALYSIS.md).
 staticcheck:
 	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro
-
-# Just the dataflow rule, baseline-free — mirrors the CI hard gate
-# (R012 wire conformance; docs/STATIC_ANALYSIS.md).
-staticcheck-dataflow:
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro \
-		--select R012
-
-# The determinism-provenance layer, baseline-free — mirrors the CI hard
-# gate (R013 seed provenance, R014 ordering soundness, R015 canonical
-# serialization; docs/DETERMINISM.md).
-staticcheck-provenance:
-	PYTHONPATH=src $(PYTHON) -m repro.staticcheck src/repro \
-		--select R013,R014,R015
 
 # ruff/mypy are optional in the dev container; the targets no-op with a
 # notice when the tool is missing so `make check` works everywhere.

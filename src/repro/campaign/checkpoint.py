@@ -161,6 +161,26 @@ class CheckpointStore:
     def _shard_path(self, shard_id: str) -> Path:
         return self.run_dir / self.SHARD_DIR / f"{shard_id}.json"
 
+    def _load_shard(self, shard_id: str) -> Dict[str, Any]:
+        """The decoded checkpoint of ``shard_id``.
+
+        Raises :class:`RunDirError` unless the file is JSON carrying the
+        :data:`SHARD_FORMAT` tag and a shard spec recording ``shard_id``;
+        a missing file raises ``OSError``.
+        """
+        path = self._shard_path(shard_id)
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise RunDirError(f"{path}: not JSON ({exc})") from exc
+        shard = data.get("shard") if isinstance(data, dict) else None
+        if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT \
+                or not isinstance(shard, dict) \
+                or shard.get("shard_id") != shard_id:
+            raise RunDirError(f"{path}: not a {SHARD_FORMAT} checkpoint "
+                              f"of shard {shard_id}")
+        return data
+
     def completed_shards(self) -> Set[str]:
         """Ids of shards with a complete, well-formed checkpoint file.
 
@@ -175,14 +195,10 @@ class CheckpointStore:
         done: Set[str] = set()
         for path in shard_dir.glob("*.json"):
             try:
-                data = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+                self._load_shard(path.stem)
+            except (OSError, RunDirError):
                 continue
-            shard = data.get("shard") if isinstance(data, dict) else None
-            if isinstance(data, dict) and data.get("format") == SHARD_FORMAT \
-                    and isinstance(shard, dict) \
-                    and shard.get("shard_id") == path.stem:
-                done.add(path.stem)
+            done.add(path.stem)
         return done
 
     def write_shard(self, spec: ShardSpec,
@@ -214,28 +230,18 @@ class CheckpointStore:
         """A shard checkpoint's provenance fields (``attempts``,
         ``elapsed_seconds``, optional ``worker``) without the points —
         what ``repro campaign status --shards`` renders."""
-        path = self._shard_path(shard_id)
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT:
-            raise RunDirError(f"{path}: not a {SHARD_FORMAT} checkpoint")
+        data = self._load_shard(shard_id)
         return {k: data[k] for k in ("attempts", "elapsed_seconds", "worker")
                 if k in data}
 
     def read_shard(self, shard_id: str) -> List[SchedulabilityPoint]:
         """Restore a shard's evaluated points, verifying the format tag."""
-        path = self._shard_path(shard_id)
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT:
-            raise RunDirError(f"{path}: not a {SHARD_FORMAT} checkpoint")
-        return [point_from_dict(pd) for pd in data["points"]]
+        return [point_from_dict(pd)
+                for pd in self._load_shard(shard_id)["points"]]
 
     def read_shard_spec(self, shard_id: str) -> ShardSpec:
         """The :class:`ShardSpec` recorded in a shard checkpoint."""
-        path = self._shard_path(shard_id)
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT:
-            raise RunDirError(f"{path}: not a {SHARD_FORMAT} checkpoint")
-        return ShardSpec.from_dict(data["shard"])
+        return ShardSpec.from_dict(self._load_shard(shard_id)["shard"])
 
     # -- status and result --------------------------------------------
 

@@ -4,8 +4,10 @@ A worker is a thin, threaded JSON-lines TCP service around the warm
 campaign :class:`~repro.campaign.pool.WorkerPool`: one accept thread,
 one thread per connection, evaluation in pool *processes* so a crashing
 shard kills a disposable child and not the node.  Verbs are defined in
-:mod:`repro.distrib.wire`; the framing is byte-compatible with the
-admission service's (``nc`` works for debugging).
+:mod:`repro.distrib.wire` and answered through one handler per verb,
+keyed by verb in a table whose keys are exactly
+:data:`~repro.distrib.wire.WORKER_VERBS`; the framing is byte-compatible
+with the admission service's (``nc`` works for debugging).
 
 While a ``shard-run`` computes, the connection thread emits a heartbeat
 frame every ``heartbeat_interval`` seconds.  That one detail carries the
@@ -45,6 +47,11 @@ from .wire import (WORKER_PROTOCOL_VERSION, WORKER_VERBS, heartbeat_frame,
                    parse_shard_run, points_to_wire)
 
 __all__ = ["WorkerServer", "serve_worker"]
+
+#: A verb handler: ``(id, request, stream)`` in, the response out — or
+#: ``None`` when the handler already wrote its own response.
+_Handler = Callable[[Any, Dict[str, Any], BinaryIO],
+                    Optional[Dict[str, Any]]]
 
 
 class _WorkerMetrics:
@@ -122,6 +129,13 @@ class WorkerServer:
         self._stopping = threading.Event()
         self._started_at = 0.0
         self.address: Optional[Tuple[str, int]] = None
+        #: One handler per :data:`~repro.distrib.wire.WORKER_VERBS` entry.
+        self._handlers: Dict[str, _Handler] = {
+            "ping": self._ping,
+            "shard-run": self._run_shard,
+            "worker-stats": self._worker_stats,
+            "shutdown": self._shutdown,
+        }
 
     # -- lifecycle ----------------------------------------------------
 
@@ -224,36 +238,38 @@ class WorkerServer:
             obj = decode_line(line)
             rid = obj.get("id")
             rid, verb = parse_request(obj, verbs=WORKER_VERBS)
-            if verb == "shutdown":
-                # Answer before tripping the stop event — the serve
-                # loop's stop() races this thread for the socket.
-                stream.write(encode(ok_response(rid, closing=True)))
-                stream.flush()
-                self._stopping.set()
-                return False
-            if verb == "shard-run":
-                response = self._run_shard(rid, obj, stream)
-            else:
-                response = self._dispatch(rid, verb)
+            response = self._handlers[verb](rid, obj, stream)
         except (ProtocolError,) as exc:
             response = error_response(rid, exc.code, exc.message)
         except Exception as exc:  # noqa: BLE001 — the node must not die
             response = error_response(rid, "internal",
                                       f"{type(exc).__name__}: {exc}")
-        stream.write(encode(response))
-        stream.flush()
+        if response is not None:
+            stream.write(encode(response))
+            stream.flush()
         return not self._stopping.is_set()
 
-    def _dispatch(self, rid: Any, verb: str) -> Dict[str, Any]:
-        if verb == "ping":
-            return ok_response(rid, pong=True, role="worker",
-                               version=WORKER_PROTOCOL_VERSION)
-        if verb == "worker-stats":
-            return ok_response(
-                rid, jobs=self.jobs,
-                uptime_seconds=round(time.monotonic() - self._started_at, 3),
-                **self.metrics.snapshot())
-        raise ProtocolError("unknown-verb", f"unhandled verb {verb!r}")
+    # -- verb handlers ------------------------------------------------
+
+    def _ping(self, rid: Any, obj: Dict[str, Any],
+              stream: BinaryIO) -> Dict[str, Any]:
+        return ok_response(rid, pong=True, role="worker",
+                           version=WORKER_PROTOCOL_VERSION)
+
+    def _worker_stats(self, rid: Any, obj: Dict[str, Any],
+                      stream: BinaryIO) -> Dict[str, Any]:
+        return ok_response(
+            rid, jobs=self.jobs,
+            uptime_seconds=round(time.monotonic() - self._started_at, 3),
+            **self.metrics.snapshot())
+
+    def _shutdown(self, rid: Any, obj: Dict[str, Any],
+                  stream: BinaryIO) -> None:
+        # Answer before tripping the stop event — the serve loop's
+        # stop() races this thread for the socket.
+        stream.write(encode(ok_response(rid, closing=True)))
+        stream.flush()
+        self._stopping.set()
 
     def _run_shard(self, rid: Any, obj: Dict[str, Any],
                    stream: BinaryIO) -> Dict[str, Any]:

@@ -15,16 +15,16 @@ exact Eq. (2) feasibility test against the live system (via
 overhead-aware analyses of :mod:`repro.analysis.schedulability`, reporting
 the minimum processor count under PD² and under EDF-FF.  Around that core
 sit the production trimmings: a canonical task-set hash with an LRU result
-cache (:mod:`.cache`), pipelined request batching with per-connection
+cache (:class:`~repro.util.lru.LRUCache`), pipelined request batching with per-connection
 backpressure (:mod:`.batching`), a metrics registry with counters and
-latency histograms (:mod:`.metrics`), and graceful shutdown with
+latency histograms (:mod:`repro.util.metrics`), and graceful shutdown with
 connection draining (:mod:`.server`).
 
 See ``docs/SERVICE.md`` for the wire protocol and
 ``examples/admission_service_demo.py`` for an end-to-end drive.
 """
 
-from .cache import LRUCache
+from ..util.lru import LRUCache
 from .client import (AdmissionClient, AsyncAdmissionClient,
                      ServiceResponseError)
 from ..util.metrics import LatencyHistogram, MetricsRegistry

@@ -41,6 +41,7 @@ __all__ = [
     "parse_specs",
     "parse_spec_sets",
     "MAX_BATCH_SETS",
+    "MAX_ADVANCE_SLOTS",
     "specs_to_wire",
     "ok_response",
     "error_response",
@@ -56,6 +57,12 @@ VERBS = ("admit", "leave", "reweight", "query", "batch-analyze", "advance",
 #: Upper bound on task sets per ``batch-analyze`` request — keeps one
 #: request from monopolising the shared worker pool.
 MAX_BATCH_SETS = 1024
+
+#: Upper bound on ``advance``'s ``slots``.  The slots run synchronously
+#: on the event loop under the state lock, so an unbounded request would
+#: stall every connection (``ping`` and ``shutdown`` included) for as
+#: long as it runs.
+MAX_ADVANCE_SLOTS = 10_000
 
 #: Upper bound on one request line (also the asyncio stream limit).  A
 #: 1000-task admit is ~100 KB; 4 MB leaves two orders of magnitude slack.

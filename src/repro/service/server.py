@@ -1,11 +1,13 @@
 """The asyncio JSON-lines TCP server fronting one live PD² system.
 
 One :class:`AdmissionServer` owns one :class:`~repro.service.state.ServiceState`
-and serves the protocol of :mod:`repro.service.protocol`.  Concurrency
-model: all request handling runs on the event loop; verbs that mutate the
-live system (``admit``, ``leave``, ``reweight``, ``advance``) additionally
-serialise through one lock, so Eq. (2) admission is race-free even with
-many connections pipelining — exactly the invariant
+and serves the protocol of :mod:`repro.service.protocol` through one
+handler per verb, keyed by verb in a table whose keys are exactly
+:data:`~repro.service.protocol.VERBS`.  Concurrency model: all request
+handling runs on the event loop; the handlers of the verbs that mutate
+the live system (``admit``, ``leave``, ``reweight``, ``advance``)
+additionally take one state lock, so Eq. (2) admission is race-free even
+with many connections pipelining — exactly the invariant
 :class:`~repro.core.dynamic.DynamicPfairSystem` requires.
 
 Shutdown is graceful: the listener closes first, then every connection is
@@ -23,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from .batching import ConnectionPipeline
 from ..util.metrics import MetricsRegistry
@@ -33,6 +35,9 @@ from .protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError,
 from .state import ServiceError, ServiceState
 
 __all__ = ["AdmissionServer", "ServerThread"]
+
+#: A verb handler: the decoded request in, the success fields out.
+_Handler = Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
 
 
 class AdmissionServer:
@@ -49,7 +54,22 @@ class AdmissionServer:
         self.max_pending = max_pending
         self.drain_timeout = drain_timeout
         self.metrics = MetricsRegistry()
-        self._lock: Optional[asyncio.Lock] = None
+        #: Serialises the verbs that mutate the live system.  Re-created
+        #: by :meth:`start`: a lock binds to the loop that first waits
+        #: on it.
+        self._lock = asyncio.Lock()
+        #: One handler per :data:`~repro.service.protocol.VERBS` entry.
+        self._handlers: Dict[str, _Handler] = {
+            "admit": self._admit,
+            "leave": self._leave,
+            "reweight": self._reweight,
+            "query": self._query,
+            "batch-analyze": self._batch_analyze,
+            "advance": self._advance,
+            "stats": self._stats,
+            "ping": self._ping,
+            "shutdown": self._shutdown,
+        }
         self._server: Optional[asyncio.base_events.Server] = None
         self._pipelines: Set[ConnectionPipeline] = set()
         self._stop: Optional[asyncio.Event] = None
@@ -129,7 +149,7 @@ class AdmissionServer:
         error_code = None
         try:
             rid, verb = parse_request(request)
-            response = await self._dispatch(rid, verb, request)
+            response = ok_response(rid, **await self._handlers[verb](request))
         except (ProtocolError, ServiceError) as exc:
             error_code = exc.code
             response = error_response(rid, exc.code, exc.message)
@@ -144,70 +164,76 @@ class AdmissionServer:
             self.metrics.counter("errors").inc(error_code)
         return response
 
-    async def _dispatch(self, rid: Any, verb: str,
-                        request: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._lock is not None, "server not started"
-        if verb == "ping":
-            return ok_response(rid, pong=True, version=PROTOCOL_VERSION)
-        if verb == "stats":
-            return ok_response(rid, metrics=self.metrics.snapshot(),
-                               cache=self.state.cache.info(),
-                               system=self.state.describe())
-        if verb == "query":
-            if "tasks" in request:
-                specs = parse_specs(request)
-                return ok_response(rid, analysis=self.state.analyze(specs),
-                                   system=self.state.describe())
-            return ok_response(rid, system=self.state.describe())
-        if verb == "batch-analyze":
-            # Read-only but heavy: the campaign engine dispatches the
-            # sets over its process pool, and *waiting* on that pool
-            # would park the event loop — so the wait itself moves to a
-            # worker thread.  ``analyze_batch`` touches only the
-            # internally-locked LRU and the immutable model, never the
-            # live system, so no state lock is needed.
-            sets = parse_spec_sets(request)
-            workers = request.get("workers", 1)
-            if not isinstance(workers, int) or not 1 <= workers <= 64:
-                raise ProtocolError(
-                    "bad-request", "'workers' must be an integer in [1, 64]")
-            loop = asyncio.get_running_loop()
-            results = await loop.run_in_executor(
-                None, self.state.analyze_batch, sets, workers)
-            return ok_response(rid, results=results, count=len(results))
-        if verb == "shutdown":
-            self.request_shutdown()
-            return ok_response(rid, closing=True)
-        # Mutating verbs serialise on the state lock.
+    # -- verb handlers -------------------------------------------------------
+
+    async def _ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {"pong": True, "version": PROTOCOL_VERSION}
+
+    async def _stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return {"metrics": self.metrics.snapshot(),
+                "cache": self.state.cache.info(),
+                "system": self.state.describe()}
+
+    async def _query(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if "tasks" in request:
+            specs = parse_specs(request)
+            return {"analysis": self.state.analyze(specs),
+                    "system": self.state.describe()}
+        return {"system": self.state.describe()}
+
+    async def _batch_analyze(self, request: Dict[str, Any]
+                             ) -> Dict[str, Any]:
+        # Read-only but heavy: the campaign engine dispatches the sets
+        # over its process pool, and *waiting* on that pool would park
+        # the event loop — so the wait itself moves to a worker thread.
+        # ``analyze_batch`` touches only the internally-locked LRU and
+        # the immutable model, never the live system, so no state lock
+        # is needed.
+        sets = parse_spec_sets(request)
+        workers = request.get("workers", 1)
+        if isinstance(workers, bool) or not isinstance(workers, int) \
+                or not 1 <= workers <= 64:
+            raise ProtocolError(
+                "bad-request", "'workers' must be an integer in [1, 64]")
+        loop = asyncio.get_running_loop()
+        results = await loop.run_in_executor(
+            None, self.state.analyze_batch, sets, workers)
+        return {"results": results, "count": len(results)}
+
+    async def _shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        self.request_shutdown()
+        return {"closing": True}
+
+    async def _admit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         async with self._lock:
-            if verb == "admit":
-                specs = parse_specs(request)
-                dry = bool(request.get("dry_run", False))
-                return ok_response(rid, **self.state.admit(specs,
-                                                           dry_run=dry))
-            if verb == "leave":
-                names = request.get("names")
-                if not isinstance(names, list):
-                    raise ProtocolError("bad-request",
-                                        "'names' must be a list")
-                return ok_response(rid, **self.state.leave(names))
-            if verb == "reweight":
-                for field in ("name", "execution", "period"):
-                    if field not in request:
-                        raise ProtocolError("bad-request",
-                                            f"missing '{field}'")
-                if not (isinstance(request["execution"], int)
-                        and isinstance(request["period"], int)):
-                    raise ProtocolError(
-                        "bad-request",
-                        "'execution' and 'period' must be integers (ticks)")
-                return ok_response(rid, **self.state.reweight(
-                    request["name"], request["execution"],
-                    request["period"], new_name=request.get("new_name")))
-            if verb == "advance":
-                return ok_response(
-                    rid, **self.state.advance(request.get("slots", 1)))
-        raise ProtocolError("unknown-verb", f"unhandled verb {verb!r}")
+            specs = parse_specs(request)
+            dry = bool(request.get("dry_run", False))
+            return self.state.admit(specs, dry_run=dry)
+
+    async def _leave(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        async with self._lock:
+            names = request.get("names")
+            if not isinstance(names, list):
+                raise ProtocolError("bad-request", "'names' must be a list")
+            return self.state.leave(names)
+
+    async def _reweight(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        async with self._lock:
+            for field in ("name", "execution", "period"):
+                if field not in request:
+                    raise ProtocolError("bad-request", f"missing '{field}'")
+            if not (isinstance(request["execution"], int)
+                    and isinstance(request["period"], int)):
+                raise ProtocolError(
+                    "bad-request",
+                    "'execution' and 'period' must be integers (ticks)")
+            return self.state.reweight(
+                request["name"], request["execution"], request["period"],
+                new_name=request.get("new_name"))
+
+    async def _advance(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        async with self._lock:
+            return self.state.advance(request.get("slots", 1))
 
 
 class ServerThread:

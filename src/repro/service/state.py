@@ -10,7 +10,7 @@ mutating ones run serialised.  It composes three pieces of the library:
 * the overhead-aware analyses of :mod:`repro.analysis.schedulability`,
   reporting the minimum processor count under PD² and EDF-FF for every
   requested set;
-* an :class:`~repro.service.cache.LRUCache` over those analyses, keyed
+* an :class:`~repro.util.lru.LRUCache` over those analyses, keyed
   by the canonical task-set hash so repeated queries are O(1).
 
 The cache keyspace is shared with the analysis layer: this instance's
@@ -44,8 +44,9 @@ from ..core.dynamic import DynamicPfairSystem
 from ..core.rational import weight_sum
 from ..core.task import PeriodicTask
 from ..overheads.model import OverheadModel
+from ..util.lru import LRUCache
 from ..workload.spec import TaskSpec
-from .cache import LRUCache
+from .protocol import MAX_ADVANCE_SLOTS
 
 __all__ = ["ServiceError", "ServiceState"]
 
@@ -244,16 +245,18 @@ class ServiceState:
                 **self._capacity_fields()}
 
     def advance(self, slots: int) -> Dict[str, Any]:
-        """Advance the live schedule by ``slots`` quanta.
+        """Advance the live schedule by ``slots`` quanta, at most
+        :data:`~repro.service.protocol.MAX_ADVANCE_SLOTS`.
 
         A queued reweight join can fail here if intervening admissions
         consumed the freed capacity; such failures are reported, not
         raised — the slot still elapses.
         """
-        if not isinstance(slots, int) or slots < 1:
+        if isinstance(slots, bool) or not isinstance(slots, int) \
+                or not 1 <= slots <= MAX_ADVANCE_SLOTS:
             raise ServiceError("bad-request",
-                               f"'slots' must be a positive integer, "
-                               f"got {slots!r}")
+                               f"'slots' must be an integer in "
+                               f"[1, {MAX_ADVANCE_SLOTS}], got {slots!r}")
         from ..core.dynamic import AdmissionError
 
         failed_joins: List[str] = []

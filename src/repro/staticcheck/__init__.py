@@ -36,14 +36,6 @@ the concurrency model written down in docs/CONCURRENCY.md:
 * **R009 fork-safety** — nothing transitively holding a lock, socket,
   or event loop crosses a process boundary.
 
-One more is a *dataflow* rule, built on a syntactic wire-protocol
-model (:mod:`repro.staticcheck.dataflow`):
-
-* **R012 wire-conformance** — every registered wire verb has a
-  handler, every emitted verb is registered, every emitted field is
-  read by a peer, and persisted payloads are format-tag-checked where
-  their keys are read.
-
 The last three form the *determinism-provenance* layer
 (:mod:`repro.staticcheck.provenance`, :mod:`repro.staticcheck.ordering`),
 a taint analysis over the same call graph plus an iteration-order
@@ -67,19 +59,19 @@ Each project rule *declares* the analysis passes it needs
 (:mod:`repro.staticcheck.passes`), so ``--select R013`` builds the
 seed-taint pass and nothing else.
 
-Retired ids (R004, R010, R011) are never reused.  The vector kernel's
-key budget and dtype soundness are checked by tests that run the real
-kernel (``TestKeyBudget`` and ``TestDtypes`` in
-``tests/test_sim_vector.py``).
+Retired ids (R004, R010, R011, R012) are never reused.  The vector
+kernel's key budget and dtype soundness are checked by tests that run
+the real kernel (``TestKeyBudget`` and ``TestDtypes`` in
+``tests/test_sim_vector.py``), and the JSON-lines wire protocol by
+tests that run its real peers (``tests/test_wire_protocol.py``).
 
 Call-graph resolution is unsound in the direction of silence: dynamic
 dispatch degrades to an ``unknown`` target, so these rules miss dynamic
 code but never invent findings.
 
-Violations are suppressed line-by-line with ``# staticcheck:
-allow[R001]`` pragmas (a justification comment is expected next to every
-pragma) or, transitionally, via a committed JSON baseline that makes CI
-fail only on *new* violations.
+Every run is a hard gate.  The one way to suppress a finding is a
+per-line ``# staticcheck: allow[R001]`` pragma, with a justification
+comment expected next to it.
 """
 
 from __future__ import annotations

@@ -13,9 +13,11 @@ engine already holds:
   as C``, …) resolved to canonical dotted names;
 * **call resolution** — mapping a call expression to the project
   function it invokes (through import aliases, ``self.method``, methods
-  of locally-constructed instances, annotated parameters) or to an
-  external dotted name (``time.sleep``); anything dynamic degrades to
-  :data:`UNKNOWN`, never to a crash or a guess;
+  of locally-constructed instances, annotated parameters, and
+  ``self.<table>[key](...)`` through a dispatch table the class assigns
+  as one dict literal of functions) or to an external dotted name
+  (``time.sleep``); anything else dynamic degrades to :data:`UNKNOWN`,
+  never to a crash or a guess;
 * an **instance-type oracle** — the class behind ``ANALYSIS_CACHE`` (a
   module global built by a constructor call), ``self._lock`` (an
   attribute assigned in a method), or a ``model: OverheadModel``
@@ -575,9 +577,48 @@ class ProjectIndex:
         sites: List[CallSite] = []
         for node in _iter_own_statements(fn.node):
             if isinstance(node, ast.Call):
-                sites.append(CallSite(node, self.resolve_value(fn, node.func)))
+                table = self._dispatch_table(fn, node.func)
+                if table:
+                    sites.extend(CallSite(node, sym) for sym in table)
+                else:
+                    sites.append(CallSite(node,
+                                          self.resolve_value(fn, node.func)))
         self._callsites[fn.qname] = sites
         return sites
+
+    def _dispatch_table(self, fn: FunctionInfo, func: ast.expr) -> List[Sym]:
+        """Every entry of ``self.<table>`` when ``func`` is
+        ``self.<table>[key]`` and the class assigns ``<table>`` exactly
+        once, as a dict literal whose values all resolve to project
+        functions (a verb -> handler table); empty otherwise."""
+        if fn.cls is None or not (
+                isinstance(func, ast.Subscript)
+                and isinstance(func.value, ast.Attribute)
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id == "self"):
+            return []
+        attr = func.value.attr
+        found: List[List[Sym]] = []
+        for method in fn.cls.methods.values():
+            for stmt in _iter_own_statements(method.node):
+                if isinstance(stmt, ast.Assign):
+                    targets, value = stmt.targets, stmt.value
+                elif isinstance(stmt, ast.AnnAssign):
+                    targets, value = [stmt.target], stmt.value
+                else:
+                    continue
+                if not any(isinstance(t, ast.Attribute)
+                           and isinstance(t.value, ast.Name)
+                           and t.value.id == "self" and t.attr == attr
+                           for t in targets):
+                    continue
+                if not isinstance(value, ast.Dict):
+                    return []
+                found.append([self.resolve_callable_ref(method, v)
+                              for v in value.values])
+        if len(found) != 1 or any(sym.kind != "func" for sym in found[0]):
+            return []
+        return found[0]
 
     def project_callees(self, fn: FunctionInfo) -> List[Tuple[FunctionInfo, ast.Call]]:
         """Resolved project-internal callees of ``fn`` (constructor calls

@@ -109,7 +109,7 @@ def load_module(path: Path, root: Path) -> Tuple[Optional[ModuleInfo], Optional[
 
 @dataclass
 class CheckResult:
-    """Everything one run produced, before any baseline is applied."""
+    """Everything one run produced, after pragma suppression."""
 
     root: str
     violations: List[Violation]

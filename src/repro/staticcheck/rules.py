@@ -6,9 +6,9 @@ cross-file invariants).  Rules yield :class:`~repro.staticcheck.violations.Viola
 records; the engine applies pragma suppression afterwards, so rules never
 need to know about pragmas.
 
-The rule ids are stable API — baselines, pragmas, and CI logs refer to
-them — so new checks get new ids rather than changing what an existing id
-means, and a retired id (R004, R010, R011) is never reused.
+The rule ids are stable API — pragmas and CI logs refer to them — so
+new checks get new ids rather than changing what an existing id means,
+and a retired id (R004, R010, R011, R012) is never reused.
 """
 
 from __future__ import annotations
@@ -611,11 +611,9 @@ class HygieneRule(Rule):
                 and test.comparators[0].value is None)
 
 
-#: The concurrency, wire-conformance, and provenance rules live in their
-#: own modules; the imports sit at the bottom because all subclass Rule
-#: (defined above).
+#: The concurrency and provenance rules live in their own modules; the
+#: imports sit at the bottom because all subclass Rule (defined above).
 from .concurrency import CONCURRENCY_RULES  # noqa: E402
-from .dataflow import WireConformanceRule  # noqa: E402
 from .ordering import OrderingSoundnessRule  # noqa: E402
 from .provenance import (CanonicalSerializationRule,  # noqa: E402
                          SeedProvenanceRule)
@@ -627,7 +625,6 @@ RULES: Tuple[Rule, ...] = (
     LayeringRule(),
     HygieneRule(),
 ) + CONCURRENCY_RULES + (
-    WireConformanceRule(),
     SeedProvenanceRule(),
     OrderingSoundnessRule(),
     CanonicalSerializationRule(),

@@ -12,7 +12,7 @@ __all__ = ["Violation"]
 class Violation:
     """One rule hit, anchored to a ``file:line`` position.
 
-    ``path`` is stored relative to the scanned root so that baselines and
+    ``path`` is stored relative to the scanned root so that text and
     JSON output are stable across checkouts.
     """
 
@@ -25,16 +25,6 @@ class Violation:
     def anchor(self) -> str:
         """``path:line:col`` — the clickable location prefix."""
         return f"{self.path}:{self.line}:{self.col}"
-
-    def fingerprint(self) -> str:
-        """Baseline identity: stable under unrelated edits to the file.
-
-        Deliberately excludes the line/column so that shifting code above
-        a known violation does not make it "new"; two identical
-        violations in one file do collapse to one fingerprint, which is
-        fine for a transitional baseline.
-        """
-        return f"{self.rule_id}::{self.path}::{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {

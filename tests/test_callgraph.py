@@ -3,8 +3,9 @@
 Fixture packages mimic the ``src/repro`` layout (the index rebases
 relative imports onto the ``repro`` root).  The contract under test is
 the one the concurrency rules rely on: aliased imports, methods, and
-nested defs resolve to the right project symbols; anything dynamic
-degrades to ``unknown`` — silently, never with a crash — and the domain
+nested defs resolve to the right project symbols, a ``self.<table>[key]``
+call reaches every entry of a dict-literal dispatch table; anything else
+dynamic degrades to ``unknown`` — silently, never with a crash — and the domain
 pass propagates entry-point domains along resolved edges only.
 """
 
@@ -189,6 +190,48 @@ class TestCallResolution:
         assert kinds <= {"unknown"}
         assert project.project_callees(fn) == []
 
+    def test_self_dispatch_table_resolves_to_every_entry(self, tmp_path):
+        # The verb -> handler tables of the service and worker peers:
+        # ``self._handlers[verb](...)`` reaches every handler.
+        project = index_of(make_tree(tmp_path, {
+            "service/mod.py": (
+                "class Server:\n"
+                "    def __init__(self):\n"
+                "        self._handlers = {'a': self._a, 'b': self._b}\n"
+                "    def _a(self):\n"
+                "        return 1\n"
+                "    def _b(self):\n"
+                "        return 2\n"
+                "    def handle(self, verb):\n"
+                "        return self._handlers[verb]()\n"
+            ),
+        }))
+        fn = project.functions["service.mod.Server.handle"]
+        assert sorted(callee.qname for callee, _ in
+                      project.project_callees(fn)) == \
+            ["service.mod.Server._a", "service.mod.Server._b"]
+
+    def test_ambiguous_dispatch_tables_stay_unknown(self, tmp_path):
+        # Rebound tables, or entries that do not resolve, are dynamic.
+        project = index_of(make_tree(tmp_path, {
+            "service/mod.py": (
+                "class Server:\n"
+                "    def __init__(self, extra):\n"
+                "        self._one = {'a': self._a}\n"
+                "        self._two = {'a': self._a, 'x': extra}\n"
+                "    def reset(self):\n"
+                "        self._one = {}\n"
+                "    def _a(self):\n"
+                "        return 1\n"
+                "    def handle(self, verb):\n"
+                "        self._one[verb]()\n"
+                "        self._two[verb]()\n"
+            ),
+        }))
+        fn = project.functions["service.mod.Server.handle"]
+        assert {s.target.kind for s in project.callsites(fn)} == {"unknown"}
+        assert project.project_callees(fn) == []
+
     def test_import_cycles_stay_silent(self, tmp_path):
         # a imports from b, b imports from a: resolution must terminate.
         project = index_of(make_tree(tmp_path, {
@@ -292,6 +335,23 @@ class TestDomains:
             ),
         }))
         assert WORKER in self._domains(project, "analysis.mod.job")
+
+    def test_thread_domain_flows_through_a_dispatch_table(self, tmp_path):
+        project = index_of(make_tree(tmp_path, {
+            "distrib/mod.py": (
+                "import threading\n"
+                "class Node:\n"
+                "    def __init__(self):\n"
+                "        self._handlers = {'run': self._run}\n"
+                "    def start(self):\n"
+                "        threading.Thread(target=self._serve).start()\n"
+                "    def _serve(self):\n"
+                "        return self._handlers['run']()\n"
+                "    def _run(self):\n"
+                "        return 1\n"
+            ),
+        }))
+        assert THREAD in self._domains(project, "distrib.mod.Node._run")
 
     def test_unresolvable_target_seeds_nothing(self, tmp_path):
         project = index_of(make_tree(tmp_path, {

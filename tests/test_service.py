@@ -109,9 +109,10 @@ class TestSingleConnection:
             with pytest.raises(ServiceResponseError) as exc:
                 c.leave("ghost")
             assert exc.value.code == "unknown-task"
-            with pytest.raises(ServiceResponseError) as exc:
-                c.advance(0)
-            assert exc.value.code == "bad-request"
+            for slots in (0, True, 10**9):
+                with pytest.raises(ServiceResponseError) as exc:
+                    c.advance(slots)
+                assert exc.value.code == "bad-request"
             with pytest.raises(ServiceResponseError) as exc:
                 c.admit([TaskSpec(100, 1500, name="odd")])
             assert exc.value.code == "bad-task"
@@ -166,9 +167,10 @@ class TestSingleConnection:
                                  "task_sets": [[{"execution": "no"}]]}])[0]
             assert not raw["ok"]
             assert "'task_sets[0]'" in raw["error"]["message"]
-            with pytest.raises(ServiceResponseError) as exc:
-                c.batch_analyze([[spec(1, 2, "w")]], workers=0)
-            assert exc.value.code == "bad-request"
+            for workers in (0, 65, True, "2"):
+                with pytest.raises(ServiceResponseError) as exc:
+                    c.batch_analyze([[spec(1, 2, "w")]], workers=workers)
+                assert exc.value.code == "bad-request"
             assert c.ping()["pong"]  # connection survives the errors
 
     def test_pipelined_batch_ordering(self, server):

@@ -10,9 +10,10 @@ import pytest
 
 from repro.analysis.schedulability import task_set_cache_key, task_set_signature
 from repro.overheads.model import OverheadModel
-from repro.service.cache import LRUCache
+from repro.util.lru import LRUCache
 from repro.util.metrics import Counter, LatencyHistogram, MetricsRegistry
-from repro.service.protocol import (MAX_BATCH_SETS, ProtocolError,
+from repro.service.protocol import (MAX_ADVANCE_SLOTS, MAX_BATCH_SETS,
+                                    ProtocolError,
                                     decode_line, encode, error_response,
                                     ok_response, parse_request, parse_specs,
                                     parse_spec_sets)
@@ -255,9 +256,15 @@ class TestServiceState:
 
     def test_advance_validation(self):
         st = ServiceState(1)
-        for bad in (0, -1, "x", None):
-            with pytest.raises(ServiceError):
+        # bool is an int subclass: True must not pass as one slot.  The
+        # upper bound keeps one request from stalling the event loop.
+        for bad in (0, -1, "x", None, True, False, 2.0,
+                    MAX_ADVANCE_SLOTS + 1, 10**9):
+            with pytest.raises(ServiceError) as exc:
                 st.advance(bad)
+            assert exc.value.code == "bad-request"
+        assert st.system.now == 0  # no rejected request moved time
+        assert st.advance(MAX_ADVANCE_SLOTS)["now"] == MAX_ADVANCE_SLOTS
 
     def test_analyze_batch_preserves_order_and_caches(self):
         st = ServiceState(2)

@@ -16,8 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.staticcheck import run_checks
-from repro.staticcheck.baseline import (load_baseline, split_by_baseline,
-                                        write_baseline)
 from repro.staticcheck.cli import main as staticcheck_main
 from repro.staticcheck.engine import Checker
 
@@ -439,44 +437,6 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------------
-# Baseline workflow
-
-
-class TestBaseline:
-    def test_roundtrip_and_split(self, tmp_path):
-        root = make_tree(tmp_path / "pkg", {"core/mod.py": "X = 0.5\n"})
-        result = run_checks(root, select=["R001"])
-        assert len(result.violations) == 1
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, result.violations)
-        fingerprints = load_baseline(baseline)
-        assert len(fingerprints) == 1
-        new, baselined = split_by_baseline(result.violations, fingerprints)
-        assert new == [] and len(baselined) == 1
-
-    def test_baseline_is_line_insensitive(self, tmp_path):
-        root = make_tree(tmp_path / "pkg", {"core/mod.py": "X = 0.5\n"})
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, run_checks(root, select=["R001"]).violations)
-        # Shift the violation down two lines: same fingerprint, still
-        # baselined — baselines don't churn on unrelated edits.
-        (root / "core" / "mod.py").write_text("import sys\n\nX = 0.5\n")
-        new, baselined = split_by_baseline(
-            run_checks(root, select=["R001"]).violations,
-            load_baseline(baseline))
-        assert new == [] and len(baselined) == 1
-
-    def test_missing_baseline_file_means_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
-    def test_rejects_foreign_json(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"something": "else"}')
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -503,32 +463,34 @@ class TestCli:
         assert report["violations"][0]["rule"] == "R001"
         assert report["violations"][0]["path"] == "core/mod.py"
 
-    def test_write_then_use_baseline(self, tmp_path, capsys):
-        root = make_tree(tmp_path / "pkg", {"core/mod.py": "X = 0.5\n"})
-        baseline = tmp_path / "baseline.json"
-        assert staticcheck_main([str(root), "--select", "R001",
-                                 "--baseline", str(baseline),
-                                 "--write-baseline"]) == 0
-        assert staticcheck_main([str(root), "--select", "R001",
-                                 "--baseline", str(baseline)]) == 0
-        # A *new* violation still fails even with the baseline in place.
-        (root / "core" / "mod.py").write_text("X = 0.5\nY = 2.5\n")
-        assert staticcheck_main([str(root), "--select", "R001",
-                                 "--baseline", str(baseline)]) == 1
+    def test_every_run_is_a_hard_gate(self, tmp_path, capsys):
+        # Pragmas are the only suppression: the retired baseline flags
+        # are usage errors, and the JSON report has no baselined count.
+        import json
+
+        root = make_tree(tmp_path, {"core/mod.py": "X = 0.5\n"})
+        for flags in (["--baseline", "x"], ["--write-baseline"]):
+            with pytest.raises(SystemExit) as exc:
+                staticcheck_main([str(root), *flags])
+            assert exc.value.code == 2
         capsys.readouterr()
+        assert staticcheck_main([str(root), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert "baselined" not in report and report["ok"] is False
 
     def test_list_rules_names_every_rule(self, capsys):
         assert staticcheck_main(["--list-rules"]) == 0
         listed = [line.split()[0]
                   for line in capsys.readouterr().out.splitlines()]
-        # Retired ids (R004, R010, R011) are never reused.
+        # Retired ids (R004, R010, R011, R012) are never reused.
         assert listed == ["R001", "R002", "R003", "R005", "R006", "R007",
-                          "R008", "R009", "R012", "R013", "R014", "R015"]
+                          "R008", "R009", "R013", "R014", "R015"]
 
     def test_unknown_rule_ids_are_usage_errors(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"core/mod.py": "X = 0.5\n"})
         for flag, ids in (("--select", "R004"), ("--select", "R010"),
-                          ("--select", "R011"), ("--ignore", "R999"),
+                          ("--select", "R011"), ("--select", "R012"),
+                          ("--ignore", "R999"),
                           ("--select", "R001,R999")):
             with pytest.raises(SystemExit) as exc:
                 staticcheck_main([str(root), flag, ids])
@@ -536,23 +498,21 @@ class TestCli:
             err = capsys.readouterr().err
             assert flag in err and ids.split(",")[-1] in err
 
-    @pytest.mark.parametrize("ids", ["R001, R012", " R001 ,R012,"])
+    @pytest.mark.parametrize("ids", ["R001, R005", " R001 ,R005,"])
     def test_rule_lists_parse_like_pragmas(self, tmp_path, capsys, ids):
         # Spaces around ids and a trailing comma are accepted, as in
-        # ``# staticcheck: allow[R001, R012]``.
+        # ``# staticcheck: allow[R001, R005]``.
         import json
 
         root = make_tree(tmp_path, {
             "core/mod.py": "X = 0.5\n",
-            "campaign/store.py": ("import json\n"
-                                  "FORMAT = 'repro-store-v1'\n"
-                                  "def load(text):\n"
-                                  "    return json.loads(text)['rows']\n"),
+            "campaign/store.py": ("def load(rows=[]):\n"
+                                  "    return rows\n"),
         })
         assert staticcheck_main([str(root), "--select", ids,
                                  "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in report["violations"]} == {"R001", "R012"}
+        assert {v["rule"] for v in report["violations"]} == {"R001", "R005"}
 
     def test_empty_rule_list_is_a_usage_error(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"core/mod.py": "X = 0.5\n"})
@@ -588,9 +548,7 @@ class TestCli:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(tmp_path), str(REPO_SRC.parent)])
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.staticcheck", str(REPO_SRC),
-             "--baseline",
-             str(REPO_SRC.parents[1] / ".staticcheck-baseline.json")],
+            [sys.executable, "-m", "repro.staticcheck", str(REPO_SRC)],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -605,8 +563,3 @@ class TestRealTree:
         assert result.files_checked > 50
         assert result.violations == [], "\n".join(
             v.render() for v in result.violations)
-
-    def test_committed_baseline_is_empty(self):
-        baseline = REPO_SRC.parents[1] / ".staticcheck-baseline.json"
-        assert baseline.exists()
-        assert load_baseline(baseline) == set()

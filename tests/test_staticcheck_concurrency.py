@@ -468,7 +468,7 @@ class TestForkSafety:
 
 
 # ---------------------------------------------------------------------------
-# Integration: pragmas and baselines apply to the new rules too
+# Integration: pragmas and rule filtering apply to the new rules too
 
 
 class TestIntegration:

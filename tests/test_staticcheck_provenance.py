@@ -1,11 +1,11 @@
 """Tests for the determinism-provenance layer: R013–R015.
 
-Same conventions as ``test_staticcheck_dataflow.py``: fixture trees
+Same conventions as ``test_staticcheck.py``: fixture trees
 mimic the ``src/repro`` package layout, true positives pin exact
 ``file:line`` anchors *and* full origin → sink witness chains (at least
 two ``->`` hops), suppression is asserted to work at the origin and
 only at the origin, and the final gates run the real tree — which must
-stay clean under all three rules with an empty baseline.
+stay clean under all three rules.
 
 The pass-isolation tests pin satellite behaviour: ``--select R013``
 builds the seed-taint pass and nothing else, and ``--select R015``
@@ -21,8 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.staticcheck import run_checks
-from repro.staticcheck.baseline import (load_baseline, split_by_baseline,
-                                        write_baseline)
 from repro.staticcheck.engine import Checker
 from repro.staticcheck.ordering import classify_source_bindings
 from repro.staticcheck.passes import built_passes
@@ -153,19 +151,6 @@ class TestSeedProvenance:
         root = make_tree(tmp_path / "origin",
                          {"campaign/gen.py": origin_pragma})
         assert run_checks(root, select=["R013"]).ok
-
-    def test_baseline_suppression(self, tmp_path):
-        root = make_tree(tmp_path / "pkg", {"sim/noise.py": (
-            "import random\n"
-            "RNG = random.Random()\n"
-        )})
-        result = run_checks(root, select=["R013"])
-        assert len(result.violations) == 1
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, result.violations)
-        new, baselined = split_by_baseline(result.violations,
-                                           load_baseline(baseline))
-        assert new == [] and len(baselined) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +294,6 @@ class TestOrderingSoundness:
                          {"campaign/agg.py": origin_pragma})
         assert run_checks(root, select=["R014"]).ok
 
-    def test_baseline_suppression(self, tmp_path):
-        root = make_tree(tmp_path / "pkg", {"campaign/agg.py": (
-            "def rows():\n"
-            "    out = []\n"
-            "    for i in {'b', 'a'}:\n"
-            "        out.append(i)\n"
-        )})
-        result = run_checks(root, select=["R014"])
-        assert len(result.violations) == 1
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, result.violations)
-        new, baselined = split_by_baseline(result.violations,
-                                           load_baseline(baseline))
-        assert new == [] and len(baselined) == 1
-
 
 #: Assignment statements whose classification must survive any
 #: permutation (the classifier is a monotone fixpoint).
@@ -451,20 +421,6 @@ class TestCanonicalSerialization:
         root = make_tree(tmp_path / "origin",
                          {"analysis/out.py": origin_pragma})
         assert run_checks(root, select=["R015"]).ok
-
-    def test_baseline_suppression(self, tmp_path):
-        root = make_tree(tmp_path / "pkg", {"workload/wr.py": (
-            "import json\n"
-            "def save(fh, payload):\n"
-            "    json.dump(payload, fh)\n"
-        )})
-        result = run_checks(root, select=["R015"])
-        assert len(result.violations) == 1
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, result.violations)
-        new, baselined = split_by_baseline(result.violations,
-                                           load_baseline(baseline))
-        assert new == [] and len(baselined) == 1
 
 
 # ---------------------------------------------------------------------------
