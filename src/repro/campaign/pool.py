@@ -74,15 +74,20 @@ class WorkerPool:
                 self._config = config
             return self._pool
 
-    def discard(self) -> None:
+    def discard(self, broken: Optional[ProcessPoolExecutor] = None
+                ) -> None:
         """Drop the current pool without waiting (idempotent).
 
         Used after ``BrokenProcessPool``: the executor is already
         unusable, so there is nothing to drain — the next :meth:`get`
         builds a fresh one and the runner resubmits the lost shards.
+        With ``broken``, only that executor is dropped: threads sharing
+        the pool all see the same death, and the first one's rebuild
+        must survive the others' discards.
         """
         with self._lock:
-            if self._pool is not None:
+            if self._pool is not None and \
+                    (broken is None or self._pool is broken):
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
                 self._config = None
@@ -106,10 +111,11 @@ def worker_pool(workers: int) -> ProcessPoolExecutor:
     return _POOL.get(workers)
 
 
-def discard_worker_pool() -> None:
+def discard_worker_pool(broken: Optional[ProcessPoolExecutor] = None
+                        ) -> None:
     """Drop the shared pool after a worker death (see
     :meth:`WorkerPool.discard`)."""
-    _POOL.discard()
+    _POOL.discard(broken)
 
 
 def shutdown_worker_pool() -> None:

@@ -13,6 +13,12 @@ current for ``repro campaign status``.  The service's batch-analyze path
 reuses :func:`dispatch_jobs` directly (see :func:`repro.campaign.sched.
 batch_analyze`), so both consumers share one recovery policy.
 
+Every campaign, local or on a worker fleet, runs through
+:class:`CampaignRunner`.  A fleet run hands it a :class:`Dispatcher`
+(the distributed coordinator) in place of :func:`dispatch_jobs`;
+restoring, checkpointing, status writes and
+:class:`CampaignIncomplete` stay here, shared by both kinds of run.
+
 Failure semantics, in one place:
 
 * **error** — the job raised: charged against its ``max_retries``
@@ -50,8 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence,
-                    Set, Tuple)
+                    Protocol, Sequence, Set, Tuple)
 
 from ..analysis.schedulability import SchedulabilityPoint
 from ..overheads.model import OverheadModel
@@ -61,7 +66,7 @@ from .progress import ProgressTracker
 from .spec import GridLike
 
 __all__ = ["RunnerConfig", "CampaignRunner", "CampaignIncomplete",
-           "dispatch_jobs"]
+           "Dispatcher", "dispatch_jobs"]
 
 
 @dataclass(frozen=True)
@@ -296,6 +301,29 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     return sorted(failed)
 
 
+class Dispatcher(Protocol):
+    """A shard source :class:`CampaignRunner` drives in place of the
+    local :func:`dispatch_jobs` (the distributed
+    :class:`~repro.distrib.coordinator.Coordinator` is one).
+
+    ``run`` takes the runner's ``{shard_id: (spec, model[, payload])}``
+    jobs and returns the failed ids, like :func:`dispatch_jobs`; its
+    ``on_success`` and ``on_retry`` callbacks take one more argument,
+    the name of the worker that produced the result or is charged with
+    the retry (``None`` when nobody is).  ``status`` returns extra
+    top-level keys for ``status.json``.
+    """
+
+    def run(self, jobs: Mapping[str, Any], *,
+            on_success: Callable[[str, List[SchedulabilityPoint], int,
+                                  float, str], None],
+            on_retry: Optional[Callable[[str, str, Optional[str]],
+                                        None]] = None,
+            on_tick: Optional[Callable[[], None]] = None) -> List[str]: ...
+
+    def status(self) -> Dict[str, Any]: ...
+
+
 class CampaignRunner:
     """Drive one campaign grid to completion, checkpointing as it goes.
 
@@ -308,6 +336,11 @@ class CampaignRunner:
     store the run is purely in-memory (the compatibility path for
     :func:`~repro.campaign.sched.run_schedulability_campaign` callers
     that never name a run directory).
+
+    A ``dispatcher`` replaces the local :func:`dispatch_jobs` (and
+    ``worker`` and ``config`` with it): the runner still restores,
+    checkpoints, tracks progress and writes status, and additionally
+    records which worker produced each shard.
     """
 
     def __init__(self, grid: GridLike,
@@ -316,7 +349,8 @@ class CampaignRunner:
                  store: Optional[CheckpointStore] = None,
                  model: Optional[OverheadModel] = None,
                  payloads: Optional[Mapping[str, Any]] = None,
-                 note: str = "") -> None:
+                 note: str = "",
+                 dispatcher: Optional[Dispatcher] = None) -> None:
         self.grid = grid
         self.worker = worker
         self.config = config or RunnerConfig()
@@ -329,15 +363,10 @@ class CampaignRunner:
         # checkpoint format or resume identity.
         self.payloads = payloads
         self.note = note
-        self.progress = ProgressTracker(len(grid.plan()))
+        self.dispatcher = dispatcher
 
     def _model_fingerprint(self) -> Optional[str]:
         return None if self.model is None else repr(self.model)
-
-    def _write_status(self, state: str) -> None:
-        if self.store is not None:
-            self.store.write_status(self.progress.snapshot(
-                time.monotonic(), state=state, updated=_utc_now()))
 
     def run(self, *, resume: bool = False
             ) -> Dict[str, List[SchedulabilityPoint]]:
@@ -370,24 +399,37 @@ class CampaignRunner:
             raise RunDirError("resume requires a run directory")
 
         todo = [s for s in shards if s.shard_id not in done_before]
-        self.progress = ProgressTracker(
+        progress = ProgressTracker(
             len(shards), completed_before_start=len(done_before))
-        self.progress.start(time.monotonic())
-        self._write_status("running")
+        progress.start(time.monotonic())
+
+        def write_status(state: str) -> None:
+            if self.store is None:
+                return
+            snap = progress.snapshot(time.monotonic(), state=state,
+                                     updated=_utc_now())
+            if self.dispatcher is not None:
+                snap.update(self.dispatcher.status())
+            self.store.write_status(snap)
+
+        write_status("running")
 
         def on_success(key: str, points: List[SchedulabilityPoint],
-                       attempts: int, elapsed: float) -> None:
+                       attempts: int, elapsed: float,
+                       worker: Optional[str] = None) -> None:
             results[key] = points
             if self.store is not None:
                 self.store.write_shard(by_id[key], points,
                                        attempts=attempts,
-                                       elapsed_seconds=round(elapsed, 6))
-            self.progress.record_success(elapsed)
-            self._write_status("running")
+                                       elapsed_seconds=round(elapsed, 6),
+                                       worker=worker)
+            progress.record_success(elapsed, worker or "local")
+            write_status("running")
 
-        def on_retry(key: str, reason: str) -> None:
-            self.progress.record_retry(reason)
-            self._write_status("running")
+        def on_retry(key: str, reason: str,
+                     worker: Optional[str] = None) -> None:
+            progress.record_retry(reason, worker)
+            write_status("running")
 
         if self.payloads is None:
             jobs: Dict[str, Any] = {s.shard_id: (s, self.model)
@@ -397,16 +439,22 @@ class CampaignRunner:
                                  self.payloads[s.shard_id])
                     for s in todo}
         try:
-            failed = dispatch_jobs(jobs, self.worker, self.config,
-                                   on_success=on_success,
-                                   on_retry=on_retry,
-                                   on_tick=lambda:
-                                   self._write_status("running"))
+            if self.dispatcher is None:
+                failed = dispatch_jobs(jobs, self.worker, self.config,
+                                       on_success=on_success,
+                                       on_retry=on_retry,
+                                       on_tick=lambda:
+                                       write_status("running"))
+            else:
+                failed = self.dispatcher.run(jobs, on_success=on_success,
+                                             on_retry=on_retry,
+                                             on_tick=lambda:
+                                             write_status("running"))
         except KeyboardInterrupt:
-            self._write_status("interrupted")
+            write_status("interrupted")
             raise
         if failed:
-            self._write_status("failed")
+            write_status("failed")
             raise CampaignIncomplete(failed)
-        self._write_status("complete")
+        write_status("complete")
         return results

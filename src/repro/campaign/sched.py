@@ -16,8 +16,9 @@ This module is the bridge between the generic machinery (:mod:`.spec`,
 * :func:`run_schedulability_campaign` — the long-standing entry point,
   same signature and semantics as before plus the engine's extras:
   ``run_dir`` (checkpoint every shard, write ``result.json``),
-  ``resume``, ``replicas``, and a full :class:`~repro.campaign.runner.
-  RunnerConfig` override.
+  ``resume``, ``replicas``, a full :class:`~repro.campaign.runner.
+  RunnerConfig` override, and a ``dispatcher`` that sends the shards to
+  a worker fleet instead of the local pool.
 * :func:`batch_analyze` — many independent task sets through the same
   dispatch engine; the admission service's ``batch-analyze`` verb sits
   on this (the service imports campaign, never the reverse).
@@ -39,7 +40,7 @@ from ..overheads.model import OverheadModel
 from ..workload.generator import TaskSetGenerator
 from ..workload.spec import TaskSpec
 from .checkpoint import CheckpointStore
-from .runner import CampaignRunner, RunnerConfig, dispatch_jobs
+from .runner import CampaignRunner, Dispatcher, RunnerConfig, dispatch_jobs
 from .spec import CampaignGrid, ShardSpec, plan_shards, shards_by_point
 
 __all__ = ["evaluate_shard", "campaign_row", "assemble_rows",
@@ -131,6 +132,7 @@ def run_schedulability_campaign(
     run_dir: Optional[str] = None,
     resume: bool = False,
     config: Optional[RunnerConfig] = None,
+    dispatcher: Optional[Dispatcher] = None,
 ) -> List[CampaignRow]:
     """The Fig. 3/4 campaign for one task count.
 
@@ -140,7 +142,10 @@ def run_schedulability_campaign(
     the serial run.  With a ``run_dir`` every finished shard is
     checkpointed atomically and the final rows land in
     ``<run_dir>/result.json``; ``resume=True`` restores completed shards
-    instead of recomputing them (see ``docs/CAMPAIGNS.md``).
+    instead of recomputing them (see ``docs/CAMPAIGNS.md``).  A
+    ``dispatcher`` (a :class:`~repro.distrib.coordinator.Coordinator`)
+    evaluates the shards on worker nodes; ``result.json`` stays
+    byte-identical to the local run (``docs/DISTRIBUTED.md``).
     """
     grid = CampaignGrid(n_tasks=n_tasks, utilizations=tuple(utilizations),
                         sets_per_point=sets_per_point, seed=seed,
@@ -148,7 +153,7 @@ def run_schedulability_campaign(
     store = CheckpointStore(run_dir) if run_dir is not None else None
     cfg = config if config is not None else RunnerConfig(workers=workers)
     runner = CampaignRunner(grid, evaluate_shard, config=cfg, store=store,
-                            model=model)
+                            model=model, dispatcher=dispatcher)
     results = runner.run(resume=resume)
     rows = assemble_rows(grid, results, progress=progress)
     if store is not None:

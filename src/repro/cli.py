@@ -32,9 +32,11 @@ Weights are written ``E/P`` in integer quanta (e.g. ``8/11``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Iterator, Optional, Sequence,
+                    Tuple)
 
 from .analysis.experiments import utilization_grid
 from .analysis.figures import fig1_report, fig3_table, fig4_table, fig5_report
@@ -49,6 +51,7 @@ from .traces.mapping import MAPPING_POLICIES as MAPPING_POLICY_CHOICES
 from .workload.spec import TaskSpec
 
 if TYPE_CHECKING:
+    from .distrib import Coordinator
     from .service.client import AdmissionClient
 
 __all__ = ["main"]
@@ -207,20 +210,33 @@ def _campaign_nodes(args: argparse.Namespace) -> Optional[list]:
     return parse_worker_nodes(text)
 
 
-def _distrib_config(args: argparse.Namespace) -> "object":
-    from .distrib import DistribConfig
+@contextlib.contextmanager
+def _fleet(args: argparse.Namespace,
+           nodes: Optional[list]) -> Iterator[Optional["Coordinator"]]:
+    """The dispatcher for a ``--workers host:port`` run (None for a
+    local run).  With ``-j N`` the local pool joins the fleet as one
+    more node: an in-process worker on a loopback port, stopped when
+    the run ends."""
+    if nodes is None:
+        yield None
+        return
+    from .distrib import Coordinator, DistribConfig, NodeSpec, WorkerServer
 
-    return DistribConfig(local_jobs=args.jobs or 0,
-                         lease_timeout=args.lease_timeout,
-                         shard_deadline=args.shard_timeout,
-                         max_retries=args.retries)
+    config = DistribConfig(lease_timeout=args.lease_timeout,
+                           shard_deadline=args.shard_timeout,
+                           max_retries=args.retries)
+    if not args.jobs:
+        yield Coordinator(nodes, config)
+        return
+    with WorkerServer(jobs=args.jobs) as (host, port):
+        yield Coordinator([*nodes, NodeSpec(host, port)], config)
 
 
 def _run_campaign_cli(args: argparse.Namespace, grid_args: tuple,
                       *, resume: bool) -> int:
-    """Shared body of ``campaign run`` and ``campaign resume``: route to
-    the local engine or (with worker nodes) the distributed coordinator,
-    then print the requested figure table."""
+    """Shared body of ``campaign run`` and ``campaign resume``: run the
+    campaign locally or (with worker nodes) on the fleet, then print
+    the requested figure table."""
     from .campaign import CampaignIncomplete, RunDirError
     from .distrib import DistribError
 
@@ -231,19 +247,11 @@ def _run_campaign_cli(args: argparse.Namespace, grid_args: tuple,
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        if nodes is not None:
-            from .distrib import run_distributed_campaign
-
-            rows = run_distributed_campaign(
-                n_tasks, utilizations, nodes=nodes, run_dir=args.run_dir,
-                sets_per_point=sets, seed=seed, replicas=replicas,
-                resume=resume, config=_distrib_config(args),
-                progress=lambda msg: print(msg, file=sys.stderr))
-        else:
+        with _fleet(args, nodes) as dispatcher:
             rows = run_schedulability_campaign(
                 n_tasks, utilizations, sets_per_point=sets, seed=seed,
                 replicas=replicas, run_dir=args.run_dir, resume=resume,
-                config=_campaign_config(args),
+                config=_campaign_config(args), dispatcher=dispatcher,
                 progress=lambda msg: print(msg, file=sys.stderr))
     except (RunDirError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
@@ -270,9 +278,9 @@ def _trace_window_offsets(args: argparse.Namespace) -> Tuple[int, ...]:
 
 def _run_trace_cli(args: argparse.Namespace, *, grid: "object",
                    resume: bool) -> int:
-    """Shared body of ``campaign run --trace`` and its resume: route to
-    the local trace-replay driver or (with worker nodes) the distributed
-    coordinator, then print one figure table per trace window."""
+    """Shared body of ``campaign run --trace`` and its resume: run the
+    replay locally or (with worker nodes) on the fleet, then print one
+    figure table per trace window."""
     from .campaign import CampaignIncomplete, RunDirError
     from .distrib import DistribError
     from .traces.mapping import MappingConfig
@@ -296,21 +304,14 @@ def _run_trace_cli(args: argparse.Namespace, *, grid: "object",
             mapping=MappingConfig(policy=args.policy))
     else:
         grid_kwargs = {}
+    from .traces.replay import run_trace_campaign
+
     try:
-        if nodes is not None:
-            from .distrib import run_distributed_trace_campaign
-
-            rows = run_distributed_trace_campaign(
-                args.trace, nodes=nodes, run_dir=args.run_dir,
-                resume=resume, config=_distrib_config(args), grid=grid,
-                progress=lambda msg: print(msg, file=sys.stderr),
-                **grid_kwargs)
-        else:
-            from .traces.replay import run_trace_campaign
-
+        with _fleet(args, nodes) as dispatcher:
             rows = run_trace_campaign(
                 args.trace, run_dir=args.run_dir, resume=resume,
                 config=_campaign_config(args), grid=grid,
+                dispatcher=dispatcher,
                 progress=lambda msg: print(msg, file=sys.stderr),
                 **grid_kwargs)
     except (SWFError, RunDirError, ValueError) as exc:
@@ -605,8 +606,8 @@ def _add_campaign_commands(sub: "argparse._SubParsersAction[argparse.ArgumentPar
                         default=None, metavar="N",
                         help="local worker processes (results are "
                              "byte-identical to the serial run); with "
-                             "--workers NODES this adds N local pool "
-                             "slots beside the remote fleet")
+                             "--workers NODES the local pool joins the "
+                             "fleet as one more node of N slots")
         cp.add_argument("--workers", dest="workers", default=None,
                         metavar="NODES",
                         help="host1:port,host2:port — farm shards out to "

@@ -1,14 +1,21 @@
 """The coordinator: lease shards to a fleet, survive the fleet.
 
 One :class:`Coordinator` drives one campaign's unfinished shards to
-completion across remote worker nodes (``repro worker --serve``) and an
-optional local process-pool slice.  The design is lease-based, not
-push-based: every connection *slot* (one per pool job on each node)
-pulls the next pending shard from the :class:`~repro.distrib.lease.
-LeaseTable`, ships it over the wire, and blocks reading frames; the
-table's deadlines — pushed forward by the worker's heartbeat frames —
-are what detect dead, partitioned, or wedged nodes, and an expired or
-lost lease simply re-pends its shard for whoever is alive.  Because
+completion across worker nodes (``repro worker --serve``).  It is the
+:class:`~repro.campaign.runner.Dispatcher` a fleet run hands to
+:class:`~repro.campaign.runner.CampaignRunner` in place of the local
+pool, so restoring, checkpointing and status writes stay in the runner.
+Local pool slots join a fleet as one more node: the CLI starts an
+in-process :class:`~repro.distrib.worker.WorkerServer` on a loopback
+port.
+
+The design is lease-based, not push-based: every connection *slot*
+(one per pool job on each node) pulls the next pending shard from the
+:class:`~repro.distrib.lease.LeaseTable`, ships it over the wire, and
+blocks reading frames; the table's deadlines — pushed forward by the
+worker's heartbeat frames — are what detect dead, partitioned, or
+wedged nodes, and an expired or lost lease simply re-pends its shard
+for whoever is alive.  Because
 shards are deterministic, the first result to arrive is accepted and
 every later duplicate is discarded unread (see ``lease.py`` for the
 soundness argument).
@@ -21,9 +28,8 @@ Failure semantics mirror the local runner's (``campaign/runner.py``):
 * **expiry / lost node** — the lease deadline passed, or the connection
   died: unbudgeted re-lease, exactly like local worker-death recovery
   (the shard did nothing wrong).
-* **no sources left** — every node is gone and no local slots exist:
-  outstanding shards are abandoned and reported as failed rather than
-  waiting forever.
+* **no sources left** — every node is gone: outstanding shards are
+  abandoned and reported as failed rather than waiting forever.
 
 Results flow through a **bounded** queue: slot threads block once
 ``queue_capacity`` results are waiting for the coordinator thread to
@@ -31,13 +37,13 @@ drain (checkpointing is the slow side on huge grids), so a fast fleet
 applies backpressure instead of growing the heap.  Stall counts are
 surfaced in :meth:`Coordinator.stats` and ``status.json``.
 
-Thread model: N slot threads (one per remote slot plus ``local_jobs``
-local evaluators) produce into the queue; the caller's thread runs
-:meth:`Coordinator.run` and is the only consumer and the only writer of
-checkpoints.  All shared state (the lease table, counters) is guarded
-by ``self._lock``.  This file reads clocks (deadlines, throughput) and
-is R002 clock-exempt like ``campaign/runner.py``; shard *results* never
-depend on them.
+Thread model: N slot threads (one per pool job on each node) produce
+into the queue; the caller's thread runs :meth:`Coordinator.run` (from
+``CampaignRunner.run``) and is the only consumer and, through the
+runner's callbacks, the only writer of checkpoints.  All shared state
+(the lease table, counters) is guarded by ``self._lock``.  This file
+reads clocks (deadlines, throughput) and is R002 clock-exempt like
+``campaign/runner.py``; shard *results* never depend on them.
 """
 
 from __future__ import annotations
@@ -46,18 +52,12 @@ import queue
 import socket
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..analysis.schedulability import SchedulabilityPoint
-from ..campaign.pool import discard_worker_pool, worker_pool
-from ..campaign.sched import evaluate_shard
-from ..campaign.spec import ShardSpec
-from ..overheads.model import OverheadModel
 from ..service.protocol import ProtocolError, decode_line, encode
-from ..traces.replay import evaluate_trace_shard
 from .lease import LeaseTable
 from .wire import (WORKER_PROTOCOL_VERSION, is_heartbeat, model_to_wire,
                    points_from_wire, shard_run_request)
@@ -117,25 +117,19 @@ class DistribConfig:
     the workers' heartbeat interval (1 s by default) by a comfortable
     factor, since heartbeats are what keep an honest long shard's lease
     alive.  ``shard_deadline`` is the optional *hard* cap a heartbeating
-    but wedged node cannot extend.  ``local_jobs`` adds that many warm
-    process-pool evaluators alongside the remote fleet (0 = remote
-    only).  ``queue_capacity`` bounds the result queue (backpressure —
-    see the module docstring).
+    but wedged node cannot extend.  ``queue_capacity`` bounds the
+    result queue (backpressure — see the module docstring).
     """
 
-    local_jobs: int = 0
     lease_timeout: float = 15.0
     shard_deadline: Optional[float] = None
     connect_timeout: float = 5.0
     max_retries: int = 2
-    max_pool_rebuilds: int = 3
     queue_capacity: int = 64
     poll_interval_seconds: float = 0.05
     status_interval_seconds: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.local_jobs < 0:
-            raise ValueError("local_jobs must be nonnegative")
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
         if self.shard_deadline is not None and \
@@ -163,52 +157,43 @@ class Coordinator:
     checkpoint writes stay single-writer, as the store requires).
     """
 
-    def __init__(self, shards: Sequence[ShardSpec],
-                 model: Optional[OverheadModel], *,
-                 nodes: Sequence[NodeSpec] = (),
-                 config: Optional[DistribConfig] = None,
-                 payloads: Optional[Dict[str, Any]] = None) -> None:
-        if not shards:
-            raise ValueError("a distributed run needs at least one shard")
-        self.config = config or DistribConfig()
-        if not nodes and self.config.local_jobs == 0:
+    def __init__(self, nodes: Sequence[NodeSpec],
+                 config: Optional[DistribConfig] = None) -> None:
+        if not nodes:
             raise DistribError(
-                "no shard sources: give at least one worker node or "
-                "local_jobs > 0")
-        # Fail fast on models that cannot cross the wire (custom
-        # callables have no signature) — before any node is touched.
-        if nodes:
-            model_to_wire(model)
+                "no shard sources: give at least one worker node")
         self.nodes = tuple(nodes)
-        self.model = model
-        # Trace-replay window payloads keyed by shard id (None for
-        # synthetic campaigns).  Shipped inside each shard-run frame —
-        # workers stay stateless, so any node can take any lease.
-        self.payloads = payloads
-        self._by_id = {s.shard_id: s for s in shards}
+        self.config = config or DistribConfig()
         self._lock = threading.Lock()
-        self._table = LeaseTable([s.shard_id for s in shards])
+        #: The current run's ``(spec, model[, payload])`` jobs by shard
+        #: id.  Payloads (trace-replay windows) ride inside each
+        #: shard-run frame, so workers stay stateless and any node can
+        #: take any lease.
+        self._jobs: Dict[str, Tuple[Any, ...]] = {}
+        self._table = LeaseTable([])
         self._results: "queue.Queue[_Event]" = queue.Queue(
             maxsize=self.config.queue_capacity)
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         self._sockets: List[socket.socket] = []
-        self._sources = 0          # live slot threads (all kinds)
+        self._sources = 0          # live slot threads
         self._queue_stalls = 0     # puts that found the queue full
         self._expiries = 0
         self._lost_leases = 0
 
     # -- slot-thread helpers (each takes the lock briefly) ------------
 
-    def _next_lease(self, worker: str) -> Optional[Tuple[ShardSpec, int]]:
-        """Lease the next pending shard to ``worker`` (None when idle)."""
+    def _next_lease(self, worker: str
+                    ) -> Optional[Tuple[Tuple[Any, ...], int]]:
+        """Lease the next pending shard's job to ``worker`` (None when
+        idle)."""
         with self._lock:
             lease = self._table.lease(
                 worker, time.monotonic(), self.config.lease_timeout,
                 self.config.shard_deadline)
             if lease is None:
                 return None
-            return self._by_id[lease.shard_id], lease.epoch
+            return self._jobs[lease.shard_id], lease.epoch
 
     def _note_heartbeat(self, worker: str) -> None:
         with self._lock:
@@ -233,7 +218,7 @@ class Coordinator:
         with self._lock:
             self._sources -= 1
 
-    # -- remote slots -------------------------------------------------
+    # -- slots --------------------------------------------------------
 
     def _connect(self, node: NodeSpec) -> socket.socket:
         """Open, version-check, and register one connection to a node."""
@@ -293,11 +278,10 @@ class Coordinator:
                     if leased is None:
                         time.sleep(self.config.poll_interval_seconds)
                         continue
-                    spec, epoch = leased
-                    trace = None if self.payloads is None \
-                        else self.payloads[spec.shard_id].to_wire()
+                    (spec, model, *payload), epoch = leased
+                    trace = payload[0].to_wire() if payload else None
                     stream.write(encode(
-                        {**shard_run_request(spec, self.model, trace),
+                        {**shard_run_request(spec, model, trace),
                          "id": epoch}))
                     stream.flush()
                     started = time.monotonic()
@@ -323,88 +307,40 @@ class Coordinator:
             self._source_stopped()
             sock.close()
 
-    # -- local slots --------------------------------------------------
-
-    def _local_slot(self, slot: int) -> None:
-        """One local warm-pool evaluator (slot thread body)."""
-        worker = "local"
-        self._source_started()
-        rebuilds = 0
-        try:
-            while not self._stop.is_set():
-                leased = self._next_lease(worker)
-                if leased is None:
-                    time.sleep(self.config.poll_interval_seconds)
-                    continue
-                spec, epoch = leased
-                started = time.monotonic()
-                if self.payloads is None:
-                    runner: Callable[..., Any] = evaluate_shard
-                    args: Tuple[Any, ...] = (spec, self.model)
-                else:
-                    runner = evaluate_trace_shard
-                    args = (spec, self.model,
-                            self.payloads[spec.shard_id])
-                try:
-                    fut = worker_pool(self.config.local_jobs).submit(
-                        runner, args)
-                    while True:
-                        try:
-                            points = fut.result(timeout=0.2)
-                            break
-                        except FutureTimeout:
-                            if self._stop.is_set():
-                                # Abandon the attempt (the warm pool
-                                # finishes it harmlessly; the result is
-                                # simply never read).
-                                return
-                except BrokenProcessPool:
-                    # Unbudgeted pool rebuild, like the local runner —
-                    # but bounded per slot so a poisoned environment
-                    # cannot spin forever.
-                    discard_worker_pool()
-                    rebuilds += 1
-                    if rebuilds > self.config.max_pool_rebuilds:
-                        self._emit(("lost", worker,
-                                    "local pool rebuild budget exhausted"))
-                        return
-                    self._emit(("fail", worker, spec.shard_id, epoch,
-                                "worker-death: local pool broke"))
-                    continue
-                except Exception as exc:  # the shard itself raised
-                    self._emit(("fail", worker, spec.shard_id, epoch,
-                                f"shard-error: {exc}"))
-                    continue
-                self._emit(("done", worker, spec.shard_id, epoch, points,
-                            time.monotonic() - started))
-        finally:
-            self._source_stopped()
-
     # -- the run loop (caller's thread; single consumer) --------------
 
-    def run(self, *, on_success: OnSuccess,
+    def run(self, jobs: Mapping[str, Tuple[Any, ...]], *,
+            on_success: OnSuccess,
             on_retry: Optional[OnRetry] = None,
             on_tick: Optional[Callable[[], None]] = None) -> List[str]:
-        """Drive every shard to success or retry exhaustion.
+        """Drive every job to success or retry exhaustion.
 
-        ``on_success(shard_id, points, attempts, elapsed, worker)``
-        fires exactly once per shard, on this thread, in arrival order
-        (never for discarded duplicates).  ``on_retry(shard_id, reason,
-        worker)`` fires on every requeue with reason ``"error"``,
-        ``"expired"``, or ``"worker-lost"``.  Returns the failed shard
-        ids (empty on full success).
+        ``jobs`` maps shard ids to the runner's ``(spec, model[,
+        payload])`` tuples.  ``on_success(shard_id, points, attempts,
+        elapsed, worker)`` fires exactly once per shard, on this thread,
+        in arrival order (never for discarded duplicates).
+        ``on_retry(shard_id, reason, worker)`` fires on every requeue
+        with reason ``"error"``, ``"expired"``, or ``"worker-lost"``.
+        Returns the failed shard ids (empty on full success).  With no
+        jobs no node is contacted.
         """
+        if not jobs:
+            return []
+        # Fail fast on models that cannot cross the wire (custom
+        # callables have no signature) — before any node is touched.
+        for job in jobs.values():
+            model_to_wire(job[1])
         cfg = self.config
+        with self._lock:
+            self._jobs = dict(jobs)
+            self._table = LeaseTable(list(jobs))
+        self._stop.clear()
         for node in self.nodes:
-            jobs = self._probe_jobs(node)  # raises on a dead/alien node
-            for slot in range(jobs):
+            slots = self._probe_jobs(node)  # raises on a dead/alien node
+            for slot in range(slots):
                 self._threads.append(threading.Thread(
                     target=self._remote_slot, args=(node, slot),
                     name=f"repro-distrib-{node.label}-{slot}", daemon=True))
-        for slot in range(cfg.local_jobs):
-            self._threads.append(threading.Thread(
-                target=self._local_slot, args=(slot,),
-                name=f"repro-distrib-local-{slot}", daemon=True))
         for thread in self._threads:
             thread.start()
 
@@ -530,8 +466,11 @@ class Coordinator:
                 "live_sources": self._sources,
             }
 
-    def attribution(self) -> Dict[str, Any]:
-        """Per-shard attribution (see :meth:`~repro.distrib.lease.
-        LeaseTable.attribution`) for ``repro campaign status --shards``."""
+    def status(self) -> Dict[str, Any]:
+        """The fleet's ``status.json`` keys: ``distrib`` (:meth:`stats`)
+        and ``shards``, the per-shard attribution (see
+        :meth:`~repro.distrib.lease.LeaseTable.attribution`) that
+        ``repro campaign status --shards`` renders."""
         with self._lock:
-            return self._table.attribution()
+            attribution = self._table.attribution()
+        return {"distrib": self.stats(), "shards": attribution}

@@ -32,6 +32,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
@@ -281,9 +282,12 @@ class WorkerServer:
             runner, args = self.trace_evaluator, (spec, model, trace)
         started = time.monotonic()
         rebuilds = 0
-        fut = worker_pool(self.jobs).submit(runner, args)
+        fut: Optional[Future[Any]] = None
         while True:
             try:
+                if fut is None:
+                    pool = worker_pool(self.jobs)
+                    fut = pool.submit(runner, args)
                 points = fut.result(timeout=self.heartbeat_interval)
                 break
             except FutureTimeout:
@@ -293,8 +297,10 @@ class WorkerServer:
             except BrokenProcessPool:
                 # Same recovery the local runner performs: the poisoned
                 # pool is discarded and the shard resubmitted, bounded
-                # by the rebuild budget.
-                discard_worker_pool()
+                # by the rebuild budget.  Connection threads share the
+                # pool, so only the executor that broke is discarded —
+                # never a sibling's fresh rebuild.
+                discard_worker_pool(pool)
                 rebuilds += 1
                 if rebuilds > self.max_pool_rebuilds:
                     self.metrics.record_shard(
@@ -303,7 +309,7 @@ class WorkerServer:
                         rid, "worker-death",
                         f"shard {spec.shard_id} killed its pool worker "
                         f"{rebuilds} time(s); rebuild budget exhausted")
-                fut = worker_pool(self.jobs).submit(runner, args)
+                fut = None
             except Exception as exc:  # the shard itself raised
                 self.metrics.record_shard(
                     "error", 0, time.monotonic() - started)

@@ -234,9 +234,9 @@ class DeterminismRule(Rule):
     planning and seeding must stay clock-free (only the runner's dispatch loop may read clocks, for
     backoff/timeouts/metrics — see :data:`CLOCK_EXEMPT_FILES`).
     ``distrib/`` inherits the same contract — wire codecs and the lease
-    table are clock-free; only the three process-facing files (worker
-    server, coordinator, run driver) may read clocks, for heartbeats,
-    lease deadlines, and status snapshots.  ``traces/`` is in scope
+    table are clock-free; only the two process-facing files (worker
+    server and coordinator) may read clocks, for heartbeats and lease
+    deadlines.  ``traces/`` is in scope
     because trace-replay campaigns promise the same byte-identical
     resume: the SWF parser and job→task mapping must be pure functions
     of the log, and the replay worker's only randomness is the
@@ -256,11 +256,11 @@ class DeterminismRule(Rule):
     #: owns retry backoff, timeouts, throughput metering, and run-metadata
     #: timestamps — all of which live outside the determinism contract
     #: (shard planning, seeding, and results never depend on them); the
-    #: distrib worker/coordinator/run trio owns heartbeat pacing, lease
-    #: deadlines, and status snapshots under the identical argument.  The
-    #: RNG and environment checks still apply there.
+    #: distrib worker and coordinator own heartbeat pacing and lease
+    #: deadlines under the identical argument.  The RNG and environment
+    #: checks still apply there.
     CLOCK_EXEMPT_FILES = ("campaign/runner.py", "distrib/worker.py",
-                          "distrib/coordinator.py", "distrib/run.py")
+                          "distrib/coordinator.py")
 
     #: Wall-clock reads by module attribute.
     CLOCK_ATTRS = {

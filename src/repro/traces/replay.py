@@ -43,7 +43,7 @@ from ..analysis.experiments import CampaignRow
 from ..analysis.persistence import save_campaign
 from ..analysis.schedulability import SchedulabilityPoint, evaluate_task_set
 from ..campaign.checkpoint import CheckpointStore
-from ..campaign.runner import CampaignRunner, RunnerConfig
+from ..campaign.runner import CampaignRunner, Dispatcher, RunnerConfig
 from ..campaign.sched import campaign_row
 from ..campaign.spec import ShardSpec, point_shards, shards_by_point
 from ..overheads.model import OverheadModel
@@ -363,13 +363,17 @@ def run_trace_campaign(
     config: Optional[RunnerConfig] = None,
     grid: Optional[TraceGrid] = None,
     evaluator: Optional[Callable[[Any], List[SchedulabilityPoint]]] = None,
+    dispatcher: Optional[Dispatcher] = None,
 ) -> List[CampaignRow]:
     """Run (or resume) a trace-replay campaign end to end.
 
     :func:`prepare_trace_campaign` pins the trace (resume refuses a
     modified log) and maps the windows; everything else —
     checkpointing, retry, worker pools, status files — is the stock
-    campaign engine with trace payloads riding along.
+    campaign engine with trace payloads riding along.  With a
+    ``dispatcher`` the windows are mapped here once and their payloads
+    ride inside the shard-run frames, so worker nodes need no access to
+    the trace file.
     """
     grid, payloads = prepare_trace_campaign(
         trace_path, grid, window_seconds=window_seconds,
@@ -382,7 +386,8 @@ def run_trace_campaign(
     runner = CampaignRunner(grid, evaluator or evaluate_trace_shard,
                             config=cfg, store=store, model=model,
                             payloads=payloads,
-                            note=f"trace-replay {grid.trace_name}")
+                            note=f"trace-replay {grid.trace_name}",
+                            dispatcher=dispatcher)
     results = runner.run(resume=resume)
     rows = assemble_trace_rows(grid, results, progress=progress)
     if store is not None:

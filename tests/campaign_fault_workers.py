@@ -10,9 +10,10 @@ carried out-of-band:
   the fuse and misbehaves, later attempts see it and succeed, giving a
   deterministic fail-once schedule that works across processes;
 * shard workers (the :class:`~repro.campaign.runner.CampaignRunner`
-  tests) select their victim via environment variables, inherited by
-  pool workers at fork time (tests rebuild the warm pool after setting
-  them, see ``discard_worker_pool``).
+  and worker-node tests) select their victim via environment variables,
+  inherited by pool workers at fork time (tests rebuild the warm pool
+  after setting them, see ``discard_worker_pool``); the die-once
+  worker keys its fuse file by shard id.
 """
 
 import os
@@ -31,6 +32,7 @@ __all__ = [
     "failing_shard",
     "failing_trace_shard",
     "dying_shard",
+    "dying_once_shard",
     "slow_shard",
 ]
 
@@ -100,6 +102,23 @@ def dying_shard(args):
     spec, _model = args
     if spec.shard_id == os.environ.get(DIE_SHARD_ENV):
         os._exit(1)
+    return evaluate_shard(args)
+
+
+def dying_once_shard(args):
+    """Shard evaluator whose worker process dies on the env-selected
+    shard's first attempt only, then evaluates normally.
+
+    The fuse is a file named after the shard id in ``FUSE_DIR_ENV``, so
+    the schedule holds across pool processes and worker nodes: whichever
+    node runs the victim first loses its pool worker once, and every
+    later attempt succeeds."""
+    spec, _model = args
+    if spec.shard_id == os.environ.get(DIE_SHARD_ENV):
+        fuse = os.path.join(os.environ[FUSE_DIR_ENV], spec.shard_id)
+        if not os.path.exists(fuse):
+            open(fuse, "w").close()
+            os._exit(1)
     return evaluate_shard(args)
 
 

@@ -16,6 +16,10 @@ The load-bearing claims, each pinned here:
   worker mid-campaign, partitioning its sockets, or delivering late
   duplicate results — and a killed fleet leaves a run directory that
   ``resume`` finishes byte-identically;
+* a fleet run goes through the same :class:`~repro.campaign.runner.
+  CampaignRunner` as a local one (the coordinator is only its
+  dispatcher), and the CLI's ``-j`` slice is a loopback worker node
+  that recovers a pool-worker death without charging the retry budget;
 * the coordinator's bounded result queue applies backpressure (counted,
   never dropped) and surfaces its counters in ``status.json``.
 
@@ -37,7 +41,7 @@ from repro.campaign.sched import evaluate_shard, run_schedulability_campaign
 from repro.campaign.spec import CampaignGrid, plan_shards
 from repro.distrib import (Coordinator, DistribConfig, DistribError,
                            LeaseTable, NodeSpec, WorkerServer,
-                           parse_worker_nodes, run_distributed_campaign)
+                           parse_worker_nodes)
 from repro.distrib.wire import (WORKER_PROTOCOL_VERSION, heartbeat_frame,
                                 is_heartbeat, model_from_wire, model_to_wire,
                                 parse_shard_run, points_from_wire,
@@ -81,6 +85,15 @@ def local_result_bytes(tmp_path, grid=GRID):
 
 def distributed_result_bytes(run_dir):
     return (run_dir / "result.json").read_bytes()
+
+
+def dead_port():
+    """A loopback port nothing listens on."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
 
 
 def request(sock_file, payload):
@@ -353,11 +366,11 @@ class TestDistributedRuns:
     def run_distributed(self, tmp_path, nodes, *, name="dist",
                         resume=False, config=None, grid=GRID):
         run_dir = tmp_path / name
-        run_distributed_campaign(
+        run_schedulability_campaign(
             grid.n_tasks, grid.utilizations,
             sets_per_point=grid.sets_per_point, seed=grid.seed,
-            nodes=nodes, run_dir=str(run_dir), resume=resume,
-            config=config or DistribConfig(**FAST))
+            run_dir=str(run_dir), resume=resume,
+            dispatcher=Coordinator(nodes, config or DistribConfig(**FAST)))
         return run_dir
 
     def test_two_workers_match_local_byte_for_byte(self, tmp_path):
@@ -378,14 +391,16 @@ class TestDistributedRuns:
         assert workers <= {f"{h1}:{p1}", f"{h2}:{p2}"}
 
     def test_mixed_local_and_remote_slots(self, tmp_path):
+        # Local slots are a loopback worker node beside the remote one.
         reference = local_result_bytes(tmp_path)
-        with WorkerServer(jobs=1) as (host, port):
+        with WorkerServer(jobs=1) as (host, port), \
+                WorkerServer(jobs=1) as (lhost, lport):
             run_dir = self.run_distributed(
-                tmp_path, [NodeSpec(host, port)],
-                config=DistribConfig(local_jobs=1, **FAST))
+                tmp_path, [NodeSpec(host, port), NodeSpec(lhost, lport)])
         assert distributed_result_bytes(run_dir) == reference
         status = json.loads((run_dir / "status.json").read_text())
-        assert set(status["workers"]) <= {"local", f"{host}:{port}"}
+        assert set(status["workers"]) <= {f"{lhost}:{lport}",
+                                          f"{host}:{port}"}
 
     def test_kill_worker_mid_campaign_completes_identically(self, tmp_path,
                                                             slow_delay):
@@ -495,26 +510,73 @@ class TestDistributedRuns:
         assert final["shards_resumed"] == done_before
 
     def test_no_sources_is_rejected_up_front(self):
-        shards = plan_shards(GRID)
         with pytest.raises(DistribError, match="no shard sources"):
-            Coordinator(shards, None, nodes=(),
-                        config=DistribConfig(local_jobs=0))
+            Coordinator((), DistribConfig())
 
     def test_dead_node_at_startup_is_a_loud_error(self, tmp_path):
-        # Grab a port nothing listens on.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
         with pytest.raises(OSError):
-            self.run_distributed(tmp_path, [NodeSpec("127.0.0.1", port)],
+            self.run_distributed(tmp_path,
+                                 [NodeSpec("127.0.0.1", dead_port())],
                                  name="nonode")
 
     def test_custom_model_rejected_before_touching_the_fleet(self):
-        shards = plan_shards(GRID)
+        # Nothing listens on the node's port: reaching it would raise
+        # OSError, so the ValueError proves the check came first.
+        custom = OverheadModel(sched_pd2=lambda n: 0)
+        coord = Coordinator([NodeSpec("127.0.0.1", dead_port())])
         with pytest.raises(ValueError, match="run locally"):
-            Coordinator(shards, OverheadModel(sched_pd2=lambda n: 0),
-                        nodes=(NodeSpec("127.0.0.1", 1),))
+            coord.run({s.shard_id: (s, custom) for s in plan_shards(GRID)},
+                      on_success=lambda *event: None)
+
+    def test_resume_of_a_finished_run_never_touches_the_fleet(
+            self, tmp_path):
+        # Every shard is already checkpointed, so the fleet run has no
+        # jobs: it must finish without connecting to its (dead) node.
+        run_dir = tmp_path / "local-ref"
+        reference = local_result_bytes(tmp_path)
+        self.run_distributed(tmp_path, [NodeSpec("127.0.0.1", dead_port())],
+                             name="local-ref", resume=True)
+        assert distributed_result_bytes(run_dir) == reference
+        status = json.loads((run_dir / "status.json").read_text())
+        assert status["state"] == "complete"
+        assert status["shards_resumed"] == status["shards_total"]
+
+    def test_loopback_slice_recovers_worker_death_unbudgeted(
+            self, tmp_path, monkeypatch, capsys):
+        # `--workers NODE -j 1` adds a loopback worker node.  One shard
+        # kills its pool worker once; with a zero retry budget the run
+        # must still complete, because a worker death is recovered by
+        # rebuilding the pool, never charged to the shard.
+        from repro.cli import main
+        from repro.distrib import worker as worker_module
+
+        victim = plan_shards(GRID)[1].shard_id
+        monkeypatch.setenv(fw.DIE_SHARD_ENV, victim)
+        monkeypatch.setenv(fw.FUSE_DIR_ENV, str(tmp_path))
+        discard_worker_pool()  # pool workers must inherit the env
+        # The CLI's loopback node takes the module's default evaluator.
+        monkeypatch.setattr(worker_module, "evaluate_shard",
+                            fw.dying_once_shard)
+        grid_args = ["--tasks", str(GRID.n_tasks), "--points",
+                     str(len(GRID.utilizations)), "--sets",
+                     str(GRID.sets_per_point), "--seed", str(GRID.seed)]
+        try:
+            with WorkerServer(jobs=1,
+                              evaluator=fw.dying_once_shard) as (host, port):
+                assert main(["campaign", "run", str(tmp_path / "fleet"),
+                             *grid_args, "--workers", f"{host}:{port}",
+                             "-j", "1", "--retries", "0"]) == 0
+        finally:
+            discard_worker_pool()
+        assert (tmp_path / victim).exists(), "the victim never died"
+        assert main(["campaign", "run", str(tmp_path / "local"),
+                     *grid_args]) == 0
+        capsys.readouterr()
+        assert distributed_result_bytes(tmp_path / "fleet") == \
+            distributed_result_bytes(tmp_path / "local")
+        status = json.loads((tmp_path / "fleet" / "status.json").read_text())
+        assert status["state"] == "complete"
+        assert status["shards"][victim]["errors"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +585,9 @@ class TestDistributedRuns:
 
 class TestBackpressure:
     def test_emit_blocks_and_counts_when_queue_is_full(self):
-        shards = plan_shards(GRID)
-        coord = Coordinator(shards, None,
-                            config=DistribConfig(local_jobs=1,
-                                                 queue_capacity=1))
+        with WorkerServer(jobs=1) as (host, port):
+            coord = Coordinator([NodeSpec(host, port)],
+                                DistribConfig(queue_capacity=1))
         coord._results.put_nowait(("lost", "w0", "fill"))  # queue now full
         released = threading.Event()
 
@@ -546,11 +607,14 @@ class TestBackpressure:
     def test_bounded_queue_still_completes_under_pressure(self, tmp_path):
         reference = local_result_bytes(tmp_path)
         run_dir = tmp_path / "pressure"
-        run_distributed_campaign(
-            GRID.n_tasks, GRID.utilizations,
-            sets_per_point=GRID.sets_per_point, seed=GRID.seed,
-            nodes=(), run_dir=str(run_dir),
-            config=DistribConfig(local_jobs=2, queue_capacity=1, **FAST))
+        with WorkerServer(jobs=2) as (host, port):
+            run_schedulability_campaign(
+                GRID.n_tasks, GRID.utilizations,
+                sets_per_point=GRID.sets_per_point, seed=GRID.seed,
+                run_dir=str(run_dir),
+                dispatcher=Coordinator(
+                    [NodeSpec(host, port)],
+                    DistribConfig(queue_capacity=1, **FAST)))
         assert distributed_result_bytes(run_dir) == reference
         status = json.loads((run_dir / "status.json").read_text())
         assert status["distrib"]["queue_capacity"] == 1

@@ -111,15 +111,14 @@ class TestRunTraceCampaign:
 
 class TestDistributedTrace:
     def test_worker_fleet_matches_local_rows(self, tmp_path):
-        from repro.distrib import (NodeSpec, WorkerServer,
-                                   run_distributed_trace_campaign)
+        from repro.distrib import Coordinator, NodeSpec, WorkerServer
 
         server = WorkerServer("127.0.0.1", 0, jobs=1)
         host, port = server.start()
         try:
-            distributed = run_distributed_trace_campaign(
-                FIXTURE, nodes=[NodeSpec(host, port)],
-                run_dir=str(tmp_path / "run"), **ARGS)
+            distributed = run_trace_campaign(
+                FIXTURE, run_dir=str(tmp_path / "run"),
+                dispatcher=Coordinator([NodeSpec(host, port)]), **ARGS)
         finally:
             server.stop()
         local = run_trace_campaign(FIXTURE, **ARGS)

@@ -235,8 +235,7 @@ class TestWorkerFrames:
         monkeypatch.setattr(coordinator_module, "encode", recording_encode)
         with WorkerServer(jobs=1) as (host, port):
             node = NodeSpec(host, port)
-            coordinator = Coordinator(plan_shards(GRID), None, nodes=[node],
-                                      config=DistribConfig())
+            coordinator = Coordinator([node], DistribConfig())
             # _connect pings (and version-checks the answer); the probe
             # then asks worker-stats for the node's pool size.
             assert coordinator._probe_jobs(node) == 1
