@@ -36,7 +36,7 @@ import contextlib
 import sys
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Iterator, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from .analysis.experiments import utilization_grid
 from .analysis.figures import fig1_report, fig3_table, fig4_table, fig5_report
@@ -68,6 +68,27 @@ def _parse_weight(text: str) -> Tuple[int, int]:
     if not 0 < e <= p:
         raise argparse.ArgumentTypeError(f"need 0 < E <= P, got {text}")
     return e, p
+
+
+def _positive_int(text: str) -> int:
+    """A process or slot count: an integer of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value}")
+    return value
+
+
+def _workers_arg(text: str) -> Union[int, str]:
+    """``campaign --workers``: a bare integer is the legacy ``--jobs``
+    alias (and must be positive); anything else is a node list."""
+    if text.strip().lstrip("+-").isdigit():
+        return _positive_int(text)
+    return text
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
@@ -198,16 +219,16 @@ def _campaign_nodes(args: argparse.Namespace) -> Optional[list]:
     """Decode ``--workers``: a bare integer is the legacy ``--jobs``
     alias (local pool size); a ``host:port[,host:port...]`` list selects
     the distributed path (docs/DISTRIBUTED.md)."""
-    text = getattr(args, "workers", None)
-    if text is None:
+    workers = getattr(args, "workers", None)
+    if workers is None:
         return None
-    if text.isdigit():
+    if isinstance(workers, int):
         if args.jobs is None:
-            args.jobs = int(text)
+            args.jobs = workers
         return None
     from .distrib import parse_worker_nodes
 
-    return parse_worker_nodes(text)
+    return parse_worker_nodes(workers)
 
 
 @contextlib.contextmanager
@@ -602,14 +623,14 @@ def _add_campaign_commands(sub: "argparse._SubParsersAction[argparse.ArgumentPar
     csub = p.add_subparsers(dest="campaign_command", required=True)
 
     def dispatch_opts(cp: argparse.ArgumentParser) -> None:
-        cp.add_argument("--jobs", "-j", dest="jobs", type=int,
+        cp.add_argument("--jobs", "-j", dest="jobs", type=_positive_int,
                         default=None, metavar="N",
                         help="local worker processes (results are "
                              "byte-identical to the serial run); with "
                              "--workers NODES the local pool joins the "
                              "fleet as one more node of N slots")
-        cp.add_argument("--workers", dest="workers", default=None,
-                        metavar="NODES",
+        cp.add_argument("--workers", dest="workers", type=_workers_arg,
+                        default=None, metavar="NODES",
                         help="host1:port,host2:port — farm shards out to "
                              "these `repro worker --serve` nodes "
                              "(docs/DISTRIBUTED.md); a bare integer is "
@@ -853,7 +874,8 @@ def _add_worker_command(sub: "argparse._SubParsersAction[argparse.ArgumentParser
     p.add_argument("--port", type=int, default=7012,
                    help="listen port (default 7012); 0 picks an "
                         "ephemeral one")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", "-j", type=_positive_int, default=1,
+                   metavar="N",
                    help="pool processes = shards evaluated concurrently")
     p.add_argument("--heartbeat", type=float, default=1.0,
                    metavar="SECONDS",
@@ -963,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, default=8)
         p.add_argument("--sets", type=int, default=15)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", "-j", "--workers", dest="jobs", type=int,
-                       default=1, metavar="N",
+        p.add_argument("--jobs", "-j", "--workers", dest="jobs",
+                       type=_positive_int, default=1, metavar="N",
                        help="worker processes for the campaign grid "
                             "(ProcessPoolExecutor; results are "
                             "byte-identical to the serial run; "

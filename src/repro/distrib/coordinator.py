@@ -368,7 +368,7 @@ class Coordinator:
                     # a shard wins and duplicates are discarded, so any
                     # arrival order yields the same checkpoint set (the
                     # run dir is keyed by shard id, not event order).
-                    event = self._results.get(  # staticcheck: allow[R014]
+                    event = self._results.get(
                         timeout=cfg.poll_interval_seconds)
                 except queue.Empty:
                     event = None
@@ -376,7 +376,7 @@ class Coordinator:
                     self._handle(event, attempts, on_success, on_retry)
                     try:
                         # Same accept-first argument as above.
-                        event = self._results.get_nowait()  # staticcheck: allow[R014]
+                        event = self._results.get_nowait()
                     except queue.Empty:
                         event = None
 

@@ -14,7 +14,8 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
   division in decision paths (``core/`` and the vectorized kernel
   ``sim/vector.py``); numpy float dtypes are banned in the kernel.
 * **R002 determinism** — no seedless RNGs, wall-clock reads, or
-  environment reads outside ``util/toggles.py`` in ``core/`` + ``sim/``.
+  environment reads outside ``util/toggles.py`` in ``core/``, ``sim/``,
+  ``campaign/``, ``distrib/``, ``traces/`` and ``workload/``.
 * **R003 layering** — the import DAG ``util → core → workload →
   overheads/partition → sim → … → analysis/service`` admits no upward
   imports and no package cycles.
@@ -36,34 +37,16 @@ the concurrency model written down in docs/CONCURRENCY.md:
 * **R009 fork-safety** — nothing transitively holding a lock, socket,
   or event loop crosses a process boundary.
 
-The last three form the *determinism-provenance* layer
-(:mod:`repro.staticcheck.provenance`, :mod:`repro.staticcheck.ordering`),
-a taint analysis over the same call graph plus an iteration-order
-classifier (see docs/DETERMINISM.md):
-
-* **R013 seed-provenance** — every RNG constructed in ``core/``,
-  ``sim/``, ``campaign/``, ``workload/`` is seeded from campaign-seed
-  arithmetic; witnessed ambient entropy (no-arg constructions,
-  ``time``/``os.urandom``/``uuid``/``id()``/``hash()``-derived seeds)
-  is flagged with the full origin → sink chain.
-* **R014 ordering-soundness** — unordered iteration order (sets,
-  ``listdir``/``glob``, completion order, thread-fed queues,
-  thread-mutated dict attributes) must not reach appended rows,
-  accumulated floats, yields, writes, or callbacks; ``sorted(...)`` at
-  the point of use launders.
-* **R015 canonical-serialization** — ``json.dumps``/``dump`` whose
-  bytes are persisted, hashed, or framed on the wire must pass
-  ``sort_keys=True`` and pin ``separators=`` or ``indent=``.
-
-Each project rule *declares* the analysis passes it needs
-(:mod:`repro.staticcheck.passes`), so ``--select R013`` builds the
-seed-taint pass and nothing else.
-
-Retired ids (R004, R010, R011, R012) are never reused.  The vector
-kernel's key budget and dtype soundness are checked by tests that run
-the real kernel (``TestKeyBudget`` and ``TestDtypes`` in
+Retired ids (R004, R010–R015) are never reused.  The vector kernel's
+key budget and dtype soundness are checked by tests that run the real
+kernel (``TestKeyBudget`` and ``TestDtypes`` in
 ``tests/test_sim_vector.py``), and the JSON-lines wire protocol by
 tests that run its real peers (``tests/test_wire_protocol.py``).
+Campaign determinism (seeds, iteration order, canonical JSON) is
+checked on the bytes real runs write: two-hash-seed, ``-j N`` and
+fleet byte-identity runs, plus a sorted-keys re-dump of every file and
+frame (see docs/DETERMINISM.md).  R002 keeps the static part: no RNG
+built without a seed.
 
 Call-graph resolution is unsound in the direction of silence: dynamic
 dispatch degrades to an ``unknown`` target, so these rules miss dynamic

@@ -29,11 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="AST-based invariant checker: exactness, determinism, "
-                    "layering, hygiene, the "
-                    "interprocedural concurrency rules (R006-R009), "
-                    "and the provenance rules (R013 seed provenance, "
-                    "R014 ordering soundness, R015 canonical "
-                    "serialization).",
+                    "layering, hygiene, and the interprocedural "
+                    "concurrency rules (R006-R009).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path, default=None,

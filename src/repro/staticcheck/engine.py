@@ -150,9 +150,6 @@ class Checker:
             dropped = set(ignore)
             chosen = [r for r in chosen if r.rule_id not in dropped]
         self.rules = chosen
-        #: The ProjectIndex of the last ``check()`` run, if one was
-        #: built (``None`` otherwise) — introspection for tests.
-        self.project = None
 
     def check(self) -> CheckResult:
         modules: List[ModuleInfo] = []
@@ -175,20 +172,8 @@ class Checker:
         if project_rules:
             # Deferred import: callgraph imports ModuleInfo from here.
             from .callgraph import ProjectIndex
-            from .passes import project_pass
 
             project = ProjectIndex(modules)
-            #: Kept for introspection: the pass-isolation tests assert
-            #: via ``passes.built_passes`` that a ``--select`` run built
-            #: only the passes the selected rules declared.
-            self.project = project
-            # Build exactly the union of the selected rules' declared
-            # passes up front — rules then hit the memoised copies, and
-            # a rule whose declaration is missing fails loudly in its
-            # own check_project rather than silently building extra.
-            for rule in project_rules:
-                for need in getattr(rule, "needs", ()):
-                    project_pass(project, need)
             for rule in project_rules:
                 raw.extend(rule.check_project(project))
 

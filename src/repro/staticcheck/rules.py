@@ -8,7 +8,7 @@ need to know about pragmas.
 
 The rule ids are stable API — pragmas and CI logs refer to them — so
 new checks get new ids rather than changing what an existing id means,
-and a retired id (R004, R010, R011, R012) is never reused.
+and a retired id (R004, R010–R015) is never reused.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ class Rule:
     #: builds the (expensive) ProjectIndex only when a selected rule
     #: actually needs it.
     uses_project = False
-    #: Named project passes (see :mod:`~repro.staticcheck.passes`) this
-    #: rule consumes.  The engine constructs exactly the union of the
-    #: *selected* rules' declarations, so ``--select R013`` builds the
-    #: seed-taint pass and nothing else — not the ordering classifier.
-    needs: Tuple[str, ...] = ()
 
     def check_module(self, module: ModuleInfo) -> Iterable[Violation]:
         return ()
@@ -241,17 +236,26 @@ class DeterminismRule(Rule):
     resume: the SWF parser and job→task mapping must be pure functions
     of the log, and the replay worker's only randomness is the
     planner-seeded ``default_rng`` (per docs/DETERMINISM.md).
-    Environment toggles live in ``util/toggles.py`` — the one
-    sanctioned read point.
+    ``workload/`` is in scope because the task-set generator draws every
+    Fig. 3/4 set from its seeded Generator.  Environment toggles live in
+    ``util/toggles.py`` — the one sanctioned read point.
+
+    A seeded numpy constructor (``default_rng``, ``SeedSequence``,
+    ``PCG64``, ``Philox``) called with no seed, or with a literal
+    ``None``, draws its seed from OS entropy and is flagged too.  Where
+    a passed seed comes from is a runtime question: the two-hash-seed
+    and ``-j N`` byte-identity tests in ``tests/test_campaign.py`` run
+    the real campaigns and compare their bytes.
     """
 
     rule_id = "R002"
     name = "determinism"
     description = ("no seedless RNGs, wall-clock reads, or environment "
                    "reads in core/ + sim/ + campaign/ + distrib/ + "
-                   "traces/")
+                   "traces/ + workload/")
 
-    SCOPE_PACKAGES = ("core", "sim", "campaign", "distrib", "traces")
+    SCOPE_PACKAGES = ("core", "sim", "campaign", "distrib", "traces",
+                      "workload")
     #: Files in scope that may read wall clocks: the campaign *runner*
     #: owns retry backoff, timeouts, throughput metering, and run-metadata
     #: timestamps — all of which live outside the determinism contract
@@ -272,6 +276,12 @@ class DeterminismRule(Rule):
     #: ``np.random.*`` members that are explicitly seeded constructions.
     SEEDED_NP_RANDOM = {"default_rng", "Generator", "SeedSequence",
                         "PCG64", "Philox", "BitGenerator"}
+    #: Constructors that seed themselves from OS entropy when their seed
+    #: argument is missing or ``None``.
+    ENTROPY_WHEN_UNSEEDED = frozenset({"default_rng", "SeedSequence",
+                                       "PCG64", "Philox"})
+    #: Keyword names that carry the seed (``Philox`` also takes ``key``).
+    SEED_KEYWORDS = frozenset({"seed", "entropy", "key"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[Violation]:
         if module.package not in self.SCOPE_PACKAGES:
@@ -287,9 +297,15 @@ class DeterminismRule(Rule):
         # locally — resolve those bindings so ``dt.now()`` is caught too.
         datetime_cls_aliases = _from_import_aliases(
             tree, "datetime", ("datetime", "date"))
+        # ``from numpy.random import default_rng [as rng]``.
+        ctor_aliases = _from_import_aliases(
+            tree, "numpy.random", self.ENTROPY_WHEN_UNSEEDED)
 
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.Call):
+                yield from self._check_unseeded_ctor(
+                    module, node, numpy_aliases, ctor_aliases)
+            elif isinstance(node, ast.ImportFrom):
                 yield from self._check_import_from(module, node,
                                                    clocks_exempt)
             elif isinstance(node, ast.Attribute):
@@ -297,6 +313,33 @@ class DeterminismRule(Rule):
                     module, node, random_aliases, time_aliases,
                     datetime_aliases, os_aliases, numpy_aliases,
                     datetime_cls_aliases, clocks_exempt)
+
+    def _check_unseeded_ctor(self, module: ModuleInfo, node: ast.Call,
+                             numpy_aliases: Set[str],
+                             ctor_aliases: Set[str]) -> Iterator[Violation]:
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ctor_aliases:
+            name = func.id
+        elif isinstance(func, ast.Attribute) and \
+                func.attr in self.ENTROPY_WHEN_UNSEEDED and \
+                isinstance(func.value, ast.Attribute) and \
+                func.value.attr == "random" and \
+                isinstance(func.value.value, ast.Name) and \
+                func.value.value.id in numpy_aliases:
+            name = func.attr          # np.random.<ctor>(...)
+        else:
+            return
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or \
+                any(kw.arg is None for kw in node.keywords):
+            return  # forwarded *args/**kwargs: the seed is not visible
+        seeds = node.args[:1] + [kw.value for kw in node.keywords
+                                 if kw.arg in self.SEED_KEYWORDS]
+        if all(isinstance(seed, ast.Constant) and seed.value is None
+               for seed in seeds):
+            yield self._violation(
+                module, node,
+                f"{name}() without a seed draws OS entropy — pass a seed "
+                "derived from the campaign seed")
 
     def _check_import_from(self, module: ModuleInfo, node: ast.ImportFrom,
                            clocks_exempt: bool) -> Iterator[Violation]:
@@ -611,12 +654,9 @@ class HygieneRule(Rule):
                 and test.comparators[0].value is None)
 
 
-#: The concurrency and provenance rules live in their own modules; the
-#: imports sit at the bottom because all subclass Rule (defined above).
+#: The concurrency rules live in their own module; the import sits at
+#: the bottom because they subclass Rule (defined above).
 from .concurrency import CONCURRENCY_RULES  # noqa: E402
-from .ordering import OrderingSoundnessRule  # noqa: E402
-from .provenance import (CanonicalSerializationRule,  # noqa: E402
-                         SeedProvenanceRule)
 
 #: The default rule set, in id order.
 RULES: Tuple[Rule, ...] = (
@@ -624,8 +664,4 @@ RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     LayeringRule(),
     HygieneRule(),
-) + CONCURRENCY_RULES + (
-    SeedProvenanceRule(),
-    OrderingSoundnessRule(),
-    CanonicalSerializationRule(),
-)
+) + CONCURRENCY_RULES

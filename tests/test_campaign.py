@@ -20,6 +20,7 @@ callables).
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -446,7 +447,7 @@ class TestCampaignCli:
 
 
 # ---------------------------------------------------------------------------
-# Determinism regressions (the R013–R015 runtime fixes)
+# Determinism: completion order, canonical bytes, hash seeds
 
 
 class TestCompletionOrder:
@@ -466,6 +467,29 @@ class TestCompletionOrder:
             "p0000r000", "p0001r000", "p0002r000"]
 
 
+#: The two campaign kinds, as ``repro campaign run`` arguments: a
+#: synthetic Fig. 3 grid and a trace replay of the committed SWF log.
+CAMPAIGN_RUNS = {
+    "synth": ["--tasks", "6", "--points", "2", "--sets", "2",
+              "--seed", "3", "-j", "2"],
+    "trace": ["--trace", str(Path(__file__).parent / "data" / "mini.swf"),
+              "--windows", "2", "-j", "2"],
+}
+
+
+def assert_canonical(path):
+    """``path`` equals its re-dump with sorted keys and the writer's
+    pinned layout: compact separators for shard checkpoints, indent 2
+    for every other run file."""
+    text = path.read_text()
+    if path.parent.name == "shards":
+        layout = {"separators": (",", ":")}
+    else:
+        layout = {"indent": 2}
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              **layout) + "\n", path
+
+
 class TestCanonicalCheckpointBytes:
     def test_status_bytes_independent_of_insertion_order(self, tmp_path):
         forward = {"state": "running", "done": 1, "total": 4}
@@ -479,34 +503,31 @@ class TestCanonicalCheckpointBytes:
         assert (tmp_path / "a" / "status.json").read_bytes() == \
             (tmp_path / "b" / "status.json").read_bytes()
 
-    def test_manifest_and_shard_files_are_canonical_json(self, tmp_path):
-        grid = CampaignGrid(n_tasks=4, utilizations=(1.0,), sets_per_point=1,
-                            seed=3)
-        store = CheckpointStore(tmp_path / "run")
-        (tmp_path / "run").mkdir()
-        store.initialize(grid, model_fingerprint=None,
-                         created="2026-01-01T00:00:00Z")
-        shard = plan_shards(grid)[0]
-        store.write_shard(shard, [], attempts=1, elapsed_seconds=0.5)
-        for rel in ("manifest.json", f"shards/{shard.shard_id}.json"):
-            text = (tmp_path / "run" / rel).read_text()
-            data = json.loads(text)
-            indent = 2 if rel == "manifest.json" else None
-            sep = None if rel == "manifest.json" else (",", ":")
-            canonical = json.dumps(data, indent=indent, separators=sep,
-                                   sort_keys=True) + "\n"
-            assert text == canonical, rel
+    def test_manifest_and_shard_files_are_canonical_json(self, tmp_path,
+                                                         capsys):
+        # Every file of a finished run of each kind: manifest, shards,
+        # status.json and result.json.
+        from repro.cli import main
+
+        for kind, argv in CAMPAIGN_RUNS.items():
+            run_dir = tmp_path / kind
+            assert main(["campaign", "run", str(run_dir), *argv]) == 0
+            files = sorted(run_dir.rglob("*.json"))
+            assert {p.name for p in files} >= {
+                "manifest.json", "status.json", "result.json"}
+            assert len(list((run_dir / "shards").glob("*.json"))) > 1
+            for path in files:
+                assert_canonical(path)
+        capsys.readouterr()
 
 
 class TestHashSeedIndependence:
-    """The static proof's runtime twin: the same campaign under two
-    different PYTHONHASHSEED values produces byte-identical results
-    (set/dict hash order never reaches persisted bytes)."""
+    """The same campaign under two PYTHONHASHSEED values writes the same
+    bytes: set and dict hash order never reaches the output."""
 
-    def _run(self, tmp_path, name, hash_seed):
+    def _run(self, tmp_path, name, hash_seed, argv):
         import subprocess
         import sys
-        from pathlib import Path
 
         run_dir = tmp_path / name
         env = dict(os.environ,
@@ -515,25 +536,32 @@ class TestHashSeedIndependence:
                                   "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "campaign", "run", str(run_dir),
-             "--tasks", "6", "--points", "2", "--sets", "2",
-             "--seed", "3", "-j", "2"],
+             *argv],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return run_dir
 
-    def test_result_bytes_identical_across_hash_seeds(self, tmp_path):
-        a = self._run(tmp_path, "a", "1")
-        b = self._run(tmp_path, "b", "2")
+    @pytest.mark.parametrize("kind", sorted(CAMPAIGN_RUNS))
+    def test_result_bytes_identical_across_hash_seeds(self, tmp_path, kind):
+        a = self._run(tmp_path, "a", "1", CAMPAIGN_RUNS[kind])
+        b = self._run(tmp_path, "b", "2", CAMPAIGN_RUNS[kind])
         assert (a / "result.json").read_bytes() == \
             (b / "result.json").read_bytes()
-        # Shard checkpoints: the determinism contract covers the shard
-        # spec and points; attempts/elapsed/worker are wall-clock
-        # provenance and explicitly excluded (see write_shard).
+        # The manifest's creation stamp is wall-clock provenance.
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (a, b)]
+        for manifest in manifests:
+            manifest.pop("created")
+        assert manifests[0] == manifests[1]
+        # Shard checkpoints: the determinism contract covers the format
+        # tag, the shard spec and the points; attempts/elapsed/worker
+        # are wall-clock provenance and explicitly excluded (see
+        # write_shard).
         names_a = sorted(p.name for p in (a / "shards").glob("*.json"))
         names_b = sorted(p.name for p in (b / "shards").glob("*.json"))
-        assert names_a == names_b and names_a
+        assert names_a == names_b and len(names_a) > 1
         for name in names_a:
             pa = json.loads((a / "shards" / name).read_text())
             pb = json.loads((b / "shards" / name).read_text())
-            assert pa["shard"] == pb["shard"]
-            assert pa["points"] == pb["points"]
+            for key in ("format", "shard", "points"):
+                assert pa[key] == pb[key], (name, key)

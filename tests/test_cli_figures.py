@@ -83,3 +83,24 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "-j", "0"],
+        ["fig4", "--jobs", "-1"],
+        ["campaign", "run", "RUN", "-j", "0"],
+        ["campaign", "run", "RUN", "--workers", "0"],
+        ["campaign", "resume", "RUN", "--jobs", "-2"],
+        ["worker", "--serve", "-j", "0"],
+    ], ids=["fig3", "fig4", "campaign-run", "campaign-run-workers",
+            "campaign-resume", "worker"])
+    def test_nonpositive_job_count_is_a_usage_error(self, argv, tmp_path,
+                                                    capsys):
+        # Rejected by argparse (exit 2) before anything runs, not a
+        # traceback from the runner or a silent serial run.
+        run_dir = tmp_path / "run"
+        argv = [str(run_dir) if arg == "RUN" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not run_dir.exists()

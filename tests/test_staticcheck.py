@@ -160,6 +160,50 @@ class TestDeterminism:
         )})
         assert run_checks(root, select=["R002"]).ok
 
+    def test_unseeded_numpy_constructors_are_flagged(self, tmp_path):
+        # No seed, or a literal None, seeds from OS entropy — in every
+        # spelling of the constructor.
+        root = make_tree(tmp_path, {"campaign/bad.py": (
+            "import numpy as np\n"
+            "from numpy.random import SeedSequence as SS\n"
+            "def sample():\n"
+            "    a = np.random.default_rng()\n"          # line 4: no arg
+            "    b = np.random.default_rng(None)\n"      # line 5: None
+            "    c = SS(entropy=None)\n"                 # line 6
+            "    d = np.random.PCG64()\n"                # line 7
+            "    return a, b, c, d\n"
+        )})
+        result = run_checks(root, select=["R002"])
+        assert anchors(result, "R002") == [
+            ("campaign/bad.py", 4), ("campaign/bad.py", 5),
+            ("campaign/bad.py", 6), ("campaign/bad.py", 7)]
+        assert all("without a seed" in v.message
+                   for v in hits(result, "R002"))
+
+    def test_seeded_and_forwarded_constructors_are_clean(self, tmp_path):
+        # A passed seed is a runtime question (the two-hash-seed tests
+        # compare real output); forwarded **kwargs hide the seed.
+        root = make_tree(tmp_path, {"campaign/ok.py": (
+            "import numpy as np\n"
+            "from numpy.random import default_rng\n"
+            "def sample(seed, **kw):\n"
+            "    return (default_rng(seed), np.random.PCG64(seed=seed),\n"
+            "            np.random.Philox(key=seed),\n"
+            "            np.random.default_rng(**kw))\n"
+        )})
+        assert run_checks(root, select=["R002"]).ok
+
+    def test_workload_package_is_in_scope(self, tmp_path):
+        # The task-set generator draws every Fig. 3/4 set.
+        root = make_tree(tmp_path, {"workload/generator.py": (
+            "import numpy as np\n"
+            "class Gen:\n"
+            "    def __init__(self):\n"
+            "        self.rng = np.random.default_rng()\n"   # line 4
+        )})
+        result = run_checks(root, select=["R002"])
+        assert anchors(result, "R002") == [("workload/generator.py", 4)]
+
     def test_legacy_numpy_global_rng_is_flagged(self, tmp_path):
         root = make_tree(tmp_path, {"core/bad.py": (
             "import numpy as np\n"
@@ -482,14 +526,16 @@ class TestCli:
         assert staticcheck_main(["--list-rules"]) == 0
         listed = [line.split()[0]
                   for line in capsys.readouterr().out.splitlines()]
-        # Retired ids (R004, R010, R011, R012) are never reused.
+        # Retired ids (R004, R010–R015) are never reused.
         assert listed == ["R001", "R002", "R003", "R005", "R006", "R007",
-                          "R008", "R009", "R013", "R014", "R015"]
+                          "R008", "R009"]
 
     def test_unknown_rule_ids_are_usage_errors(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"core/mod.py": "X = 0.5\n"})
         for flag, ids in (("--select", "R004"), ("--select", "R010"),
                           ("--select", "R011"), ("--select", "R012"),
+                          ("--select", "R013"), ("--select", "R014"),
+                          ("--select", "R015"),
                           ("--ignore", "R999"),
                           ("--select", "R001,R999")):
             with pytest.raises(SystemExit) as exc:

@@ -203,12 +203,17 @@ class TestAdmissionClientFrames:
 # The worker nodes: the coordinator's probes and shard-run frames
 
 
-def worker_answer(server, payload):
+def worker_lines(server, payload):
     """One request line through a worker connection's handler; returns
-    the final (non-heartbeat) response frame."""
+    every line it wrote back, heartbeats included."""
     stream = io.BytesIO()
     server._answer(stream, encode({**payload, "id": 1}))
-    frames = [decode_line(line) for line in stream.getvalue().splitlines()]
+    return stream.getvalue().splitlines(keepends=True)
+
+
+def worker_answer(server, payload):
+    """The final (non-heartbeat) response frame to ``payload``."""
+    frames = [decode_line(line) for line in worker_lines(server, payload)]
     return [f for f in frames if not is_heartbeat(f)][-1]
 
 
@@ -270,6 +275,41 @@ class TestWorkerFrames:
             assert response["ok"], (verb, response)
         response = worker_answer(WorkerServer(jobs=1), {"verb": "admit"})
         assert response["error"]["code"] == "unknown-verb"
+
+
+# ---------------------------------------------------------------------------
+# Canonical frames
+
+
+def canonical_frame(line):
+    """``line`` re-encoded with sorted keys and compact separators."""
+    return json.dumps(json.loads(line), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+class TestCanonicalFrames:
+    def test_admission_frames_are_canonical(self):
+        # Requests as the client frames them, and the server's answers.
+        lines = [encode({**payload, "id": rid})
+                 for rid, payload in enumerate(sync_payloads())]
+        lines += [encode(response)
+                  for _, _, response in replay(sync_payloads())]
+        for line in lines:
+            assert line == canonical_frame(line), line
+
+    def test_worker_frames_are_canonical(self):
+        # Requests as the coordinator frames them, and every line the
+        # worker writes back (heartbeats, results, errors).
+        spec = plan_shards(GRID)[0]
+        _, trace_frame = trace_shard_frame()
+        requests = [shard_run_request(spec, OverheadModel()), trace_frame,
+                    {"verb": "ping"}, {"verb": "worker-stats"},
+                    {"verb": "admit"}]
+        lines = [encode({**frame, "id": 1}) for frame in requests]
+        for frame in requests:
+            lines += worker_lines(WorkerServer(jobs=1), frame)
+        for line in lines:
+            assert line == canonical_frame(line), line
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,14 @@ class TestRoundTrip:
         assert parsed["tasks"][0]["name"] == "x"
         assert parsed["tasks"][0]["deadline"] is None
 
+    def test_json_is_canonical(self, tmp_path):
+        # Sorted keys and indent 2, whatever order the dict was built in.
+        path = tmp_path / "s.json"
+        save_task_set(path, generate_task_set(5, 2.0, seed=3))
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
 
 class TestErrors:
     def test_not_json(self, tmp_path):
