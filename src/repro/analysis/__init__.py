@@ -12,6 +12,7 @@ from .report import format_series_plot, format_table, print_table
 from .schedulability import (
     SchedulabilityPoint,
     edf_ff_min_processors,
+    evaluate_columns,
     evaluate_task_set,
     pd2_min_processors,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "format_series_plot",
     "print_table",
     "SchedulabilityPoint",
+    "evaluate_columns",
     "evaluate_task_set",
     "pd2_min_processors",
     "edf_ff_min_processors",

@@ -16,17 +16,28 @@ paper plots but does not define them):
 
 * ``loss_edf  = (U'_EDF − U) / M_FF``   — capacity lost to EDF-side
   overhead inflation;
-* ``loss_ff   = (M_FF − ceil(U'_EDF)) / M_FF`` — capacity lost to
-  bin-packing fragmentation *beyond* the unavoidable whole-processor
+* ``loss_ff   = (M_FF − max(1, ceil(U'_EDF))) / M_FF`` — capacity lost
+  to bin-packing fragmentation *beyond* the unavoidable whole-processor
   ceiling (any approach, including an ideal packer, needs
-  ``ceil(U'_EDF)`` processors — counting that slack as "partitioning
-  loss" would swamp the curve at small M);
+  ``ceil(U'_EDF)`` processors, and at least one — counting that slack
+  as "partitioning loss" would swamp the curve at small M; the ``max``
+  matters only for the empty set, whose one processor loses nothing);
 * ``loss_pfair = (U'_PD2 − U) / M_PD2`` — capacity lost to PD² overheads,
   including quantisation.  PD² provisions exactly ``ceil(U'_PD2)``
   processors — it never fragments — so it has no analogue of ``loss_ff``.
 
 where ``U`` is raw utilization, ``U'_EDF`` the packed inflated utilization
 and ``U'_PD2`` the total quantised inflated weight.
+
+Both analyses run on task columns
+(:class:`~repro.workload.spec.TaskColumns`): one PD² search
+(:func:`~repro.overheads.inflation.pd2_search`) and one EDF-FF first fit
+(:func:`~repro.partition.partitioner.edf_overhead_first_fit`).  Campaign
+shards hand generator columns straight to :func:`evaluate_columns`; the
+:class:`~repro.workload.spec.TaskSpec` entry points
+(:func:`evaluate_task_set`, :func:`pd2_min_processors`,
+:func:`edf_ff_min_processors`) take the columns of their specs and add
+the shared result cache.
 """
 
 from __future__ import annotations
@@ -34,21 +45,22 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
+from ..core.rational import exact_sum
 from ..overheads.inflation import pd2_search
 from ..overheads.model import OverheadModel
-from ..partition.heuristics import PartitionFailure
-from ..partition.partitioner import edf_ff
+from ..partition.partitioner import edf_ff_order, edf_overhead_first_fit
 from ..util.lru import LRUCache
 from ..util.toggles import fastpath_enabled
-from ..workload.spec import TaskSpec, total_utilization
+from ..workload.spec import TaskColumns, TaskSpec
 
 __all__ = [
     "ANALYSIS_CACHE",
     "pd2_min_processors",
     "edf_ff_min_processors",
     "SchedulabilityPoint",
+    "evaluate_columns",
     "evaluate_task_set",
     "task_set_signature",
     "task_set_cache_key",
@@ -56,7 +68,7 @@ __all__ = [
 
 #: Process-wide schedulability results, shared by every consumer of this
 #: module: :func:`pd2_min_processors` / :func:`edf_ff_min_processors`
-#: (and hence :func:`evaluate_task_set`, the campaign workers, and the
+#: (and hence :func:`evaluate_task_set`, the trace-replay workers, and the
 #: admission service's ``analyze`` verb) all read and write one keyspace,
 #: keyed by :func:`task_set_cache_key` digests.  Campaigns draw duplicate
 #: task sets across grid points and the service re-analyzes the sets it
@@ -103,41 +115,62 @@ def task_set_cache_key(specs: Sequence[TaskSpec],
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_UNSET = object()  # "caller did not precompute" sentinel (None is a value)
+#: ``(m, inflated total weight at m, max fixed-point iterations at m)``.
+_PD2Result = Tuple[Optional[int], Optional[float], int]
+#: ``(processors, packed inflated utilization)``.
+_EDFResult = Tuple[Optional[int], Optional[float]]
+
+
+def _cached(ckey: Tuple, compute: Callable[[], Any]) -> Any:
+    """``compute()`` through :data:`ANALYSIS_CACHE` under ``ckey``, whose
+    second element is the task-set digest (``None``: do not cache)."""
+    if ckey[1] is None:
+        return compute()
+    hit = ANALYSIS_CACHE.get(ckey)
+    if hit is None:
+        hit = compute()
+        ANALYSIS_CACHE.put(ckey, hit)
+    return hit
+
+
+def _digest(specs: Sequence[TaskSpec], model: OverheadModel) -> Optional[str]:
+    """The cache digest of ``specs`` under ``model``; ``None`` (do not
+    cache) with the fast path off."""
+    if not fastpath_enabled():
+        return None
+    return task_set_cache_key(specs, model)
+
+
+def _pd2_search(tasks: TaskColumns, model: OverheadModel, cap: int,
+                u_total: Fraction) -> _PD2Result:
+    """The PD² search on columns, with ``m = None`` when no M up to
+    ``cap`` suffices (``u_total`` is the set's exact utilization)."""
+    first = max(1, -(-u_total.numerator // u_total.denominator))  # ceil
+    found = pd2_search(tasks, model, first, cap)
+    if found is None:
+        return None, None, 0
+    return found[0], float(found[1]), found[2]
+
+
+def _edf_ff_pack(tasks: TaskColumns, model: OverheadModel) -> _EDFResult:
+    """The overhead-aware EDF-FF packing on columns, ``(None, None)`` when
+    some task fits on no processor."""
+    packed = edf_overhead_first_fit(
+        tasks, model.edf_fixed_inflation(len(tasks.period)),
+        edf_ff_order(tasks))
+    if packed is None:
+        return None, None
+    return packed[0], float(packed[1])
 
 
 def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
-                  cap: int, digest: object = _UNSET,
-                  u_total: Optional[Fraction] = None
-                  ) -> Tuple[Optional[int], Optional[float], int]:
-    """The PD² search, cached: ``(m, inflated total weight at m, max
-    fixed-point iterations at m)``, with ``m = None`` when no M up to
-    ``cap`` suffices.
-
-    One search serves both :func:`pd2_min_processors` (which wants ``m``)
-    and :func:`evaluate_task_set` (which previously re-inflated the whole
-    set at ``m`` a second time for the Fig. 4 loss terms).
-    ``digest`` / ``u_total`` let callers that already computed the cache
-    key or the exact total utilization pass them in.
-    """
-    ckey = None
-    if fastpath_enabled():
-        if digest is _UNSET:
-            digest = task_set_cache_key(specs, model)
-        if digest is not None:
-            ckey = ("pd2", digest, cap)
-            hit = ANALYSIS_CACHE.get(ckey)
-            if hit is not None:
-                return hit
-    u_raw = total_utilization(specs) if u_total is None else u_total
-    first = max(1, -(-u_raw.numerator // u_raw.denominator))  # ceil
-    found = pd2_search(specs, model, first, cap)
-    result: Tuple[Optional[int], Optional[float], int] = (
-        (None, None, 0) if found is None
-        else (found[0], float(found[1]), found[2]))
-    if ckey is not None:
-        ANALYSIS_CACHE.put(ckey, result)
-    return result
+                  cap: int) -> _PD2Result:
+    """:func:`_pd2_search` on the columns of ``specs``, cached."""
+    def search() -> _PD2Result:
+        tasks = TaskColumns.of(specs)
+        return _pd2_search(tasks, model, cap,
+                           exact_sum(tasks.execution, tasks.period))
+    return _cached(("pd2", _digest(specs, model), cap), search)
 
 
 def pd2_min_processors(specs: Sequence[TaskSpec], model: OverheadModel, *,
@@ -155,30 +188,11 @@ def pd2_min_processors(specs: Sequence[TaskSpec], model: OverheadModel, *,
     return _pd2_analysis(specs, model, cap)[0]
 
 
-def _edf_ff_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
-                     digest: object = _UNSET
-                     ) -> Tuple[Optional[int], Optional[float]]:
-    """The EDF-FF packing, cached: ``(processors, packed inflated
-    utilization)``, both ``None`` on packing failure."""
-    ckey = None
-    if fastpath_enabled():
-        if digest is _UNSET:
-            digest = task_set_cache_key(specs, model)
-        if digest is not None:
-            ckey = ("edfff", digest)
-            hit = ANALYSIS_CACHE.get(ckey)
-            if hit is not None:
-                return hit
-    try:
-        packing = edf_ff(specs,
-                         overhead_inflation=model.edf_fixed_inflation(len(specs)))
-        result: Tuple[Optional[int], Optional[float]] = (
-            packing.processors, float(packing.partition.total_load()))
-    except PartitionFailure:
-        result = (None, None)
-    if ckey is not None:
-        ANALYSIS_CACHE.put(ckey, result)
-    return result
+def _edf_ff_analysis(specs: Sequence[TaskSpec],
+                     model: OverheadModel) -> _EDFResult:
+    """:func:`_edf_ff_pack` on the columns of ``specs``, cached."""
+    return _cached(("edfff", _digest(specs, model)),
+                   lambda: _edf_ff_pack(TaskColumns.of(specs), model))
 
 
 def edf_ff_min_processors(specs: Sequence[TaskSpec],
@@ -222,37 +236,46 @@ class SchedulabilityPoint:
             return None
         import math
 
-        return (self.m_ff - math.ceil(self.inflated_u_edf)) / self.m_ff
+        return (self.m_ff - max(1, math.ceil(self.inflated_u_edf))) / self.m_ff
 
 
-def evaluate_task_set(specs: Sequence[TaskSpec], model: OverheadModel, *,
-                      cache: bool = True) -> SchedulabilityPoint:
-    """Compute the Fig. 3/Fig. 4 quantities for one task set.
+def evaluate_columns(tasks: TaskColumns,
+                     model: OverheadModel) -> SchedulabilityPoint:
+    """Compute the Fig. 3/Fig. 4 quantities for one task set given as
+    columns — the campaign path, with no result cache (freshly generated
+    random sets practically never repeat, so a key would be pure cost).
 
-    Shares the cached analyses with the ``*_min_processors`` entry points
-    — the inflated totals fall straight out of the searches, so nothing
-    is computed twice.  ``cache=False`` neither reads nor writes
-    :data:`ANALYSIS_CACHE` and skips the cache key: for callers whose
-    sets practically never repeat (freshly generated random sets), the
-    key would be pure cost.  Results are the same either way.
+    The empty set needs one processor either way and loses nothing to
+    inflation, as :func:`pd2_min_processors` and
+    :func:`edf_ff_min_processors` say.
     """
-    u_exact = total_utilization(specs)
-    u_raw = float(u_exact)
-    if specs:
-        digest = (task_set_cache_key(specs, model)
-                  if cache and fastpath_enabled() else None)
-        m_pd2, u_pd2, iters = _pd2_analysis(specs, model, len(specs),
-                                            digest, u_exact)
-        m_ff, u_edf = _edf_ff_analysis(specs, model, digest)
+    return _evaluate(tasks, model, None)
+
+
+def evaluate_task_set(specs: Sequence[TaskSpec],
+                      model: OverheadModel) -> SchedulabilityPoint:
+    """:func:`evaluate_columns` on the columns of ``specs``, through the
+    cached analyses the ``*_min_processors`` entry points share."""
+    return _evaluate(TaskColumns.of(specs), model, _digest(specs, model))
+
+
+def _evaluate(tasks: TaskColumns, model: OverheadModel,
+              digest: Optional[str]) -> SchedulabilityPoint:
+    """One point, its analyses cached under ``digest`` (``None``: not)."""
+    n = len(tasks.period)
+    u_exact = exact_sum(tasks.execution, tasks.period)
+    if n:
+        pd2 = _cached(("pd2", digest, n),
+                      lambda: _pd2_search(tasks, model, n, u_exact))
+        edf = _cached(("edfff", digest), lambda: _edf_ff_pack(tasks, model))
     else:
-        m_pd2, u_pd2, iters = 1, 0.0, 0
-        m_ff, u_edf = None, None
+        pd2, edf = (1, 0.0, 0), (1, 0.0)
     return SchedulabilityPoint(
-        n_tasks=len(specs),
-        utilization=u_raw,
-        m_pd2=m_pd2,
-        m_ff=m_ff,
-        inflated_u_pd2=u_pd2,
-        inflated_u_edf=u_edf,
-        pd2_iterations_max=iters,
+        n_tasks=n,
+        utilization=float(u_exact),
+        m_pd2=pd2[0],
+        m_ff=edf[0],
+        inflated_u_pd2=pd2[1],
+        inflated_u_edf=edf[1],
+        pd2_iterations_max=pd2[2],
     )

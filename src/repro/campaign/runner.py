@@ -143,10 +143,12 @@ def _completion_order(done_futs: Iterable[Any],
 def _dispatch_serial(order: List[str], jobs: Mapping[str, Any],
                      worker: Callable[[Any], Any], config: RunnerConfig,
                      on_success: Callable[[str, Any, int, float], None],
-                     on_retry: Optional[Callable[[str, str], None]],
-                     on_tick: Optional[Callable[[], None]]) -> List[str]:
+                     on_retry: Optional[Callable[[str, str], None]]
+                     ) -> List[str]:
     """In-process dispatch for ``workers == 1`` — same retry budget, no
-    pool, no timeouts (a stuck shard would stick the caller regardless)."""
+    pool, no timeouts (a stuck shard would stick the caller regardless).
+    Every attempt ends in ``on_success`` or ``on_retry``, so there is no
+    separate tick."""
     failed: List[str] = []
     for key in order:
         failures = 0
@@ -166,8 +168,6 @@ def _dispatch_serial(order: List[str], jobs: Mapping[str, Any],
             on_success(key, result, failures + 1,
                        time.monotonic() - start)
             break
-        if on_tick is not None:
-            on_tick()
     return failed
 
 
@@ -185,9 +185,11 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     within one poll batch, finished jobs are reported in sorted-key
     order (the batch's membership still depends on completion timing).
     ``on_retry(key, reason)`` fires on every requeue with reason
-    ``"error"``, ``"timeout"``, or ``"worker-death"``.  ``on_tick``
-    fires at least every ``status_interval_seconds`` while work is
-    outstanding.
+    ``"error"``, ``"timeout"``, or ``"worker-death"``.  With
+    ``workers > 1``, ``on_tick`` fires at least every
+    ``status_interval_seconds`` while work is outstanding; serial
+    dispatch never calls it, since every attempt already ends in
+    ``on_success`` or ``on_retry``.
 
     Jobs are submitted in sorted-key order, but nothing downstream may
     depend on completion order — the campaign assembler orders by shard
@@ -198,7 +200,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
         return []
     if config.workers <= 1:
         return _dispatch_serial(order, jobs, worker, config,
-                                on_success, on_retry, on_tick)
+                                on_success, on_retry)
 
     #: (not-before monotonic time, key) — work awaiting (re)submission.
     queue: List[Tuple[float, str]] = [(0.0, key) for key in order]

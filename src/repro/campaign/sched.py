@@ -4,9 +4,10 @@ This module is the bridge between the generic machinery (:mod:`.spec`,
 :mod:`.runner`, :mod:`.checkpoint`) and the paper's Monte-Carlo sweeps:
 
 * :func:`evaluate_shard` — the picklable worker: one seeded generator
-  per shard, ``evaluate_task_set`` over its sets.  With the default
-  ``replicas=1`` a shard is one grid point with the historical seed
-  offset, so results are byte-identical to the pre-engine
+  per shard, ``evaluate_columns`` over the column sets it draws (no
+  :class:`~repro.workload.spec.TaskSpec` per generated task).  With the
+  default ``replicas=1`` a shard is one grid point with the historical
+  seed offset, so results are byte-identical to the pre-engine
   ``analysis.experiments`` path (the benchmarks assert this).
 * :func:`assemble_rows` — the historical row aggregation
   (:func:`campaign_row`, shared with trace replay), applied to shard
@@ -34,7 +35,7 @@ from ..analysis.experiments import CampaignRow
 from ..analysis.persistence import save_campaign
 from ..analysis.schedulability import (SchedulabilityPoint,
                                        edf_ff_min_processors,
-                                       evaluate_task_set, pd2_min_processors)
+                                       evaluate_columns, pd2_min_processors)
 from ..analysis.stats import summarize
 from ..overheads.model import OverheadModel
 from ..workload.generator import TaskSetGenerator
@@ -64,8 +65,8 @@ def evaluate_shard(args: Tuple[ShardSpec, Optional[OverheadModel]]
     # Freshly generated random sets essentially never repeat, so the
     # analysis cache would only cost a key per set (0 hits in 4,080
     # benchmark lookups); trace shards and the service keep it.
-    return [evaluate_task_set(gen.generate(spec.n_tasks, spec.utilization),
-                              model, cache=False)
+    return [evaluate_columns(gen.columns(spec.n_tasks, spec.utilization),
+                             model)
             for _ in range(spec.sets)]
 
 

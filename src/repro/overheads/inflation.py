@@ -9,8 +9,9 @@ EDF branch::
     e' = e + 2(S_EDF + C) + max_{U in P_T} D(U)
 
 (the max term depends on the processor's other residents, so it is applied
-by :class:`~repro.partition.accept.EDFOverheadTest` during packing; here we
-expose the fixed part).
+during packing, by :func:`~repro.partition.partitioner.edf_overhead_first_fit`
+and :class:`~repro.partition.accept.EDFOverheadTest`; here we expose the
+fixed part).
 
 PD² branch (a fixed point, because the preemption count depends on the
 inflated length itself)::
@@ -42,7 +43,7 @@ from operator import gt, truediv
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.rational import exact_sum
-from ..workload.spec import TaskSpec
+from ..workload.spec import TaskColumns, TaskSpec
 from .model import OverheadModel
 
 __all__ = ["PD2Inflation", "pd2_inflate", "pd2_inflate_set", "pd2_search",
@@ -79,7 +80,7 @@ def pd2_inflate(spec: TaskSpec, model: OverheadModel, n_tasks: int,
 
     Returns an inflation whose ``feasible`` flag is False when the inflated
     cost exceeds the period (the task cannot run even alone).  A one-row
-    call into the loop :func:`pd2_inflate_set` runs; see :func:`_inflate`
+    call into the loop :func:`pd2_inflate_set` runs; see :func:`_climb`
     for the fixed point and its work bound.
     """
     return _inflate((spec,), model.pd2_sched_cost(n_tasks, processors),
@@ -100,7 +101,7 @@ def pd2_inflate_set(specs: Sequence[TaskSpec], model: OverheadModel,
                     model.context_switch, model.quantum)
 
 
-def pd2_search(specs: Sequence[TaskSpec], model: OverheadModel, first: int,
+def pd2_search(tasks: TaskColumns, model: OverheadModel, first: int,
                cap: int) -> Optional[Tuple[int, Fraction, int]]:
     """The least ``M`` in ``[first, cap]`` that passes Eq. (2) on the set
     inflated for ``M`` processors, as ``(M, exact total quantised weight
@@ -112,24 +113,25 @@ def pd2_search(specs: Sequence[TaskSpec], model: OverheadModel, first: int,
     total exceeds it can jump to ``max(M + 1, ceil(total))`` and the
     first success is the least.
 
-    The per-task constants are prepared once; each candidate runs
-    :func:`_climb` and keeps only quanta and iteration counts.  Eq. (2)
-    is screened on the float total: its terms ``E/P`` lie in ``(0, 1]``
-    and each is rounded once (``2**-53``), and left-to-right summation
-    adds at most ``2**-53`` times each partial sum, so the float total
-    is within ``(n + 1)**2 * 2**-53`` of the exact one.  Unless it lies
-    within twice that of an integer, it has the exact total's floor and
-    ceiling, so the comparison with ``M`` and the jump are the exact
-    ones.  Otherwise (harmonic sets whose weights sum to an integer
-    land here) the decision is made on the exact total.  The exact
-    total is built once more for the accepted ``M``.
+    The per-task constants are prepared once from the columns; each
+    candidate runs :func:`_climb` and keeps only quanta and iteration
+    counts.  Eq. (2) is screened on the float total: its terms ``E/P``
+    lie in ``(0, 1]`` and each is rounded once (``2**-53``), and
+    left-to-right summation adds at most ``2**-53`` times each partial
+    sum, so the float total is within ``(n + 1)**2 * 2**-53`` of the
+    exact one.  Unless it lies within twice that of an integer, it has
+    the exact total's floor and ceiling, so the comparison with ``M``
+    and the jump are the exact ones.  Otherwise (harmonic sets whose
+    weights sum to an integer land here) the decision is made on the
+    exact total.  The exact total is built once more for the accepted
+    ``M``.
     """
     if first > cap:
         return None
     c, q = model.context_switch, model.quantum
-    rows = _rows(specs, c, q)
+    rows = _rows(tasks, c, q)
     n = len(rows)
-    periods = [row[3] for row in rows]
+    periods = [row[2] for row in rows]
     margin = (n + 1) ** 2 * 2.0 ** -52
     m = first
     while m <= cap:
@@ -154,32 +156,29 @@ def pd2_search(specs: Sequence[TaskSpec], model: OverheadModel, first: int,
 #: is left.  Generated and trace-derived sets settle in at most six.
 _BISECT_AFTER = 32
 
-#: One prepared task: ``(spec, e, E0 = ceil(e/q), P = p/q, C + D(T))``.
-_Row = Tuple[TaskSpec, int, int, int, int]
+#: One prepared task: ``(e, E0 = ceil(e/q), P = p/q, C + D(T))``.
+_Row = Tuple[int, int, int, int]
 
 
-def _rows(specs: Sequence[TaskSpec], c: int, q: int) -> List[_Row]:
+def _rows(tasks: TaskColumns, c: int, q: int) -> List[_Row]:
     """The per-task constants of Eq. (3), which do not depend on ``M``."""
-    rows: List[_Row] = []
-    for spec in specs:
-        p = spec.period
+    for name, p in zip(tasks.name, tasks.period):
         if p % q != 0:
             raise ValueError(
-                f"{spec.name or 'task'}: period {p} not a quantum multiple"
-            )
-        e = spec.execution
-        rows.append((spec, e, -(-e // q), p // q, c + spec.cache_delay))
-    return rows
+                f"{name or 'task'}: period {p} not a quantum multiple")
+    return [(e, -(-e // q), p // q, c + d)
+            for e, p, d in zip(tasks.execution, tasks.period,
+                               tasks.cache_delay)]
 
 
 def _inflate(specs: Sequence[TaskSpec], s_pd2: float, c: int,
              q: int) -> List[PD2Inflation]:
     """Eq. (3) for every task, as :class:`PD2Inflation` rows."""
-    rows = _rows(specs, c, q)
+    rows = _rows(TaskColumns.of(specs), c, q)
     e_primes, quanta, iterations = _climb(rows, s_pd2, c, q)
-    return [PD2Inflation(row[0], e_prime, e_quanta, row[3], its)
-            for row, e_prime, e_quanta, its
-            in zip(rows, e_primes, quanta, iterations)]
+    return [PD2Inflation(spec, e_prime, e_quanta, row[2], its)
+            for spec, row, e_prime, e_quanta, its
+            in zip(specs, rows, e_primes, quanta, iterations)]
 
 
 def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
@@ -221,7 +220,8 @@ def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
     e_primes: List[int] = []
     quanta: List[int] = []
     iterations: List[int] = []
-    for spec, e, e_quanta, p_quanta, switch_cost in rows:
+    for row in rows:
+        e, e_quanta, p_quanta, switch_cost = row
         e_prime = e
         lo = e_quanta  # every E below lo fails to cover its demand
         its = 0
@@ -233,10 +233,8 @@ def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
             if preemptions < 0 or its > bisect_after:
                 # Past the period, or a long climb: bisect [lo, P].
                 if lo <= p_quanta:
-                    settled = _settle(spec, s_pd2, c, q, lo, its - 1)
-                    e_prime, e_quanta, its = (settled.inflated_execution,
-                                              settled.quanta,
-                                              settled.iterations)
+                    e_prime, e_quanta, its = _settle(row, s_pd2, c, q, lo,
+                                                     its - 1)
                 break
             new_e_prime = ceil(e + e_quanta * s_pd2 + c
                                + preemptions * switch_cost)
@@ -246,10 +244,9 @@ def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
                 break
             if new_quanta < e_quanta:
                 # e_quanta covers: the answer lies in [lo, e_quanta].
-                settled = _settle(spec, s_pd2, c, q, lo, its,
-                                  (e_quanta, new_e_prime), new_quanta)
-                e_prime, e_quanta, its = (settled.inflated_execution,
-                                          settled.quanta, settled.iterations)
+                e_prime, e_quanta, its = _settle(row, s_pd2, c, q, lo, its,
+                                                 (e_quanta, new_e_prime),
+                                                 new_quanta)
                 break
             lo = e_quanta + 1
             e_prime, e_quanta = new_e_prime, new_quanta
@@ -259,11 +256,11 @@ def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
     return e_primes, quanta, iterations
 
 
-def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
+def _settle(row: _Row, s_pd2: float, c: int, q: int, lo: int,
             iterations: int, known: Optional[Tuple[int, int]] = None,
-            nxt: Optional[int] = None) -> PD2Inflation:
-    """The least covering ``E`` at or above ``lo`` (see :func:`_inflate`),
-    every ``E < lo`` being known to fail.
+            nxt: Optional[int] = None) -> Tuple[int, int, int]:
+    """The least covering ``E`` at or above ``lo`` (see :func:`_climb`),
+    every ``E < lo`` being known to fail, as ``(e', E, iterations)``.
 
     ``known`` is a covering ``(E, demand)`` that bounds the search, else
     it runs up to ``P``; ``nxt`` continues the iteration from ``known``
@@ -272,8 +269,7 @@ def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
     at most 1 (the covering ``E`` form a suffix of the branch) or all at
     least 1 (a prefix); each branch is searched for either form.
     """
-    p_quanta = spec.period // q
-    e, switch_cost = spec.execution, c + spec.cache_delay
+    e, _, p_quanta, switch_cost = row
     ceil = math.ceil
     demand: Dict[int, int] = {}
     hi = p_quanta
@@ -290,11 +286,11 @@ def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
                                         + preemptions * switch_cost)
         return -(-d // q) <= e_quanta
 
-    def result(e_quanta: int) -> PD2Inflation:
+    def result(e_quanta: int) -> Tuple[int, int, int]:
         d = demand[e_quanta]
         if -(-d // q) != e_quanta:  # covering, but not a fixed point
             d = e_quanta * q
-        return PD2Inflation(spec, d, e_quanta, p_quanta, iterations)
+        return d, e_quanta, iterations
 
     while nxt is not None and lo <= nxt < hi and iterations < _BISECT_AFTER:
         covered = covers(nxt)
@@ -325,7 +321,7 @@ def _settle(spec: TaskSpec, s_pd2: float, c: int, q: int, lo: int,
         return result(b)
     # Nothing in [lo, P] covers (``P`` itself was tried last): infeasible.
     d = demand[p_quanta]
-    return PD2Inflation(spec, d, -(-d // q), p_quanta, iterations)
+    return d, -(-d // q), iterations
 
 
 def pd2_total_weight(inflations: Sequence[PD2Inflation]) -> Fraction:

@@ -37,7 +37,15 @@ from .heuristics import (
     partition,
     worst_fit,
 )
-from .partitioner import OnlinePartitioner, RM_TESTS, edf_ff, min_processors, rm_ff
+from .partitioner import (
+    OnlinePartitioner,
+    RM_TESTS,
+    edf_ff,
+    edf_ff_order,
+    edf_overhead_first_fit,
+    min_processors,
+    rm_ff,
+)
 
 __all__ = [
     "AcceptanceTest",
@@ -73,6 +81,8 @@ __all__ = [
     "worst_fit",
     "next_fit",
     "edf_ff",
+    "edf_ff_order",
+    "edf_overhead_first_fit",
     "rm_ff",
     "min_processors",
     "OnlinePartitioner",

@@ -44,9 +44,9 @@ __all__ = [
 class _Ratio(NamedTuple):
     """An unnormalised utilization ratio, duck-typed for
     :meth:`ProcessorBin.add` (which only reads numerator/denominator).
-    The EDF ``first_fit`` scans return it instead of a :class:`Fraction`
-    to skip a gcd per admission; the bin's ``load`` property reduces on
-    read, so observable values are unchanged."""
+    The screened EDF ``first_fit`` scan returns it instead of a
+    :class:`Fraction` to skip a gcd per admission; the bin's ``load``
+    property reduces on read, so observable values are unchanged."""
 
     numerator: int
     denominator: int
@@ -67,8 +67,9 @@ class AcceptanceTest:
         """First admitting bin in scan order, with its committed load.
 
         Equivalent to probing every bin with :meth:`admit` and taking the
-        first hit; the EDF subclasses override it with a single tight loop
-        because the first-fit scan is the partitioning hot path.
+        first hit; :class:`EDFUtilizationTest` overrides it with a single
+        screened loop because the first-fit scan is the partitioning hot
+        path.
         """
         for b in bins:
             u = self.admit(b, spec)
@@ -127,6 +128,13 @@ class EDFOverheadTest(AcceptanceTest):
     large as the newcomer's, i.e. is exactly the set ``P_T`` the newcomer
     can preempt, and no later admission retroactively changes an earlier
     task's inflation.
+
+    The Fig. 3/4 analysis packs with this test on task columns, screened
+    as in :class:`EDFUtilizationTest`
+    (:func:`~repro.partition.partitioner.edf_overhead_first_fit`); this
+    class serves the spec packers (:func:`~repro.partition.partitioner.edf_ff`,
+    online joins, repacking) and is the exact reference that kernel is
+    tested against.
     """
 
     algorithm = "edf"
@@ -155,38 +163,6 @@ class EDFOverheadTest(AcceptanceTest):
         if num * spec.period + e_prime * den > den * spec.period:
             return None
         return Fraction(e_prime, spec.period)
-
-    def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
-                  ) -> Optional[Tuple[ProcessorBin, Fraction]]:
-        # The body of admit, once per bin without the method-call overhead
-        # and screened on the float shadows as in EDFUtilizationTest —
-        # Fig. 3 campaigns spend most of their EDF-side time in exactly
-        # this scan.  ``misses_any`` is the screen for the cheapest cost a
-        # bin can charge (no cache term), so a full bin is skipped before
-        # its own inflated cost is formed.
-        e, p = spec.execution, spec.period
-        e_fixed = e + self.fixed_inflation
-        misses_any = e_fixed / p - SHADOW_MARGIN
-        for b in bins:
-            if b.max_period is not None and p > b.max_period:
-                raise ValueError(
-                    "EDFOverheadTest requires tasks in non-increasing "
-                    "period order"
-                )
-            spare = b.spare_shadow
-            if spare < misses_any:
-                continue
-            e_prime = e_fixed + b.max_cache_delay
-            if e_prime > p:
-                continue
-            slack = spare - e_prime / p
-            if slack > SHADOW_MARGIN:
-                return b, _Ratio(e_prime, p)
-            if not slack < -SHADOW_MARGIN:
-                num, den = b.load_num, b.load_den
-                if num * p + e_prime * den <= den * p:
-                    return b, _Ratio(e_prime, p)
-        return None
 
 
 def _ll_bound(n: int) -> float:

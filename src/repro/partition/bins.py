@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.rational import exact_sum
 from ..workload.spec import TaskSpec
 
-__all__ = ["ProcessorBin", "Partition", "SHADOW_MARGIN"]
+__all__ = ["ProcessorBin", "Partition", "SHADOW_MARGIN", "shadow_after_add"]
 
 #: How far :attr:`ProcessorBin.spare_shadow` may stray from the exact
 #: spare capacity before a first-fit screen must not trust it.
@@ -39,6 +39,29 @@ __all__ = ["ProcessorBin", "Partition", "SHADOW_MARGIN"]
 #: comparison fails, so such a bin is always probed exactly.
 SHADOW_MARGIN = 1e-9
 _SHADOW_ADDS = 1 << 20
+
+
+def _exact_shadow(load_num: int, load_den: int) -> float:
+    """The spare-capacity shadow of an exact load ``load_num/load_den``
+    (NaN outside the range the rounding bound covers)."""
+    spare = 1.0 - load_num / load_den
+    return spare if -SHADOW_MARGIN <= spare <= 1.0 else math.nan
+
+
+def shadow_after_add(spare: float, adds: int, u: float, load_num: int,
+                     load_den: int) -> Tuple[float, int]:
+    """The shadow and its add count after committing a utilization whose
+    float is ``u``, the new exact load being ``load_num/load_den``.
+
+    The one implementation of the shadow update, shared by
+    :meth:`ProcessorBin.add` and the column first fit
+    (:func:`~repro.partition.partitioner.edf_overhead_first_fit`).
+    """
+    adds += 1
+    spare -= u
+    if adds < _SHADOW_ADDS and -SHADOW_MARGIN <= spare <= 1.0:
+        return spare, adds
+    return _exact_shadow(load_num, load_den), 0
 
 
 class ProcessorBin:
@@ -84,9 +107,7 @@ class ProcessorBin:
     def _reset_shadow(self) -> None:
         """Set the shadow from the exact load (NaN outside the range the
         rounding bound covers)."""
-        spare = 1.0 - self.load_num / self.load_den
-        self.spare_shadow = (spare if -SHADOW_MARGIN <= spare <= 1.0
-                             else math.nan)
+        self.spare_shadow = _exact_shadow(self.load_num, self.load_den)
         self._shadow_adds = 0
 
     @property
@@ -99,13 +120,9 @@ class ProcessorBin:
         num, den = utilization.numerator, utilization.denominator
         self.load_num = self.load_num * den + num * self.load_den
         self.load_den *= den
-        adds = self._shadow_adds + 1
-        spare = self.spare_shadow - num / den
-        if adds < _SHADOW_ADDS and -SHADOW_MARGIN <= spare <= 1.0:
-            self.spare_shadow = spare
-            self._shadow_adds = adds
-        else:
-            self._reset_shadow()
+        self.spare_shadow, self._shadow_adds = shadow_after_add(
+            self.spare_shadow, self._shadow_adds, num / den,
+            self.load_num, self.load_den)
         if spec.cache_delay > self.max_cache_delay:
             self.max_cache_delay = spec.cache_delay
         if self.min_period is None or spec.period < self.min_period:

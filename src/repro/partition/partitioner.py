@@ -6,7 +6,10 @@ paper's representative of the partitioning approach.  The overhead-aware
 variant feeds tasks in decreasing-period order so Eq. (3)'s cache term
 ``max_{U in P_T} D(U)`` is fixed at admission (see
 :class:`~repro.partition.accept.EDFOverheadTest`); the paper calls out this
-ordering explicitly.
+ordering explicitly.  :func:`edf_ff` packs specs with the generic first
+fit and that test; the Fig. 3/4 analysis runs the same decisions on task
+columns (:func:`edf_overhead_first_fit`, fed in :func:`edf_ff_order`),
+tested against the generic packer.
 
 :func:`min_processors` answers the Fig. 3 question for the partitioned
 side: the number of processors first fit ends up opening when bins are
@@ -22,9 +25,12 @@ costly full repacking a join-heavy system would periodically need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from fractions import Fraction
+from operator import neg
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..workload.spec import TaskSpec
+from ..core.rational import exact_sum
+from ..workload.spec import TaskColumns, TaskSpec
 from .accept import (
     AcceptanceTest,
     EDFOverheadTest,
@@ -33,11 +39,13 @@ from .accept import (
     RMLiuLaylandTest,
     RMResponseTimeTest,
 )
-from .bins import Partition
+from .bins import SHADOW_MARGIN, Partition, shadow_after_add
 from .heuristics import PartitionFailure, PartitionResult, partition
 
 __all__ = [
     "edf_ff",
+    "edf_ff_order",
+    "edf_overhead_first_fit",
     "rm_ff",
     "min_processors",
     "OnlinePartitioner",
@@ -61,6 +69,97 @@ def edf_ff(specs: Sequence[TaskSpec], *, max_bins: Optional[int] = None,
     return partition(specs, placement="ff", ordering="decreasing_period",
                      accept=EDFOverheadTest(overhead_inflation),
                      max_bins=max_bins)
+
+
+def edf_ff_order(tasks: TaskColumns) -> List[int]:
+    """The overhead-aware EDF-FF feed order: task indices by decreasing
+    period, then decreasing execution, then name (string order, so
+    ``"T10"`` precedes ``"T2"``), then index.
+
+    At equal ``(p, e)`` the name decides which task — and so which
+    ``D(T)`` — reaches a bin first.
+    """
+    return [row[3] for row in sorted(zip(
+        map(neg, tasks.period), map(neg, tasks.execution), tasks.name,
+        range(len(tasks.period))))]
+
+
+def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
+                           order: Sequence[int]
+                           ) -> Optional[Tuple[int, Fraction, List[int]]]:
+    """First fit with the overhead-aware EDF test on task columns, feeding
+    the tasks ``order`` names: ``(bins opened, exact total inflated load,
+    bin of each fed task in feed order)``, or ``None`` when a task fits
+    nowhere, not even on a bin of its own.
+
+    The decisions are exactly those of
+    :meth:`~repro.partition.accept.AcceptanceTest.first_fit` probing
+    :meth:`~repro.partition.accept.EDFOverheadTest.admit` on every bin:
+    task ``i`` costs ``e' = e + fixed_inflation + max D`` on a bin, the
+    largest ``D(T)`` among its residents, and joins the first bin where
+    ``load + e'/p <= 1``.  Each bin is a slot of parallel lists (exact
+    load numerator and denominator, float spare shadow and its add
+    count, largest ``D``).  A probe is screened on the shadow as in
+    :class:`~repro.partition.accept.EDFUtilizationTest` — decided when
+    the shadow clears or misses ``e'/p`` by more than
+    :data:`~repro.partition.bins.SHADOW_MARGIN`, cross-multiplied
+    otherwise (NaN included) — and ``misses_any``, the screen for the
+    cheapest cost a bin can charge (no cache term), skips a full bin
+    before its own ``e'`` is formed.
+
+    ``order`` must be non-increasing in period (``ValueError``
+    otherwise), so every resident of a bin is in the set ``P_T`` the
+    newcomer can preempt; :func:`edf_ff_order` gives the paper's order.
+    """
+    if fixed_inflation < 0:
+        raise ValueError("inflation must be nonnegative")
+    execution, period, cache_delay = (tasks.execution, tasks.period,
+                                      tasks.cache_delay)
+    nums: List[int] = []
+    dens: List[int] = []
+    spares: List[float] = []
+    adds: List[int] = []
+    delays: List[int] = []
+    placed: List[int] = []
+    margin = SHADOW_MARGIN
+    last_p = None
+    for i in order:
+        p = period[i]
+        if last_p is not None and p > last_p:
+            raise ValueError("overhead-aware EDF first fit requires tasks "
+                             "in non-increasing period order")
+        last_p = p
+        e_fixed = execution[i] + fixed_inflation
+        misses_any = e_fixed / p - margin
+        k = 0
+        for spare in spares:
+            if not spare < misses_any:
+                e_prime = e_fixed + delays[k]
+                if e_prime <= p:
+                    u = e_prime / p
+                    slack = spare - u
+                    if slack > margin:
+                        break
+                    if not slack < -margin and \
+                            nums[k] * p + e_prime * dens[k] <= dens[k] * p:
+                        break
+            k += 1
+        else:
+            if e_fixed > p:
+                return None
+            e_prime, u = e_fixed, e_fixed / p
+            nums.append(0)
+            dens.append(1)
+            spares.append(1.0)
+            adds.append(0)
+            delays.append(0)
+        num = nums[k] = nums[k] * p + e_prime * dens[k]
+        den = dens[k] = dens[k] * p
+        spares[k], adds[k] = shadow_after_add(spares[k], adds[k], u, num, den)
+        if cache_delay[i] > delays[k]:
+            delays[k] = cache_delay[i]
+        placed.append(k)
+    return len(nums), exact_sum(nums, dens), placed
 
 
 def rm_ff(specs: Sequence[TaskSpec], *, test: str = "response_time",

@@ -15,10 +15,11 @@ from .generator import (
     specs_to_pfair_tasks,
     specs_to_uni_tasks,
 )
-from .spec import TaskSpec, max_utilization, total_utilization
+from .spec import TaskColumns, TaskSpec, max_utilization, total_utilization
 
 __all__ = [
     "TaskSpec",
+    "TaskColumns",
     "total_utilization",
     "max_utilization",
     "TaskSetGenerator",

@@ -1,9 +1,12 @@
 """Random task-set generation for the paper's simulation campaigns.
 
 The experiments of Figs. 2–4 each draw many random task sets with a given
-task count ``N`` and total utilization ``U``; this module produces them as
-:class:`~repro.workload.spec.TaskSpec` lists (ticks = µs) and converts
-them into the runtime task types.  Everything is seeded through
+task count ``N`` and total utilization ``U``.  A set is drawn as integer
+columns ``(e, p, D)`` (:meth:`TaskSetGenerator.columns`, ticks = µs),
+which is what the campaign path hands to the analyses; at the API,
+:meth:`TaskSetGenerator.generate` returns the same set as
+:class:`~repro.workload.spec.TaskSpec` lists, and this module converts
+specs into the runtime task types.  Everything is seeded through
 :class:`numpy.random.Generator` — a campaign is reproducible from
 ``(seed, N, U, point index)``.
 
@@ -20,12 +23,8 @@ import numpy as np
 
 from ..core.task import PeriodicTask
 from ..core.uniproc import UniTask
-from .distributions import (
-    UTILIZATION_SAMPLERS,
-    log_uniform_periods,
-    uniform_simplex_utilizations,
-)
-from .spec import TaskSpec
+from .distributions import UTILIZATION_SAMPLERS, period_array
+from .spec import TaskColumns, TaskSpec
 
 __all__ = [
     "TaskSetGenerator",
@@ -86,32 +85,40 @@ class TaskSetGenerator:
         self.utilization_sampler: Callable = utilization_sampler
         self.cache_delay_max = cache_delay_max
 
-    def generate(self, n: int, total_utilization: float) -> List[TaskSpec]:
-        """One random set of ``n`` tasks with the given total utilization.
+    def columns(self, n: int, total_utilization: float) -> TaskColumns:
+        """One random set of ``n`` tasks with the given total utilization,
+        as columns named ``T0``, ``T1``, ...
 
         Execution costs are rounded to whole ticks (>= 1), so the realised
         total utilization deviates from the target by at most ~1 tick per
-        period — negligible at µs resolution.
+        period — negligible at µs resolution.  Every set satisfies
+        ``1 <= e <= p``, ``p`` a quantum multiple in ``[q, top]`` (``top``
+        the largest multiple at most ``max_period``) and
+        ``0 <= D <= cache_delay_max``; a set that does not raises.
         """
         if n < 1:
             raise ValueError("need at least one task")
         us = self.utilization_sampler(self.rng, n, total_utilization)
-        periods = log_uniform_periods(
-            self.rng, n, quantum=self.quantum,
-            min_period=self.min_period, max_period=self.max_period,
-        )
-        delays = self.rng.integers(0, self.cache_delay_max + 1, size=n)
-        # Vectorised e = max(1, min(p, round(u*p))): np.rint is the same
-        # round-half-to-even as Python's round on float64; .tolist()
-        # yields plain Python ints, skipping a numpy-scalar conversion
-        # per field below.
-        p_arr = np.asarray(periods, dtype=np.int64)
-        e_list = np.clip(np.rint(np.asarray(us) * p_arr).astype(np.int64),
-                         1, p_arr).tolist()
-        names = _task_names(n)
-        return [TaskSpec(execution=e, period=p, name=nm, cache_delay=d)
-                for e, p, nm, d in zip(e_list, periods, names,
-                                       delays.tolist())]
+        q = self.quantum
+        p = period_array(self.rng, n, quantum=q, min_period=self.min_period,
+                         max_period=self.max_period)
+        d = self.rng.integers(0, self.cache_delay_max + 1, size=n)
+        # e = max(1, min(p, round(u*p))): np.rint is the same
+        # round-half-to-even as Python's round on float64.
+        e = np.clip(np.rint(np.asarray(us) * p).astype(np.int64), 1, p)
+        ok = ((1 <= e) & (e <= p) & (p % q == 0) & (q <= p)
+              & (p <= (self.max_period // q) * q)
+              & (0 <= d) & (d <= self.cache_delay_max))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"generated task T{i} out of range: e={e[i]}, "
+                             f"p={p[i]}, D={d[i]}")
+        return TaskColumns(e.tolist(), p.tolist(), d.tolist(), _task_names(n))
+
+    def generate(self, n: int, total_utilization: float) -> List[TaskSpec]:
+        """:meth:`columns` as a :class:`TaskSpec` list (same draws, same
+        set)."""
+        return self.columns(n, total_utilization).specs()
 
 
 def generate_task_set(n: int, total_utilization: float, *, seed: int = 0,

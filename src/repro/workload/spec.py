@@ -7,17 +7,21 @@ context switch C = 5 µs, cache delay D(T) ~ U[0, 100] µs, quantum
 q = 1000 µs).  Specs are immutable; simulators instantiate them into
 :class:`~repro.core.task.PeriodicTask` (after quantisation) or
 :class:`~repro.core.uniproc.UniTask` as needed.
+
+:class:`TaskColumns` is the same task set as parallel integer columns:
+the form the Fig. 3/4 kernels read, and the form the generator draws,
+so a campaign builds no spec per generated task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.rational import exact_sum
 
-__all__ = ["TaskSpec", "total_utilization", "max_utilization"]
+__all__ = ["TaskSpec", "TaskColumns", "total_utilization", "max_utilization"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +111,35 @@ class TaskSpec:
         # Note: an *inflated* execution cost may quantise to e > p; callers
         # treat that as "this task alone is infeasible" rather than clamping.
         return e, p
+
+
+class TaskColumns(NamedTuple):
+    """A task set as parallel columns: task ``i`` has execution
+    ``execution[i]``, period ``period[i]``, cache delay ``cache_delay[i]``
+    and name ``name[i]`` (the task count is ``len(period)``).
+
+    These are the fields the PD² search and the overhead-aware EDF-FF
+    first fit read; the name only breaks ties in the EDF-FF feed order.
+    Columns carry no checks of their own: :meth:`of` copies specs, which
+    checked themselves, and the generator checks the columns it draws.
+    """
+
+    execution: List[int]
+    period: List[int]
+    cache_delay: List[int]
+    name: Sequence[str]
+
+    @classmethod
+    def of(cls, specs: Sequence[TaskSpec]) -> "TaskColumns":
+        """The columns of ``specs``, in list order."""
+        return cls([s.execution for s in specs], [s.period for s in specs],
+                   [s.cache_delay for s in specs], [s.name for s in specs])
+
+    def specs(self) -> List[TaskSpec]:
+        """One :class:`TaskSpec` per row, in column order."""
+        return [TaskSpec(execution=e, period=p, name=nm, cache_delay=d)
+                for e, p, nm, d in zip(self.execution, self.period,
+                                       self.name, self.cache_delay)]
 
 
 def total_utilization(specs: Iterable[TaskSpec]) -> Fraction:

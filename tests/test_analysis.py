@@ -6,16 +6,17 @@ import pytest
 
 from repro.analysis.experiments import utilization_grid
 from repro.analysis.report import format_series_plot, format_table
-from repro.campaign import run_schedulability_campaign
+from repro.campaign import batch_analyze, run_schedulability_campaign
 from repro.analysis.schedulability import (
     edf_ff_min_processors,
+    evaluate_columns,
     evaluate_task_set,
     pd2_min_processors,
 )
 from repro.analysis.stats import confidence_halfwidth, summarize
 from repro.overheads.model import OverheadModel
 from repro.workload.generator import generate_task_set
-from repro.workload.spec import TaskSpec
+from repro.workload.spec import TaskColumns, TaskSpec
 
 
 class TestStats:
@@ -61,8 +62,21 @@ class TestSchedulability:
         assert pd2_min_processors(specs, z) == 3
 
     def test_empty_set(self):
-        assert pd2_min_processors([], OverheadModel()) == 1
-        assert edf_ff_min_processors([], OverheadModel()) == 1
+        """Every entry point gives the empty set one processor on both
+        sides and no inflation; a campaign row would otherwise count it
+        EDF-infeasible while the service says it fits on one."""
+        model = OverheadModel()
+        assert pd2_min_processors([], model) == 1
+        assert edf_ff_min_processors([], model) == 1
+        [batch] = batch_analyze([[]])
+        assert (batch["m_pd2"], batch["m_edf_ff"]) == (1, 1)
+        for pt in (evaluate_task_set([], model),
+                   evaluate_columns(TaskColumns.of([]), model)):
+            assert (pt.m_pd2, pt.m_ff) == (1, 1)
+            assert (pt.inflated_u_pd2, pt.inflated_u_edf) == (0.0, 0.0)
+            assert (pt.n_tasks, pt.utilization) == (0, 0.0)
+            # Its one processor is not fragmentation: nothing is lost.
+            assert pt.loss_pfair == pt.loss_edf == pt.loss_ff == 0.0
 
     def test_pd2_infeasible_task(self):
         m = OverheadModel(context_switch=5, quantum=1000,

@@ -1,17 +1,20 @@
 """Decision identity of the analytic kernels on the Fig. 3/4 hot path.
 
-``_pd2_analysis`` runs one search over candidate M: per-task constants
-prepared once, the shared Eq. (3) climb per candidate, Eq. (2) screened
-on a float total and decided exactly near integers.  Here it must equal
-a plain search written from the public ``pd2_inflate_set`` and
-``pd2_total_weight`` — the same M, the same inflated total (as a
-float) and the same largest iteration count — on generator sets, the
-zero model, integer totals, infeasible tasks and rows that leave the
-climb for bisection.  (The EDF first-fit scan has its own differential
-test, ``TestFirstFitScreen`` in ``tests/test_partition.py``.)  Last,
-``evaluate_task_set`` must give the same point whether its analyses come
-from a cold or warm ``ANALYSIS_CACHE``, skip the cache, or run with the
-fast path off.
+``_pd2_search`` runs the column ``pd2_search``:
+per-task integer rows prepared once, the shared Eq. (3) climb per
+candidate M, Eq. (2) screened on a float total and decided exactly near
+integers.  Here it must equal a plain search written from the public
+``pd2_inflate_set`` and ``pd2_total_weight`` — the same M, the same
+inflated total (as a float) and the same largest iteration count — on
+generator sets, the zero model, integer totals, infeasible tasks and
+rows that leave the climb for bisection.  (The EDF first fit has its
+own differential test, ``TestFirstFitScreen`` in
+``tests/test_partition.py``.)  Campaign shards evaluate generator
+columns directly; their points must equal ``evaluate_task_set`` on the
+specs ``generate()`` returns.  Last, ``evaluate_task_set`` must give the
+same point whether its analyses come from a cold or warm
+``ANALYSIS_CACHE`` or run with the fast path off, and the same point
+as the uncached ``evaluate_columns``.
 """
 
 import math
@@ -21,15 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import utilization_grid
-from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_analysis,
-                                           evaluate_task_set)
+from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_search,
+                                           evaluate_columns, evaluate_task_set)
+from repro.campaign.sched import evaluate_shard
+from repro.campaign.spec import CampaignGrid
 from repro.core.rational import exact_sum
 from repro.overheads import inflation
 from repro.overheads.inflation import pd2_inflate_set, pd2_total_weight
 from repro.overheads.model import OverheadModel
 from repro.util.toggles import set_fastpath
 from repro.workload.generator import TaskSetGenerator
-from repro.workload.spec import TaskSpec, total_utilization
+from repro.workload.spec import TaskColumns, TaskSpec, total_utilization
 
 Q = 1000
 
@@ -50,9 +55,10 @@ def reference_search(specs, model, cap):
 
 
 def search(specs, model, cap=None):
-    """The cached entry point with the cache bypassed."""
-    return _pd2_analysis(specs, model, len(specs) if cap is None else cap,
-                         None)
+    """The column search the cached entry points share, uncached."""
+    tasks = TaskColumns.of(specs)
+    return _pd2_search(tasks, model, len(specs) if cap is None else cap,
+                       exact_sum(tasks.execution, tasks.period))
 
 
 def assert_same(specs, model, cap=None):
@@ -173,6 +179,32 @@ class TestPD2SearchMatchesReference:
         assert_same(specs, model)
 
 
+class TestColumnEvaluator:
+    @pytest.mark.parametrize("n", [1, 12, 250])
+    def test_shard_points_equal_the_spec_path(self, n):
+        """``evaluate_shard`` feeds generator columns to the kernels; the
+        same draws as ``generate()`` specs, through ``evaluate_columns``
+        on their columns and through the cached ``evaluate_task_set``,
+        give the same points, from light sets up to 0.9 N."""
+        model = OverheadModel()
+        grid = CampaignGrid(
+            n_tasks=n, sets_per_point=3, seed=n,
+            utilizations=tuple(utilization_grid(n, points=4) + [0.9 * n]))
+        ANALYSIS_CACHE.clear()
+        try:
+            for shard in grid.plan():
+                got = evaluate_shard((shard, None))
+                gen = TaskSetGenerator(shard.seed)
+                sets = [gen.generate(n, shard.utilization)
+                        for _ in range(shard.sets)]
+                assert got == [evaluate_columns(TaskColumns.of(specs), model)
+                               for specs in sets]
+                assert got == [evaluate_task_set(specs, model)
+                               for specs in sets]
+        finally:
+            ANALYSIS_CACHE.clear()
+
+
 class TestAnalysisCache:
     @pytest.mark.parametrize("n", [12, 50])
     def test_cache_never_changes_a_point(self, n):
@@ -188,7 +220,7 @@ class TestAnalysisCache:
             # read its answers from the cache.
             assert ANALYSIS_CACHE.info()["hits"] - hits == 2 * len(sets)
             hits = ANALYSIS_CACHE.info()["hits"]
-            uncached = [evaluate_task_set(specs, model, cache=False)
+            uncached = [evaluate_columns(TaskColumns.of(specs), model)
                         for specs in sets]
             set_fastpath(False)
             reference = [evaluate_task_set(specs, model) for specs in sets]

@@ -383,6 +383,49 @@ class TestRunCampaign:
         assert rows[0].m_pd2.n + rows[0].infeasible_pd2 == 5
 
 
+class TestSerialStatusWrites:
+    """A serial run writes ``status.json`` once at the start, once per
+    finished shard and once at the end — the per-shard write comes from
+    ``on_success``, with no second tick after it."""
+
+    @pytest.fixture
+    def states(self, monkeypatch):
+        states = []
+        write = CheckpointStore.write_status
+
+        def counting(store, snap):
+            states.append(snap["state"])
+            return write(store, snap)
+
+        monkeypatch.setattr(CheckpointStore, "write_status", counting)
+        return states
+
+    @staticmethod
+    def shard_count(run_dir):
+        return len(list((run_dir / "shards").glob("*.json")))
+
+    def test_synthetic_campaign(self, tmp_path, states):
+        run_dir = tmp_path / "run"
+        run_schedulability_campaign(10, [1.0, 2.0], sets_per_point=2,
+                                    seed=3, replicas=2, run_dir=str(run_dir))
+        shards = self.shard_count(run_dir)
+        assert shards == 4
+        assert states == ["running"] * (1 + shards) + ["complete"]
+
+    def test_trace_campaign(self, tmp_path, states):
+        from repro.traces.replay import run_trace_campaign
+
+        run_dir = tmp_path / "run"
+        run_trace_campaign(
+            str(Path(__file__).parent / "data" / "mini.swf"),
+            window_seconds=3600, window_offsets=(0, 3600),
+            utilizations=(1.0, 2.0), n_tasks=6, sets_per_point=3, seed=7,
+            run_dir=str(run_dir))
+        shards = self.shard_count(run_dir)
+        assert shards == 4
+        assert states == ["running"] * (1 + shards) + ["complete"]
+
+
 # ---------------------------------------------------------------------------
 # Batch analysis
 

@@ -31,8 +31,15 @@ from repro.partition.heuristics import (
     partition,
     worst_fit,
 )
-from repro.partition.partitioner import OnlinePartitioner, edf_ff, min_processors, rm_ff
-from repro.workload.spec import TaskSpec
+from repro.partition.partitioner import (
+    OnlinePartitioner,
+    edf_ff,
+    edf_ff_order,
+    edf_overhead_first_fit,
+    min_processors,
+    rm_ff,
+)
+from repro.workload.spec import TaskColumns, TaskSpec
 
 
 def spec(e, p, name="", d=0):
@@ -415,10 +422,32 @@ def _assert_shadow_synced(bins):
         assert abs(b.spare_shadow - (1 - float(b.load))) <= SHADOW_MARGIN
 
 
+def exact_overhead_first_fit(fixed, tasks):
+    """The overhead-aware EDF first fit by the base-class scan, probing
+    ``EDFOverheadTest.admit`` (exact) on every bin: ``(bins, committed
+    load per task)``, or ``None`` once a task fits nowhere."""
+    accept = EDFOverheadTest(fixed)
+    bins, committed = [], []
+    for t in tasks:
+        chosen = AcceptanceTest.first_fit(accept, bins, t)
+        if chosen is None:
+            bins.append(ProcessorBin(len(bins)))
+            u = accept.admit(bins[-1], t)
+            if u is None:
+                return None
+            chosen = (bins[-1], u)
+        chosen[0].add(t, chosen[1])
+        committed.append((chosen[0].index, chosen[1]))
+    return bins, committed
+
+
 class TestFirstFitScreen:
-    """The EDF first-fit scans screen bins on a float shadow of their
-    spare capacity; every decision must equal the base-class scan, which
-    probes ``admit`` (exact) on every bin."""
+    """The EDF first fits screen bins on a float shadow of their spare
+    capacity; every decision must equal the base-class scan, which
+    probes ``admit`` (exact) on every bin.  The utilization test screens
+    :class:`ProcessorBin` shadows in ``EDFUtilizationTest.first_fit``;
+    the overhead-aware test runs as the column kernel
+    ``edf_overhead_first_fit``."""
 
     def _check_feed(self, accept, tasks):
         fast, ref = [], []
@@ -450,6 +479,29 @@ class TestFirstFitScreen:
         # The completing probe of the exact prefix ran the exact branch.
         assert _CountingBin.exact_probes > 0
 
+    @staticmethod
+    def _check_kernel(fixed, tasks, order):
+        """The kernel against the exact scan on the same feed: the same
+        bin for every task, the same committed load (``e'/p`` with the
+        bin's largest ``D`` so far) and the same exact total."""
+        got = edf_overhead_first_fit(TaskColumns.of(tasks), fixed, order)
+        want = exact_overhead_first_fit(fixed, [tasks[i] for i in order])
+        if want is None:
+            assert got is None
+            return None
+        bins, committed = want
+        assert got is not None
+        n_bins, total, placed = got
+        assert placed == [k for k, _ in committed]
+        delays = [0] * n_bins
+        for i, k, (_, u) in zip(order, placed, committed):
+            t = tasks[i]
+            assert Fraction(t.execution + fixed + delays[k], t.period) == u
+            delays[k] = max(delays[k], t.cache_delay)
+        assert n_bins == len(bins)
+        assert total == sum(b.load for b in bins)
+        return got
+
     @settings(max_examples=150, deadline=None)
     @given(ff_feeds(overhead=False))
     def test_utilization_test_matches_exact_scan(self, feed):
@@ -460,14 +512,44 @@ class TestFirstFitScreen:
     @given(ff_feeds(overhead=True))
     def test_overhead_test_matches_exact_scan(self, feed):
         fixed, tasks = feed
-        self._check_feed(EDFOverheadTest(fixed), tasks)
+        self._check_kernel(fixed, tasks, list(range(len(tasks))))
+
+    def test_name_order_decides_equal_period_and_execution(self):
+        """T2 and T10 share ``(p, e)`` but not ``D``.  Name order feeds
+        "T10" first; its D = 40 then inflates T2 past the period on bin
+        0, so T2 opens bin 1.  Index order feeds T2 first (D = 0), and
+        both fit on bin 0."""
+        tasks = [spec(10, 100, "A"), spec(20, 50, "T2", 0),
+                 spec(20, 50, "T10", 40)]
+        cols = TaskColumns.of(tasks)
+        assert edf_ff_order(cols) == [0, 2, 1]
+        by_name = self._check_kernel(0, tasks, edf_ff_order(cols))
+        by_index = self._check_kernel(0, tasks, [0, 1, 2])
+        assert by_name[0] == 2 and by_name[2] == [0, 0, 1]
+        assert by_index[0] == 1 and by_index[2] == [0, 0, 0]
+        packed = edf_ff(tasks, overhead_inflation=0)
+        assert packed.order == ("A", "T10", "T2")
+        assert [[t.name for t in b.tasks] for b in packed.partition] == [
+            ["A", "T10"], ["T2"]]
 
     @pytest.mark.parametrize("accept", [EDFUtilizationTest(),
                                         EDFOverheadTest(0)])
     def test_probes_inside_the_margin_are_decided_exactly(self, accept):
-        """Spare 1/100000 against utilizations 1e-10 either side of it:
-        both probes land inside the margin, and the exact test rejects
-        the larger and admits the smaller."""
+        """Spare capacity and utilizations 1e-10 apart: both probes land
+        inside the margin, and the exact test rejects the larger and
+        admits the smaller — on a bin's shadow for the utilization test,
+        in the column kernel for the overhead test."""
+        if isinstance(accept, EDFOverheadTest):
+            # Bin 0 at 99_998/99_999: 1/99_999 fills it exactly, and
+            # 1/99_998 misses by 1e-10 and opens bin 1.
+            first = spec(99_998, 99_999)
+            spare = 1.0 - 99_998 / 99_999
+            for probe, placed in ((spec(1, 99_999), [0, 0]),
+                                  (spec(1, 99_998), [0, 1])):
+                assert abs(spare - 1 / probe.period) <= SHADOW_MARGIN
+                got = self._check_kernel(0, [first, probe], [0, 1])
+                assert got[2] == placed
+            return
         b = ProcessorBin(0)
         b.add(spec(99_999, 100_001), Fraction(99_999, 100_000))
         assert abs(b.spare_shadow - 1 / 99_999) <= SHADOW_MARGIN
@@ -477,11 +559,14 @@ class TestFirstFitScreen:
 
     def test_period_order_error_fires_on_a_screened_bin(self):
         """Bin 0 is full, so the screen would skip it; the feed-order
-        check still runs on it first, exactly as the exact scan does."""
+        check still runs first, as the exact scan's does on every bin."""
+        tasks = TaskColumns.of([spec(10, 10), spec(1, 20)])
+        with pytest.raises(ValueError, match="non-increasing period"):
+            edf_overhead_first_fit(tasks, 0, [0, 1])
         b = ProcessorBin(0)
         b.add(spec(10, 10), Fraction(1))
         with pytest.raises(ValueError, match="non-increasing period"):
-            EDFOverheadTest(0).first_fit([b], spec(1, 20))
+            AcceptanceTest.first_fit(EDFOverheadTest(0), [b], spec(1, 20))
 
     def test_out_of_range_load_is_probed_exactly(self):
         """A load the rounding bound does not cover (here above 1) turns
