@@ -6,7 +6,7 @@ lives one layer up in :mod:`repro.campaign`; this package provides what
 those sweeps evaluate and how their results are summarised and stored.
 """
 
-from .experiments import CampaignRow, full_scale, utilization_grid
+from .experiments import CampaignRow, utilization_grid
 from .persistence import load_campaign, merge_campaigns, save_campaign
 from .report import format_series_plot, format_table, print_table
 from .schedulability import (
@@ -24,7 +24,6 @@ __all__ = [
     "load_campaign",
     "merge_campaigns",
     "CampaignRow",
-    "full_scale",
     "utilization_grid",
     "format_table",
     "format_series_plot",

@@ -1,4 +1,4 @@
-"""Campaign vocabulary: grids, scale flags, and the aggregated row.
+"""Campaign vocabulary: the utilization grid and the aggregated row.
 
 The paper's Figs. 3–4 are Monte-Carlo sweeps: for each task count ``N``
 and each target total utilization (from ``N/30`` to ``N/3``), generate
@@ -6,9 +6,9 @@ many random sets, evaluate each, and plot means with 99% CIs.  The
 *execution* of those sweeps — sharding, dispatch, retry, checkpointing —
 lives in :mod:`repro.campaign` (see ``docs/CAMPAIGNS.md``); this module
 keeps the pieces the rest of the analysis layer shares with it: the
-utilization grid, the paper-scale environment flag, and
-:class:`CampaignRow`, the aggregate that persistence and the figure
-formatters consume.  (``run_schedulability_campaign`` itself moved to
+utilization grid and :class:`CampaignRow`, the aggregate that
+persistence and the figure formatters consume.
+(``run_schedulability_campaign`` itself moved to
 :func:`repro.campaign.sched.run_schedulability_campaign`; the campaign
 layer sits above analysis in the import DAG, so the driver could not
 stay here once it grew checkpointing and a worker-pool policy.)
@@ -16,22 +16,15 @@ stay here once it grew checkpointing and a worker-pool policy.)
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List
 
 from .stats import SampleStats
 
 __all__ = [
-    "full_scale",
     "utilization_grid",
     "CampaignRow",
 ]
-
-
-def full_scale() -> bool:
-    """True when the environment asks for paper-scale campaigns."""
-    return os.environ.get("REPRO_FULL", "") not in ("", "0")
 
 
 def utilization_grid(n_tasks: int, points: int = 20) -> List[float]:

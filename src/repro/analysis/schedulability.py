@@ -52,7 +52,7 @@ from ..overheads.inflation import pd2_search
 from ..overheads.model import OverheadModel
 from ..partition.partitioner import edf_ff_order, edf_overhead_first_fit
 from ..util.lru import LRUCache
-from ..util.toggles import fastpath_enabled
+from ..util.toggles import analysis_cache_on
 from ..workload.spec import TaskColumns, TaskSpec
 
 __all__ = [
@@ -135,8 +135,9 @@ def _cached(ckey: Tuple, compute: Callable[[], Any]) -> Any:
 
 def _digest(specs: Sequence[TaskSpec], model: OverheadModel) -> Optional[str]:
     """The cache digest of ``specs`` under ``model``; ``None`` (do not
-    cache) with the fast path off."""
-    if not fastpath_enabled():
+    cache) while :func:`repro.util.toggles.set_fastpath` has the cache
+    off."""
+    if not analysis_cache_on():
         return None
     return task_set_cache_key(specs, model)
 

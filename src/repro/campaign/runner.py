@@ -246,9 +246,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
             if key in finished or key in failed:
                 continue
             try:
-                # The warm shared pool survives this call; its config key
-                # includes the kernel toggle, so --no-fastpath runs get
-                # workers initialised to match.
+                # The warm shared pool survives this call.
                 fut = worker_pool(config.workers).submit(worker, jobs[key])
             except BrokenProcessPool:
                 # Everything not yet submitted goes back too — `due`

@@ -105,18 +105,7 @@ def _cmd_windows(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_fastpath_flag(args: argparse.Namespace) -> None:
-    """Honour ``--no-fastpath``: force the reference implementations
-    process-wide (campaign workers inherit through the pool
-    initializer)."""
-    if getattr(args, "no_fastpath", False):
-        from .util.toggles import set_fastpath
-
-        set_fastpath(False)
-
-
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     tasks = [PeriodicTask(e, p, name=f"T{i}")
              for i, (e, p) in enumerate(args.weights)]
     ts = TaskSet(tasks)
@@ -126,7 +115,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     horizon = args.horizon if args.horizon else min(ts.hyperperiod() * 2, 200)
-    res = simulate_pfair(tasks, m, horizon, trace=True)
+    res = simulate_pfair(tasks, m, horizon, trace=True,
+                         fastpath=False if args.no_fastpath else None)
     print(f"PD² on {m} processors, {horizon} slots, total weight "
           f"{ts.total_weight()}")
     print(f"misses: {res.stats.miss_count}, preemptions: "
@@ -184,7 +174,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 def _campaign(args: argparse.Namespace,
               formatter: Callable[..., str]) -> int:
-    _apply_fastpath_flag(args)
     grid = utilization_grid(args.tasks, points=args.points)
     rows = run_schedulability_campaign(
         args.tasks, grid, sets_per_point=args.sets, seed=args.seed,
@@ -363,7 +352,6 @@ def _run_trace_cli(args: argparse.Namespace, *, grid: "object",
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     if args.trace is not None:
         return _run_trace_cli(args, grid=None, resume=False)
     grid = utilization_grid(args.tasks, points=args.points)
@@ -373,7 +361,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     from .campaign import CheckpointStore, RunDirError
 
     store = CheckpointStore(args.run_dir)
@@ -651,8 +638,6 @@ def _add_campaign_commands(sub: "argparse._SubParsersAction[argparse.ArgumentPar
                              "(worker deaths are recovered unbudgeted)")
         cp.add_argument("--fig", type=int, choices=(3, 4), default=3,
                         help="which table to print from the finished rows")
-        cp.add_argument("--no-fastpath", action="store_true",
-                        help="force the reference analysis code paths")
 
     cp = csub.add_parser("run", help="start a checkpointed campaign")
     cp.add_argument("run_dir", help="run directory (created if missing)")
@@ -840,7 +825,6 @@ def _add_traces_commands(sub: "argparse._SubParsersAction[argparse.ArgumentParse
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    _apply_fastpath_flag(args)
     from .distrib import WorkerServer
 
     server = WorkerServer(args.host, args.port, jobs=args.jobs,
@@ -880,8 +864,6 @@ def _add_worker_command(sub: "argparse._SubParsersAction[argparse.ArgumentParser
     p.add_argument("--heartbeat", type=float, default=1.0,
                    metavar="SECONDS",
                    help="liveness frame interval while a shard computes")
-    p.add_argument("--no-fastpath", action="store_true",
-                   help="force the reference analysis code paths")
     p.set_defaults(fn=_cmd_worker)
 
 
@@ -993,9 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "--workers is an alias)")
         p.add_argument("--save", default=None,
                        help="write the campaign rows to this JSON file")
-        p.add_argument("--no-fastpath", action="store_true",
-                       help="force the reference analysis/simulation code "
-                            "paths (disable caches and fast paths)")
         p.set_defaults(fn=fn)
 
     _add_campaign_commands(sub)

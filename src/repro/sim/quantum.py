@@ -36,25 +36,20 @@ def simulate_pfair(
     Dispatches down the decision-identical kernel chain **vector →
     reference**: the struct-of-arrays
     :class:`~repro.sim.vector.VectorPD2Simulator` when it supports the
-    configuration, else the reference :class:`QuantumSimulator`.  One
-    toggle (:mod:`repro.util.toggles`) governs the choice:
-    ``fastpath=False`` / ``--no-fastpath`` / ``REPRO_NO_FASTPATH=1``
-    forces the reference, and ``fastpath=True`` *requires* the vector
-    kernel and raises if the configuration is unsupported.
+    configuration, else the reference :class:`QuantumSimulator`.  Each
+    call chooses for itself: ``fastpath=False`` forces the reference
+    (without consulting the vector kernel), and ``fastpath=True``
+    *requires* the vector kernel and raises if the configuration is
+    unsupported.
     """
     task_list = list(tasks)
-    explicit = fastpath is not None
-    if fastpath is None:
-        from ..util.toggles import fastpath_enabled
-
-        fastpath = fastpath_enabled()
-    if fastpath:
+    if fastpath is not False:
         from .vector import VectorPD2Simulator, supports
 
         if supports(task_list, processors, horizon, policy, kwargs):
             return VectorPD2Simulator(task_list, processors, policy,
                                       **kwargs).run(horizon)
-        if explicit:
+        if fastpath:
             raise ValueError(
                 "fastpath=True but the configuration is not supported by "
                 "the vector kernel (see repro.sim.vector.supports)"

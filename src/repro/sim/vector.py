@@ -81,9 +81,8 @@ integer: the int64 priority keys, plus one audited int32 radix key in
 staticcheck rule R001 bans float dtypes and true division in this file.
 
 Use :func:`repro.sim.quantum.simulate_pfair`, which dispatches here
-automatically when :func:`supports` accepts the configuration and the
-toggle (``--no-fastpath`` / ``REPRO_NO_FASTPATH``,
-:mod:`repro.util.toggles`) is on, falling back vector → reference.
+whenever :func:`supports` accepts the configuration and the call does
+not pass ``fastpath=False``, falling back vector → reference.
 """
 
 from __future__ import annotations

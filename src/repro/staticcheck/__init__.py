@@ -14,8 +14,8 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
   division in decision paths (``core/`` and the vectorized kernel
   ``sim/vector.py``); numpy float dtypes are banned in the kernel.
 * **R002 determinism** — no seedless RNGs, wall-clock reads, or
-  environment reads outside ``util/toggles.py`` in ``core/``, ``sim/``,
-  ``campaign/``, ``distrib/``, ``traces/`` and ``workload/``.
+  environment reads in ``core/``, ``sim/``, ``campaign/``, ``distrib/``,
+  ``traces/`` and ``workload/``.
 * **R003 layering** — the import DAG ``util → core → workload →
   overheads/partition → sim → … → analysis/service`` admits no upward
   imports and no package cycles.

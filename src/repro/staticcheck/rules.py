@@ -237,8 +237,8 @@ class DeterminismRule(Rule):
     of the log, and the replay worker's only randomness is the
     planner-seeded ``default_rng`` (per docs/DETERMINISM.md).
     ``workload/`` is in scope because the task-set generator draws every
-    Fig. 3/4 set from its seeded Generator.  Environment toggles live in
-    ``util/toggles.py`` — the one sanctioned read point.
+    Fig. 3/4 set from its seeded Generator.  Configuration reaches these
+    packages as arguments, never from the environment.
 
     A seeded numpy constructor (``default_rng``, ``SeedSequence``,
     ``PCG64``, ``Philox``) called with no seed, or with a literal
@@ -360,8 +360,8 @@ class DeterminismRule(Rule):
             if names & {"environ", "getenv"}:
                 yield self._violation(
                     module, node,
-                    "environment read — route toggles through "
-                    "util/toggles.py")
+                    "environment read — pass configuration as an "
+                    "argument")
 
     def _check_attribute(self, module: ModuleInfo, node: ast.Attribute,
                          random_aliases: Set[str], time_aliases: Set[str],
@@ -391,8 +391,8 @@ class DeterminismRule(Rule):
             elif base.id in os_aliases and node.attr in ("environ", "getenv"):
                 yield self._violation(
                     module, node,
-                    f"os.{node.attr}: environment read — route toggles "
-                    "through util/toggles.py")
+                    f"os.{node.attr}: environment read — pass "
+                    "configuration as an argument")
         elif isinstance(base, ast.Attribute):
             # np.random.<fn> — legacy global RNG unless explicitly seeded.
             if isinstance(base.value, ast.Name) and \

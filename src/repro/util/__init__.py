@@ -2,12 +2,12 @@
 
 Lives below every other package (``core``, ``sim``, ``analysis``,
 ``service`` all may import it) so that infrastructure like the LRU cache
-and the fast-path toggle can be shared without import cycles.
+and the metrics registry can be shared without import cycles.
 """
 
 from .lru import LRUCache
 from .metrics import Counter, LatencyHistogram, MetricsRegistry
-from .toggles import fastpath_enabled, set_fastpath
+from .toggles import set_fastpath
 
-__all__ = ["LRUCache", "fastpath_enabled", "set_fastpath",
+__all__ = ["LRUCache", "set_fastpath",
            "Counter", "LatencyHistogram", "MetricsRegistry"]

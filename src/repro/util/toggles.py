@@ -1,37 +1,28 @@
-"""Process-wide kernel toggle.
+"""The in-process analysis-cache bypass.
 
-The accelerated code paths — the struct-of-arrays PD² vector kernel and
-the analysis cache in front of the schedulability tests — are
-*decision-identical* to the reference implementations: the differential
-test suite proves it.  An escape hatch is still good engineering:
-``--no-fastpath`` / ``REPRO_NO_FASTPATH=1`` forces every computation
-back onto the reference code paths, e.g. to bisect a suspected kernel
-bug or to benchmark the reference.
-
-The toggle is read at call sites, not import time, so tests can flip it
-per-case.  Worker processes inherit it through the campaign pool
-initializer (:mod:`repro.campaign.pool`) and through the environment
-variable.
+:func:`set_fastpath` with ``False`` makes the schedulability analyses
+(:mod:`repro.analysis.schedulability`) skip ``ANALYSIS_CACHE`` in the
+current process, so a check can recompute every answer from scratch.
+That is all it switches.  The simulator's kernel is chosen per call
+(``simulate_pfair(..., fastpath=False)`` forces the reference), code
+that wants the uncached analysis can call ``evaluate_columns``, pool
+workers do not inherit the bypass, and no environment variable sets it.
 """
 
 from __future__ import annotations
 
-import os
+__all__ = ["analysis_cache_on", "set_fastpath"]
 
-__all__ = ["fastpath_enabled", "set_fastpath"]
-
-_override: bool | None = None
+_cache_on = True
 
 
-def fastpath_enabled() -> bool:
-    """True when fast-path implementations should be used (the default)."""
-    if _override is not None:
-        return _override
-    return os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
+def analysis_cache_on() -> bool:
+    """False while :func:`set_fastpath` has turned the cache off."""
+    return _cache_on
 
 
 def set_fastpath(enabled: bool | None) -> None:
-    """Force the fast path on/off; ``None`` restores the environment
-    default (``REPRO_NO_FASTPATH``)."""
-    global _override
-    _override = enabled
+    """Skip the analysis cache in this process (``False``); ``True`` or
+    ``None`` use it again (the default)."""
+    global _cache_on
+    _cache_on = enabled is not False

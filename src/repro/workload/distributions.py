@@ -42,6 +42,8 @@ def _rescale_to_total(us: np.ndarray, total: float) -> List[float]:
 
     Clipping one value redistributes its excess over the others; a handful
     of passes suffices because the cap only binds when total/N approaches 1.
+    A total the cap can only just reach (``N·cap`` up to rounding) leaves
+    no headroom to take the last excess: every task then sits at the cap.
     """
     us = np.asarray(us, dtype=float)
     if us.ndim != 1 or len(us) == 0:
@@ -59,7 +61,10 @@ def _rescale_to_total(us: np.ndarray, total: float) -> List[float]:
         us[over] = _U_CAP
         under = ~over
         headroom = _U_CAP - us[under]
-        us[under] += headroom / headroom.sum() * excess
+        room = headroom.sum()
+        if room <= 0:
+            break
+        us[under] += headroom / room * excess
     return us.tolist()
 
 

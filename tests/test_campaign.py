@@ -31,7 +31,7 @@ from repro.campaign import (CampaignGrid, CampaignIncomplete, CampaignRunner,
                             assemble_rows, batch_analyze, dispatch_jobs,
                             evaluate_shard, plan_shards,
                             run_schedulability_campaign)
-from repro.campaign.pool import discard_worker_pool
+from repro.campaign.pool import WorkerPool, discard_worker_pool
 from repro.campaign.progress import ProgressTracker
 from repro.campaign.spec import (POINT_SEED_STRIDE, REPLICA_SEED_STRIDE,
                                  shards_by_point)
@@ -263,6 +263,20 @@ class TestDispatch:
     def test_empty_jobs(self):
         assert dispatch_jobs({}, fw.flaky_job, RunnerConfig(),
                              on_success=lambda *a: None) == []
+
+    def test_pool_is_keyed_by_worker_count_alone(self):
+        # The analysis-cache bypass is in-process only: it neither
+        # rebuilds the warm pool nor reaches its workers.
+        from repro.util.toggles import set_fastpath
+
+        pool = WorkerPool()
+        try:
+            before = pool.get(1)
+            set_fastpath(False)
+            assert pool.get(1) is before
+        finally:
+            set_fastpath(None)
+            pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

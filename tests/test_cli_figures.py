@@ -45,6 +45,27 @@ class TestCLI:
         assert "misses: 0" in out
         assert "2 processors" in out
 
+    def test_schedule_no_fastpath_prints_the_same_schedule(self, capsys):
+        argv = ["schedule", "1/3", "2/5", "1/4", "--horizon", "30"]
+        assert main(argv) == 0
+        auto = capsys.readouterr().out
+        assert main(argv + ["--no-fastpath"]) == 0
+        assert capsys.readouterr().out == auto
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3"], ["fig4"], ["campaign", "run", "RUN"],
+        ["campaign", "resume", "RUN"], ["worker", "--serve"],
+    ], ids=["fig3", "fig4", "campaign-run", "campaign-resume", "worker"])
+    def test_no_fastpath_is_gone_from_the_campaign_commands(
+            self, argv, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        argv = [str(run_dir) if arg == "RUN" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-fastpath"])
+        assert exc.value.code == 2
+        assert "--no-fastpath" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_schedule_infeasible_m(self, capsys):
         rc = main(["schedule", "1/1", "1/1", "--processors", "1"])
         assert rc == 1

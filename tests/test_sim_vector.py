@@ -144,29 +144,38 @@ class TestDispatch:
         res = simulate_pfair(_tasks(), 2, 50, EPDFPriority())
         assert res.policy_name == "EPDF"
 
-    def test_no_fastpath_toggle_disables_vector_too(self, monkeypatch):
-        # --no-fastpath means reference-only: the vector tier must not
-        # even be consulted when the fast path toggle is off.
+    @staticmethod
+    def _count_supports(monkeypatch):
         calls = []
         real = vec_mod.supports
         monkeypatch.setattr(
             vec_mod, "supports",
             lambda *a: (calls.append(a), real(*a))[1])
-        set_fastpath(False)
-        res = simulate_pfair(_tasks(), 2, 50)
+        return calls
+
+    def test_fastpath_false_never_calls_supports(self, monkeypatch):
+        # fastpath=False means reference-only: the vector tier is not
+        # even consulted.
+        calls = self._count_supports(monkeypatch)
+        res = simulate_pfair(_tasks(), 2, 50, fastpath=False)
         assert not calls
         ref = QuantumSimulator(_tasks(), 2).run(50)
         assert res.stats == ref.stats
 
-    def test_env_toggle(self, monkeypatch):
-        from repro.util.toggles import fastpath_enabled
-
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert not fastpath_enabled()
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
-        assert fastpath_enabled()
-        set_fastpath(False)  # an explicit override beats the environment
-        assert not fastpath_enabled()
+    def test_cache_bypass_leaves_the_kernel_choice_alone(self, monkeypatch):
+        # set_fastpath(False) only skips the analysis cache: auto
+        # dispatch still asks the vector kernel and takes it.
+        ran = []
+        real_run = VectorPD2Simulator.run
+        monkeypatch.setattr(
+            VectorPD2Simulator, "run",
+            lambda sim, h: (ran.append(h), real_run(sim, h))[1])
+        calls = self._count_supports(monkeypatch)
+        set_fastpath(False)
+        res = simulate_pfair(_tasks(), 2, 50)
+        assert len(calls) == 1 and ran == [50]
+        assert res.stats == simulate_pfair(_tasks(), 2, 50,
+                                           fastpath=False).stats
 
 
 class TestConstruction:

@@ -238,12 +238,12 @@ class TestDeterminism:
         assert run_checks(root, select=["R002"]).ok
 
     def test_out_of_scope_packages_may_read_the_environment(self, tmp_path):
-        # util/toggles.py is the sanctioned read point; the whole util
-        # package (and the app shell) sits outside the R002 scope.
-        root = make_tree(tmp_path, {"util/toggles.py": (
+        # The whole util package (and the app shell) sits outside the
+        # R002 scope.
+        root = make_tree(tmp_path, {"util/settings.py": (
             "import os\n"
-            "def fastpath_enabled():\n"
-            "    return os.getenv('REPRO_NO_FASTPATH') is None\n"
+            "def verbose():\n"
+            "    return os.getenv('VERBOSE') is None\n"
         )})
         assert run_checks(root, select=["R002"]).ok
 

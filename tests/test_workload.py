@@ -81,6 +81,8 @@ class TestDistributions:
             uniform_utilizations(rng, 2, 3.0)
         with pytest.raises(ValueError):
             uniform_utilizations(rng, 2, 0.0)
+        with pytest.raises(ValueError):  # just above 2 · 0.95
+            uniform_simplex_utilizations(rng, 2, 1.9000001)
 
     def test_bimodal_has_both_modes(self):
         rng = np.random.default_rng(2)

@@ -11,6 +11,7 @@ draws, halves included (both round them to even).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestColumnBuilder:
                 assert 1 <= e <= p
                 assert p % q == 0 and q <= p <= top
                 assert 0 <= d <= cdm
+            # The set has the total it was asked for: rounding moves each
+            # e by at most one tick (half a tick, or up to one where
+            # u·p rounds to 0 and e is clipped to 1), plus float slack.
+            realised = sum(Fraction(e, p)
+                           for e, p in zip(cols.execution, cols.period))
+            bound = sum(Fraction(1, p) for p in cols.period)
+            slack = Fraction(1, 10**9)
+            assert abs(realised - Fraction(total)) <= bound + slack
+
+    def test_a_total_the_cap_just_reaches_puts_every_task_at_it(self):
+        cols = TaskSetGenerator(1).columns(2, 1.9)
+        assert [Fraction(e, p) for e, p in zip(cols.execution, cols.period)] \
+            == [Fraction(19, 20)] * 2
 
     @settings(max_examples=200, deadline=None)
     @given(generator_cases())
