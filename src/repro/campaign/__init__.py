@@ -2,9 +2,9 @@
 
 The engine behind every Monte-Carlo sweep in the repo.  A campaign grid
 is planned into deterministic, independently-seeded shards
-(:mod:`.spec`); a runner dispatches them over the warm process pool with
-per-shard timeout, bounded retry, and worker-death recovery
-(:mod:`.runner` / :mod:`.pool`); each finished shard spools atomically
+(:mod:`.spec`); a runner dispatches them over a process pool it owns
+for the call, with per-shard timeout, bounded retry, and worker-death
+recovery (:mod:`.runner`); each finished shard spools atomically
 into a run directory so an interrupted run resumes byte-for-byte
 (:mod:`.checkpoint`); and a progress surface feeds ``repro campaign
 run|resume|status`` (:mod:`.progress`).  :mod:`.sched` binds the engine
@@ -19,7 +19,6 @@ resume guarantee are documented in ``docs/CAMPAIGNS.md``.
 
 from .checkpoint import CheckpointStore, RunDirError
 from .crossover import CrossoverResult, find_crossover
-from .pool import WorkerPool, shutdown_worker_pool, worker_pool
 from .progress import ProgressTracker
 from .runner import (CampaignIncomplete, CampaignRunner, RunnerConfig,
                      dispatch_jobs)
@@ -33,9 +32,6 @@ __all__ = [
     "plan_shards",
     "CheckpointStore",
     "RunDirError",
-    "WorkerPool",
-    "worker_pool",
-    "shutdown_worker_pool",
     "ProgressTracker",
     "RunnerConfig",
     "CampaignRunner",

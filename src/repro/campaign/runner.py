@@ -1,12 +1,16 @@
 """Fault-tolerant shard dispatch: retry, timeout, worker-death recovery.
 
 Two layers live here.  :func:`dispatch_jobs` is the generic engine: it
-pushes picklable jobs through the warm process pool with per-job
+pushes picklable jobs through a process pool of its own with per-job
 deadlines, bounded retry with exponential backoff, and
 ``BrokenProcessPool`` recovery — when a worker dies it resubmits the
-lost jobs, not the run.  :class:`CampaignRunner` specialises it for
-schedulability campaigns: shards come from :func:`~repro.campaign.spec.
-plan_shards`, every finished shard spools atomically into a
+lost jobs, not the run.  Each call builds its pool with
+:func:`new_process_pool` and shuts it down before returning, so
+concurrent callers (the CLI, the service's batch verb, worker nodes)
+never share or rebuild each other's executors.
+:class:`CampaignRunner` specialises it for schedulability campaigns:
+shards come from :func:`~repro.campaign.spec.plan_shards`, every
+finished shard spools atomically into a
 :class:`~repro.campaign.checkpoint.CheckpointStore`, and a
 :class:`~repro.campaign.progress.ProgressTracker` keeps ``status.json``
 current for ``repro campaign status``.  The service's batch-analyze path
@@ -35,7 +39,7 @@ Failure semantics, in one place:
   attempts compute the same points.  Timeouts apply only when
   ``workers > 1``.
 * **worker death** — ``BrokenProcessPool`` poisons the whole executor:
-  the pool is discarded and rebuilt, and *every* in-flight job is
+  the call's pool is replaced, and *every* in-flight job is
   resubmitted without touching its retry budget (the guilty shard is
   indistinguishable from innocent siblings that merely shared the pool).
   Repeated waves are bounded by ``max_pool_rebuilds``; past that the
@@ -51,7 +55,8 @@ assembly — stays deterministic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -61,12 +66,11 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 from ..analysis.schedulability import SchedulabilityPoint
 from ..overheads.model import OverheadModel
 from .checkpoint import CheckpointStore, RunDirError
-from .pool import discard_worker_pool, worker_pool
 from .progress import ProgressTracker
 from .spec import GridLike
 
 __all__ = ["RunnerConfig", "CampaignRunner", "CampaignIncomplete",
-           "Dispatcher", "dispatch_jobs"]
+           "Dispatcher", "dispatch_jobs", "new_process_pool"]
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,19 @@ class _Attempt:
     key: str
     attempt: int            # 1-based
     submitted_at: float     # monotonic seconds
+
+
+def _warm_init() -> None:
+    """Pool worker initializer: pay the heavy imports once per worker
+    instead of inside the first job's timeout budget (a forked worker
+    inherits them; spawn and forkserver workers do not)."""
+    from ..analysis import schedulability  # noqa: F401  (pulls in the chain)
+
+
+def new_process_pool(workers: int) -> ProcessPoolExecutor:
+    """A fresh executor of ``workers`` warmed processes.  The caller owns
+    it: nothing else holds or replaces it, and the caller shuts it down."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_warm_init)
 
 
 def _backoff(config: RunnerConfig, failures: int) -> float:
@@ -180,8 +197,11 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     """Run every job to success or retry exhaustion; return failed keys.
 
     ``jobs`` maps a stable key to a picklable payload; ``worker`` must be
-    a module-level callable (the pool pickles it).  ``on_success(key,
-    result, attempts, elapsed)`` fires exactly once per finished job;
+    a module-level callable (the pool pickles it).  With ``workers > 1``
+    the call runs on its own executor, replaced after a worker death and
+    shut down without waiting on return, so an attempt abandoned by a
+    timeout never delays the caller.  ``on_success(key, result,
+    attempts, elapsed)`` fires exactly once per finished job;
     within one poll batch, finished jobs are reported in sorted-key
     order (the batch's membership still depends on completion timing).
     ``on_retry(key, reason)`` fires on every requeue with reason
@@ -209,6 +229,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     finished: Set[str] = set()
     failed: Set[str] = set()
     rebuilds = 0
+    pool: Optional[ProcessPoolExecutor] = None
 
     def charge(key: str, reason: str, now: float) -> None:
         """Budgeted requeue for an error or timeout."""
@@ -221,9 +242,10 @@ def dispatch_jobs(jobs: Mapping[str, Any],
             queue.append((now + _backoff(config, failures[key]), key))
 
     def handle_pool_death(now: float) -> None:
-        """Rebuild after ``BrokenProcessPool``; resubmit in-flight work
-        without charging budgets (guilt is unattributable)."""
-        nonlocal rebuilds
+        """Drop the broken pool (the next submit builds its replacement);
+        resubmit in-flight work without charging budgets (guilt is
+        unattributable)."""
+        nonlocal pool, rebuilds
         rebuilds += 1
         for att in pending.values():
             if att.key not in finished and att.key not in failed:
@@ -231,73 +253,80 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                     on_retry(att.key, "worker-death")
                 queue.append((now + config.backoff_seconds, att.key))
         pending.clear()
-        discard_worker_pool()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = None
         if rebuilds > config.max_pool_rebuilds:
             for _, key in queue:
                 failed.add(key)
             queue.clear()
 
     last_tick = time.monotonic()
-    while queue or pending:
-        now = time.monotonic()
-        due = [item for item in queue if item[0] <= now]
-        queue[:] = [item for item in queue if item[0] > now]
-        for i, (not_before, key) in enumerate(due):
-            if key in finished or key in failed:
-                continue
-            try:
-                # The warm shared pool survives this call.
-                fut = worker_pool(config.workers).submit(worker, jobs[key])
-            except BrokenProcessPool:
-                # Everything not yet submitted goes back too — `due`
-                # was already carved out of the queue, so requeuing
-                # only the current item would silently drop the rest.
-                queue.extend(due[i:])
-                handle_pool_death(now)
-                break
-            pending[fut] = _Attempt(key, failures.get(key, 0) + 1, now)
+    try:
+        while queue or pending:
+            now = time.monotonic()
+            due = [item for item in queue if item[0] <= now]
+            queue[:] = [item for item in queue if item[0] > now]
+            for i, (not_before, key) in enumerate(due):
+                if key in finished or key in failed:
+                    continue
+                try:
+                    if pool is None:
+                        pool = new_process_pool(config.workers)
+                    fut = pool.submit(worker, jobs[key])
+                except BrokenProcessPool:
+                    # Everything not yet submitted goes back too — `due`
+                    # was already carved out of the queue, so requeuing
+                    # only the current item would silently drop the rest.
+                    queue.extend(due[i:])
+                    handle_pool_death(now)
+                    break
+                pending[fut] = _Attempt(key, failures.get(key, 0) + 1, now)
 
-        if pending:
-            done_futs, _ = wait(list(pending),
-                                timeout=config.poll_interval_seconds,
-                                return_when=FIRST_COMPLETED)
-        else:
-            done_futs = set()
-            if queue:
-                time.sleep(config.poll_interval_seconds)
-
-        now = time.monotonic()
-        died = False
-        for fut in _completion_order(done_futs, pending):
-            att = pending.pop(fut, None)
-            if att is None or att.key in finished or att.key in failed:
-                continue  # stale attempt abandoned by a timeout
-            exc = fut.exception()
-            if exc is None:
-                finished.add(att.key)
-                on_success(att.key, fut.result(), att.attempt,
-                           now - att.submitted_at)
-            elif isinstance(exc, BrokenProcessPool):
-                if on_retry is not None:
-                    on_retry(att.key, "worker-death")
-                queue.append((now + config.backoff_seconds, att.key))
-                died = True
+            if pending:
+                done_futs, _ = wait(list(pending),
+                                    timeout=config.poll_interval_seconds,
+                                    return_when=FIRST_COMPLETED)
             else:
-                charge(att.key, "error", now)
-        if died:
-            handle_pool_death(now)
+                done_futs = set()
+                if queue:
+                    time.sleep(config.poll_interval_seconds)
 
-        if config.shard_timeout is not None:
-            for fut, att in list(pending.items()):
-                if now - att.submitted_at > config.shard_timeout:
-                    del pending[fut]
-                    fut.cancel()  # best-effort; running tasks persist
-                    charge(att.key, "timeout", now)
+            now = time.monotonic()
+            died = False
+            for fut in _completion_order(done_futs, pending):
+                att = pending.pop(fut, None)
+                if att is None or att.key in finished or att.key in failed:
+                    continue  # stale attempt abandoned by a timeout
+                exc = fut.exception()
+                if exc is None:
+                    finished.add(att.key)
+                    on_success(att.key, fut.result(), att.attempt,
+                               now - att.submitted_at)
+                elif isinstance(exc, BrokenProcessPool):
+                    if on_retry is not None:
+                        on_retry(att.key, "worker-death")
+                    queue.append((now + config.backoff_seconds, att.key))
+                    died = True
+                else:
+                    charge(att.key, "error", now)
+            if died:
+                handle_pool_death(now)
 
-        if on_tick is not None and \
-                now - last_tick >= config.status_interval_seconds:
-            on_tick()
-            last_tick = now
+            if config.shard_timeout is not None:
+                for fut, att in list(pending.items()):
+                    if now - att.submitted_at > config.shard_timeout:
+                        del pending[fut]
+                        fut.cancel()  # best-effort; running tasks persist
+                        charge(att.key, "timeout", now)
+
+            if on_tick is not None and \
+                    now - last_tick >= config.status_interval_seconds:
+                on_tick()
+                last_tick = now
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
     return sorted(failed)
 
 

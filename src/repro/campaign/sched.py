@@ -139,8 +139,8 @@ def run_schedulability_campaign(
 
     One seeded generator per shard keeps shards independently
     reproducible and embarrassingly parallel: with ``workers > 1`` they
-    run in the warm process pool and the results are byte-identical to
-    the serial run.  With a ``run_dir`` every finished shard is
+    run in a process pool and the results are byte-identical to the
+    serial run.  With a ``run_dir`` every finished shard is
     checkpointed atomically and the final rows land in
     ``<run_dir>/result.json``; ``resume=True`` restores completed shards
     instead of recomputing them (see ``docs/CAMPAIGNS.md``).  A
@@ -196,9 +196,9 @@ def batch_analyze(task_sets: Sequence[Sequence[TaskSpec]], *,
     Each result dict mirrors one ``analyze`` verb response (``m_pd2``,
     ``m_edf_ff``, ``utilization``, ``n_tasks``) or carries ``"error"``
     for an invalid set.  Dispatch runs through the same engine as
-    campaigns — warm pool, worker-death recovery — with ``max_retries=0``
-    by default because the analysis is deterministic (a worker death is
-    still recovered; it is unbudgeted).
+    campaigns — a process pool per call, worker-death recovery — with
+    ``max_retries=0`` by default because the analysis is deterministic
+    (a worker death is still recovered; it is unbudgeted).
     """
     if not task_sets:
         return []

@@ -36,12 +36,11 @@ import contextlib
 import sys
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Iterator, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from .analysis.experiments import utilization_grid
 from .analysis.figures import fig1_report, fig3_table, fig4_table, fig5_report
-from .campaign import (RunnerConfig, run_schedulability_campaign,
-                       shutdown_worker_pool)
+from .campaign import RunnerConfig, run_schedulability_campaign
 from .analysis.schedulability import edf_ff_min_processors, pd2_min_processors
 from .core.task import PeriodicTask, TaskSet
 from .core.trace import render_schedule, render_windows
@@ -81,14 +80,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {value}")
     return value
-
-
-def _workers_arg(text: str) -> Union[int, str]:
-    """``campaign --workers``: a bare integer is the legacy ``--jobs``
-    alias (and must be positive); anything else is a node list."""
-    if text.strip().lstrip("+-").isdigit():
-        return _positive_int(text)
-    return text
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
@@ -204,20 +195,15 @@ def _campaign_config(args: argparse.Namespace) -> RunnerConfig:
                         max_retries=args.retries)
 
 
-def _campaign_nodes(args: argparse.Namespace) -> Optional[list]:
-    """Decode ``--workers``: a bare integer is the legacy ``--jobs``
-    alias (local pool size); a ``host:port[,host:port...]`` list selects
-    the distributed path (docs/DISTRIBUTED.md)."""
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return None
-    if isinstance(workers, int):
-        if args.jobs is None:
-            args.jobs = workers
-        return None
+def _worker_nodes(text: str) -> list:
+    """``campaign --workers``: a ``host:port[,host:port...]`` list that
+    selects the distributed path (docs/DISTRIBUTED.md)."""
     from .distrib import parse_worker_nodes
 
-    return parse_worker_nodes(workers)
+    try:
+        return parse_worker_nodes(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @contextlib.contextmanager
@@ -252,12 +238,7 @@ def _run_campaign_cli(args: argparse.Namespace, grid_args: tuple,
 
     n_tasks, utilizations, sets, seed, replicas = grid_args
     try:
-        nodes = _campaign_nodes(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        with _fleet(args, nodes) as dispatcher:
+        with _fleet(args, args.workers) as dispatcher:
             rows = run_schedulability_campaign(
                 n_tasks, utilizations, sets_per_point=sets, seed=seed,
                 replicas=replicas, run_dir=args.run_dir, resume=resume,
@@ -296,11 +277,6 @@ def _run_trace_cli(args: argparse.Namespace, *, grid: "object",
     from .traces.mapping import MappingConfig
     from .traces.swf import SWFError
 
-    try:
-        nodes = _campaign_nodes(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     if not Path(args.trace).is_file():
         print(f"{args.trace}: no such trace file", file=sys.stderr)
         return 2
@@ -317,7 +293,7 @@ def _run_trace_cli(args: argparse.Namespace, *, grid: "object",
     from .traces.replay import run_trace_campaign
 
     try:
-        with _fleet(args, nodes) as dispatcher:
+        with _fleet(args, args.workers) as dispatcher:
             rows = run_trace_campaign(
                 args.trace, run_dir=args.run_dir, resume=resume,
                 config=_campaign_config(args), grid=grid,
@@ -616,12 +592,11 @@ def _add_campaign_commands(sub: "argparse._SubParsersAction[argparse.ArgumentPar
                              "byte-identical to the serial run); with "
                              "--workers NODES the local pool joins the "
                              "fleet as one more node of N slots")
-        cp.add_argument("--workers", dest="workers", type=_workers_arg,
+        cp.add_argument("--workers", dest="workers", type=_worker_nodes,
                         default=None, metavar="NODES",
                         help="host1:port,host2:port — farm shards out to "
                              "these `repro worker --serve` nodes "
-                             "(docs/DISTRIBUTED.md); a bare integer is "
-                             "the legacy --jobs alias")
+                             "(docs/DISTRIBUTED.md)")
         cp.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-shard deadline; a late shard is "
@@ -967,12 +942,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, default=8)
         p.add_argument("--sets", type=int, default=15)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", "-j", "--workers", dest="jobs",
+        p.add_argument("--jobs", "-j", dest="jobs",
                        type=_positive_int, default=1, metavar="N",
                        help="worker processes for the campaign grid "
                             "(ProcessPoolExecutor; results are "
-                            "byte-identical to the serial run; "
-                            "--workers is an alias)")
+                            "byte-identical to the serial run)")
         p.add_argument("--save", default=None,
                        help="write the campaign rows to this JSON file")
         p.set_defaults(fn=fn)
@@ -1012,13 +986,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except KeyboardInterrupt:
-        # The campaign runner has already written its final status and
-        # checkpointed every finished shard; all that is left is to not
-        # leak the warm pool's worker processes.
-        shutdown_worker_pool()
-        print("interrupted; worker pool shut down (completed shards "
-              "remain checkpointed — `repro campaign resume` continues)",
-              file=sys.stderr)
+        # The campaign runner has already written its final status,
+        # checkpointed every finished shard and shut its pool down.
+        print("interrupted (completed shards remain checkpointed — "
+              "`repro campaign resume` continues)", file=sys.stderr)
         return 130
 
 

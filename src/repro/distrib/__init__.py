@@ -5,7 +5,7 @@ checkpoints atomically, and survives local worker death — this package
 takes the same shards off the machine.  A **worker node** (``repro
 worker --serve``, :mod:`.worker`) is a thin threaded JSON-lines service
 that evaluates serialized :class:`~repro.campaign.spec.ShardSpec`\\ s in
-its warm process pool, heartbeating while they run.  A **coordinator**
+its own process pool, heartbeating while they run.  A **coordinator**
 (:mod:`.coordinator`) leases unfinished shards to every connected node
 with per-shard deadlines, re-leases from dead or silent nodes, and
 discards late duplicate results soundly — shards are deterministic, so

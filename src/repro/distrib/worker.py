@@ -1,9 +1,10 @@
 """The worker node: ``repro worker --serve`` — shards in, points out.
 
-A worker is a thin, threaded JSON-lines TCP service around the warm
-campaign :class:`~repro.campaign.pool.WorkerPool`: one accept thread,
-one thread per connection, evaluation in pool *processes* so a crashing
-shard kills a disposable child and not the node.  Verbs are defined in
+A worker is a thin, threaded JSON-lines TCP service around a process
+pool the server owns (built for the first shard, shut down in
+``stop``): one accept thread, one thread per connection, evaluation in
+pool *processes* so a crashing shard kills a disposable child and not
+the node.  Verbs are defined in
 :mod:`repro.distrib.wire` and answered through one handler per verb,
 keyed by verb in a table whose keys are exactly
 :data:`~repro.distrib.wire.WORKER_VERBS`; the framing is byte-compatible
@@ -17,8 +18,8 @@ completion — resets them, so a dead or partitioned node is detected in
 seconds while an honest long shard runs undisturbed.
 
 Worker deaths inside the node are recovered exactly like the local
-runner recovers them: the poisoned pool is discarded and the shard
-resubmitted, bounded by ``max_pool_rebuilds``; past the budget the
+runner recovers them: the poisoned pool is replaced and the shard
+resubmitted, bounded by :data:`MAX_POOL_REBUILDS`; past the budget the
 coordinator gets an error response and charges the shard's retry
 budget, never the node's liveness.
 
@@ -32,12 +33,12 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
 
-from ..campaign.pool import discard_worker_pool, worker_pool
+from ..campaign.runner import new_process_pool
 from ..campaign.sched import evaluate_shard
 from ..service.protocol import (MAX_LINE_BYTES, ProtocolError, decode_line,
                                 encode, error_response, ok_response,
@@ -48,6 +49,11 @@ from .wire import (WORKER_PROTOCOL_VERSION, WORKER_VERBS, heartbeat_frame,
                    parse_shard_run, points_to_wire)
 
 __all__ = ["WorkerServer", "serve_worker"]
+
+#: Pool replacements one ``shard-run`` may trigger before the shard is
+#: answered with a ``worker-death`` error (charged to its retry budget
+#: by the coordinator).
+MAX_POOL_REBUILDS = 1
 
 #: A verb handler: ``(id, request, stream)`` in, the response out — or
 #: ``None`` when the handler already wrote its own response.
@@ -92,15 +98,16 @@ class WorkerServer:
     """A shard-evaluation node serving :data:`~repro.distrib.wire.
     WORKER_VERBS` over blocking sockets and threads.
 
-    All mutable server state (listener, connection registry, stop flag)
-    is guarded by ``self._lock``; the metrics object locks itself.  The
-    evaluation itself runs in the warm process pool, so ``jobs``
-    concurrent connections genuinely use ``jobs`` cores.
+    All mutable server state (listener, process pool, connection
+    registry, stop flag) is guarded by ``self._lock``; the metrics
+    object locks itself.  Evaluation runs in the server's own pool of
+    ``jobs`` processes, shared by its connection threads, so ``jobs``
+    concurrent connections genuinely use ``jobs`` cores and two servers
+    in one process never share workers.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  jobs: int = 1, heartbeat_interval: float = 1.0,
-                 max_pool_rebuilds: int = 1,
                  evaluator: Optional[Callable[..., Any]] = None,
                  trace_evaluator: Optional[Callable[..., Any]] = None
                  ) -> None:
@@ -110,7 +117,6 @@ class WorkerServer:
             raise ValueError("heartbeat_interval must be positive")
         self.jobs = jobs
         self.heartbeat_interval = heartbeat_interval
-        self.max_pool_rebuilds = max_pool_rebuilds
         #: Module-level shard evaluators (pool-picklable); tests inject
         #: the fault-raising stand-ins from tests/campaign_fault_workers.
         #: ``evaluator`` answers synthetic ``shard-run`` frames,
@@ -124,6 +130,7 @@ class WorkerServer:
         self._port = port
         self._lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conns: Dict[int, socket.socket] = {}
         self._conn_seq = 0
@@ -161,16 +168,20 @@ class WorkerServer:
         return self.address
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Close the listener and every connection; join the accept
-        thread (idempotent)."""
+        """Close the listener and every connection, shut the pool down
+        without waiting for abandoned shards; join the accept thread
+        (idempotent)."""
         self._stopping.set()
         with self._lock:
             listener, self._listener = self._listener, None
+            pool, self._pool = self._pool, None
             thread, self._accept_thread = self._accept_thread, None
             conns = list(self._conns.values())
             self._conns.clear()
         if listener is not None:
             listener.close()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -250,6 +261,28 @@ class WorkerServer:
             stream.flush()
         return not self._stopping.is_set()
 
+    # -- process pool -------------------------------------------------
+
+    def _executor(self) -> ProcessPoolExecutor:
+        """The server's pool, built on first use (again after a worker
+        death) until the server stops."""
+        with self._lock:
+            if self._stopping.is_set():
+                raise RuntimeError("worker server is stopping")
+            if self._pool is None:
+                self._pool = new_process_pool(self.jobs)
+            return self._pool
+
+    def _discard_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Drop ``broken`` so the next shard builds a fresh pool.
+        Connection threads share the pool and all see the same death, so
+        only the executor that broke is dropped — never a sibling's
+        fresh replacement."""
+        with self._lock:
+            if self._pool is broken:
+                self._pool = None
+                broken.shutdown(wait=False, cancel_futures=True)
+
     # -- verb handlers ------------------------------------------------
 
     def _ping(self, rid: Any, obj: Dict[str, Any],
@@ -286,7 +319,7 @@ class WorkerServer:
         while True:
             try:
                 if fut is None:
-                    pool = worker_pool(self.jobs)
+                    pool = self._executor()
                     fut = pool.submit(runner, args)
                 points = fut.result(timeout=self.heartbeat_interval)
                 break
@@ -296,13 +329,11 @@ class WorkerServer:
                 self.metrics.record_heartbeat()
             except BrokenProcessPool:
                 # Same recovery the local runner performs: the poisoned
-                # pool is discarded and the shard resubmitted, bounded
-                # by the rebuild budget.  Connection threads share the
-                # pool, so only the executor that broke is discarded —
-                # never a sibling's fresh rebuild.
-                discard_worker_pool(pool)
+                # pool is replaced and the shard resubmitted, bounded by
+                # the rebuild budget.
+                self._discard_pool(pool)
                 rebuilds += 1
-                if rebuilds > self.max_pool_rebuilds:
+                if rebuilds > MAX_POOL_REBUILDS:
                     self.metrics.record_shard(
                         "error", 0, time.monotonic() - started)
                     return error_response(

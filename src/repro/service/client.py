@@ -147,8 +147,8 @@ class AdmissionClient(_VerbMixin):
 
         ``response["results"]`` aligns with ``task_sets``; each entry is
         an ``analyze`` payload or ``{"error": ...}`` for an invalid set.
-        ``workers`` asks the server to fan the misses out over its
-        campaign worker pool.
+        ``workers`` asks the server to fan the misses out over that
+        many worker processes.
         """
         wire = [_wire_tasks(ts) for ts in task_sets]
         return _check(self.request("batch-analyze", task_sets=wire,

@@ -55,7 +55,7 @@ VERBS = ("admit", "leave", "reweight", "query", "batch-analyze", "advance",
          "stats", "ping", "shutdown")
 
 #: Upper bound on task sets per ``batch-analyze`` request — keeps one
-#: request from monopolising the shared worker pool.
+#: request from monopolising the server's worker processes.
 MAX_BATCH_SETS = 1024
 
 #: Upper bound on ``advance``'s ``slots``.  The slots run synchronously

@@ -114,8 +114,8 @@ class ServiceState:
 
         Cache hits are answered from this instance's LRU; the misses go
         through the campaign engine's :func:`~repro.campaign.sched.
-        batch_analyze` (warm process pool, worker-death recovery) and
-        are cached on the way back.  Invalid sets come back as
+        batch_analyze` (a process pool per call, worker-death recovery)
+        and are cached on the way back.  Invalid sets come back as
         ``{"error": ...}`` entries — one bad set never fails the batch.
 
         Thread-safety: this method touches only the LRU (internally

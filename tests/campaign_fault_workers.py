@@ -11,9 +11,9 @@ carried out-of-band:
   deterministic fail-once schedule that works across processes;
 * shard workers (the :class:`~repro.campaign.runner.CampaignRunner`
   and worker-node tests) select their victim via environment variables,
-  inherited by pool workers at fork time (tests rebuild the warm pool
-  after setting them, see ``discard_worker_pool``); the die-once
-  worker keys its fuse file by shard id.
+  inherited by pool workers at fork time (every dispatch and every
+  worker server forks fresh workers, so tests set them first); the
+  die-once worker keys its fuse file by shard id.
 """
 
 import os

@@ -31,7 +31,6 @@ from repro.campaign import (CampaignGrid, CampaignIncomplete, CampaignRunner,
                             assemble_rows, batch_analyze, dispatch_jobs,
                             evaluate_shard, plan_shards,
                             run_schedulability_campaign)
-from repro.campaign.pool import WorkerPool, discard_worker_pool
 from repro.campaign.progress import ProgressTracker
 from repro.campaign.spec import (POINT_SEED_STRIDE, REPLICA_SEED_STRIDE,
                                  shards_by_point)
@@ -264,20 +263,6 @@ class TestDispatch:
         assert dispatch_jobs({}, fw.flaky_job, RunnerConfig(),
                              on_success=lambda *a: None) == []
 
-    def test_pool_is_keyed_by_worker_count_alone(self):
-        # The analysis-cache bypass is in-process only: it neither
-        # rebuilds the warm pool nor reaches its workers.
-        from repro.util.toggles import set_fastpath
-
-        pool = WorkerPool()
-        try:
-            before = pool.get(1)
-            set_fastpath(False)
-            assert pool.get(1) is before
-        finally:
-            set_fastpath(None)
-            pool.shutdown()
-
 
 # ---------------------------------------------------------------------------
 # Runner: checkpointed runs, crash-resume byte identity
@@ -315,16 +300,12 @@ class TestRunnerResume:
                                                          monkeypatch):
         run_dir = tmp_path / "run"
         monkeypatch.setenv(fw.DIE_SHARD_ENV, "p0000r000")
-        discard_worker_pool()  # fork fresh workers that see the env var
-        try:
-            broken = CampaignRunner(
-                GRID, fw.dying_shard, store=CheckpointStore(run_dir),
-                config=RunnerConfig(workers=2, max_pool_rebuilds=1, **FAST))
-            with pytest.raises(CampaignIncomplete) as exc_info:
-                broken.run()
-            assert "p0000r000" in exc_info.value.failed
-        finally:
-            discard_worker_pool()  # drop the env-poisoned pool
+        broken = CampaignRunner(
+            GRID, fw.dying_shard, store=CheckpointStore(run_dir),
+            config=RunnerConfig(workers=2, max_pool_rebuilds=1, **FAST))
+        with pytest.raises(CampaignIncomplete) as exc_info:
+            broken.run()
+        assert "p0000r000" in exc_info.value.failed
         monkeypatch.delenv(fw.DIE_SHARD_ENV)
 
         store = CheckpointStore(run_dir)

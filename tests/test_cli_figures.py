@@ -105,17 +105,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("argv", [
-        ["fig3", "-j", "0"],
-        ["fig4", "--jobs", "-1"],
-        ["campaign", "run", "RUN", "-j", "0"],
-        ["campaign", "run", "RUN", "--workers", "0"],
-        ["campaign", "resume", "RUN", "--jobs", "-2"],
-        ["worker", "--serve", "-j", "0"],
+    @pytest.mark.parametrize("argv, message", [
+        (["fig3", "-j", "0"], "expected a positive integer"),
+        (["fig4", "--jobs", "-1"], "expected a positive integer"),
+        (["campaign", "run", "RUN", "-j", "0"],
+         "expected a positive integer"),
+        # `--workers` takes only a node list; a bare count is not `-j`.
+        (["campaign", "run", "RUN", "--workers", "0"],
+         "worker node must be host:port"),
+        (["campaign", "resume", "RUN", "--jobs", "-2"],
+         "expected a positive integer"),
+        (["worker", "--serve", "-j", "0"], "expected a positive integer"),
     ], ids=["fig3", "fig4", "campaign-run", "campaign-run-workers",
             "campaign-resume", "worker"])
-    def test_nonpositive_job_count_is_a_usage_error(self, argv, tmp_path,
-                                                    capsys):
+    def test_nonpositive_job_count_is_a_usage_error(self, argv, message,
+                                                    tmp_path, capsys):
         # Rejected by argparse (exit 2) before anything runs, not a
         # traceback from the runner or a silent serial run.
         run_dir = tmp_path / "run"
@@ -123,5 +127,5 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "expected a positive integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not run_dir.exists()

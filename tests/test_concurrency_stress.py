@@ -1,6 +1,6 @@
 """Concurrency stress and lifecycle tests for the service layer.
 
-Two of this PR's acceptance criteria live here:
+Three concurrency properties are checked here:
 
 * **the cross-domain cache race**: ``ANALYSIS_CACHE`` is written from the
   ``ServerThread`` event loop (service ``analyze``) and from analysis
@@ -11,6 +11,12 @@ Two of this PR's acceptance criteria live here:
   internal lock this interleaving could corrupt the LRU's recency list;
   the test must pass repeatably (CI runs it three times).
 
+* **overlapping parallel dispatches**: two threads running
+  ``dispatch_jobs`` at once with different worker counts (as two
+  concurrent ``batch-analyze`` requests do) must each keep one executor
+  for the whole call.  A process-wide pool keyed by worker count was
+  rebuilt back and forth between such callers.
+
 * **``ServerThread`` lifecycle robustness**: a failed ``start`` (port in
   use, or timeout) must unwind completely — no half-started daemon
   thread, retry possible — and ``stop`` must be idempotent.
@@ -18,11 +24,14 @@ Two of this PR's acceptance criteria live here:
 
 import socket
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import campaign_fault_workers as fw
 from repro.analysis.schedulability import ANALYSIS_CACHE, evaluate_task_set
-from repro.campaign import run_schedulability_campaign
+from repro.campaign import runner, run_schedulability_campaign
+from repro.campaign.runner import RunnerConfig, dispatch_jobs
 from repro.overheads.model import OverheadModel
 from repro.service import AdmissionClient, ServerThread, ServiceState
 from repro.workload.spec import TaskSpec
@@ -115,6 +124,56 @@ class TestServiceCampaignStress:
                 t.join(timeout=60)
         assert errors == []
         assert busy == quiet
+
+
+class TestOverlappingDispatches:
+    def test_each_dispatch_keeps_one_executor(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingExecutor(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingExecutor)
+        barrier = threading.Barrier(2)
+        outcomes = {}
+        errors = []
+
+        def dispatch(workers):
+            # Every job sleeps, so the two calls overlap by construction.
+            jobs = {f"j{i}": {"fuse": str(tmp_path / f"w{workers}-{i}"),
+                              "value": 10 * workers + i, "sleep": 0.2}
+                    for i in range(2 * workers)}
+            done, retries = {}, []
+
+            def on_success(key, result, attempts, elapsed):
+                done.setdefault(key, []).append(result)
+
+            try:
+                barrier.wait(timeout=30)
+                failed = dispatch_jobs(
+                    jobs, fw.sleep_job,
+                    RunnerConfig(workers=workers, poll_interval_seconds=0.01,
+                                 status_interval_seconds=0.05),
+                    on_success=on_success,
+                    on_retry=lambda key, reason: retries.append(reason))
+                outcomes[workers] = (jobs, done, retries, failed)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append((workers, exc))
+
+        threads = [threading.Thread(target=dispatch, args=(w,))
+                   for w in (2, 3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "dispatch wedged"
+        assert errors == []
+        assert sorted(built) == [2, 3]
+        for jobs, done, retries, failed in outcomes.values():
+            assert failed == [] and retries == []
+            assert done == {key: [job["value"]] for key, job in jobs.items()}
 
 
 class TestServerThreadLifecycle:

@@ -35,7 +35,6 @@ import threading
 import pytest
 
 import campaign_fault_workers as fw
-from repro.campaign.pool import discard_worker_pool
 from repro.campaign.runner import CampaignIncomplete
 from repro.campaign.sched import evaluate_shard, run_schedulability_campaign
 from repro.campaign.spec import CampaignGrid, plan_shards
@@ -62,15 +61,12 @@ FAST = dict(poll_interval_seconds=0.01, status_interval_seconds=0.05)
 @pytest.fixture
 def slow_delay(monkeypatch):
     """Dial in :func:`campaign_fault_workers.slow_shard`'s per-shard
-    stall.  Pool workers inherit the environment at fork, so the warm
-    pool is rebuilt after setting it — and again at teardown so later
-    tests get a clean pool."""
+    stall.  Pool workers inherit the environment at fork, so set it
+    before the worker servers of the test run their first shard."""
     def set_delay(seconds):
         monkeypatch.setenv(fw.SLOW_SECONDS_ENV, str(seconds))
-        discard_worker_pool()
 
-    yield set_delay
-    discard_worker_pool()
+    return set_delay
 
 
 def local_result_bytes(tmp_path, grid=GRID):
@@ -553,21 +549,17 @@ class TestDistributedRuns:
         victim = plan_shards(GRID)[1].shard_id
         monkeypatch.setenv(fw.DIE_SHARD_ENV, victim)
         monkeypatch.setenv(fw.FUSE_DIR_ENV, str(tmp_path))
-        discard_worker_pool()  # pool workers must inherit the env
         # The CLI's loopback node takes the module's default evaluator.
         monkeypatch.setattr(worker_module, "evaluate_shard",
                             fw.dying_once_shard)
         grid_args = ["--tasks", str(GRID.n_tasks), "--points",
                      str(len(GRID.utilizations)), "--sets",
                      str(GRID.sets_per_point), "--seed", str(GRID.seed)]
-        try:
-            with WorkerServer(jobs=1,
-                              evaluator=fw.dying_once_shard) as (host, port):
-                assert main(["campaign", "run", str(tmp_path / "fleet"),
-                             *grid_args, "--workers", f"{host}:{port}",
-                             "-j", "1", "--retries", "0"]) == 0
-        finally:
-            discard_worker_pool()
+        with WorkerServer(jobs=1,
+                          evaluator=fw.dying_once_shard) as (host, port):
+            assert main(["campaign", "run", str(tmp_path / "fleet"),
+                         *grid_args, "--workers", f"{host}:{port}",
+                         "-j", "1", "--retries", "0"]) == 0
         assert (tmp_path / victim).exists(), "the victim never died"
         assert main(["campaign", "run", str(tmp_path / "local"),
                      *grid_args]) == 0

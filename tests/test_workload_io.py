@@ -99,7 +99,7 @@ class TestCLIWorkflow:
 
     def test_campaign_workers_flag(self, capsys):
         assert main(["fig3", "--tasks", "10", "--points", "2",
-                     "--sets", "2", "--workers", "2"]) == 0
+                     "--sets", "2", "-j", "2"]) == 0
         assert "M Pfair" in capsys.readouterr().out
 
 
