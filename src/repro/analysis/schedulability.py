@@ -33,11 +33,14 @@ Both analyses run on task columns
 (:class:`~repro.workload.spec.TaskColumns`): one PD² search
 (:func:`~repro.overheads.inflation.pd2_search`) and one EDF-FF first fit
 (:func:`~repro.partition.partitioner.edf_overhead_first_fit`).  Campaign
-shards hand generator columns straight to :func:`evaluate_columns`; the
+shards hand generator columns straight to :func:`evaluate_columns`;
+trace-replay shards hand their rescaled columns to
+:func:`evaluate_cached_columns`, which adds the shared result cache; the
 :class:`~repro.workload.spec.TaskSpec` entry points
 (:func:`evaluate_task_set`, :func:`pd2_min_processors`,
 :func:`edf_ff_min_processors`) take the columns of their specs and add
-the shared result cache.
+the same cache.  A column set and the specs it stands for (implicit
+deadlines, no critical sections) share one cache key.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..core.rational import exact_sum
@@ -61,16 +65,20 @@ __all__ = [
     "edf_ff_min_processors",
     "SchedulabilityPoint",
     "evaluate_columns",
+    "evaluate_cached_columns",
     "evaluate_task_set",
     "task_set_signature",
     "task_set_cache_key",
+    "columns_cache_key",
 ]
 
 #: Process-wide schedulability results, shared by every consumer of this
 #: module: :func:`pd2_min_processors` / :func:`edf_ff_min_processors`
-#: (and hence :func:`evaluate_task_set`, the trace-replay workers, and the
-#: admission service's ``analyze`` verb) all read and write one keyspace,
-#: keyed by :func:`task_set_cache_key` digests.  Campaigns draw duplicate
+#: (and hence :func:`evaluate_task_set` and the admission service's
+#: ``analyze`` verb) and the trace-replay workers
+#: (:func:`evaluate_cached_columns`) all read and write one keyspace,
+#: keyed by :func:`task_set_cache_key` digests (equal to
+#: :func:`columns_cache_key` on the same tasks).  Campaigns draw duplicate
 #: task sets across grid points and the service re-analyzes the sets it
 #: admits, so sharing one cache turns those repeats into dict lookups.
 #: Analyses under models whose cost curves cannot be fingerprinted
@@ -99,6 +107,16 @@ def task_set_signature(specs: Sequence[TaskSpec]) -> Tuple:
     ))
 
 
+def _signature_key(signature: Tuple, model: OverheadModel) -> Optional[str]:
+    """The digest of one ``(signature, model)`` pair, ``None`` when the
+    model cannot be fingerprinted."""
+    sig = model.signature()
+    if sig is None:
+        return None
+    payload = repr((sig, signature))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def task_set_cache_key(specs: Sequence[TaskSpec],
                        model: OverheadModel) -> Optional[str]:
     """Stable digest keying one ``(task set, overhead model)`` analysis.
@@ -108,11 +126,19 @@ def task_set_cache_key(specs: Sequence[TaskSpec],
     such a model must not be cached.  The digest is stable across
     processes and Python versions, so it can key on-disk caches too.
     """
-    sig = model.signature()
-    if sig is None:
-        return None
-    payload = repr((sig, task_set_signature(specs)))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _signature_key(task_set_signature(specs), model)
+
+
+def columns_cache_key(tasks: TaskColumns,
+                      model: OverheadModel) -> Optional[str]:
+    """:func:`task_set_cache_key` of the specs ``tasks`` stands for,
+    computed from the columns: the same signature rows, with the
+    implicit deadline (the period), no critical section and no
+    resource, so the two keys are byte-equal and share entries."""
+    p = tasks.period
+    return _signature_key(tuple(sorted(zip(
+        tasks.execution, p, tasks.cache_delay, p, repeat(0), repeat("")))),
+        model)
 
 
 #: ``(m, inflated total weight at m, max fixed-point iterations at m)``.
@@ -133,13 +159,13 @@ def _cached(ckey: Tuple, compute: Callable[[], Any]) -> Any:
     return hit
 
 
-def _digest(specs: Sequence[TaskSpec], model: OverheadModel) -> Optional[str]:
-    """The cache digest of ``specs`` under ``model``; ``None`` (do not
-    cache) while :func:`repro.util.toggles.set_fastpath` has the cache
-    off."""
+def _digest(key: Callable[[Any, OverheadModel], Optional[str]], tasks: Any,
+            model: OverheadModel) -> Optional[str]:
+    """``key(tasks, model)``, the cache digest; ``None`` (do not cache)
+    while :func:`repro.util.toggles.set_fastpath` has the cache off."""
     if not analysis_cache_on():
         return None
-    return task_set_cache_key(specs, model)
+    return key(tasks, model)
 
 
 def _pd2_search(tasks: TaskColumns, model: OverheadModel, cap: int,
@@ -171,7 +197,8 @@ def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
         tasks = TaskColumns.of(specs)
         return _pd2_search(tasks, model, cap,
                            exact_sum(tasks.execution, tasks.period))
-    return _cached(("pd2", _digest(specs, model), cap), search)
+    return _cached(("pd2", _digest(task_set_cache_key, specs, model), cap),
+                   search)
 
 
 def pd2_min_processors(specs: Sequence[TaskSpec], model: OverheadModel, *,
@@ -192,7 +219,7 @@ def pd2_min_processors(specs: Sequence[TaskSpec], model: OverheadModel, *,
 def _edf_ff_analysis(specs: Sequence[TaskSpec],
                      model: OverheadModel) -> _EDFResult:
     """:func:`_edf_ff_pack` on the columns of ``specs``, cached."""
-    return _cached(("edfff", _digest(specs, model)),
+    return _cached(("edfff", _digest(task_set_cache_key, specs, model)),
                    lambda: _edf_ff_pack(TaskColumns.of(specs), model))
 
 
@@ -253,11 +280,20 @@ def evaluate_columns(tasks: TaskColumns,
     return _evaluate(tasks, model, None)
 
 
+def evaluate_cached_columns(tasks: TaskColumns,
+                            model: OverheadModel) -> SchedulabilityPoint:
+    """:func:`evaluate_columns` through :data:`ANALYSIS_CACHE`, keyed by
+    :func:`columns_cache_key` — the trace-replay path, whose rescaled
+    window samples repeat across shards and runs."""
+    return _evaluate(tasks, model, _digest(columns_cache_key, tasks, model))
+
+
 def evaluate_task_set(specs: Sequence[TaskSpec],
                       model: OverheadModel) -> SchedulabilityPoint:
     """:func:`evaluate_columns` on the columns of ``specs``, through the
     cached analyses the ``*_min_processors`` entry points share."""
-    return _evaluate(TaskColumns.of(specs), model, _digest(specs, model))
+    return _evaluate(TaskColumns.of(specs), model,
+                     _digest(task_set_cache_key, specs, model))
 
 
 def _evaluate(tasks: TaskColumns, model: OverheadModel,

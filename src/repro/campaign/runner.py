@@ -198,9 +198,11 @@ def dispatch_jobs(jobs: Mapping[str, Any],
 
     ``jobs`` maps a stable key to a picklable payload; ``worker`` must be
     a module-level callable (the pool pickles it).  With ``workers > 1``
-    the call runs on its own executor, replaced after a worker death and
-    shut down without waiting on return, so an attempt abandoned by a
-    timeout never delays the caller.  ``on_success(key, result,
+    the call runs on its own executor, replaced after a worker death.
+    On return the executor is shut down and waited for when no attempt
+    is still running; an attempt abandoned by a timeout (or by an
+    exception out of a callback) is cancelled without waiting, so it
+    never delays the caller.  ``on_success(key, result,
     attempts, elapsed)`` fires exactly once per finished job;
     within one poll batch, finished jobs are reported in sorted-key
     order (the batch's membership still depends on completion timing).
@@ -228,6 +230,8 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     failures: Dict[str, int] = {}
     finished: Set[str] = set()
     failed: Set[str] = set()
+    #: Timed-out attempts, possibly still running in the pool.
+    abandoned: List[Future] = []
     rebuilds = 0
     pool: Optional[ProcessPoolExecutor] = None
 
@@ -318,6 +322,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                     if now - att.submitted_at > config.shard_timeout:
                         del pending[fut]
                         fut.cancel()  # best-effort; running tasks persist
+                        abandoned.append(fut)
                         charge(att.key, "timeout", now)
 
             if on_tick is not None and \
@@ -326,7 +331,11 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                 last_tick = now
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Waiting joins the executor's manager thread here rather than
+            # at interpreter exit, where its teardown can race CPython's
+            # exit hook on the executor's wakeup pipe.
+            busy = bool(pending) or not all(f.done() for f in abandoned)
+            pool.shutdown(wait=not busy, cancel_futures=busy)
     return sorted(failed)
 
 

@@ -126,8 +126,9 @@ def parse_shard_run(obj: Dict[str, Any]
     """Validate and decode a ``shard-run`` request.
 
     Returns ``(spec, model, trace)`` — ``trace`` is the raw wire
-    payload dict (``None`` for synthetic shards); the worker hands it
-    to the trace evaluator, which owns the deep decode.
+    payload dict (``None`` for synthetic shards); the worker decodes it
+    with :meth:`repro.traces.replay.TraceWindowPayload.from_wire`,
+    which checks every row, before the shard reaches its pool.
     """
     shard = obj.get("shard")
     if not isinstance(shard, dict):

@@ -36,14 +36,14 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
 from ..campaign.runner import new_process_pool
 from ..campaign.sched import evaluate_shard
 from ..service.protocol import (MAX_LINE_BYTES, ProtocolError, decode_line,
                                 encode, error_response, ok_response,
                                 parse_request)
-from ..traces.replay import evaluate_trace_shard
+from ..traces.replay import TraceWindowPayload, evaluate_trace_shard
 from ..util.metrics import Counter, LatencyHistogram
 from .wire import (WORKER_PROTOCOL_VERSION, WORKER_VERBS, heartbeat_frame,
                    parse_shard_run, points_to_wire)
@@ -131,6 +131,8 @@ class WorkerServer:
         self._lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Shards submitted to ``_pool`` (finished ones pruned on submit).
+        self._inflight: List[Future[Any]] = []
         self._accept_thread: Optional[threading.Thread] = None
         self._conns: Dict[int, socket.socket] = {}
         self._conn_seq = 0
@@ -168,20 +170,25 @@ class WorkerServer:
         return self.address
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Close the listener and every connection, shut the pool down
-        without waiting for abandoned shards; join the accept thread
-        (idempotent)."""
+        """Close the listener and every connection, shut the pool down —
+        waiting for it when no shard is running, cancelling without a
+        wait otherwise; join the accept thread (idempotent)."""
         self._stopping.set()
         with self._lock:
             listener, self._listener = self._listener, None
             pool, self._pool = self._pool, None
+            busy = not all(f.done() for f in self._inflight)
+            self._inflight = []
             thread, self._accept_thread = self._accept_thread, None
             conns = list(self._conns.values())
             self._conns.clear()
         if listener is not None:
             listener.close()
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # See dispatch_jobs: an idle pool is waited for, so its
+            # manager thread never outlives the server into interpreter
+            # exit.
+            pool.shutdown(wait=not busy, cancel_futures=busy)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -263,15 +270,27 @@ class WorkerServer:
 
     # -- process pool -------------------------------------------------
 
-    def _executor(self) -> ProcessPoolExecutor:
-        """The server's pool, built on first use (again after a worker
-        death) until the server stops."""
+    def _submit(self, runner: Callable[[Any], Any], args: Any
+                ) -> Tuple[ProcessPoolExecutor, Future[Any]]:
+        """Submit one shard to the server's pool, built on first use
+        (again after a worker death) until the server stops; returns
+        the pool and the shard's future.  Submitting under the lock
+        means :meth:`stop` sees every shard its pool was given."""
         with self._lock:
             if self._stopping.is_set():
                 raise RuntimeError("worker server is stopping")
-            if self._pool is None:
-                self._pool = new_process_pool(self.jobs)
-            return self._pool
+            pool = self._pool
+            if pool is None:
+                pool = self._pool = new_process_pool(self.jobs)
+            try:
+                fut = pool.submit(runner, args)
+            except BrokenProcessPool:
+                self._pool = None  # the next submit builds a fresh pool
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+            self._inflight = [f for f in self._inflight if not f.done()]
+            self._inflight.append(fut)
+            return pool, fut
 
     def _discard_pool(self, broken: ProcessPoolExecutor) -> None:
         """Drop ``broken`` so the next shard builds a fresh pool.
@@ -312,15 +331,19 @@ class WorkerServer:
         if trace is None:
             runner, args = self.evaluator, (spec, model)
         else:
-            runner, args = self.trace_evaluator, (spec, model, trace)
+            try:
+                payload = TraceWindowPayload.from_wire(trace)
+            except ValueError as exc:
+                raise ProtocolError("bad-request", str(exc)) from exc
+            runner, args = self.trace_evaluator, (spec, model, payload)
         started = time.monotonic()
         rebuilds = 0
+        pool: Optional[ProcessPoolExecutor] = None
         fut: Optional[Future[Any]] = None
         while True:
             try:
                 if fut is None:
-                    pool = self._executor()
-                    fut = pool.submit(runner, args)
+                    pool, fut = self._submit(runner, args)
                 points = fut.result(timeout=self.heartbeat_interval)
                 break
             except FutureTimeout:
@@ -331,7 +354,8 @@ class WorkerServer:
                 # Same recovery the local runner performs: the poisoned
                 # pool is replaced and the shard resubmitted, bounded by
                 # the rebuild budget.
-                self._discard_pool(pool)
+                if pool is not None:
+                    self._discard_pool(pool)
                 rebuilds += 1
                 if rebuilds > MAX_POOL_REBUILDS:
                     self.metrics.record_shard(

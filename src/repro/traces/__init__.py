@@ -18,8 +18,8 @@ worked example.
 """
 
 from .mapping import (MAPPING_POLICIES, MappingConfig, TraceMappingError,
-                      machine_size, map_job, map_jobs, scale_to_utilization,
-                      segment_log, window_jobs)
+                      machine_size, map_job, map_jobs, scale_executions,
+                      scale_to_utilization, segment_log, window_jobs)
 from .replay import (TraceGrid, TraceWindowPayload, assemble_trace_rows,
                      build_window_payloads, evaluate_trace_shard,
                      run_trace_campaign)
@@ -30,8 +30,8 @@ __all__ = [
     "FIELD_NAMES", "SWFError", "SWFJob", "SWFLog",
     "parse_swf", "parse_swf_text", "serialize_swf",
     "MAPPING_POLICIES", "MappingConfig", "TraceMappingError",
-    "machine_size", "map_job", "map_jobs", "scale_to_utilization",
-    "segment_log", "window_jobs",
+    "machine_size", "map_job", "map_jobs", "scale_executions",
+    "scale_to_utilization", "segment_log", "window_jobs",
     "TraceGrid", "TraceWindowPayload", "assemble_trace_rows",
     "build_window_payloads", "evaluate_trace_shard", "run_trace_campaign",
 ]

@@ -52,12 +52,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..workload.spec import TaskSpec, total_utilization
+from ..core.rational import exact_sum
+from ..workload.spec import TaskSpec
 from .swf import SWFJob, SWFLog
 
 __all__ = ["MAPPING_POLICIES", "MappingConfig", "TraceMappingError",
            "machine_size", "job_weight", "map_job", "map_jobs",
-           "window_jobs", "segment_log", "scale_to_utilization"]
+           "window_jobs", "segment_log", "scale_executions",
+           "scale_to_utilization"]
 
 #: Period policies :func:`map_job` understands (see the module
 #: docstring for semantics).
@@ -279,24 +281,43 @@ def segment_log(log: SWFLog, width_seconds: int
     return out
 
 
-def scale_to_utilization(specs: Sequence[TaskSpec],
-                         target: Union[float, Fraction]) -> List[TaskSpec]:
-    """Rescale execution costs so the set's total utilization hits
+def scale_executions(execution: Sequence[int], period: Sequence[int],
+                     target: Union[float, Fraction]) -> List[int]:
+    """Execution costs rescaled so the set's total utilization hits
     ``target`` (exactly in rational arithmetic, then rounded to whole
-    ticks and clamped to ``1 <= e <= p`` like the synthetic generator).
+    ticks, half to even, and clamped to ``1 <= e <= p`` like the
+    synthetic generator).
 
+    Task ``i`` has execution ``execution[i]`` and period ``period[i]``.
     Periods — the trace's shape — are untouched; only the per-task
     demand is scaled, which is what lets one window sweep the same
-    utilization axis as a synthetic campaign.  Deterministic: the same
-    specs and target always produce the same set.
+    utilization axis as a synthetic campaign.  The work is integer: with
+    the factor ``a/b = target / U``, each cost is ``divmod(e·a, b)``
+    rounded, which is ``round(Fraction(e) * a/b)`` without building a
+    fraction per task.  Deterministic: the same columns and target
+    always produce the same costs.
     """
-    if not specs:
+    if not period:
         raise ValueError("cannot scale an empty task set")
     goal = Fraction(target)
     if goal <= 0:
         raise ValueError(f"target utilization must be positive, got "
                          f"{target}")
-    factor = goal / total_utilization(specs)
-    return [replace(s, execution=min(s.period,
-                                     max(1, round(s.execution * factor))))
-            for s in specs]
+    factor = goal / exact_sum(execution, period)
+    a, b = factor.numerator, factor.denominator
+    out: List[int] = []
+    for e, p in zip(execution, period):
+        q, r = divmod(e * a, b)
+        if 2 * r > b or (2 * r == b and q & 1):
+            q += 1
+        out.append(min(p, max(1, q)))
+    return out
+
+
+def scale_to_utilization(specs: Sequence[TaskSpec],
+                         target: Union[float, Fraction]) -> List[TaskSpec]:
+    """:func:`scale_executions` on task specs: each spec with its
+    rescaled execution cost, every other field kept."""
+    scaled = scale_executions([s.execution for s in specs],
+                              [s.period for s in specs], target)
+    return [replace(s, execution=e) for s, e in zip(specs, scaled)]

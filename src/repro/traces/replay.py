@@ -6,19 +6,22 @@ instead.  The pipeline:
 
 1. the trace is parsed and cut into windows
    (:func:`~repro.traces.mapping.window_jobs`), each window's jobs
-   mapped once — deterministically — into a pool of
-   :class:`~repro.workload.spec.TaskSpec`\\ s
-   (:class:`TraceWindowPayload`);
+   mapped once — deterministically — into a pool of task rows
+   (:class:`TraceWindowPayload`, checked on construction);
 2. a :class:`TraceGrid` decomposes (window × utilization) points into
    the **same** :class:`~repro.campaign.spec.ShardSpec` records the
    synthetic planner emits — same id scheme, same seed strides — so
    the whole PR-5/PR-6 stack (checkpoints, resume, status, worker
    fleets) runs unchanged;
-3. :func:`evaluate_trace_shard` is the picklable worker: it subsamples
-   ``n_tasks`` specs from the window pool with the shard's seeded RNG,
-   rescales the subsample to the shard's target utilization (periods —
-   the trace's shape — untouched), and pushes it through the standard
-   ``evaluate_task_set``.  Checkpoints therefore hold ordinary
+3. :func:`evaluate_trace_shard` is the picklable worker: it picks
+   ``n_tasks`` rows from the window pool with the shard's seeded RNG,
+   rescales their execution column to the shard's target utilization
+   in integers (:func:`~repro.traces.mapping.scale_executions`;
+   periods — the trace's shape — untouched), and hands the columns to
+   :func:`~repro.analysis.schedulability.evaluate_cached_columns`: the
+   same analysis kernels and result cache as ``evaluate_task_set``,
+   with no :class:`~repro.workload.spec.TaskSpec` per sampled task.
+   Checkpoints therefore hold ordinary
    :class:`~repro.analysis.schedulability.SchedulabilityPoint` records
    and the resume guarantee is inherited, not re-proven.
 
@@ -41,16 +44,17 @@ import numpy as np
 
 from ..analysis.experiments import CampaignRow
 from ..analysis.persistence import save_campaign
-from ..analysis.schedulability import SchedulabilityPoint, evaluate_task_set
+from ..analysis.schedulability import (SchedulabilityPoint,
+                                       evaluate_cached_columns)
 from ..campaign.checkpoint import CheckpointStore
 from ..campaign.runner import CampaignRunner, Dispatcher, RunnerConfig
 from ..campaign.sched import campaign_row
 from ..campaign.spec import ShardSpec, point_shards, shards_by_point
 from ..overheads.model import OverheadModel
-from ..workload.spec import TaskSpec
+from ..workload.spec import TaskColumns
 from .fetch import sha256_file
 from .mapping import MappingConfig, machine_size, map_jobs, \
-    scale_to_utilization, window_jobs
+    scale_executions, window_jobs
 from .swf import SWFLog, parse_swf
 
 __all__ = ["TRACE_GRID_KIND", "TraceGrid", "TraceWindowPayload",
@@ -166,16 +170,38 @@ class TraceWindowPayload:
 
     ``tasks`` holds ``(name, execution, period, cache_delay)`` tuples —
     plain ints and strings so the payload pickles for the process pool
-    and JSON-encodes for the distrib wire without custom codecs.
+    and JSON-encodes for the distrib wire without custom codecs.  The
+    pool is nonempty and every row is a task a
+    :class:`~repro.workload.spec.TaskSpec` would accept
+    (``1 <= execution <= period``, ``cache_delay >= 0``, integer times):
+    shards evaluate the rows as columns and check nothing further, so a
+    bad row raises ``ValueError`` here, at construction or wire decode.
     """
 
     window_offset: int
     tasks: Tuple[Tuple[str, int, int, int], ...]
 
-    def specs(self) -> List[TaskSpec]:
-        """The pool as :class:`TaskSpec` records."""
-        return [TaskSpec(execution=e, period=p, name=n, cache_delay=d)
-                for n, e, p, d in self.tasks]
+    def __post_init__(self) -> None:
+        if not self.tasks:
+            raise ValueError("a trace payload needs at least one task")
+        for row in self.tasks:
+            try:
+                name, e, p, d = row
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"trace payload row {row!r}: need "
+                                 f"(name, execution, period, "
+                                 f"cache_delay)") from exc
+            if not all(type(v) is int for v in (e, p, d)):
+                raise ValueError(f"trace payload task {name!r}: times "
+                                 f"must be integers, got {row!r}")
+            if not 1 <= e <= p:
+                raise ValueError(f"trace payload task {name!r}: need "
+                                 f"1 <= execution <= period, got "
+                                 f"execution {e}, period {p}")
+            if d < 0:
+                raise ValueError(f"trace payload task {name!r}: "
+                                 f"cache_delay must be nonnegative, "
+                                 f"got {d}")
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON-ready form for the distrib ``run`` frame."""
@@ -191,9 +217,8 @@ class TraceWindowPayload:
                              f"{type(data).__name__}")
         try:
             offset = int(data["window_offset"])
-            tasks = tuple(
-                (str(t[0]), int(t[1]), int(t[2]), int(t[3]))
-                for t in data["tasks"])
+            tasks = tuple((str(n), e, p, d)
+                          for n, e, p, d in data["tasks"])
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ValueError(f"malformed trace payload: {exc}") from exc
         return cls(window_offset=offset, tasks=tasks)
@@ -240,30 +265,35 @@ def evaluate_trace_shard(
     """Worker for one trace shard — module-level so it pickles.
 
     Each of the shard's ``sets`` samples is a seeded subsample of the
-    window pool (``n_tasks`` specs without replacement, kept in pool
-    order), rescaled exactly to the shard's target total utilization.
-    The only randomness is ``default_rng(spec.seed)``, and the seed is
-    planner arithmetic — same shard, same points, on any worker, any
-    run, any resume.  Pools smaller than ``n_tasks`` are used whole
-    (every sample identical — the window simply has that many jobs).
+    window pool (``n_tasks`` rows without replacement, kept in pool
+    order), its execution costs rescaled exactly to the shard's target
+    total utilization.  The only randomness is
+    ``default_rng(spec.seed)``, and the seed is planner arithmetic —
+    same shard, same points, on any worker, any run, any resume.  Pools
+    smaller than ``n_tasks`` are used whole (every sample identical —
+    the window simply has that many jobs).
     """
     spec, model, payload = args
     if model is None:
         model = OverheadModel()
     if not isinstance(payload, TraceWindowPayload):
         payload = TraceWindowPayload.from_wire(payload)
-    base = payload.specs()
+    names, execution, period, delay = zip(*payload.tasks)
+    pool = len(period)
     rng = np.random.default_rng(spec.seed)
     points: List[SchedulabilityPoint] = []
     for _ in range(spec.sets):
-        if len(base) > spec.n_tasks:
-            picked = sorted(rng.choice(len(base), size=spec.n_tasks,
-                                       replace=False).tolist())
-            chosen = [base[i] for i in picked]
+        if pool > spec.n_tasks:
+            picked: Sequence[int] = sorted(rng.choice(
+                pool, size=spec.n_tasks, replace=False).tolist())
         else:
-            chosen = list(base)
-        scaled = scale_to_utilization(chosen, spec.utilization)
-        points.append(evaluate_task_set(scaled, model))
+            picked = range(pool)
+        p = [period[i] for i in picked]
+        tasks = TaskColumns(
+            scale_executions([execution[i] for i in picked], p,
+                             spec.utilization),
+            p, [delay[i] for i in picked], [names[i] for i in picked])
+        points.append(evaluate_cached_columns(tasks, model))
     return points
 
 

@@ -14,24 +14,35 @@ columns directly; their points must equal ``evaluate_task_set`` on the
 specs ``generate()`` returns.  Last, ``evaluate_task_set`` must give the
 same point whether its analyses come from a cold or warm
 ``ANALYSIS_CACHE`` or run with the fast path off, and the same point
-as the uncached ``evaluate_columns``.
+as the uncached ``evaluate_columns``.  Trace-replay shards evaluate
+rescaled payload columns through the same cache: their points must
+equal the spec path (``scale_to_utilization`` + ``evaluate_task_set``)
+cold, warm and uncached, and their column keys must equal
+``task_set_cache_key`` of the scaled specs.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import utilization_grid
 from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_search,
-                                           evaluate_columns, evaluate_task_set)
+                                           columns_cache_key,
+                                           evaluate_columns, evaluate_task_set,
+                                           task_set_cache_key)
 from repro.campaign.sched import evaluate_shard
 from repro.campaign.spec import CampaignGrid
 from repro.core.rational import exact_sum
 from repro.overheads import inflation
 from repro.overheads.inflation import pd2_inflate_set, pd2_total_weight
 from repro.overheads.model import OverheadModel
+from repro.traces.mapping import scale_to_utilization
+from repro.traces.replay import (TraceGrid, build_window_payloads,
+                                 evaluate_trace_shard)
+from repro.traces.swf import parse_swf
 from repro.util.toggles import set_fastpath
 from repro.workload.generator import TaskSetGenerator
 from repro.workload.spec import TaskColumns, TaskSpec, total_utilization
@@ -230,3 +241,85 @@ class TestAnalysisCache:
             set_fastpath(None)
             ANALYSIS_CACHE.clear()
         assert cold == warm == uncached == reference
+
+
+def trace_shards():
+    """Every shard of a two-window replay of the committed fixture with
+    its payload.  Window 1 has fewer jobs than ``n_tasks``, so its sets
+    repeat and the cold pass already hits the cache."""
+    log = parse_swf("tests/data/mini.swf", strict=False)
+    grid = TraceGrid(trace_name="mini.swf", trace_sha256="0" * 64,
+                     window_seconds=3600, window_offsets=(0, 3600),
+                     utilizations=(0.5, 1.7, 4.25), n_tasks=12,
+                     sets_per_point=6, seed=3, replicas=2)
+    payloads, _ = build_window_payloads(log, grid)
+    return [(shard, None, payloads[shard.shard_id]) for shard in grid.plan()]
+
+
+def spec_samples(shard, payload):
+    """The shard's sets built the spec way: a ``TaskSpec`` per pool row,
+    the same seeded picks, ``scale_to_utilization``."""
+    pool = [TaskSpec(e, p, name=n, cache_delay=d)
+            for n, e, p, d in payload.tasks]
+    rng = np.random.default_rng(shard.seed)
+    samples = []
+    for _ in range(shard.sets):
+        chosen = pool
+        if len(pool) > shard.n_tasks:
+            picked = sorted(rng.choice(len(pool), size=shard.n_tasks,
+                                       replace=False).tolist())
+            chosen = [pool[i] for i in picked]
+        samples.append(scale_to_utilization(chosen, shard.utilization))
+    return samples
+
+
+class TestTraceShardCache:
+    def test_cold_warm_and_bypass_agree_with_the_spec_path(self):
+        shards = trace_shards()
+        n_sets = sum(shard.sets for shard, _m, _p in shards)
+        ANALYSIS_CACHE.clear()
+        try:
+            start = ANALYSIS_CACHE.info()
+            cold = [evaluate_trace_shard(args) for args in shards]
+            info = ANALYSIS_CACHE.info()
+            distinct = info["size"] // 2  # one PD² and one EDF-FF entry
+            # Each distinct set missed twice; repeats already hit.
+            assert info["misses"] - start["misses"] == 2 * distinct
+            assert info["hits"] - start["hits"] == \
+                2 * (n_sets - distinct) > 0
+            warm = [evaluate_trace_shard(args) for args in shards]
+            after = ANALYSIS_CACHE.info()
+            assert after["misses"] == info["misses"]
+            assert after["hits"] - info["hits"] == 2 * n_sets
+            set_fastpath(False)
+            reference = [evaluate_trace_shard(args) for args in shards]
+            # The bypass reads and writes no entry.
+            assert ANALYSIS_CACHE.info() == after
+        finally:
+            set_fastpath(None)
+            ANALYSIS_CACHE.clear()
+        assert cold == warm == reference
+        model = OverheadModel()
+        assert cold == [[evaluate_columns(TaskColumns.of(specs), model)
+                         for specs in spec_samples(shard, payload)]
+                        for shard, _m, payload in shards]
+
+    def test_column_keys_are_the_spec_keys(self):
+        """A trace set and the same specs analysed by the service share
+        one cache entry: the keys are byte-equal."""
+        model = OverheadModel()
+        custom = OverheadModel(sched_pd2=lambda n, m: 0)
+        ANALYSIS_CACHE.clear()
+        try:
+            for shard, _m, payload in trace_shards():
+                evaluate_trace_shard((shard, None, payload))
+                for specs in spec_samples(shard, payload):
+                    tasks = TaskColumns.of(specs)
+                    key = columns_cache_key(tasks, model)
+                    assert key == task_set_cache_key(specs, model)
+                    assert columns_cache_key(tasks, custom) is None
+                    hits = ANALYSIS_CACHE.info()["hits"]
+                    evaluate_task_set(specs, model)
+                    assert ANALYSIS_CACHE.info()["hits"] == hits + 2
+        finally:
+            ANALYSIS_CACHE.clear()

@@ -17,13 +17,25 @@ Three concurrency properties are checked here:
   for the whole call.  A process-wide pool keyed by worker count was
   rebuilt back and forth between such callers.
 
+* **executor shutdown at exit**: ``dispatch_jobs`` and
+  ``WorkerServer.stop`` wait for an idle executor, so its manager thread
+  never outlives them into interpreter exit, where its teardown can race
+  CPython's exit hook and print "Exception ignored ... Bad file
+  descriptor"; an executor still running an abandoned attempt is
+  cancelled without a wait.
+
 * **``ServerThread`` lifecycle robustness**: a failed ``start`` (port in
   use, or timeout) must unwind completely — no half-started daemon
   thread, retry possible — and ``stop`` must be idempotent.
 """
 
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -174,6 +186,94 @@ class TestOverlappingDispatches:
         for jobs, done, retries, failed in outcomes.values():
             assert failed == [] and retries == []
             assert done == {key: [job["value"]] for key, job in jobs.items()}
+
+
+#: A short parallel dispatch, then one shard on a two-process worker
+#: node, then interpreter exit.
+EXIT_SCRIPT = textwrap.dedent("""
+    import socket
+    from repro.campaign.runner import RunnerConfig, dispatch_jobs
+    from repro.campaign.spec import CampaignGrid, plan_shards
+    from repro.distrib.wire import shard_run_request
+    from repro.distrib.worker import WorkerServer
+    from repro.service.protocol import decode_line, encode
+
+    def square(x):
+        return x * x
+
+    done = {}
+    dispatch_jobs({f"k{i}": i for i in range(4)}, square,
+                  RunnerConfig(workers=2),
+                  on_success=lambda k, r, a, e: done.__setitem__(k, r))
+    assert done == {f"k{i}": i * i for i in range(4)}
+    spec = plan_shards(CampaignGrid(n_tasks=4, utilizations=(1.0,),
+                                    sets_per_point=1))[0]
+    with WorkerServer(jobs=2) as (host, port):
+        with socket.create_connection((host, port), timeout=30) as sock:
+            f = sock.makefile("rwb")
+            f.write(encode({"id": 1, **shard_run_request(spec, None)}))
+            f.flush()
+            assert decode_line(f.readline())["ok"]
+""")
+
+
+class TestExecutorShutdown:
+    @pytest.fixture
+    def shutdowns(self, monkeypatch):
+        """``(wait, cancel_futures)`` of every executor shutdown in
+        ``dispatch_jobs``."""
+        calls = []
+
+        class Recording(ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                calls.append((wait, cancel_futures))
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+        return calls
+
+    def config(self, **kwargs):
+        return RunnerConfig(workers=2, poll_interval_seconds=0.01,
+                            backoff_seconds=0.01, **kwargs)
+
+    def test_an_idle_executor_is_waited_for(self, tmp_path, shutdowns):
+        jobs = {f"j{i}": {"fuse": str(tmp_path / f"f{i}"), "value": i,
+                          "sleep": 0.0} for i in range(4)}
+        done = {}
+        dispatch_jobs(jobs, fw.sleep_job, self.config(),
+                      on_success=lambda k, r, a, e: done.__setitem__(k, r))
+        assert done == {key: job["value"] for key, job in jobs.items()}
+        assert shutdowns == [(True, False)]
+
+    def test_an_abandoned_attempt_is_not_waited_for(self, tmp_path,
+                                                    shutdowns):
+        """The first attempt times out and keeps sleeping; the retry
+        finishes, and the call returns without waiting for the first."""
+        jobs = {"j0": {"fuse": str(tmp_path / "f0"), "value": 7,
+                       "sleep": 3.0}}
+        done = {}
+        started = time.monotonic()
+        failed = dispatch_jobs(
+            jobs, fw.sleep_job, self.config(shard_timeout=0.3),
+            on_success=lambda k, r, a, e: done.__setitem__(k, r))
+        assert failed == [] and done == {"j0": 7}
+        assert time.monotonic() - started < 2.5
+        assert shutdowns == [(False, True)]
+
+    def test_exit_after_parallel_work_prints_no_ignored_exception(self):
+        """The race is timing-dependent (a few runs in a hundred before
+        the executors were waited for), so the script runs several
+        times; every run must exit cleanly with an empty stderr."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for _ in range(4):
+            proc = subprocess.run([sys.executable, "-c", EXIT_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert "Exception ignored" not in proc.stderr, proc.stderr
 
 
 class TestServerThreadLifecycle:

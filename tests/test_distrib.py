@@ -47,6 +47,7 @@ from repro.distrib.wire import (WORKER_PROTOCOL_VERSION, heartbeat_frame,
                                 points_to_wire, shard_run_request)
 from repro.overheads.model import OverheadModel
 from repro.service.protocol import ProtocolError, decode_line, encode
+from repro.traces.replay import evaluate_trace_shard
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -320,6 +321,31 @@ class TestWorkerServer:
                                   "shard": {"broken": True}})
                 assert not bad["ok"]
                 assert bad["error"]["code"] == "bad-request"
+
+    def test_trace_rows_are_checked_before_the_pool(self):
+        """A ``shard-run`` frame whose trace payload holds a row no task
+        could have (e > p, e = 0, d < 0) is answered ``bad-request`` at
+        decode; it never reaches the pool as a shard error."""
+        spec = plan_shards(GRID)[0]
+        good = {"window_offset": 0,
+                "tasks": [["J1", 100, 1000, 1], ["J2", 300, 2000, 0]]}
+        with WorkerServer(jobs=1, heartbeat_interval=5.0) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                f = sock.makefile("rwb")
+                for rid, row in enumerate([["a", 5, 3, 0], ["a", 0, 3, 0],
+                                           ["a", 1, 3, -1]]):
+                    trace = {**good, "tasks": good["tasks"] + [row]}
+                    bad = request(f, {"id": rid,
+                                      **shard_run_request(spec, None, trace)})
+                    assert not bad["ok"]
+                    assert bad["error"]["code"] == "bad-request"
+                stats = request(f, {"id": 7, "verb": "worker-stats"})
+                assert stats["shards"] == {}
+                resp = request(f, {"id": 8,
+                                   **shard_run_request(spec, None, good)})
+                assert resp["ok"]
+                assert points_from_wire(resp["points"]) == \
+                    evaluate_trace_shard((spec, None, good))
 
     def test_heartbeats_flow_while_a_shard_computes(self, slow_delay):
         slow_delay(0.6)

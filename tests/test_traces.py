@@ -12,7 +12,11 @@ The load-bearing claims, each pinned here:
   ``pd2_inflate_set`` (the satellite fix);
 * windowing slices by submit time relative to the log's start and
   ``scale_to_utilization`` hits its target exactly in rational
-  arithmetic while preserving periods (the trace's shape);
+  arithmetic while preserving periods (the trace's shape); its integer
+  core ``scale_executions`` equals ``round(Fraction(e) * factor)``
+  clamped to ``[1, p]``, exact halves included;
+* a trace payload row that no ``TaskSpec`` would accept is refused at
+  construction and wire decode;
 * :class:`TraceGrid` plans shards with the synthetic planner's id
   scheme and seed strides, and round-trips through its manifest form.
 """
@@ -25,15 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import POINT_SEED_STRIDE, REPLICA_SEED_STRIDE
+from repro.core.rational import exact_sum
 from repro.traces.mapping import (MappingConfig, TraceMappingError,
                                   job_weight, machine_size, map_job,
-                                  map_jobs, scale_to_utilization,
-                                  segment_log, window_jobs)
+                                  map_jobs, scale_executions,
+                                  scale_to_utilization, segment_log,
+                                  window_jobs)
 from repro.traces.replay import (TraceGrid, TraceWindowPayload,
                                  build_window_payloads,
                                  evaluate_trace_shard)
 from repro.traces.swf import (FIELD_NAMES, SWFError, SWFJob, SWFLog,
                               parse_swf, parse_swf_text, serialize_swf)
+from repro.workload.spec import TaskSpec
 
 FIXTURE = "tests/data/mini.swf"
 
@@ -292,6 +299,72 @@ class TestScaleToUtilization:
             scale_to_utilization(specs, 0)
 
 
+#: ``(e, p)`` rows a ``TaskSpec`` accepts, periods up to the mapping's
+#: 5 s ceiling.
+ROWS = st.lists(st.integers(1, 5_000_000).flatmap(
+    lambda p: st.tuples(st.integers(1, p), st.just(p))),
+    min_size=1, max_size=40)
+TARGETS = st.one_of(
+    st.sampled_from([0.5, 1.7, 4.25, 1e-9, 1e9]),
+    st.floats(1e-6, 1e4, allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**4))
+
+
+def rounded_oracle(rows, target):
+    """``round(Fraction(e) * factor)`` clamped to ``[1, p]`` per row."""
+    factor = Fraction(target) / sum(Fraction(e, p) for e, p in rows)
+    return [min(p, max(1, round(Fraction(e) * factor))) for e, p in rows]
+
+
+def rescale(rows, target):
+    return scale_executions([e for e, _p in rows], [p for _e, p in rows],
+                            target)
+
+
+class TestColumnRescale:
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS, TARGETS)
+    def test_equals_rounded_fraction(self, rows, target):
+        assert rescale(rows, target) == rounded_oracle(rows, target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS, st.data())
+    def test_exact_halves_round_to_even(self, rows, data):
+        """A target that puts row ``j`` at exactly ``k + 1/2`` rounds it
+        to the even neighbour, for even and odd ``k``."""
+        j = data.draw(st.integers(0, len(rows) - 1))
+        k = data.draw(st.integers(0, 2 * rows[j][1]))
+        e, p = rows[j]
+        u = exact_sum([e for e, _p in rows], [p for _e, p in rows])
+        target = Fraction(2 * k + 1, 2 * e) * u
+        got = rescale(rows, target)
+        assert got == rounded_oracle(rows, target)
+        assert got[j] == min(p, max(1, k + (k & 1)))
+
+    def test_clamps_at_one_and_at_the_period(self):
+        rows = [(1, 1000), (999, 1000), (7, 50_000)]
+        assert rescale(rows, Fraction(1, 10**9)) == [1, 1, 1]
+        assert rescale(rows, 10**6) == [1000, 1000, 50_000]
+        assert rescale(rows, 1e6) == rounded_oracle(rows, 1e6)
+
+    def test_rejects_empty_and_nonpositive(self):
+        with pytest.raises(ValueError, match="empty"):
+            scale_executions([], [], 1.0)
+        for target in (0, -1.5, Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="positive"):
+                scale_executions([1], [10], target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ROWS, TARGETS, st.integers(0, 100))
+    def test_spec_adapter_equals_the_columns(self, rows, target, delay):
+        specs = [TaskSpec(e, p, name=f"J{i}", cache_delay=(i * delay) % 101)
+                 for i, (e, p) in enumerate(rows)]
+        scaled = scale_to_utilization(specs, target)
+        assert [s.execution for s in scaled] == rescale(rows, target)
+        assert [(s.period, s.name, s.cache_delay) for s in scaled] == \
+            [(s.period, s.name, s.cache_delay) for s in specs]
+
+
 # ---------------------------------------------------------------------------
 # TraceGrid: planning, manifest round trip, payloads
 
@@ -352,6 +425,36 @@ class TestPayloads:
         with pytest.raises(ValueError):
             TraceWindowPayload.from_wire({"window_offset": 0,
                                           "tasks": [["J1", 10]]})
+
+    @pytest.mark.parametrize("row, match", [
+        (["a", 5, 3, 0], "execution <= period"),
+        (["a", 0, 3, 0], "execution <= period"),
+        (["a", -1, 3, 0], "execution <= period"),
+        (["a", 1, 0, 0], "execution <= period"),
+        (["a", 1, 3, -1], "cache_delay"),
+        (["a", 1, 3, 0, 9], "malformed|need"),
+    ])
+    def test_rows_no_task_could_have_are_refused(self, row, match):
+        """Shards evaluate payload rows as columns, so the payload checks
+        what a TaskSpec would, at decode and at construction."""
+        good = ["J1", 10, 100, 3]
+        with pytest.raises(ValueError, match=match):
+            TraceWindowPayload.from_wire({"window_offset": 0,
+                                          "tasks": [good, row]})
+        with pytest.raises(ValueError, match=match):
+            TraceWindowPayload(window_offset=0,
+                               tasks=(tuple(good), tuple(row)))
+
+    def test_payload_needs_integer_times_and_a_task(self):
+        with pytest.raises(ValueError, match="integers"):
+            TraceWindowPayload(window_offset=0, tasks=(("J1", 1.5, 10, 0),))
+        # The wire decode refuses, rather than truncates, a non-integer.
+        for bad in (1.9, "5", None, True):
+            with pytest.raises(ValueError, match="integers"):
+                TraceWindowPayload.from_wire(
+                    {"window_offset": 0, "tasks": [["J1", bad, 10, 0]]})
+        with pytest.raises(ValueError, match="at least one"):
+            TraceWindowPayload.from_wire({"window_offset": 0, "tasks": []})
 
     def test_build_window_payloads_keys_every_shard(self):
         log = parse_swf(FIXTURE)
