@@ -11,10 +11,8 @@ from .persistence import load_campaign, merge_campaigns, save_campaign
 from .report import format_series_plot, format_table, print_table
 from .schedulability import (
     SchedulabilityPoint,
-    edf_ff_min_processors,
     evaluate_columns,
     evaluate_task_set,
-    pd2_min_processors,
 )
 from .stats import SampleStats, confidence_halfwidth, summarize
 from .tardiness import TardinessProfile, epdf_tardiness_experiment, tardiness_profile
@@ -31,8 +29,6 @@ __all__ = [
     "SchedulabilityPoint",
     "evaluate_columns",
     "evaluate_task_set",
-    "pd2_min_processors",
-    "edf_ff_min_processors",
     "SampleStats",
     "summarize",
     "confidence_halfwidth",

@@ -35,12 +35,15 @@ Both analyses run on task columns
 (:func:`~repro.partition.partitioner.edf_overhead_first_fit`).  Campaign
 shards hand generator columns straight to :func:`evaluate_columns`;
 trace-replay shards hand their rescaled columns to
-:func:`evaluate_cached_columns`, which adds the shared result cache; the
-:class:`~repro.workload.spec.TaskSpec` entry points
-(:func:`evaluate_task_set`, :func:`pd2_min_processors`,
-:func:`edf_ff_min_processors`) take the columns of their specs and add
-the same cache.  A column set and the specs it stands for (implicit
-deadlines, no critical sections) share one cache key.
+:func:`evaluate_cached_columns`, which adds the shared result cache.
+:func:`evaluate_task_set` is the one
+:class:`~repro.workload.spec.TaskSpec` entry point: the ``compare`` CLI,
+the admission service and ``batch-analyze`` all read its point.  It
+takes the columns of the specs and adds the same cache, so a column set
+and the specs it stands for share one cache key.  The analyses assume
+implicit deadlines and independent tasks, so it refuses a task with a
+deadline below its period or a critical section
+(:mod:`repro.partition.demand` has the exact EDF test for the former).
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ from ..workload.spec import TaskColumns, TaskSpec
 
 __all__ = [
     "ANALYSIS_CACHE",
-    "pd2_min_processors",
-    "edf_ff_min_processors",
     "SchedulabilityPoint",
     "evaluate_columns",
     "evaluate_cached_columns",
@@ -73,9 +74,8 @@ __all__ = [
 ]
 
 #: Process-wide schedulability results, shared by every consumer of this
-#: module: :func:`pd2_min_processors` / :func:`edf_ff_min_processors`
-#: (and hence :func:`evaluate_task_set` and the admission service's
-#: ``analyze`` verb) and the trace-replay workers
+#: module: :func:`evaluate_task_set` (and hence the admission service's
+#: ``analyze`` verb and ``batch-analyze``) and the trace-replay workers
 #: (:func:`evaluate_cached_columns`) all read and write one keyspace,
 #: keyed by :func:`task_set_cache_key` digests (equal to
 #: :func:`columns_cache_key` on the same tasks).  Campaigns draw duplicate
@@ -190,50 +190,6 @@ def _edf_ff_pack(tasks: TaskColumns, model: OverheadModel) -> _EDFResult:
     return packed[0], float(packed[1])
 
 
-def _pd2_analysis(specs: Sequence[TaskSpec], model: OverheadModel,
-                  cap: int) -> _PD2Result:
-    """:func:`_pd2_search` on the columns of ``specs``, cached."""
-    def search() -> _PD2Result:
-        tasks = TaskColumns.of(specs)
-        return _pd2_search(tasks, model, cap,
-                           exact_sum(tasks.execution, tasks.period))
-    return _cached(("pd2", _digest(task_set_cache_key, specs, model), cap),
-                   search)
-
-
-def pd2_min_processors(specs: Sequence[TaskSpec], model: OverheadModel, *,
-                       max_processors: Optional[int] = None) -> Optional[int]:
-    """Smallest M passing the PD² feasibility test with Eq. (3) inflation.
-
-    Returns ``None`` if no M up to ``max_processors`` (default: task count,
-    since one processor per task is the most any feasible set needs —
-    a task whose inflated weight still exceeds 1 can never be scheduled)
-    suffices.  Results are memoised in :data:`ANALYSIS_CACHE`.
-    """
-    if not specs:
-        return 1
-    cap = max_processors if max_processors is not None else len(specs)
-    return _pd2_analysis(specs, model, cap)[0]
-
-
-def _edf_ff_analysis(specs: Sequence[TaskSpec],
-                     model: OverheadModel) -> _EDFResult:
-    """:func:`_edf_ff_pack` on the columns of ``specs``, cached."""
-    return _cached(("edfff", _digest(task_set_cache_key, specs, model)),
-                   lambda: _edf_ff_pack(TaskColumns.of(specs), model))
-
-
-def edf_ff_min_processors(specs: Sequence[TaskSpec],
-                          model: OverheadModel) -> Optional[int]:
-    """Processors EDF-FF opens with overhead-aware acceptance (Sec. 4).
-
-    Results are memoised in :data:`ANALYSIS_CACHE`.
-    """
-    if not specs:
-        return 1
-    return _edf_ff_analysis(specs, model)[0]
-
-
 @dataclass(frozen=True)
 class SchedulabilityPoint:
     """Everything Figs. 3 and 4 need about one task set."""
@@ -274,8 +230,7 @@ def evaluate_columns(tasks: TaskColumns,
     random sets practically never repeat, so a key would be pure cost).
 
     The empty set needs one processor either way and loses nothing to
-    inflation, as :func:`pd2_min_processors` and
-    :func:`edf_ff_min_processors` say.
+    inflation.
     """
     return _evaluate(tasks, model, None)
 
@@ -290,8 +245,24 @@ def evaluate_cached_columns(tasks: TaskColumns,
 
 def evaluate_task_set(specs: Sequence[TaskSpec],
                       model: OverheadModel) -> SchedulabilityPoint:
-    """:func:`evaluate_columns` on the columns of ``specs``, through the
-    cached analyses the ``*_min_processors`` entry points share."""
+    """:func:`evaluate_columns` on the columns of ``specs``, through
+    :data:`ANALYSIS_CACHE` keyed by :func:`task_set_cache_key`.
+
+    Raises ``ValueError``, naming the task, when a task has a deadline
+    below its period or a critical section: the columns cannot carry
+    either, and the analyses would answer for a different set.  The
+    check runs before the key, so a refused set is never cached.
+    """
+    for k, s in enumerate(specs):
+        label = s.name or f"task #{k}"
+        if s.deadline is not None and s.deadline < s.period:
+            raise ValueError(
+                f"{label}: deadline {s.deadline} is below its period "
+                f"{s.period}; the analysis needs implicit deadlines")
+        if s.max_section:
+            raise ValueError(
+                f"{label}: critical sections (max_section "
+                f"{s.max_section}) are not analysed")
     return _evaluate(TaskColumns.of(specs), model,
                      _digest(task_set_cache_key, specs, model))
 

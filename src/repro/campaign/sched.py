@@ -20,6 +20,9 @@ This module is the bridge between the generic machinery (:mod:`.spec`,
   ``resume``, ``replicas``, a full :class:`~repro.campaign.runner.
   RunnerConfig` override, and a ``dispatcher`` that sends the shards to
   a worker fleet instead of the local pool.
+* :func:`analysis_response` — the ``analyze`` answer for one task set,
+  read off one :func:`~repro.analysis.schedulability.evaluate_task_set`
+  point; the admission service and :func:`batch_analyze` both return it.
 * :func:`batch_analyze` — many independent task sets through the same
   dispatch engine; the admission service's ``batch-analyze`` verb sits
   on this (the service imports campaign, never the reverse).
@@ -27,15 +30,13 @@ This module is the bridge between the generic machinery (:mod:`.spec`,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..analysis.experiments import CampaignRow
 from ..analysis.persistence import save_campaign
 from ..analysis.schedulability import (SchedulabilityPoint,
-                                       edf_ff_min_processors,
-                                       evaluate_columns, pd2_min_processors)
+                                       evaluate_columns, evaluate_task_set)
 from ..analysis.stats import summarize
 from ..overheads.model import OverheadModel
 from ..workload.generator import TaskSetGenerator
@@ -45,7 +46,8 @@ from .runner import CampaignRunner, Dispatcher, RunnerConfig, dispatch_jobs
 from .spec import CampaignGrid, ShardSpec, plan_shards, shards_by_point
 
 __all__ = ["evaluate_shard", "campaign_row", "assemble_rows",
-           "run_schedulability_campaign", "batch_analyze"]
+           "run_schedulability_campaign", "analysis_response",
+           "batch_analyze"]
 
 
 def evaluate_shard(args: Tuple[ShardSpec, Optional[OverheadModel]]
@@ -165,6 +167,19 @@ def run_schedulability_campaign(
     return rows
 
 
+def analysis_response(specs: Sequence[TaskSpec],
+                      model: OverheadModel) -> Dict[str, Any]:
+    """The ``analyze`` answer for ``specs``: minimum processors under PD²
+    and EDF-FF, raw utilization and task count, from one
+    :func:`~repro.analysis.schedulability.evaluate_task_set` point.
+
+    Raises ``ValueError`` for a set the analysis refuses.
+    """
+    point = evaluate_task_set(specs, model)
+    return {"m_pd2": point.m_pd2, "m_edf_ff": point.m_ff,
+            "utilization": point.utilization, "n_tasks": point.n_tasks}
+
+
 def _analyze_one(args: Tuple[Tuple[TaskSpec, ...], Optional[OverheadModel]]
                  ) -> Dict[str, Any]:
     """Worker for one task set of a batch analysis (module-level so it
@@ -172,16 +187,9 @@ def _analyze_one(args: Tuple[Tuple[TaskSpec, ...], Optional[OverheadModel]]
     than raising: a deterministic failure would fail identically on
     every retry, so it is an answer, not a fault."""
     specs, model = args
-    if model is None:
-        model = OverheadModel()
     try:
-        return {
-            "m_pd2": pd2_min_processors(specs, model),
-            "m_edf_ff": edf_ff_min_processors(specs, model),
-            "utilization": float(sum(Fraction(s.execution, s.period)
-                                     for s in specs)),
-            "n_tasks": len(specs),
-        }
+        return analysis_response(
+            specs, model if model is not None else OverheadModel())
     except ValueError as exc:
         return {"error": str(exc)}
 

@@ -41,7 +41,7 @@ from typing import (TYPE_CHECKING, Callable, Iterator, Optional, Sequence,
 from .analysis.experiments import utilization_grid
 from .analysis.figures import fig1_report, fig3_table, fig4_table, fig5_report
 from .campaign import RunnerConfig, run_schedulability_campaign
-from .analysis.schedulability import edf_ff_min_processors, pd2_min_processors
+from .analysis.schedulability import evaluate_task_set
 from .core.task import PeriodicTask, TaskSet
 from .core.trace import render_schedule, render_windows
 from .overheads.model import OverheadModel
@@ -119,24 +119,28 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     model = OverheadModel()
-    if args.file:
-        from .workload.io import load_task_set
+    if not (args.file or args.weights):
+        print("give weights or --file", file=sys.stderr)
+        return 2
+    try:
+        if args.file:
+            from .workload.io import load_task_set
 
-        specs = load_task_set(args.file)
-    else:
-        if not args.weights:
-            print("give weights or --file", file=sys.stderr)
-            return 2
-        quantum = model.quantum
-        specs = [TaskSpec(e * quantum, p * quantum, name=f"T{i}",
-                          cache_delay=args.cache_delay)
-                 for i, (e, p) in enumerate(args.weights)]
-    m_pd2 = pd2_min_processors(specs, model)
-    m_ff = edf_ff_min_processors(specs, model)
-    total = sum(s.execution / s.period for s in specs)
-    print(f"{len(specs)} tasks, raw utilization {total:.3f}")
-    print(f"minimum processors, PD² (Eq. 2 on inflated weights): {m_pd2}")
-    print(f"minimum processors, EDF-FF (overhead-aware first fit): {m_ff}")
+            specs = load_task_set(args.file)
+        else:
+            quantum = model.quantum
+            specs = [TaskSpec(e * quantum, p * quantum, name=f"T{i}",
+                              cache_delay=args.cache_delay)
+                     for i, (e, p) in enumerate(args.weights)]
+        point = evaluate_task_set(specs, model)
+    except (OSError, ValueError) as exc:
+        print(f"compare: {exc}", file=sys.stderr)
+        return 2
+    print(f"{point.n_tasks} tasks, raw utilization {point.utilization:.3f}")
+    print(f"minimum processors, PD² (Eq. 2 on inflated weights): "
+          f"{point.m_pd2}")
+    print(f"minimum processors, EDF-FF (overhead-aware first fit): "
+          f"{point.m_ff}")
     return 0
 
 

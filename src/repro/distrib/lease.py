@@ -106,10 +106,6 @@ class LeaseTable:
         """True once nothing is pending or in flight."""
         return self.outstanding == 0
 
-    def active_leases(self) -> List[Lease]:
-        """The current grants (snapshot copy, coordinator-lock held)."""
-        return list(self._leases.values())
-
     # -- transitions --------------------------------------------------
 
     def lease(self, worker: str, now: float, timeout: float,

@@ -46,11 +46,6 @@ class PacketizedResult:
     def delay(self, flow: str, index: int, arrival: int) -> Fraction:
         return self.departure[(flow, index)] - arrival
 
-    def lateness_vs_gps(self, flow: str, index: int) -> Fraction:
-        """Departure minus the GPS fluid finish (negative = ran ahead)."""
-        assert self.gps is not None
-        return self.departure[(flow, index)] - self.gps.finish_of(flow, index)
-
 
 def virtual_time_at(gps: GPSResult, t: Fraction) -> Fraction:
     """Evaluate the piecewise-linear GPS virtual time at real time ``t``.

@@ -43,7 +43,6 @@ from .partitioner import (
     edf_ff,
     edf_ff_order,
     edf_overhead_first_fit,
-    min_processors,
     rm_ff,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "edf_ff_order",
     "edf_overhead_first_fit",
     "rm_ff",
-    "min_processors",
     "OnlinePartitioner",
     "RM_TESTS",
 ]

@@ -1,5 +1,5 @@
-"""End-to-end partitioners: EDF-FF, RM-FF, minimum-processor search, and
-online (dynamic) partitioning.
+"""End-to-end partitioners: EDF-FF, RM-FF, and online (dynamic)
+partitioning.
 
 ``EDF-FF`` — first fit with the exact EDF utilization test — is the
 paper's representative of the partitioning approach.  The overhead-aware
@@ -11,10 +11,11 @@ fit and that test; the Fig. 3/4 analysis runs the same decisions on task
 columns (:func:`edf_overhead_first_fit`, fed in :func:`edf_ff_order`),
 tested against the generic packer.
 
-:func:`min_processors` answers the Fig. 3 question for the partitioned
-side: the number of processors first fit ends up opening when bins are
-unbounded.  (First fit never benefits from extra empty bins, so this count
-is exactly the smallest M for which this heuristic succeeds.)
+With ``max_bins`` unbounded, ``.processors`` of :func:`edf_ff` or
+:func:`rm_ff` is the smallest M for which first fit succeeds (it never
+benefits from extra empty bins); both raise
+:class:`~repro.partition.heuristics.PartitionFailure` when some task fits
+on no processor.
 
 :class:`OnlinePartitioner` models the dynamic-task discussion of Sec. 5.2:
 joins are first-fit admissions against the current assignment (cheap but
@@ -47,7 +48,6 @@ __all__ = [
     "edf_ff_order",
     "edf_overhead_first_fit",
     "rm_ff",
-    "min_processors",
     "OnlinePartitioner",
     "RM_TESTS",
 ]
@@ -172,25 +172,6 @@ def rm_ff(specs: Sequence[TaskSpec], *, test: str = "response_time",
                          f"{sorted(RM_TESTS)}") from None
     return partition(specs, placement="ff", ordering="given",
                      accept=accept, max_bins=max_bins)
-
-
-def min_processors(specs: Sequence[TaskSpec], *,
-                   algorithm: str = "edf",
-                   overhead_inflation: Optional[int] = None,
-                   rm_test: str = "response_time") -> Optional[int]:
-    """Processors the FF heuristic needs for ``specs``; ``None`` when some
-    task cannot be scheduled even on a processor of its own (only possible
-    with overhead inflation or RM)."""
-    try:
-        if algorithm == "edf":
-            result = edf_ff(specs, overhead_inflation=overhead_inflation)
-        elif algorithm == "rm":
-            result = rm_ff(specs, test=rm_test)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-    except PartitionFailure:
-        return None
-    return result.processors
 
 
 class OnlinePartitioner:

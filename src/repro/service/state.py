@@ -9,18 +9,20 @@ mutating ones run serialised.  It composes three pieces of the library:
   rules, reweighting as leave-then-rejoin);
 * the overhead-aware analyses of :mod:`repro.analysis.schedulability`,
   reporting the minimum processor count under PD² and EDF-FF for every
-  requested set;
+  requested set (:func:`~repro.campaign.sched.analysis_response`, one
+  :func:`~repro.analysis.schedulability.evaluate_task_set` point; a set
+  it refuses — a deadline below the period, a critical section — is a
+  ``bad-task``);
 * an :class:`~repro.util.lru.LRUCache` over those analyses, keyed
   by the canonical task-set hash so repeated queries are O(1).
 
 The cache keyspace is shared with the analysis layer: this instance's
 LRU memoises the service-shaped response dicts, while the underlying
-``pd2_min_processors`` / ``edf_ff_min_processors`` calls consult the
-process-wide :data:`repro.analysis.schedulability.ANALYSIS_CACHE` under
-the *same* :func:`~repro.analysis.schedulability.task_set_cache_key`
-digests — so a task set analysed by a campaign (or another service
-instance in this process) is never recomputed from scratch here, and
-vice versa.
+``evaluate_task_set`` call consults the process-wide
+:data:`repro.analysis.schedulability.ANALYSIS_CACHE` under the *same*
+:func:`~repro.analysis.schedulability.task_set_cache_key` digests — so a
+task set analysed by a campaign (or another service instance in this
+process) is never recomputed from scratch here, and vice versa.
 
 Multi-task admission is transactional: the system is snapshotted, the
 joins attempted one by one, and on any failure the snapshot is restored —
@@ -35,11 +37,10 @@ belongs in deployment glue, not here.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..analysis.schedulability import (edf_ff_min_processors,
-                                       pd2_min_processors, task_set_cache_key)
+from ..analysis.schedulability import task_set_cache_key
+from ..campaign.sched import analysis_response, batch_analyze
 from ..core.dynamic import DynamicPfairSystem
 from ..core.rational import weight_sum
 from ..core.task import PeriodicTask
@@ -89,17 +90,9 @@ class ServiceState:
             if hit is not None:
                 return {**hit, "cached": True}
         try:
-            m_pd2 = pd2_min_processors(specs, self.model)
-            m_edf_ff = edf_ff_min_processors(specs, self.model)
+            result = analysis_response(specs, self.model)
         except ValueError as exc:
             raise ServiceError("bad-task", str(exc)) from exc
-        result = {
-            "m_pd2": m_pd2,
-            "m_edf_ff": m_edf_ff,
-            "utilization": float(sum(Fraction(s.execution, s.period)
-                                     for s in specs)),
-            "n_tasks": len(specs),
-        }
         if key is not None:
             self.cache.put(key, result)
         return {**result, "cached": False}
@@ -122,8 +115,6 @@ class ServiceState:
         locked) and the immutable model, never the live system, so the
         server may run it off the event loop in an executor.
         """
-        from ..campaign.sched import batch_analyze
-
         keys = [task_set_cache_key(specs, self.model) for specs in task_sets]
         out: List[Optional[Dict[str, Any]]] = [None] * len(task_sets)
         misses: List[int] = []

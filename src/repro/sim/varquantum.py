@@ -64,9 +64,6 @@ class VariableQuantumResult:
     def max_tardiness_ticks(self) -> int:
         return max((c - d for _, _, d, c in self.misses), default=0)
 
-    def max_tardiness_quanta(self) -> float:
-        return self.max_tardiness_ticks / self.quantum
-
 
 class VariableQuantumSimulator:
     """Eager (unaligned-quantum) dispatching of Pfair subtasks.

@@ -30,8 +30,6 @@ from .spec import TaskSpec
 __all__ = ["task_set_to_dict", "task_set_from_dict", "save_task_set",
            "load_task_set"]
 
-_FORMAT_KEYS = {"ticks_per_ms", "quantum", "tasks"}
-
 
 def task_set_to_dict(specs: Sequence[TaskSpec], *, quantum: int = 1000,
                      ticks_per_ms: int = 1000) -> Dict[str, Any]:

@@ -7,14 +7,11 @@ import pytest
 from repro.analysis.experiments import utilization_grid
 from repro.analysis.report import format_series_plot, format_table
 from repro.campaign import batch_analyze, run_schedulability_campaign
-from repro.analysis.schedulability import (
-    edf_ff_min_processors,
-    evaluate_columns,
-    evaluate_task_set,
-    pd2_min_processors,
-)
+from repro.analysis.schedulability import (ANALYSIS_CACHE, evaluate_columns,
+                                           evaluate_task_set)
 from repro.analysis.stats import confidence_halfwidth, summarize
 from repro.overheads.model import OverheadModel
+from repro.partition.demand import edf_feasible
 from repro.workload.generator import generate_task_set
 from repro.workload.spec import TaskColumns, TaskSpec
 
@@ -59,15 +56,13 @@ class TestSchedulability:
         ceil(U) processors."""
         z = OverheadModel.zero(quantum=1000)
         specs = [TaskSpec(1000, 2000, name=str(i)) for i in range(5)]  # U=2.5
-        assert pd2_min_processors(specs, z) == 3
+        assert evaluate_task_set(specs, z).m_pd2 == 3
 
     def test_empty_set(self):
         """Every entry point gives the empty set one processor on both
         sides and no inflation; a campaign row would otherwise count it
         EDF-infeasible while the service says it fits on one."""
         model = OverheadModel()
-        assert pd2_min_processors([], model) == 1
-        assert edf_ff_min_processors([], model) == 1
         [batch] = batch_analyze([[]])
         assert (batch["m_pd2"], batch["m_edf_ff"]) == (1, 1)
         for pt in (evaluate_task_set([], model),
@@ -83,12 +78,12 @@ class TestSchedulability:
                           sched_edf=lambda n: 10.0,
                           sched_pd2=lambda n, mm: 10.0)
         specs = [TaskSpec(50_000, 50_000, name="full")]
-        assert pd2_min_processors(specs, m) is None
+        assert evaluate_task_set(specs, m).m_pd2 is None
 
     def test_pd2_ge_ideal(self):
         model = OverheadModel()
         specs = generate_task_set(30, 6.0, seed=5)
-        m = pd2_min_processors(specs, model)
+        m = evaluate_task_set(specs, model).m_pd2
         assert m is not None and m >= 6
 
     def test_evaluate_task_set_consistency(self):
@@ -120,6 +115,54 @@ class TestSchedulability:
         assert pt.m_pd2 is None and pt.loss_pfair is None
         # EDF side also fails: e' > p.
         assert pt.m_ff is None and pt.loss_edf is None and pt.loss_ff is None
+
+
+#: Three tasks ``(e, p, D)`` of total utilization 0.99 whose demand is
+#: 9,900 µs by t = 4,000 µs: infeasible on one processor, yet a
+#: utilization test that ignored the deadlines would pack them on one.
+CONSTRAINED = [TaskSpec(4000, 10_000, name="a", deadline=4000),
+               TaskSpec(4000, 10_000, name="b", deadline=4000),
+               TaskSpec(1900, 10_000, name="c", deadline=2000)]
+
+
+class TestRefusedInputs:
+    """``evaluate_task_set`` refuses what the column kernels cannot carry
+    instead of answering for the set with those fields dropped."""
+
+    def test_constrained_deadline_is_refused(self):
+        assert not edf_feasible(CONSTRAINED)
+        before = ANALYSIS_CACHE.info()
+        with pytest.raises(ValueError, match="^a: deadline 4000 is "
+                                             "below its period 10000"):
+            evaluate_task_set(CONSTRAINED, OverheadModel())
+        # Refused before the key: nothing was read or written.
+        assert ANALYSIS_CACHE.info() == before
+        with pytest.raises(ValueError, match="^task #1: deadline"):
+            evaluate_task_set([TaskSpec(1000, 2000),
+                               TaskSpec(1000, 2000, deadline=1500)],
+                              OverheadModel())
+
+    def test_critical_section_is_refused(self):
+        specs = [TaskSpec(1000, 4000, name="lock", max_section=500,
+                          resource="r")]
+        with pytest.raises(ValueError, match="^lock: critical sections"):
+            evaluate_task_set(specs, OverheadModel())
+
+    def test_deadline_equal_to_the_period_is_accepted(self):
+        model = OverheadModel()
+        implicit = [TaskSpec(4000, 10_000, name=n) for n in "ab"]
+        explicit = [TaskSpec(4000, 10_000, name=n, deadline=10_000)
+                    for n in "ab"]
+        assert evaluate_task_set(explicit, model) == \
+            evaluate_task_set(implicit, model)
+
+    def test_batch_reports_a_refused_set_per_set(self):
+        good = [TaskSpec(1000, 2000, name="g")]
+        ok, refused = batch_analyze([good, CONSTRAINED])
+        assert set(ok) == {"m_pd2", "m_edf_ff", "utilization", "n_tasks"}
+        assert refused == {"error": "a: deadline 4000 is below its period "
+                                    "10000; the analysis needs implicit "
+                                    "deadlines"}
 
 
 class TestCampaign:

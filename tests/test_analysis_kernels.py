@@ -14,11 +14,12 @@ columns directly; their points must equal ``evaluate_task_set`` on the
 specs ``generate()`` returns.  Last, ``evaluate_task_set`` must give the
 same point whether its analyses come from a cold or warm
 ``ANALYSIS_CACHE`` or run with the fast path off, and the same point
-as the uncached ``evaluate_columns``.  Trace-replay shards evaluate
-rescaled payload columns through the same cache: their points must
-equal the spec path (``scale_to_utilization`` + ``evaluate_task_set``)
-cold, warm and uncached, and their column keys must equal
-``task_set_cache_key`` of the scaled specs.
+as the uncached ``evaluate_columns``; the service's ``analyze`` and
+``batch_analyze`` must answer from the entries it wrote.  Trace-replay
+shards evaluate rescaled payload columns through the same cache: their
+points must equal the spec path (``scale_to_utilization`` +
+``evaluate_task_set``) cold, warm and uncached, and their column keys
+must equal ``task_set_cache_key`` of the scaled specs.
 """
 
 import math
@@ -33,12 +34,13 @@ from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_search,
                                            columns_cache_key,
                                            evaluate_columns, evaluate_task_set,
                                            task_set_cache_key)
-from repro.campaign.sched import evaluate_shard
+from repro.campaign.sched import batch_analyze, evaluate_shard
 from repro.campaign.spec import CampaignGrid
 from repro.core.rational import exact_sum
 from repro.overheads import inflation
 from repro.overheads.inflation import pd2_inflate_set, pd2_total_weight
 from repro.overheads.model import OverheadModel
+from repro.service.state import ServiceState
 from repro.traces.mapping import scale_to_utilization
 from repro.traces.replay import (TraceGrid, build_window_payloads,
                                  evaluate_trace_shard)
@@ -241,6 +243,31 @@ class TestAnalysisCache:
             set_fastpath(None)
             ANALYSIS_CACHE.clear()
         assert cold == warm == uncached == reference
+
+    def test_service_and_batch_share_the_keyspace(self):
+        """The service's ``analyze`` and a serial ``batch_analyze`` read
+        the entries ``evaluate_task_set`` wrote: two hits, no miss, and
+        the point's fields."""
+        model = OverheadModel()
+        specs = TaskSetGenerator(7).generate(20, 5.0)
+        ANALYSIS_CACHE.clear()
+        try:
+            point = evaluate_task_set(specs, model)
+            fields = {"m_pd2": point.m_pd2, "m_edf_ff": point.m_ff,
+                      "utilization": point.utilization,
+                      "n_tasks": point.n_tasks}
+            service = ServiceState(2, model=model)
+            for answer, want in (
+                    (lambda: service.analyze(specs),
+                     {**fields, "cached": False}),
+                    (lambda: batch_analyze([specs], model=model)[0], fields)):
+                before = ANALYSIS_CACHE.info()
+                assert answer() == want
+                after = ANALYSIS_CACHE.info()
+                assert after["hits"] - before["hits"] == 2
+                assert after["misses"] == before["misses"]
+        finally:
+            ANALYSIS_CACHE.clear()
 
 
 def trace_shards():

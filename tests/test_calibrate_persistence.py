@@ -32,11 +32,11 @@ class TestCalibration:
         assert model.quantum == 1000
 
     def test_usable_in_schedulability(self, model):
-        from repro.analysis.schedulability import pd2_min_processors
+        from repro.analysis.schedulability import evaluate_task_set
         from repro.workload.generator import generate_task_set
 
         specs = generate_task_set(20, 4.0, seed=1)
-        m = pd2_min_processors(specs, model)
+        m = evaluate_task_set(specs, model).m_pd2
         assert m is not None and m >= 4
 
     def test_needs_two_task_counts(self):

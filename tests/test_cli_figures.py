@@ -1,5 +1,7 @@
 """Tests for the command-line interface and the shared figure builders."""
 
+import json
+
 import pytest
 
 from repro.analysis.figures import fig1_report, fig3_table, fig4_table, fig5_report
@@ -75,6 +77,21 @@ class TestCLI:
         assert main(["compare", "10/50", "20/100"]) == 0
         out = capsys.readouterr().out
         assert "PD²" in out and "EDF-FF" in out
+
+    @pytest.mark.parametrize("tasks, message", [
+        (3, "compare: 'tasks' must be a list\n"),
+        ([{"name": "a", "execution": 4000, "period": 10000,
+           "deadline": 4000}],
+         "compare: a: deadline 4000 is below its period 10000; the "
+         "analysis needs implicit deadlines\n"),
+    ], ids=["malformed", "constrained-deadline"])
+    def test_compare_bad_file_is_a_usage_error(self, tasks, message,
+                                               tmp_path, capsys):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"tasks": tasks}))
+        assert main(["compare", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
 
     def test_fig1(self, capsys):
         assert main(["fig1"]) == 0

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.schedulability import evaluate_task_set, pd2_min_processors
+from repro.analysis.schedulability import evaluate_task_set
 from repro.core.pd2 import schedule_pd2
 from repro.core.rational import weight_sum
 from repro.core.task import PeriodicTask, TaskSet
@@ -72,13 +72,13 @@ class TestCrossValidation:
         res = sim.run(600_000)
         assert res.miss_count == 0
 
-    def test_pd2_min_processors_simulates_clean_scaled(self):
+    def test_m_pd2_simulates_clean_scaled(self):
         """Inflation-based provisioning is safe in a scaled simulation:
         take the quantised inflated weights and run PD² on M_pd2."""
         model = OverheadModel()
         gen = TaskSetGenerator(31)
         specs = gen.generate(10, 3.0)
-        m = pd2_min_processors(specs, model)
+        m = evaluate_task_set(specs, model).m_pd2
         assert m is not None
         inflations = pd2_inflate_set(specs, model, m)
         tasks = [PeriodicTask(inf.quanta, inf.period_quanta)

@@ -36,7 +36,6 @@ from repro.partition.partitioner import (
     edf_ff,
     edf_ff_order,
     edf_overhead_first_fit,
-    min_processors,
     rm_ff,
 )
 from repro.workload.spec import TaskColumns, TaskSpec
@@ -320,17 +319,14 @@ class TestPartitioners:
 
     def test_min_processors(self):
         specs = [spec(2, 3, str(i)) for i in range(3)]
-        assert min_processors(specs) == 3
-        assert min_processors(specs, algorithm="rm") == 3
-        with pytest.raises(ValueError):
-            min_processors(specs, algorithm="zz")
+        assert edf_ff(specs).processors == 3
+        assert rm_ff(specs).processors == 3
 
     def test_min_processors_none_when_infeasible(self):
-        from repro.overheads.model import OverheadModel
-
         # A task whose inflated cost exceeds its period.
         specs = [spec(990, 1000, "tight")]
-        assert min_processors(specs, overhead_inflation=20) is None
+        with pytest.raises(PartitionFailure):
+            edf_ff(specs, overhead_inflation=20)
 
 
 class TestOnlinePartitioner:

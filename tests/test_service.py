@@ -173,6 +173,35 @@ class TestSingleConnection:
                 assert exc.value.code == "bad-request"
             assert c.ping()["pong"]  # connection survives the errors
 
+    def test_constrained_deadlines_are_bad_tasks(self, server):
+        """The analysis refuses a deadline below the period (it would
+        pack this set, whose demand is 9,900 µs by t = 4,000 µs, on one
+        processor): ``admit`` and ``query`` answer ``bad-task`` and
+        change nothing, ``batch-analyze`` reports the set alone."""
+        state, host, port = server
+        constrained = [TaskSpec(4000, 10 * Q, name="a", deadline=4000),
+                       TaskSpec(4000, 10 * Q, name="b", deadline=4000),
+                       TaskSpec(1900, 10 * Q, name="c", deadline=2000)]
+        with AdmissionClient(host, port) as c:
+            for call in (lambda: c.admit(constrained),
+                         lambda: c.admit(constrained, dry_run=True),
+                         lambda: c.query(constrained)):
+                with pytest.raises(ServiceResponseError) as exc:
+                    call()
+                assert exc.value.code == "bad-task"
+                assert "a: deadline 4000 is below its period" in str(exc.value)
+            r = c.batch_analyze([[spec(1, 2, "fine")], constrained])
+            assert "error" not in r["results"][0]
+            assert r["results"][1] == {
+                "error": "a: deadline 4000 is below its period 10000; the "
+                         "analysis needs implicit deadlines",
+                "cached": False}
+            assert state.describe()["tasks"] == []
+            assert state.cache.info()["size"] == 1  # only the good set
+            # A deadline equal to the period is the implicit deadline.
+            r = c.admit([TaskSpec(4000, 10 * Q, name="a", deadline=10 * Q)])
+            assert r["admitted"] and r["analysis"]["m_edf_ff"] == 1
+
     def test_pipelined_batch_ordering(self, server):
         _, host, port = server
         with AdmissionClient(host, port) as c:
