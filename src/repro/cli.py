@@ -525,7 +525,11 @@ def _cmd_admit(args: argparse.Namespace) -> int:
     from .workload.io import load_task_set
 
     if args.file:
-        specs = load_task_set(args.file)
+        try:
+            specs = load_task_set(args.file)
+        except (OSError, ValueError) as exc:
+            print(f"admit: {exc}", file=sys.stderr)
+            return 2
         tasks = [{"name": s.name, "execution": s.execution,
                   "period": s.period, "cache_delay": s.cache_delay,
                   "deadline": s.deadline} for s in specs]

@@ -19,11 +19,16 @@ control and exposes ``try_join`` / ``request_leave`` / ``reweight``.  Task
 modelled exactly as the paper says: the task with the old weight leaves and
 a task with the new weight joins as soon as both the departure has taken
 effect and capacity allows.
+
+The system's state is O(1) per task ever admitted, however long it runs:
+the Eq. (2) sum is kept as a running total (departures are applied when
+they take effect, from a heap), and a job's preemption count is dropped
+from the simulator's per-task stats once the job completes.
 """
 
 from __future__ import annotations
 
-import copy
+import heapq
 from typing import Dict, List, Optional, Tuple
 
 from .quantum import QuantumSimulator, SimResult
@@ -69,6 +74,11 @@ class DynamicPfairSystem:
     boundaries.  The admission invariant maintained is exact: the summed
     weight of all tasks whose departure has not yet taken effect never
     exceeds the processor count.
+
+    The simulator's per-task stats keep every counter, but a task's
+    ``job_preemptions`` holds only jobs that have not completed: a
+    long-running system's state grows with the tasks admitted, not with
+    elapsed time.
     """
 
     def __init__(self, processors: int, *, policy: Optional[PriorityPolicy] = None,
@@ -85,17 +95,17 @@ class DynamicPfairSystem:
         self._departures: Dict[int, int] = {}
         self._tasks: Dict[int, PfairTask] = {}
         self._pending_joins: List[Tuple[int, PfairTask]] = []
+        #: Exact summed weight of the tasks in ``_weights`` whose departure
+        #: has not taken effect (``dep is None or dep > now``).
+        self._committed = Weight.zero()
+        #: (departure, tid) of requested leaves still holding capacity.
+        self._leaving: List[Tuple[int, int]] = []
 
     # -- capacity ------------------------------------------------------------
 
     def committed_weight(self) -> Weight:
         """Exact summed weight of tasks still holding capacity."""
-        total = Weight.zero()
-        for tid, w in self._weights.items():
-            dep = self._departures.get(tid)
-            if dep is None or dep > self.now:
-                total = total + w
-        return total
+        return self._committed
 
     def can_admit(self, task: PfairTask) -> bool:
         return self.committed_weight() + task.weight <= self.processors
@@ -106,10 +116,7 @@ class DynamicPfairSystem:
         return list(self._tasks.values())
 
     def find_task(self, task_id: int) -> Optional[PfairTask]:
-        """The admitted or pending-join task with ``task_id``, or ``None``.
-
-        After a :meth:`restore`, previously held task references are stale
-        (the snapshot carries copies); re-resolve them through this."""
+        """The admitted or pending-join task with ``task_id``, or ``None``."""
         task = self._tasks.get(task_id)
         if task is not None:
             return task
@@ -143,6 +150,7 @@ class DynamicPfairSystem:
             return False
         self._tasks[task.task_id] = task
         self._weights[task.task_id] = task.weight
+        self._committed = self._committed + task.weight
         self.sim.add_task(task, self.now)
         return True
 
@@ -180,6 +188,10 @@ class DynamicPfairSystem:
         departure = earliest_leave_time(task, last, self.now)
         task.last_subtask = last  # no further subtasks
         self._departures[task.task_id] = departure
+        if departure <= self.now:
+            self._committed = self._committed - task.weight
+        else:
+            heapq.heappush(self._leaving, (departure, task.task_id))
         return departure
 
     def reweight(self, task: PfairTask, execution: int, period: int,
@@ -199,47 +211,24 @@ class DynamicPfairSystem:
         self._pending_joins.sort(key=lambda x: x[0])
         return departure, new_task
 
-    # -- snapshot / restore ----------------------------------------------------
-
-    def snapshot(self) -> "DynamicPfairSystem":
-        """Capture the complete system state (simulator included).
-
-        Returns an independent deep copy: advancing or mutating ``self``
-        afterwards does not disturb the snapshot.  Shared immutable window
-        tables are not duplicated.  Long-running services use this to make
-        multi-task admissions transactional — snapshot, attempt the joins,
-        and :meth:`restore` on partial failure so a rejected request leaves
-        no trace.
-        """
-        return copy.deepcopy(self)
-
-    def restore(self, snap: "DynamicPfairSystem") -> None:
-        """Adopt the state captured by :meth:`snapshot`, discarding all
-        changes made since.
-
-        The snapshot's internals are adopted *directly* (not re-copied), so
-        a snapshot is one-shot: after a restore, take a fresh snapshot
-        rather than restoring the same one twice.
-        """
-        if snap is self:
-            raise ValueError("cannot restore a system from itself")
-        if not isinstance(snap, DynamicPfairSystem):
-            raise TypeError(f"expected a DynamicPfairSystem snapshot, "
-                            f"got {type(snap).__name__}")
-        self.__dict__.clear()
-        self.__dict__.update(snap.__dict__)
-
     # -- time ------------------------------------------------------------------
 
     def advance(self, slots: int = 1) -> None:
         """Advance the system by ``slots`` quanta."""
+        per_task = self.sim.stats.per_task
         for _ in range(slots):
             for dep_time, new_task in list(self._pending_joins):
                 if dep_time <= self.now:
                     self._pending_joins.remove((dep_time, new_task))
                     self.join(new_task)
-            self.sim.step(self.now)
+            for _, st in self.sim.step(self.now):
+                if st.is_last_of_job():  # no later slot can preempt it
+                    per_task[st.task.task_id].job_preemptions.pop(
+                        st.job_index, None)
             self.now += 1
+            while self._leaving and self._leaving[0][0] <= self.now:
+                _, tid = heapq.heappop(self._leaving)
+                self._committed = self._committed - self._weights[tid]
 
     def run_until(self, time: int) -> None:
         if time < self.now:

@@ -187,13 +187,6 @@ class WindowTable:
             group_deadline=gd + shift if gd else 0,
         )
 
-    def __deepcopy__(self, memo: object) -> "WindowTable":
-        """Tables are immutable and shared per weight (see
-        :func:`window_table`); deep copies of task systems — e.g.
-        :meth:`repro.core.dynamic.DynamicPfairSystem.snapshot` — keep
-        sharing them rather than duplicating the precomputed lists."""
-        return self
-
     def __repr__(self) -> str:
         return f"WindowTable({self.execution}/{self.period})"
 

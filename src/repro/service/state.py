@@ -24,10 +24,12 @@ LRU memoises the service-shaped response dicts, while the underlying
 task set analysed by a campaign (or another service instance in this
 process) is never recomputed from scratch here, and vice versa.
 
-Multi-task admission is transactional: the system is snapshotted, the
-joins attempted one by one, and on any failure the snapshot is restored —
-a rejected request leaves no trace (verified down to the committed-weight
-fraction by the test suite).
+Multi-task admission is check-then-join: the whole request is quantised,
+its names checked, and Eq. (2) tested for its summed weight before the
+first task joins.  Nothing mutates until every check has passed, so
+admission stays all-or-nothing — a rejected request leaves no trace
+(verified down to the committed-weight fraction by the test suite) — and
+the joins that follow cannot fail, because mutating verbs are serialised.
 
 Time is explicit: the system advances only through the ``advance`` verb,
 keeping the service deterministic and replayable.  A wall-clock driver
@@ -176,8 +178,9 @@ class ServiceState:
         """Admission decision for ``specs``, joining them unless rejected
         or ``dry_run``.
 
-        All-or-nothing: either every task joins the live system or none
-        does (snapshot/restore makes partial failure unobservable).
+        All-or-nothing: every check (quantisation, names, Eq. (2) for
+        the whole set) runs before the first join, so either every task
+        joins the live system or none does.
         """
         analysis = self.analyze(specs)
         tasks = self._to_pfair_tasks(specs)
@@ -185,18 +188,12 @@ class ServiceState:
         admitted = (self.system.committed_weight() + new_weight
                     <= self.processors)
         if admitted and not dry_run:
-            snap = self.system.snapshot()
-            try:
-                for task in tasks:
-                    if not self.system.try_join(task):
-                        raise ServiceError(
-                            "admission-race",
-                            f"join of {task.name} failed after the set "
-                            f"passed Eq. (2)")  # unreachable: serialised
-            except BaseException:
-                self.system.restore(snap)
-                raise
             for task in tasks:
+                if not self.system.try_join(task):
+                    raise ServiceError(
+                        "admission-race",
+                        f"join of {task.name} failed after the set "
+                        f"passed Eq. (2)")  # unreachable: serialised
                 self._names[task.name] = task.task_id
         return {
             "admitted": admitted,

@@ -93,6 +93,22 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err == message and captured.out == ""
 
+    @pytest.mark.parametrize("content, message", [
+        (json.dumps({"tasks": 3}), "admit: 'tasks' must be a list\n"),
+        (None, "admit: "),
+    ], ids=["malformed", "missing"])
+    def test_admit_bad_file_is_a_usage_error(self, content, message,
+                                             tmp_path, capsys):
+        # Fails while reading the file, before any connection is made:
+        # exit 2 (usage), not 1 (rejected), and no traceback.
+        path = tmp_path / "set.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["admit", "--file", str(path), "--port", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert captured.err.count("\n") == 1
+
     def test_fig1(self, capsys):
         assert main(["fig1"]) == 0
         assert "8/11" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dynamic import AdmissionError, DynamicPfairSystem, earliest_leave_time
+from repro.core.quantum import QuantumSimulator
 from repro.core.rational import Weight
 from repro.core.task import PeriodicTask
 
@@ -167,3 +168,26 @@ class TestRunControl:
         sys_.advance(10)
         res = sys_.finish()
         assert res.horizon == 10
+
+
+class TestBoundedStats:
+    def test_completed_jobs_drop_their_preemption_entries(self):
+        """The dynamic system keeps only unfinished jobs' preemption
+        counts; every counter still equals a plain simulator's run."""
+        pairs = [(2, 3), (3, 7), (4, 9), (2, 5), (5, 11), (1, 4)]
+        sys_ = DynamicPfairSystem(3)
+        dyn_tasks = [PeriodicTask(e, p) for e, p in pairs]
+        for t in dyn_tasks:
+            sys_.join(t)
+        sys_.run_until(2000)
+        plain_tasks = [PeriodicTask(e, p) for e, p in pairs]
+        plain = QuantumSimulator(plain_tasks, 3).run(2000)
+        assert plain.stats.total_preemptions > len(pairs)  # entries to drop
+        for d, p in zip(dyn_tasks, plain_tasks):
+            ds, ps = sys_.sim.stats.stats_for(d), plain.stats.stats_for(p)
+            assert (ds.quanta, ds.preemptions, ds.migrations, ds.last_job) \
+                == (ps.quanta, ps.preemptions, ps.migrations, ps.last_job)
+            unfinished = {j: n for j, n in ps.job_preemptions.items()
+                          if j * d.execution > ds.quanta}
+            assert ds.job_preemptions == unfinished
+            assert len(ds.job_preemptions) <= 1

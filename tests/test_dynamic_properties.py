@@ -5,15 +5,17 @@ closed-form subtask formulas of :mod:`repro.core.subtask` — the paper's
 Sec. 5 conditions stated directly: a light task waits until
 ``d(T_i) + b(T_i)`` of its last-scheduled subtask, a heavy task until
 that subtask's group deadline, and a never-scheduled task (nonnegative
-lag) may leave immediately.  A final system-level property drives whole
-feasible systems through join/run/leave and checks the Eq. (2)
-invariant at every slot.
+lag) may leave immediately.  System-level properties drive whole
+feasible systems through join/run/leave and check the Eq. (2)
+invariant at every slot, and check the running committed weight
+against an O(n) recomputation after every operation.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic import DynamicPfairSystem, earliest_leave_time
+from repro.core.dynamic import (AdmissionError, DynamicPfairSystem,
+                                earliest_leave_time)
 from repro.core.rational import weight_sum
 from repro.core.subtask import b_bit, group_deadline, pseudo_deadline
 from repro.core.task import PeriodicTask
@@ -87,4 +89,64 @@ def test_leave_keeps_eq2_invariant(system, run_for):
         assert committed <= processors
         dyn.advance(1)
     assert dyn.committed_weight() == weight_sum([])
+    assert dyn.sim.stats.miss_count == 0
+
+
+def _recomputed_committed(dyn):
+    """Eq. (2)'s left side the O(n) way: every admitted task whose
+    departure has not taken effect."""
+    return weight_sum(
+        w for tid, w in dyn._weights.items()
+        if dyn.departure_time(tid) is None or dyn.departure_time(tid) > dyn.now)
+
+
+_ops = st.one_of(
+    st.tuples(st.just("join"), weights),
+    # Joins and leaves at once: never ran, so it departs at ``now``.
+    st.tuples(st.just("join-leave"), weights),
+    st.tuples(st.just("leave"), st.integers(0, 30)),
+    st.tuples(st.just("reweight"), st.integers(0, 30), weights),
+    st.tuples(st.just("advance"), st.integers(1, 8)),
+)
+
+
+@given(st.integers(1, 3), st.lists(_ops, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_running_committed_weight_matches_recomputation(processors, ops):
+    """The running Eq. (2) total equals the sum over admitted tasks whose
+    departure is still ahead, after every join, leave (of a running, a
+    never-run or a pending-join task), reweight and advance."""
+    dyn = DynamicPfairSystem(processors)
+
+    def check():
+        committed = dyn.committed_weight()
+        assert committed == _recomputed_committed(dyn)
+        assert committed <= processors
+
+    known = []  # every task joined or queued, in order
+    for op in ops:
+        kind = op[0]
+        if kind in ("join", "join-leave"):
+            e, p = op[1]
+            task = PeriodicTask(e, p, phase=dyn.now)
+            if dyn.try_join(task):
+                known.append(task)
+                if kind == "join-leave":
+                    check()
+                    assert dyn.request_leave(task) == dyn.now
+        elif kind == "leave" and known:
+            dyn.request_leave(known[op[1] % len(known)])
+        elif kind == "reweight" and known:
+            task = known[op[1] % len(known)]
+            if dyn.departure_time(task.task_id) is None:
+                e, p = op[2]
+                known.append(dyn.reweight(task, e, p)[1])
+        elif kind == "advance":
+            for _ in range(op[1]):
+                try:
+                    dyn.advance(1)
+                except AdmissionError:
+                    pass  # a queued join found no capacity; it is dropped
+                check()
+        check()
     assert dyn.sim.stats.miss_count == 0

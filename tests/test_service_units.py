@@ -1,14 +1,17 @@
 """Unit tests for the admission service's building blocks.
 
 Covers the wire protocol, the LRU analysis cache, the metrics registry,
-and :class:`ServiceState` (transactional admission, leave/reweight
+and :class:`ServiceState` (all-or-nothing admission, leave/reweight
 bookkeeping, cached analysis) — everything below the socket layer.  The
 socket layer itself is exercised end to end in ``test_service.py``.
 """
 
+import pickle
+
 import pytest
 
 from repro.analysis.schedulability import task_set_cache_key, task_set_signature
+from repro.core.rational import weight_sum
 from repro.overheads.model import OverheadModel
 from repro.util.lru import LRUCache
 from repro.util.metrics import Counter, LatencyHistogram, MetricsRegistry
@@ -204,6 +207,49 @@ class TestServiceState:
         # The names from the rejected set stay available.
         ok = st.admit(_specs((4000, 10000), prefix="n"))
         assert ok["admitted"]
+
+    def test_admit_after_churn_leaves_no_trace(self):
+        """Many admit/leave cycles later, a rejected request still leaves
+        no trace and its names stay free."""
+        st = ServiceState(2)
+        st.admit(_specs((1000, 2000), prefix="anchor"))
+        for i in range(40):
+            names = [f"c{i}a", f"c{i}b"]
+            r = st.admit([TaskSpec(1000, 3000, name=names[0]),
+                          TaskSpec(2000, 5000, name=names[1])])
+            assert r["admitted"]
+            st.advance(7)
+            st.leave(names)
+            st.advance(5)
+        before = st.describe()
+        # 1/2 committed by the anchor, so the second task overflows.
+        r = st.admit(_specs((10000, 10000), (10000, 10000), prefix="n"))
+        assert not r["admitted"]
+        assert st.describe() == before
+        ok = st.admit(_specs((1000, 2000), prefix="n"))
+        assert ok["admitted"] and st.describe()["misses"] == 0
+        sys_ = st.system
+        assert sys_.committed_weight() == weight_sum(
+            w for tid, w in sys_._weights.items()
+            if sys_.departure_time(tid) is None
+            or sys_.departure_time(tid) > sys_.now)
+
+    def test_live_state_does_not_grow_with_elapsed_time(self):
+        """With a fixed live set, the pickled system is the same size
+        (within 10%) at slot 10,000 and at slot 100,000: no per-job
+        history accumulates."""
+        st = ServiceState(4)
+        pairs = [(1, 3), (2, 7), (3, 11), (1, 4), (2, 9), (3, 10),
+                 (1, 5), (4, 13), (2, 5), (3, 8), (1, 6), (5, 17)]
+        assert st.admit(_specs(*[(e * 1000, p * 1000)
+                                 for e, p in pairs]))["admitted"]
+        sizes = []
+        for target in (10_000, 100_000):
+            while st.system.now < target:
+                st.advance(min(MAX_ADVANCE_SLOTS, target - st.system.now))
+            sizes.append(len(pickle.dumps(st.system)))
+        assert st.system.sim.stats.miss_count == 0
+        assert abs(sizes[1] - sizes[0]) <= 0.1 * sizes[0], sizes
 
     def test_dry_run_never_joins(self):
         st = ServiceState(2)
