@@ -549,8 +549,10 @@ def _cmd_admit(args: argparse.Namespace) -> int:
         with _service_client(args) as client:
             r = client.admit(tasks, dry_run=args.dry_run)
     except (ConnectionError, OSError, ServiceResponseError) as exc:
+        # Exit 1 means "rejected"; an unreachable server or a service
+        # error is neither an answer nor a usage error.
         print(f"admit failed: {exc}", file=sys.stderr)
-        return 1
+        return 3
     verdict = "ADMITTED" if r["admitted"] else "REJECTED"
     if args.dry_run:
         verdict += " (dry run)"

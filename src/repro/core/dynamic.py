@@ -213,22 +213,39 @@ class DynamicPfairSystem:
 
     # -- time ------------------------------------------------------------------
 
-    def advance(self, slots: int = 1) -> None:
-        """Advance the system by ``slots`` quanta."""
-        per_task = self.sim.stats.per_task
-        for _ in range(slots):
-            for dep_time, new_task in list(self._pending_joins):
-                if dep_time <= self.now:
-                    self._pending_joins.remove((dep_time, new_task))
+    def advance(self, slots: int = 1) -> List[str]:
+        """Advance the system by ``slots`` quanta.
+
+        A queued reweight join that finds too little capacity at its join
+        slot (later joins took the weight its predecessor freed) is
+        dropped: the slot still elapses, and the join's
+        :class:`AdmissionError` message is returned, one per failed join
+        in the order they were tried.
+        """
+        failed: List[str] = []
+        sim = self.sim
+        per_task = sim.stats.per_task
+        pending = self._pending_joins
+        leaving = self._leaving
+        for now in range(self.now, self.now + slots):
+            while pending and pending[0][0] <= now:
+                new_task = pending.pop(0)[1]
+                try:
                     self.join(new_task)
-            for _, st in self.sim.step(self.now):
-                if st.is_last_of_job():  # no later slot can preempt it
+                except AdmissionError as exc:
+                    failed.append(str(exc))
+            for _, st in sim.step(now):
+                index = st.index
+                execution = st.task.execution
+                if index % execution == 0:  # last of its job: no later
+                    # slot can preempt it, so drop its count
                     per_task[st.task.task_id].job_preemptions.pop(
-                        st.job_index, None)
-            self.now += 1
-            while self._leaving and self._leaving[0][0] <= self.now:
-                _, tid = heapq.heappop(self._leaving)
+                        index // execution, None)
+            self.now = now + 1
+            while leaving and leaving[0][0] <= now + 1:
+                _, tid = heapq.heappop(leaving)
                 self._committed = self._committed - self._weights[tid]
+        return failed
 
     def run_until(self, time: int) -> None:
         if time < self.now:

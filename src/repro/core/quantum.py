@@ -153,12 +153,9 @@ class QuantumSimulator:
             if task.last_subtask is None or index <= task.last_subtask:
                 self._stalled[task.task_id] = _Stalled(task, index, lower_bound)
             return
-        eligible = max(st.eligible, lower_bound)
         self._seq += 1
-        self._pending_push(eligible, st)
-
-    def _pending_push(self, eligible: int, st: Subtask) -> None:
-        heapq.heappush(self._pending, (eligible, self._seq, st))
+        heapq.heappush(self._pending,
+                       (max(st.eligible, lower_bound), self._seq, st))
 
     def _drain_arrivals(self, now: int) -> None:
         while self._arrivals and self._arrivals[0][0] <= now:
@@ -173,18 +170,12 @@ class QuantumSimulator:
                 st = entry.task.subtask(entry.index)
                 if st is not None:
                     del self._stalled[tid]
-                    eligible = max(st.eligible, entry.lower_bound)
                     self._seq += 1
-                    self._pending_push(eligible, st)
+                    heapq.heappush(self._pending, (
+                        max(st.eligible, entry.lower_bound), self._seq, st))
                 elif (entry.task.last_subtask is not None
                       and entry.index > entry.task.last_subtask):
                     del self._stalled[tid]  # task left; drop the stall
-
-    def _release_eligible(self, now: int) -> None:
-        while self._pending and self._pending[0][0] <= now:
-            _, _, st = heapq.heappop(self._pending)
-            self._seq += 1
-            heapq.heappush(self._ready, (self.policy.key(st), self._seq, st))
 
     def _record_miss(self, st: Subtask, completed_at: Optional[int]) -> None:
         miss = DeadlineMiss(st.task, st.index, st.deadline, completed_at)
@@ -198,34 +189,35 @@ class QuantumSimulator:
         if not self.preserve_affinity:
             return list(zip(range(capacity), scheduled))
         taken = [False] * capacity
-        per_task = self.stats.per_task  # read-only: entries are created by
-        assignment: List[Tuple[Optional[int], Subtask]] = []  # on_scheduled
-        # Pass 1: continuations keep their processor (no preemption at all).
+        get = self.stats.per_task.get  # read-only: entries are created
+        prev = now - 1                 # by on_scheduled
+        # Pass 1: continuations keep their processor (no preemption at
+        # all); everyone else remembers the processor they last ran on.
+        assignment: List[Tuple[Optional[int], Optional[int], Subtask]] = []
         for st in scheduled:
-            ts = per_task.get(st.task.task_id)
-            proc: Optional[int] = None
-            if (ts is not None and ts.last_slot == now - 1
-                    and ts.last_proc is not None
-                    and ts.last_proc < capacity and not taken[ts.last_proc]):
-                proc = ts.last_proc
-                taken[proc] = True
-            assignment.append((proc, st))
-        # Pass 2: everyone else prefers their last processor, else lowest free.
-        free = [p for p in range(capacity) if not taken[p]]
-        free.reverse()  # pop() yields the lowest-numbered processor
+            ts = get(st.task.task_id)
+            if ts is None or ts.last_proc is None or ts.last_proc >= capacity:
+                assignment.append((None, None, st))
+                continue
+            last = ts.last_proc
+            if ts.last_slot == prev and not taken[last]:
+                taken[last] = True
+                assignment.append((last, None, st))
+            else:
+                assignment.append((None, last, st))
+        # Pass 2: everyone else prefers their last processor, else the
+        # lowest-numbered free one.
+        lowest = 0
         out: List[Tuple[int, Subtask]] = []
-        for proc, st in assignment:
+        for proc, last, st in assignment:
             if proc is None:
-                ts = per_task.get(st.task.task_id)
-                if (ts is not None and ts.last_proc is not None
-                        and ts.last_proc < capacity
-                        and not taken[ts.last_proc]):
-                    proc = ts.last_proc
-                    taken[proc] = True
-                    free.remove(proc)
+                if last is not None and not taken[last]:
+                    proc = last
                 else:
-                    proc = free.pop()
-                    taken[proc] = True
+                    while taken[lowest]:
+                        lowest += 1
+                    proc = lowest
+                taken[proc] = True
             out.append((proc, st))
         return out
 
@@ -273,45 +265,64 @@ class QuantumSimulator:
 
     def step(self, now: int) -> List[Tuple[int, Subtask]]:
         """Advance one slot; returns the (processor, subtask) allocations."""
-        self._drain_arrivals(now)
-        self._release_eligible(now)
+        arrivals = self._arrivals
+        if self._stalled or (arrivals and arrivals[0][0] <= now):
+            self._drain_arrivals(now)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        pending, ready = self._pending, self._ready
+        key = self.policy.key
+        seq = self._seq
+        while pending and pending[0][0] <= now:
+            st = heappop(pending)[2]
+            seq += 1
+            heappush(ready, (key(st), seq, st))
         capacity = self.processors
         if self.capacity_fn is not None:
             capacity = min(self.capacity_fn(now), self.processors)
         scheduled: List[Subtask] = []
-        while self._ready and len(scheduled) < capacity:
-            _, _, st = heapq.heappop(self._ready)
-            if (st.task.last_subtask is not None
-                    and st.index > st.task.last_subtask):
+        while ready and len(scheduled) < capacity:
+            st = heappop(ready)[2]
+            last = st.task.last_subtask
+            if last is not None and st.index > last:
                 continue  # task left the system; drop lazily
             scheduled.append(st)
         placed = self._assign_processors(now, scheduled, max(capacity, 1))
+        stats = self.stats
+        last_index = self.last_scheduled_index
+        trace = self.trace
+        early = self.early_release
+        nxt = now + 1
         for proc, st in placed:
             if now >= st.deadline:
-                self._record_miss(st, now + 1)
-            ts = self.stats.stats_for(st.task)
-            ts.on_scheduled(now, proc, st.job_index)
-            self.last_scheduled_index[st.task.task_id] = st.index
-            if self.trace is not None:
-                self.trace.record(now, proc, st.task, st.index)
-            # Activate the successor.  ERfair early releasing applies when
-            # enabled scheduler-wide or on this task (mixed Pfair/ERfair
-            # systems set it per task).
-            if ((self.early_release or st.task.early_release)
-                    and not st.is_last_of_job()):
-                # ERfair: eligible the moment its predecessor completes.
-                self._activate_early(st.task, st.index + 1, now + 1)
+                self._seq = seq  # on_miss='raise' ends the step here
+                self._record_miss(st, nxt)
+            task = st.task
+            tid = task.task_id
+            index = st.index
+            execution = task.execution
+            stats.stats_for(task).on_scheduled(
+                now, proc, (index - 1) // execution + 1)
+            last_index[tid] = index
+            if trace is not None:
+                trace.record(now, proc, task, index)
+            # Activate the successor.  ERfair early releasing — enabled
+            # scheduler-wide or on this task (mixed Pfair/ERfair systems
+            # set it per task) — makes it eligible the moment its
+            # predecessor completes, unless it starts a new job.
+            succ = task.subtask(index + 1)
+            if succ is None:
+                # Arrival unknown (sporadic/IS) or the task has left.
+                last = task.last_subtask
+                if last is None or index < last:
+                    self._stalled[tid] = _Stalled(task, index + 1, nxt)
+                continue
+            seq += 1
+            if (early or task.early_release) and index % execution:
+                heappush(pending, (nxt, seq, succ))
             else:
-                self._activate(st.task, st.index + 1, lower_bound=now + 1)
-        self.stats.busy_quanta += len(placed)
-        self.stats.idle_quanta += max(capacity, 0) - len(placed)
+                elig = succ.eligible
+                heappush(pending, (elig if elig > nxt else nxt, seq, succ))
+        self._seq = seq
+        stats.busy_quanta += len(placed)
+        stats.idle_quanta += max(capacity, 0) - len(placed)
         return placed
-
-    def _activate_early(self, task: PfairTask, index: int, eligible: int) -> None:
-        st = task.subtask(index)
-        if st is None:
-            if task.last_subtask is None or index <= task.last_subtask:
-                self._stalled[task.task_id] = _Stalled(task, index, eligible)
-            return
-        self._seq += 1
-        self._pending_push(eligible, st)

@@ -137,17 +137,23 @@ class WindowTable:
     weight share one table.
     """
 
-    __slots__ = ("execution", "period", "_rel", "_dl", "_b", "_gd")
+    __slots__ = ("execution", "period", "releases", "deadlines", "b_bits",
+                 "group_deadlines")
 
     def __init__(self, execution: int, period: int) -> None:
         _check(execution, period, 1)
         self.execution = execution
         self.period = period
         e, p = execution, period
-        self._rel: List[int] = [(i - 1) * p // e for i in range(1, e + 1)]
-        self._dl: List[int] = [(i * p + e - 1) // e for i in range(1, e + 1)]
-        self._b: List[int] = [1 if (i * p) % e != 0 else 0 for i in range(1, e + 1)]
-        self._gd: List[int] = [group_deadline(e, p, i) for i in range(1, e + 1)]
+        #: Job 1's columns, entry ``j`` for subtask ``j + 1``.  Read them
+        #: directly on hot paths; never mutate them (tables are shared).
+        self.releases: List[int] = [(i - 1) * p // e for i in range(1, e + 1)]
+        self.deadlines: List[int] = [(i * p + e - 1) // e
+                                     for i in range(1, e + 1)]
+        self.b_bits: List[int] = [1 if (i * p) % e != 0 else 0
+                                  for i in range(1, e + 1)]
+        self.group_deadlines: List[int] = [group_deadline(e, p, i)
+                                           for i in range(1, e + 1)]
 
     def _split(self, index: int) -> tuple:
         if index < 1:
@@ -157,33 +163,33 @@ class WindowTable:
 
     def release(self, index: int) -> int:
         q, j = self._split(index)
-        return self._rel[j] + q * self.period
+        return self.releases[j] + q * self.period
 
     def deadline(self, index: int) -> int:
         q, j = self._split(index)
-        return self._dl[j] + q * self.period
+        return self.deadlines[j] + q * self.period
 
     def b_bit(self, index: int) -> int:
         _, j = self._split(index)
-        return self._b[j]
+        return self.b_bits[j]
 
     def group_deadline(self, index: int) -> int:
         q, j = self._split(index)
-        gd = self._gd[j]
+        gd = self.group_deadlines[j]
         return gd + q * self.period if gd else 0
 
     def window_length(self, index: int) -> int:
         _, j = self._split(index)
-        return self._dl[j] - self._rel[j]
+        return self.deadlines[j] - self.releases[j]
 
     def params(self, index: int) -> SubtaskParams:
         q, j = self._split(index)
         shift = q * self.period
-        gd = self._gd[j]
+        gd = self.group_deadlines[j]
         return SubtaskParams(
-            release=self._rel[j] + shift,
-            deadline=self._dl[j] + shift,
-            b_bit=self._b[j],
+            release=self.releases[j] + shift,
+            deadline=self.deadlines[j] + shift,
+            b_bit=self.b_bits[j],
             group_deadline=gd + shift if gd else 0,
         )
 

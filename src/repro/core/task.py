@@ -189,6 +189,26 @@ class PeriodicTask(PfairTask):
     def _offset(self, index: int) -> int:
         return self.phase
 
+    def subtask(self, index: int) -> Optional[Subtask]:
+        # PfairTask.subtask with the hooks folded in (the offset is the
+        # phase, eligibility is the release) and the window table's
+        # columns read directly: the simulator calls this once per
+        # allocation.  A subclass that overrides _offset or _eligible
+        # must override this too.
+        last = self.last_subtask
+        if last is not None and index > last:
+            return None
+        if index < 1:
+            raise ValueError(f"subtask indices are 1-based, got {index}")
+        table = self.table
+        q, j = divmod(index - 1, table.execution)
+        shift = q * table.period + self.phase
+        release = table.releases[j] + shift
+        gd = table.group_deadlines[j]
+        return Subtask(self, index, release, release,
+                       table.deadlines[j] + shift, table.b_bits[j],
+                       gd + shift if gd else 0)
+
 
 class SporadicTask(PfairTask):
     """Job releases separated by *at least* the period.

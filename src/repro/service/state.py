@@ -30,6 +30,9 @@ first task joins.  Nothing mutates until every check has passed, so
 admission stays all-or-nothing — a rejected request leaves no trace
 (verified down to the committed-weight fraction by the test suite) — and
 the joins that follow cannot fail, because mutating verbs are serialised.
+Task objects are built only for those joins: a dry run checks ``(name,
+e, p)`` rows and sums their weights exactly, so it leaves no per-weight
+state (window tables) behind in the process.
 
 Time is explicit: the system advances only through the ``advance`` verb,
 keeping the service deterministic and replayable.  A wall-clock driver
@@ -39,12 +42,12 @@ belongs in deployment glue, not here.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.schedulability import task_set_cache_key
 from ..campaign.sched import analysis_response, batch_analyze
 from ..core.dynamic import DynamicPfairSystem
-from ..core.rational import weight_sum
+from ..core.rational import Weight, exact_sum
 from ..core.task import PeriodicTask
 from ..overheads.model import OverheadModel
 from ..util.lru import LRUCache
@@ -137,14 +140,15 @@ class ServiceState:
 
     # -- conversions --------------------------------------------------------
 
-    def _to_pfair_tasks(self, specs: Sequence[TaskSpec]) -> List[PeriodicTask]:
-        """Quantise specs and instantiate them at the current slot.
+    def _rows(self, specs: Sequence[TaskSpec]) -> List[Tuple[str, int, int]]:
+        """Quantise specs into ``(name, e, p)`` rows, naming unnamed ones.
 
         Raises :class:`ServiceError` when a period is not a multiple of
         the quantum or a name is already taken (uniqueness is checked
-        against live state *and* within the request).
+        against live state *and* within the request).  No task object is
+        built: a dry run needs only the weights.
         """
-        tasks: List[PeriodicTask] = []
+        rows: List[Tuple[str, int, int]] = []
         seen: set = set()
         for spec in specs:
             try:
@@ -161,8 +165,8 @@ class ServiceState:
                 raise ServiceError("duplicate-name",
                                    f"task name {name!r} already admitted")
             seen.add(name)
-            tasks.append(PeriodicTask(e, p, phase=self.system.now, name=name))
-        return tasks
+            rows.append((name, e, p))
+        return rows
 
     def _resolve(self, name: str) -> PeriodicTask:
         if not isinstance(name, str) or name not in self._names:
@@ -183,12 +187,14 @@ class ServiceState:
         joins the live system or none does.
         """
         analysis = self.analyze(specs)
-        tasks = self._to_pfair_tasks(specs)
-        new_weight = weight_sum(t.weight for t in tasks)
+        rows = self._rows(specs)
+        total = exact_sum([e for _, e, _ in rows], [p for _, _, p in rows])
+        new_weight = Weight(total.numerator, total.denominator)
         admitted = (self.system.committed_weight() + new_weight
                     <= self.processors)
         if admitted and not dry_run:
-            for task in tasks:
+            for name, e, p in rows:
+                task = PeriodicTask(e, p, phase=self.system.now, name=name)
                 if not self.system.try_join(task):
                     raise ServiceError(
                         "admission-race",
@@ -198,7 +204,7 @@ class ServiceState:
         return {
             "admitted": admitted,
             "dry_run": dry_run,
-            "tasks": [t.name for t in tasks],
+            "tasks": [name for name, _, _ in rows],
             "requested_weight": str(new_weight),
             "analysis": analysis,
             **self._capacity_fields(),
@@ -237,22 +243,16 @@ class ServiceState:
         :data:`~repro.service.protocol.MAX_ADVANCE_SLOTS`.
 
         A queued reweight join can fail here if intervening admissions
-        consumed the freed capacity; such failures are reported, not
-        raised — the slot still elapses.
+        consumed the freed capacity; such a join is dropped and reported
+        in ``failed_joins``, not raised — its slot still elapses, so
+        ``now`` always moves by exactly ``slots``.
         """
         if isinstance(slots, bool) or not isinstance(slots, int) \
                 or not 1 <= slots <= MAX_ADVANCE_SLOTS:
             raise ServiceError("bad-request",
                                f"'slots' must be an integer in "
                                f"[1, {MAX_ADVANCE_SLOTS}], got {slots!r}")
-        from ..core.dynamic import AdmissionError
-
-        failed_joins: List[str] = []
-        for _ in range(slots):
-            try:
-                self.system.advance(1)
-            except AdmissionError as exc:
-                failed_joins.append(str(exc))
+        failed_joins = self.system.advance(slots)
         return {"now": self.system.now, "failed_joins": failed_joins,
                 "misses": self.system.sim.stats.miss_count,
                 **self._capacity_fields()}

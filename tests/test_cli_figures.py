@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the shared figure builders."""
 
 import json
+import socket
 
 import pytest
 
@@ -108,6 +109,17 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err.startswith(message) and captured.out == ""
         assert captured.err.count("\n") == 1
+
+    def test_admit_unreachable_service_is_not_a_rejection(self, capsys):
+        # Exit 1 is "rejected"; a closed port is exit 3, with one line.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["admit", "1/2", "--host", "127.0.0.1",
+                     "--port", str(port)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("admit failed: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_fig1(self, capsys):
         assert main(["fig1"]) == 0

@@ -141,6 +141,27 @@ class TestReweighting:
         # The replacement actually ran.
         assert sys_.sim.stats.stats_for(new_task).quanta > 0
 
+    def test_failed_join_still_elapses_its_slot(self):
+        """A queued join whose freed capacity was taken is dropped and
+        reported; the slot it was due in still runs."""
+        sys_ = DynamicPfairSystem(1)
+        a = PeriodicTask(1, 2, name="a")
+        sys_.join(a)
+        sys_.advance(3)
+        join_time, new_task = sys_.reweight(a, 1, 1)
+        sys_.run_until(join_time)
+        b = PeriodicTask(1, 2, phase=sys_.now, name="b")
+        assert sys_.try_join(b)  # takes the half that a freed
+        failed = sys_.advance(5)
+        assert sys_.now == join_time + 5
+        assert len(failed) == 1 and "would exceed" in failed[0]
+        assert new_task.task_id not in {t.task_id for t in sys_.tasks()}
+        assert sys_.find_task(new_task.task_id) is None
+        assert sys_.committed_weight() == Weight(1, 2)
+        assert sys_.sim.stats.stats_for(b).quanta >= 2
+        assert sys_.advance(3) == []  # the dropped join is not retried
+        assert sys_.finish().stats.miss_count == 0
+
     def test_committed_weight_accounting(self):
         sys_ = DynamicPfairSystem(2)
         a = PeriodicTask(1, 2, name="a")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.schedulability import task_set_cache_key, task_set_signature
 from repro.core.rational import weight_sum
+from repro.core.subtask import window_table
 from repro.overheads.model import OverheadModel
 from repro.util.lru import LRUCache
 from repro.util.metrics import Counter, LatencyHistogram, MetricsRegistry
@@ -257,6 +258,54 @@ class TestServiceState:
         assert r["admitted"] and r["dry_run"]
         assert st.describe()["tasks"] == []
 
+    def test_dry_run_builds_no_window_tables(self):
+        """A dry run only adds weights: asking about 50 new weights
+        leaves the process-wide window-table cache as it was."""
+        st = ServiceState(64)
+        st.admit(_specs((1000, 2000)))
+        before = window_table.cache_info().currsize
+        for i in range(50):
+            r = st.admit([TaskSpec(1000, (200 + i) * 1000),
+                          TaskSpec(3000, (331 + 2 * i) * 1000)],
+                         dry_run=True)
+            assert r["admitted"] and r["dry_run"]
+        assert window_table.cache_info().currsize == before
+        assert [t["name"] for t in st.describe()["tasks"]] == ["t0"]
+
+    def test_admit_responses_frozen(self):
+        """Responses and errors, byte for byte as the wire carries them:
+        an integral sum prints ``1/1``, a dry run still reports duplicate
+        names, analysis runs before the row checks, and autonames are
+        drawn per row up to the first failing one."""
+        st = ServiceState(2)
+        oversize = TaskSpec(500, 1000, name="big")
+        # Only an inflated execution can quantise above its period.
+        object.__setattr__(oversize, "execution", 2500)
+        calls = [
+            (True, [TaskSpec(500, 1000), TaskSpec(1000, 2000)]),
+            (False, [TaskSpec(250, 1000, name="a")]),
+            (True, [TaskSpec(250, 1000, name="a")]),
+            (True, [TaskSpec(250, 1000, name="b"),
+                    TaskSpec(250, 1000, name="b")]),
+            (True, [TaskSpec(250, 1000), TaskSpec(500, 1500, name="odd")]),
+            (True, [TaskSpec(500, 1500, name="odd"), TaskSpec(250, 1000)]),
+            (True, [TaskSpec(250, 1000), oversize]),
+            (True, [TaskSpec(300, 1000), TaskSpec(700, 3000)]),
+            (False, [TaskSpec(300, 1000), TaskSpec(700, 3000)]),
+            (True, [TaskSpec(1000, 1000), TaskSpec(1000, 1000)]),
+            (False, [TaskSpec(1000, 1000), TaskSpec(1000, 1000)]),
+            (True, [TaskSpec(100, 1000, name="c")]),
+        ]
+        got = []
+        for dry_run, specs in calls:
+            try:
+                got.append(encode(st.admit(specs, dry_run=dry_run)))
+            except ServiceError as exc:
+                got.append(f"{exc.code}: {exc.message}\n".encode())
+        got.append(encode(st.advance(7)))
+        assert got == [f"{line}\n".encode()
+                       for line in _FROZEN_ADMIT_TRANSCRIPT]
+
     def test_analyze_caches(self):
         st = ServiceState(2)
         specs = _specs((2000, 10000), (8000, 11000))
@@ -299,6 +348,23 @@ class TestServiceState:
         desc = st.describe()
         assert desc["misses"] == 0 and desc["feasible"]
         assert any(t["name"] == "t1'" for t in desc["tasks"])
+
+    def test_failed_reweight_join_costs_no_slot(self):
+        """``advance n`` moves time by exactly n even when a queued
+        reweight join fails inside it; the failure is reported once."""
+        st = ServiceState(1)
+        st.admit([TaskSpec(1000, 2000, name="a")])
+        st.advance(3)
+        joins_at = st.reweight("a", 1000, 1000)["joins_at"]
+        st.advance(joins_at - st.system.now)
+        assert st.admit([TaskSpec(1000, 2000, name="b")])["admitted"]
+        before = st.system.now
+        r = st.advance(5)
+        assert r["now"] == before + 5 == st.system.now
+        assert len(r["failed_joins"]) == 1
+        assert "a'" in r["failed_joins"][0]
+        assert r["misses"] == 0 and r["committed_weight"] == "1/2"
+        assert st.advance(2)["failed_joins"] == []
 
     def test_advance_validation(self):
         st = ServiceState(1)
@@ -349,3 +415,46 @@ class TestServiceState:
         strip = lambda rows: [{k: v for k, v in r.items() if k != "cached"}
                               for r in rows]
         assert strip(serial) == strip(parallel)
+
+
+_FROZEN_ADMIT_TRANSCRIPT = [
+    '{"admitted":true,"analysis":{"cached":false,"m_edf_ff":2,"m_pd2":2,'
+    '"n_tasks":2,"utilization":1.0},"capacity":2,"committed_weight":"0/1",'
+    '"committed_weight_float":0.0,"dry_run":true,"feasible":true,"now":0,'
+    '"requested_weight":"3/2","tasks":["task0","task1"]}',
+    '{"admitted":true,"analysis":{"cached":false,"m_edf_ff":1,"m_pd2":1,'
+    '"n_tasks":1,"utilization":0.25},"capacity":2,"committed_weight":"1/1",'
+    '"committed_weight_float":1.0,"dry_run":false,"feasible":true,"now":0,'
+    '"requested_weight":"1/1","tasks":["a"]}',
+    "duplicate-name: task name 'a' already admitted",
+    "duplicate-name: task name 'b' already admitted",
+    "bad-task: odd: period 1500 not a quantum multiple",
+    "bad-task: odd: period 1500 not a quantum multiple",
+    "bad-task: big: execution quantises to 3 quanta, above its period 1",
+    '{"admitted":false,"analysis":{"cached":false,"m_edf_ff":1,"m_pd2":2,'
+    '"n_tasks":2,"utilization":0.5333333333333333},"capacity":2,'
+    '"committed_weight":"1/1","committed_weight_float":1.0,"dry_run":true,'
+    '"feasible":true,"now":0,"requested_weight":"4/3",'
+    '"tasks":["task3","task4"]}',
+    '{"admitted":false,"analysis":{"cached":true,"m_edf_ff":1,"m_pd2":2,'
+    '"n_tasks":2,"utilization":0.5333333333333333},"capacity":2,'
+    '"committed_weight":"1/1","committed_weight_float":1.0,"dry_run":false,'
+    '"feasible":true,"now":0,"requested_weight":"4/3",'
+    '"tasks":["task5","task6"]}',
+    '{"admitted":false,"analysis":{"cached":false,"m_edf_ff":null,'
+    '"m_pd2":null,"n_tasks":2,"utilization":2.0},"capacity":2,'
+    '"committed_weight":"1/1","committed_weight_float":1.0,"dry_run":true,'
+    '"feasible":true,"now":0,"requested_weight":"2/1",'
+    '"tasks":["task7","task8"]}',
+    '{"admitted":false,"analysis":{"cached":true,"m_edf_ff":null,'
+    '"m_pd2":null,"n_tasks":2,"utilization":2.0},"capacity":2,'
+    '"committed_weight":"1/1","committed_weight_float":1.0,"dry_run":false,'
+    '"feasible":true,"now":0,"requested_weight":"2/1",'
+    '"tasks":["task9","task10"]}',
+    '{"admitted":true,"analysis":{"cached":false,"m_edf_ff":1,"m_pd2":1,'
+    '"n_tasks":1,"utilization":0.1},"capacity":2,"committed_weight":"1/1",'
+    '"committed_weight_float":1.0,"dry_run":true,"feasible":true,"now":0,'
+    '"requested_weight":"1/1","tasks":["c"]}',
+    '{"capacity":2,"committed_weight":"1/1","committed_weight_float":1.0,'
+    '"failed_joins":[],"feasible":true,"misses":0,"now":7}',
+]
