@@ -49,12 +49,12 @@ deadline below its period or a critical section
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from ..core.rational import exact_sum
+from ..core.rational import float_sum
 from ..overheads.inflation import pd2_search
 from ..overheads.model import OverheadModel
 from ..partition.partitioner import edf_ff_order, edf_overhead_first_fit
@@ -169,14 +169,22 @@ def _digest(key: Callable[[Any, OverheadModel], Optional[str]], tasks: Any,
 
 
 def _pd2_search(tasks: TaskColumns, model: OverheadModel, cap: int,
-                u_total: Fraction) -> _PD2Result:
+                u_total: float) -> _PD2Result:
     """The PD² search on columns, with ``m = None`` when no M up to
-    ``cap`` suffices (``u_total`` is the set's exact utilization)."""
-    first = max(1, -(-u_total.numerator // u_total.denominator))  # ceil
-    found = pd2_search(tasks, model, first, cap)
+    ``cap`` suffices (``u_total`` is the set's utilization ``U``,
+    correctly rounded).
+
+    The first candidate ``max(1, ceil(u_total))`` is never above
+    ``ceil(U)``, since rounding cannot carry ``U`` past an integer; it
+    can be one below when ``U`` sits just above an integer, and then it
+    fails Eq. (2) because every inflated weight ``E/P`` is at least its
+    ``e/p``.  So the search accepts the same ``M`` with the same
+    iteration count as one started from the exact ``ceil(U)``.
+    """
+    found = pd2_search(tasks, model, max(1, math.ceil(u_total)), cap)
     if found is None:
         return None, None, 0
-    return found[0], float(found[1]), found[2]
+    return found
 
 
 def _edf_ff_pack(tasks: TaskColumns, model: OverheadModel) -> _EDFResult:
@@ -187,7 +195,7 @@ def _edf_ff_pack(tasks: TaskColumns, model: OverheadModel) -> _EDFResult:
         edf_ff_order(tasks))
     if packed is None:
         return None, None
-    return packed[0], float(packed[1])
+    return packed[0], packed[1]
 
 
 @dataclass(frozen=True)
@@ -218,8 +226,6 @@ class SchedulabilityPoint:
     def loss_ff(self) -> Optional[float]:
         if self.m_ff is None or self.inflated_u_edf is None:
             return None
-        import math
-
         return (self.m_ff - max(1, math.ceil(self.inflated_u_edf))) / self.m_ff
 
 
@@ -271,16 +277,16 @@ def _evaluate(tasks: TaskColumns, model: OverheadModel,
               digest: Optional[str]) -> SchedulabilityPoint:
     """One point, its analyses cached under ``digest`` (``None``: not)."""
     n = len(tasks.period)
-    u_exact = exact_sum(tasks.execution, tasks.period)
+    u = float_sum(tasks.execution, tasks.period)
     if n:
         pd2 = _cached(("pd2", digest, n),
-                      lambda: _pd2_search(tasks, model, n, u_exact))
+                      lambda: _pd2_search(tasks, model, n, u))
         edf = _cached(("edfff", digest), lambda: _edf_ff_pack(tasks, model))
     else:
         pd2, edf = (1, 0.0, 0), (1, 0.0)
     return SchedulabilityPoint(
         n_tasks=n,
-        utilization=float(u_exact),
+        utilization=u,
         m_pd2=pd2[0],
         m_ff=edf[0],
         inflated_u_pd2=pd2[1],

@@ -13,7 +13,9 @@ shards come from :func:`~repro.campaign.spec.plan_shards`, every
 finished shard spools atomically into a
 :class:`~repro.campaign.checkpoint.CheckpointStore`, and a
 :class:`~repro.campaign.progress.ProgressTracker` keeps ``status.json``
-current for ``repro campaign status``.  The service's batch-analyze path
+current for ``repro campaign status`` — to within
+``status_interval_seconds`` plus one shard while the run is live, and
+exact once it ends.  The service's batch-analyze path
 reuses :func:`dispatch_jobs` directly (see :func:`repro.campaign.sched.
 batch_analyze`), so both consumers share one recovery policy.
 
@@ -441,11 +443,23 @@ class CampaignRunner:
             len(shards), completed_before_start=len(done_before))
         progress.start(time.monotonic())
 
+        last_write: Optional[float] = None
+
         def write_status(state: str) -> None:
+            """Write a snapshot: the first ``"running"`` one and every
+            terminal state always, a later ``"running"`` one only once
+            ``status_interval_seconds`` have passed since the last
+            write, so a run of fast shards does not spend its time
+            rewriting ``status.json``."""
+            nonlocal last_write
             if self.store is None:
                 return
-            snap = progress.snapshot(time.monotonic(), state=state,
-                                     updated=_utc_now())
+            now = time.monotonic()
+            if state == "running" and last_write is not None and \
+                    now - last_write < self.config.status_interval_seconds:
+                return
+            last_write = now
+            snap = progress.snapshot(now, state=state, updated=_utc_now())
             if self.dispatcher is not None:
                 snap.update(self.dispatcher.status())
             self.store.write_status(snap)

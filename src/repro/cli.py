@@ -405,6 +405,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
           f"/{status['shards_total']}"
           + (f" ({status['shards_resumed']} restored from checkpoints)"
              if status.get("shards_resumed") else ""))
+    # A live run rewrites the snapshot only every status interval, so
+    # it may trail the shard files, which are what resume restores.
+    on_disk = len(store.completed_shards())
+    if on_disk != status["shards_done"]:
+        print(f"checkpoints on disk: {on_disk} (what resume would restore)")
     retries = status.get("retries", {})
     print("retries: " + (", ".join(f"{k}={v}"
                                    for k, v in sorted(retries.items()))

@@ -174,8 +174,15 @@ class DynamicPfairSystem:
         A task whose join is still pending (queued by :meth:`reweight`)
         was never scheduled, so it may leave immediately: the queued join
         is cancelled and the departure takes effect now.
+
+        Idempotent: a repeated request returns the first departure, for
+        a cancelled join too.  Raises ``KeyError`` for a task that never
+        joined and is not queued (a queued join that :meth:`advance`
+        dropped for want of capacity included).
         """
         if task.task_id not in self._tasks:
+            if task.task_id in self._departures:  # a cancelled join
+                return self._departures[task.task_id]
             for i, (_, pending) in enumerate(self._pending_joins):
                 if pending.task_id == task.task_id:
                     del self._pending_joins[i]

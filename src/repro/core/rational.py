@@ -14,16 +14,19 @@ arithmetic op, hashing on the reduced pair, rich comparisons by
 cross-multiplication).  Use :func:`weight_sum` to form exact feasibility
 sums such as the Pfair test ``sum(wt) <= M``, and :func:`exact_sum` for
 the same sum over raw ``(num, den)`` pairs when the terms are never
-needed as values.
+needed as values; :func:`float_sum` is that sum rounded once to a float,
+for exports that keep nothing else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import floordiv, lshift
 from typing import Iterable, Sequence, Tuple
 
-__all__ = ["Weight", "weight_sum", "exact_sum"]
+__all__ = ["Weight", "weight_sum", "exact_sum", "float_sum"]
 
 
 class Weight:
@@ -238,3 +241,35 @@ def _sum_pair(nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, int]:
         num = num * d + n * den
         den *= d
     return num, den
+
+
+#: Fraction bits of :func:`float_sum`'s fixed-point screen.
+_FIX_BITS = 96
+
+
+def float_sum(nums: Sequence[int], dens: Sequence[int]) -> float:
+    """``float(exact_sum(nums, dens))`` — the exact sum correctly rounded
+    to a double — without building the exact sum when a fixed-point
+    screen decides it.
+
+    ``A = sum((n << K) // d)`` with ``K = 96`` floors each term once, so
+    the true sum times ``2**K`` lies in ``[A, A + len(dens))``.  Rounding
+    to the nearest double is monotone, so when ``A / 2**K`` and
+    ``(A + len(dens)) / 2**K`` (both correctly rounded int divisions)
+    round to the same double, so does every value between them, the
+    sum included.  Otherwise the sum lies within ``len(dens) * 2**-96``
+    of a rounding boundary (a tie such as ``(2**53 + 1) / 2**53``, or an
+    all-zero sum, whose interval straddles 0), and the unreduced exact
+    pair is divided instead, also correctly rounded, with no gcd.  An
+    integer total ``1 <= k <= 2**53`` never takes that branch: ``k`` is
+    a double, and the doubles next to it are at least ``2**-53`` away,
+    far outside the interval for fewer than ``2**42`` terms.
+    """
+    k = _FIX_BITS
+    acc = sum(map(floordiv, map(lshift, nums, repeat(k)), dens))
+    # Export-only: each division below is a correctly rounded int one.
+    lo = acc / (1 << k)  # staticcheck: allow[R001]
+    if lo == (acc + len(dens)) / (1 << k):  # staticcheck: allow[R001]
+        return lo
+    num, den = _sum_pair(nums, dens)
+    return num / den  # staticcheck: allow[R001]

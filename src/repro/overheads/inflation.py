@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import gt, truediv
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.rational import exact_sum
+from ..core.rational import exact_sum, float_sum
 from ..workload.spec import TaskColumns, TaskSpec
 from .model import OverheadModel
 
@@ -102,10 +102,10 @@ def pd2_inflate_set(specs: Sequence[TaskSpec], model: OverheadModel,
 
 
 def pd2_search(tasks: TaskColumns, model: OverheadModel, first: int,
-               cap: int) -> Optional[Tuple[int, Fraction, int]]:
+               cap: int) -> Optional[Tuple[int, float, int]]:
     """The least ``M`` in ``[first, cap]`` that passes Eq. (2) on the set
-    inflated for ``M`` processors, as ``(M, exact total quantised weight
-    at M, largest Eq. (3) iteration count at M)``.
+    inflated for ``M`` processors, as ``(M, total quantised weight at M
+    as a float, largest Eq. (3) iteration count at M)``.
 
     ``None`` when no such ``M`` exists, or when some task is infeasible
     alone at a candidate ``M`` (more processors only raise ``S_PD2``).
@@ -123,8 +123,10 @@ def pd2_search(tasks: TaskColumns, model: OverheadModel, first: int,
     the exact total's floor and ceiling, so the comparison with ``M``
     and the jump are the exact ones.  Otherwise (harmonic sets whose
     weights sum to an integer land here) the decision is made on the
-    exact total.  The exact total is built once more for the accepted
-    ``M``.
+    exact total.  The accepted ``M``'s total is returned as the exact
+    total correctly rounded to a float: floated from the exact total the
+    decision built, else from :func:`~repro.core.rational.float_sum`,
+    which builds none unless the total sits on a rounding boundary.
     """
     if first > cap:
         return None
@@ -142,10 +144,10 @@ def pd2_search(tasks: TaskColumns, model: OverheadModel, first: int,
         if abs(total - round(total)) <= margin:
             exact = exact_sum(quanta, periods)
             if exact <= m:
-                return m, exact, max(iterations, default=0)
+                return m, float(exact), max(iterations, default=0)
             m = max(m + 1, math.ceil(exact))
         elif total < m:
-            return (m, exact_sum(quanta, periods),
+            return (m, float_sum(quanta, periods),
                     max(iterations, default=0))
         else:
             m = max(m + 1, math.ceil(total))

@@ -26,11 +26,10 @@ costly full repacking a join-heavy system would periodically need.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.rational import exact_sum
+from ..core.rational import float_sum
 from ..workload.spec import TaskColumns, TaskSpec
 from .accept import (
     AcceptanceTest,
@@ -86,11 +85,13 @@ def edf_ff_order(tasks: TaskColumns) -> List[int]:
 
 def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
                            order: Sequence[int]
-                           ) -> Optional[Tuple[int, Fraction, List[int]]]:
+                           ) -> Optional[Tuple[int, float, List[int]]]:
     """First fit with the overhead-aware EDF test on task columns, feeding
-    the tasks ``order`` names: ``(bins opened, exact total inflated load,
+    the tasks ``order`` names: ``(bins opened, total inflated load,
     bin of each fed task in feed order)``, or ``None`` when a task fits
-    nowhere, not even on a bin of its own.
+    nowhere, not even on a bin of its own.  The total is the exact sum
+    of the bins' exact loads, correctly rounded to a float
+    (:func:`~repro.core.rational.float_sum`).
 
     The decisions are exactly those of
     :meth:`~repro.partition.accept.AcceptanceTest.first_fit` probing
@@ -159,7 +160,7 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
         if cache_delay[i] > delays[k]:
             delays[k] = cache_delay[i]
         placed.append(k)
-    return len(nums), exact_sum(nums, dens), placed
+    return len(nums), float_sum(nums, dens), placed
 
 
 def rm_ff(specs: Sequence[TaskSpec], *, test: str = "response_time",

@@ -79,10 +79,11 @@ class ServiceState:
         self.model = model if model is not None else OverheadModel()
         self.system = DynamicPfairSystem(processors)
         self.cache = LRUCache(cache_capacity)
-        #: Task name -> task_id, for every task ever admitted.  Names are
-        #: unique over the life of the service (leaves do not free them:
-        #: a departed task's history must stay addressable in traces).
-        self._names: Dict[str, int] = {}
+        #: Task name -> task, for every task ever admitted or queued by a
+        #: reweight.  Names are unique over the life of the service
+        #: (leaves do not free them: a departed task's history must stay
+        #: addressable in traces, and a failed join's name stays taken).
+        self._names: Dict[str, PeriodicTask] = {}
         self._autoname = itertools.count()
 
     # -- analysis (cached) --------------------------------------------------
@@ -169,10 +170,20 @@ class ServiceState:
         return rows
 
     def _resolve(self, name: str) -> PeriodicTask:
-        if not isinstance(name, str) or name not in self._names:
+        """The task named ``name``: admitted, queued by a reweight, or
+        a queued join cancelled by a leave.  A reweight join that
+        :meth:`advance` dropped for want of capacity never joined, so
+        its name is unknown too."""
+        task = self._names.get(name) if isinstance(name, str) else None
+        if task is None:
             raise ServiceError("unknown-task", f"no admitted task {name!r}")
-        task = self.system.find_task(self._names[name])
-        assert task is not None  # _names only maps admitted tasks
+        tid = task.task_id
+        if self.system.find_task(tid) is None and \
+                self.system.departure_time(tid) is None:
+            raise ServiceError(
+                "unknown-task",
+                f"task {name!r} never joined: its reweight join found no "
+                f"capacity")
         return task
 
     # -- verbs --------------------------------------------------------------
@@ -200,7 +211,7 @@ class ServiceState:
                         "admission-race",
                         f"join of {task.name} failed after the set "
                         f"passed Eq. (2)")  # unreachable: serialised
-                self._names[task.name] = task.task_id
+                self._names[task.name] = task
         return {
             "admitted": admitted,
             "dry_run": dry_run,
@@ -234,7 +245,7 @@ class ServiceState:
         except ValueError as exc:
             raise ServiceError("bad-task", str(exc)) from exc
         departure, new_task = self.system.reweight(task, e, p, name=spec_name)
-        self._names[new_task.name] = new_task.task_id
+        self._names[new_task.name] = new_task
         return {"old": name, "new": new_task.name, "joins_at": departure,
                 **self._capacity_fields()}
 

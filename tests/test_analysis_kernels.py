@@ -36,7 +36,7 @@ from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_search,
                                            task_set_cache_key)
 from repro.campaign.sched import batch_analyze, evaluate_shard
 from repro.campaign.spec import CampaignGrid
-from repro.core.rational import exact_sum
+from repro.core.rational import exact_sum, float_sum
 from repro.overheads import inflation
 from repro.overheads.inflation import pd2_inflate_set, pd2_total_weight
 from repro.overheads.model import OverheadModel
@@ -71,7 +71,7 @@ def search(specs, model, cap=None):
     """The column search the cached entry points share, uncached."""
     tasks = TaskColumns.of(specs)
     return _pd2_search(tasks, model, len(specs) if cap is None else cap,
-                       exact_sum(tasks.execution, tasks.period))
+                       float_sum(tasks.execution, tasks.period))
 
 
 def assert_same(specs, model, cap=None):
@@ -81,17 +81,28 @@ def assert_same(specs, model, cap=None):
     return got
 
 
-@pytest.fixture
-def exact_sums(monkeypatch):
-    """Count the exact totals the search builds."""
+def _count_calls(monkeypatch, name, fn):
+    """Record the term count of every ``inflation.<name>`` call."""
     calls = []
 
     def counting(nums, dens):
         calls.append(len(dens))
-        return exact_sum(nums, dens)
+        return fn(nums, dens)
 
-    monkeypatch.setattr(inflation, "exact_sum", counting)
+    monkeypatch.setattr(inflation, name, counting)
     return calls
+
+
+@pytest.fixture
+def exact_sums(monkeypatch):
+    """Count the exact totals the search builds."""
+    return _count_calls(monkeypatch, "exact_sum", exact_sum)
+
+
+@pytest.fixture
+def float_sums(monkeypatch):
+    """Count the float totals the search rounds without an exact one."""
+    return _count_calls(monkeypatch, "float_sum", float_sum)
 
 
 class TestPD2SearchMatchesReference:
@@ -122,13 +133,16 @@ class TestPD2SearchMatchesReference:
         assert exact_sums == [5, 5]
         assert_same(specs, model)
 
-    def test_float_screen_builds_one_exact_total(self, exact_sums):
+    def test_float_screen_builds_no_exact_total(self, exact_sums,
+                                                float_sums):
         """Away from integers the candidates are decided on the float
-        total; only the accepted M gets an exact total."""
+        total, and the accepted M's total is rounded by ``float_sum``:
+        no exact total is built."""
         specs = TaskSetGenerator(3).generate(50, 20.0)
         m, _, _ = search(specs, OverheadModel())
         assert m is not None and m > math.ceil(total_utilization(specs))
-        assert exact_sums == [50]
+        assert exact_sums == []
+        assert float_sums == [50]
         assert_same(specs, OverheadModel())
 
     def test_harmonic_sets_with_integer_totals(self):

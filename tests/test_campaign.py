@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import campaign_fault_workers as fw
+import repro.campaign.runner as campaign_runner
 from repro.analysis.persistence import save_campaign
 from repro.campaign import (CampaignGrid, CampaignIncomplete, CampaignRunner,
                             CheckpointStore, RunDirError, RunnerConfig,
@@ -378,18 +379,48 @@ class TestRunCampaign:
         assert rows[0].m_pd2.n + rows[0].infeasible_pd2 == 5
 
 
+class _FakeClock:
+    """Stands in for the runner's ``time`` module: every ``monotonic``
+    call advances a millisecond, and ``sleep`` advances without
+    sleeping, so the status cadence does not depend on the host."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.writes = []  # the clock reading at each status write
+
+    def monotonic(self):
+        self.now += 0.001
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+def _interrupting_shard(job):
+    raise KeyboardInterrupt
+
+
 class TestSerialStatusWrites:
-    """A serial run writes ``status.json`` once at the start, once per
-    finished shard and once at the end — the per-shard write comes from
-    ``on_success``, with no second tick after it."""
+    """``status.json`` is written at the start and at every terminal
+    state; in between, a finished shard or a retry rewrites it only once
+    ``status_interval_seconds`` have passed since the last write.  With
+    an interval of 0 a serial run of ``k`` shards writes it ``k + 2``
+    times; with a long one, twice."""
 
     @pytest.fixture
-    def states(self, monkeypatch):
+    def clock(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(campaign_runner, "time", clock)
+        return clock
+
+    @pytest.fixture
+    def states(self, monkeypatch, clock):
         states = []
         write = CheckpointStore.write_status
 
         def counting(store, snap):
             states.append(snap["state"])
+            clock.writes.append(clock.now)
             return write(store, snap)
 
         monkeypatch.setattr(CheckpointStore, "write_status", counting)
@@ -399,26 +430,86 @@ class TestSerialStatusWrites:
     def shard_count(run_dir):
         return len(list((run_dir / "shards").glob("*.json")))
 
-    def test_synthetic_campaign(self, tmp_path, states):
-        run_dir = tmp_path / "run"
-        run_schedulability_campaign(10, [1.0, 2.0], sets_per_point=2,
-                                    seed=3, replicas=2, run_dir=str(run_dir))
-        shards = self.shard_count(run_dir)
-        assert shards == 4
-        assert states == ["running"] * (1 + shards) + ["complete"]
+    @staticmethod
+    def synthetic(run_dir, interval):
+        run_schedulability_campaign(
+            10, [1.0, 2.0], sets_per_point=2, seed=3, replicas=2,
+            run_dir=str(run_dir),
+            config=RunnerConfig(status_interval_seconds=interval))
 
-    def test_trace_campaign(self, tmp_path, states):
+    @staticmethod
+    def trace(run_dir, interval):
         from repro.traces.replay import run_trace_campaign
 
-        run_dir = tmp_path / "run"
         run_trace_campaign(
             str(Path(__file__).parent / "data" / "mini.swf"),
             window_seconds=3600, window_offsets=(0, 3600),
             utilizations=(1.0, 2.0), n_tasks=6, sets_per_point=3, seed=7,
-            run_dir=str(run_dir))
+            run_dir=str(run_dir),
+            config=RunnerConfig(status_interval_seconds=interval))
+
+    def check_zero_interval(self, run_dir, states, campaign):
+        """Interval 0: a write after every finished shard."""
+        campaign(run_dir, 0.0)
         shards = self.shard_count(run_dir)
         assert shards == 4
         assert states == ["running"] * (1 + shards) + ["complete"]
+
+    def test_synthetic_campaign(self, tmp_path, states):
+        self.check_zero_interval(tmp_path / "run", states, self.synthetic)
+
+    def test_trace_campaign(self, tmp_path, states):
+        self.check_zero_interval(tmp_path / "run", states, self.trace)
+
+    @pytest.mark.parametrize("campaign", ["synthetic", "trace"])
+    def test_long_interval_writes_start_and_end(self, tmp_path, states,
+                                                campaign):
+        run_dir = tmp_path / "run"
+        getattr(self, campaign)(run_dir, 3600.0)
+        assert self.shard_count(run_dir) == 4
+        assert states == ["running", "complete"]
+        final = CheckpointStore(run_dir).read_status()
+        assert final["shards_done"] == final["shards_total"] == 4
+
+    def test_interval_paces_the_running_writes(self, tmp_path, states,
+                                               clock):
+        """A ``"running"`` write after the first comes at least one
+        interval after the previous write.  The fake clock ticks a
+        millisecond per reading, a few per shard, so a 5-ms interval
+        keeps some of the 4 shard writes and drops others."""
+        run_dir = tmp_path / "run"
+        interval = 0.005
+        self.synthetic(run_dir, interval)
+        assert states[0] == "running" and states[-1] == "complete"
+        assert 1 + 1 < len(states) < 1 + 4 + 1
+        for state, before, at in zip(states[1:], clock.writes,
+                                     clock.writes[1:]):
+            if state == "running":
+                assert at - before >= interval
+
+    def test_failed_is_always_written(self, tmp_path, states, monkeypatch):
+        store = CheckpointStore(tmp_path / "run")
+        monkeypatch.setenv(fw.FAIL_SHARD_ENV, "p0001r000")
+        runner = CampaignRunner(
+            GRID, fw.failing_shard, store=store,
+            config=RunnerConfig(max_retries=1, backoff_seconds=0.01,
+                                status_interval_seconds=3600.0))
+        with pytest.raises(CampaignIncomplete):
+            runner.run()
+        assert states == ["running", "failed"]
+        status = store.read_status()
+        assert status["shards_done"] == 1
+        assert status["retries"] == {"error": 2}
+
+    def test_interrupted_is_always_written(self, tmp_path, states):
+        store = CheckpointStore(tmp_path / "run")
+        runner = CampaignRunner(
+            GRID, _interrupting_shard, store=store,
+            config=RunnerConfig(status_interval_seconds=3600.0))
+        with pytest.raises(KeyboardInterrupt):
+            runner.run()
+        assert states == ["running", "interrupted"]
+        assert store.read_status()["state"] == "interrupted"
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +566,27 @@ class TestCampaignCli:
         assert main(["campaign", "resume", run_dir]) == 0
         resumed = capsys.readouterr().out
         assert resumed == first
+
+    def test_status_shows_checkpoints_ahead_of_the_snapshot(self, tmp_path,
+                                                            capsys):
+        """A live snapshot may trail the shard files by an interval;
+        ``status`` then also prints how many checkpoints resume would
+        restore."""
+        from repro.cli import main
+
+        run_dir = tmp_path / "run"
+        assert main(["campaign", "run", str(run_dir), "--tasks", "10",
+                     "--points", "2", "--sets", "2", "--seed", "3"]) == 0
+        store = CheckpointStore(run_dir)
+        assert len(store.completed_shards()) == 2
+        main(["campaign", "status", str(run_dir)])
+        assert "checkpoints on disk" not in capsys.readouterr().out
+        store.write_status({**store.read_status(), "state": "running",
+                            "shards_done": 1})
+        assert main(["campaign", "status", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "state: running   shards: 1/2" in out
+        assert "checkpoints on disk: 2" in out
 
     def test_status_of_missing_dir_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main

@@ -8,10 +8,13 @@ that subtask's group deadline, and a never-scheduled task (nonnegative
 lag) may leave immediately.  System-level properties drive whole
 feasible systems through join/run/leave and check the Eq. (2)
 invariant at every slot, and check the running committed weight
-against an O(n) recomputation after every operation.
+against an O(n) recomputation after every operation, with every leave
+repeated (leaves are idempotent, cancelled joins included) and a leave
+or reweight of a dropped join refused.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamic import DynamicPfairSystem, earliest_leave_time
@@ -109,8 +112,22 @@ _ops = st.one_of(
 )
 
 
+def _never_joined(dyn, task):
+    """A queued reweight join that ``advance`` dropped: neither in the
+    system, nor queued, nor departed."""
+    return (dyn.find_task(task.task_id) is None
+            and dyn.departure_time(task.task_id) is None)
+
+
 @given(st.integers(1, 3), st.lists(_ops, min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
+# A second leave of a cancelled pending join.
+@example(1, [("join", (1, 2)), ("reweight", 0, (1, 2)), ("leave", 1),
+             ("leave", 1)])
+# A leave, then a reweight, of a reweight join that found no capacity.
+@example(1, [("join", (1, 2)), ("advance", 3), ("reweight", 0, (2, 2)),
+             ("join", (1, 2)), ("advance", 8), ("leave", 1),
+             ("reweight", 1, (1, 2))])
 def test_running_committed_weight_matches_recomputation(processors, ops):
     """The running Eq. (2) total equals the sum over admitted tasks whose
     departure is still ahead, after every join, leave (of a running, a
@@ -134,11 +151,20 @@ def test_running_committed_weight_matches_recomputation(processors, ops):
                     check()
                     assert dyn.request_leave(task) == dyn.now
         elif kind == "leave" and known:
-            dyn.request_leave(known[op[1] % len(known)])
+            task = known[op[1] % len(known)]
+            if _never_joined(dyn, task):
+                with pytest.raises(KeyError):
+                    dyn.request_leave(task)
+            else:
+                departure = dyn.request_leave(task)
+                assert dyn.request_leave(task) == departure
         elif kind == "reweight" and known:
             task = known[op[1] % len(known)]
-            if dyn.departure_time(task.task_id) is None:
-                e, p = op[2]
+            e, p = op[2]
+            if _never_joined(dyn, task):
+                with pytest.raises(KeyError):
+                    dyn.reweight(task, e, p)
+            elif dyn.departure_time(task.task_id) is None:
                 known.append(dyn.reweight(task, e, p)[1])
         elif kind == "advance":
             for _ in range(op[1]):

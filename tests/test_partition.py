@@ -479,7 +479,8 @@ class TestFirstFitScreen:
     def _check_kernel(fixed, tasks, order):
         """The kernel against the exact scan on the same feed: the same
         bin for every task, the same committed load (``e'/p`` with the
-        bin's largest ``D`` so far) and the same exact total."""
+        bin's largest ``D`` so far) and the exact total, correctly
+        rounded."""
         got = edf_overhead_first_fit(TaskColumns.of(tasks), fixed, order)
         want = exact_overhead_first_fit(fixed, [tasks[i] for i in order])
         if want is None:
@@ -495,7 +496,7 @@ class TestFirstFitScreen:
             assert Fraction(t.execution + fixed + delays[k], t.period) == u
             delays[k] = max(delays[k], t.cache_delay)
         assert n_bins == len(bins)
-        assert total == sum(b.load for b in bins)
+        assert total == float(sum(b.load for b in bins))
         return got
 
     @settings(max_examples=150, deadline=None)

@@ -119,6 +119,31 @@ class TestSingleConnection:
             # The connection survives every error.
             assert c.ping()["pong"]
 
+    def test_repeated_leave_and_failed_join_over_the_wire(self, server):
+        """A second leave of a cancelled reweight join returns its first
+        departure, and a leave or reweight of a reweight join that found
+        no capacity answers ``unknown-task``."""
+        _, host, port = server
+        with AdmissionClient(host, port) as c:
+            c.admit([spec(1, 2, "x")])
+            c.reweight("x", 1 * Q, 2 * Q)
+            first = c.leave("x'")["departures"]
+            assert c.leave("x'")["departures"] == first == {"x'": 0}
+            # M=2: f holds 1, a (1/2) is reweighted to 1/1, and b (1/2)
+            # takes the freed half before a' joins.
+            c.admit([spec(1, 1, "f"), spec(1, 2, "a")])
+            assert c.advance(3)["now"] == 3
+            joins_at = c.reweight("a", 1 * Q, 1 * Q)["joins_at"]
+            assert c.admit([spec(1, 2, "b")])["admitted"]
+            r = c.advance(joins_at - 3 + 2)
+            assert len(r["failed_joins"]) == 1
+            for request in (lambda: c.leave("a'"),
+                            lambda: c.reweight("a'", 1 * Q, 2 * Q)):
+                with pytest.raises(ServiceResponseError) as exc:
+                    request()
+                assert exc.value.code == "unknown-task"
+            assert c.ping()["pong"]
+
     def test_malformed_lines_get_error_responses(self, server):
         _, host, port = server
         with socket.create_connection((host, port), timeout=10) as raw:

@@ -188,6 +188,20 @@ def _specs(*pairs, prefix="t"):
             for i, (e, p) in enumerate(pairs)]
 
 
+@pytest.fixture
+def failed_join_state():
+    """M=1: ``a`` (1/2) runs, is reweighted to 1/1, and ``b`` (1/2)
+    takes the capacity first, so the join of ``a'`` fails."""
+    st = ServiceState(1)
+    st.admit([TaskSpec(1000, 2000, name="a")])
+    st.advance(3)
+    joins_at = st.reweight("a", 1000, 1000)["joins_at"]
+    st.advance(joins_at - st.system.now)
+    assert st.admit([TaskSpec(1000, 2000, name="b")])["admitted"]
+    assert len(st.advance(5)["failed_joins"]) == 1
+    return st
+
+
 class TestServiceState:
     def test_admit_and_analysis(self):
         st = ServiceState(2)
@@ -365,6 +379,37 @@ class TestServiceState:
         assert "a'" in r["failed_joins"][0]
         assert r["misses"] == 0 and r["committed_weight"] == "1/2"
         assert st.advance(2)["failed_joins"] == []
+
+    def test_repeated_leave_of_a_cancelled_join(self):
+        """``leave`` is idempotent for a queued reweight join too: the
+        first leave cancels it, a second returns the same departure."""
+        st = ServiceState(1)
+        st.admit([TaskSpec(1000, 2000, name="a")])
+        assert st.reweight("a", 1000, 2000)["new"] == "a'"
+        first = st.leave(["a'"])
+        assert first["departures"] == {"a'": 0}
+        assert st.leave(["a'"]) == first
+        assert st.leave(["a", "a'"])["departures"] == {"a": 0, "a'": 0}
+        assert st.advance(3)["failed_joins"] == []
+        assert st.describe()["committed_weight"] == "0/1"
+
+    def test_failed_join_name_is_unknown(self, failed_join_state):
+        """A reweight join dropped for want of capacity never joined:
+        ``leave`` and ``reweight`` on its name answer ``unknown-task``
+        and change nothing, and the name stays taken."""
+        st = failed_join_state
+        before = st.describe()
+        for request in (lambda: st.leave(["a'"]),
+                        lambda: st.leave(["b", "a'"]),
+                        lambda: st.reweight("a'", 1000, 2000)):
+            with pytest.raises(ServiceError) as exc:
+                request()
+            assert exc.value.code == "unknown-task"
+            assert "never joined" in exc.value.message
+            assert st.describe() == before
+        with pytest.raises(ServiceError) as exc:
+            st.admit([TaskSpec(1000, 4000, name="a'")])
+        assert exc.value.code == "duplicate-name"
 
     def test_advance_validation(self):
         st = ServiceState(1)
