@@ -206,17 +206,19 @@ class DynamicPfairSystem:
         """Schedule a weight change: old task leaves, replacement joins.
 
         Returns ``(join_time, new_task)``; the new task is created with a
-        phase equal to the old task's departure time and joins then (the
-        caller keeps advancing the system; the join is queued internally).
+        phase equal to the join time and joins then (the caller keeps
+        advancing the system; the join is queued internally).  The join
+        time is the old task's departure, or the current slot if that
+        departure has already taken effect (a task that left earlier).
         """
-        departure = self.request_leave(task)
+        join_at = max(self.request_leave(task), self.now)
         new_task = PeriodicTask(
-            execution, period, phase=departure,
+            execution, period, phase=join_at,
             name=name or f"{task.name}'",
         )
-        self._pending_joins.append((departure, new_task))
+        self._pending_joins.append((join_at, new_task))
         self._pending_joins.sort(key=lambda x: x[0])
-        return departure, new_task
+        return join_at, new_task
 
     # -- time ------------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from typing import List, NamedTuple
 __all__ = [
     "SubtaskParams",
     "WindowTable",
+    "WINDOW_TABLE_CACHE_SIZE",
     "window_table",
     "pseudo_release",
     "pseudo_deadline",
@@ -130,11 +131,12 @@ class SubtaskParams(NamedTuple):
 class WindowTable:
     """Memoised subtask parameters for a weight ``e/p``.
 
-    One job's worth (indices ``1..e``) of ``(r, d, b, D)`` is computed once;
-    parameters for subtask ``i = q*e + j`` are the job-1 parameters shifted
-    by ``q*p`` slots (b-bits are unshifted).  Obtain instances through
-    :func:`window_table`, which caches by ``(e, p)`` so all tasks sharing a
-    weight share one table.
+    One job's worth (indices ``1..e``) of ``(r, d, b, D)`` is computed once,
+    in O(e); parameters for subtask ``i = q*e + j`` are the job-1
+    parameters shifted by ``q*p`` slots (b-bits are unshifted).  Obtain
+    instances through :func:`window_table`, which caches the most recently
+    used weights, and share them through :attr:`PfairTask.table
+    <repro.core.task.PfairTask.table>`: every task holds its own table.
     """
 
     __slots__ = ("execution", "period", "releases", "deadlines", "b_bits",
@@ -152,8 +154,26 @@ class WindowTable:
                                      for i in range(1, e + 1)]
         self.b_bits: List[int] = [1 if (i * p) % e != 0 else 0
                                   for i in range(1, e + 1)]
-        self.group_deadlines: List[int] = [group_deadline(e, p, i)
-                                           for i in range(1, e + 1)]
+        self.group_deadlines: List[int] = [0] * e  # light: 0 by convention
+        if 2 * e < p:
+            return
+        # One backward sweep instead of a group_deadline() walk per
+        # subtask.  The walk from T_j stops at d_j when b_j = 0; else it
+        # returns the first candidate of a later subtask, which lies in
+        # the same job (b_e = 0) and past d_j.  ``carry`` is that
+        # candidate: d_k - 1 if |w_k| = 3, else d_k if b_k = 0, else
+        # the one after k.
+        gds, releases = self.group_deadlines, self.releases
+        deadlines, b_bits = self.deadlines, self.b_bits
+        carry = 0
+        for j in range(e - 1, -1, -1):
+            d = deadlines[j]
+            if b_bits[j]:
+                gds[j] = carry
+            else:
+                gds[j] = carry = d
+            if d - releases[j] == 3:
+                carry = d - 1
 
     def _split(self, index: int) -> tuple:
         if index < 1:
@@ -197,7 +217,14 @@ class WindowTable:
         return f"WindowTable({self.execution}/{self.period})"
 
 
-@lru_cache(maxsize=None)
+#: Tables :func:`window_table` keeps, least recently used evicted first.
+#: Tasks hold their own table, so eviction never changes a live task; it
+#: only bounds the tables a long-lived process keeps for weights it no
+#: longer runs.
+WINDOW_TABLE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=WINDOW_TABLE_CACHE_SIZE)
 def window_table(execution: int, period: int) -> WindowTable:
     """Shared, cached :class:`WindowTable` for the weight ``e/p``.
 

@@ -233,7 +233,8 @@ class ServiceState:
     def reweight(self, name: str, execution: int, period: int, *,
                  new_name: Optional[str] = None) -> Dict[str, Any]:
         """Change ``name``'s weight (ticks): the old task leaves under the
-        paper's rules and a replacement joins at its departure slot."""
+        paper's rules and a replacement joins at its departure slot, or
+        now if that slot has passed."""
         task = self._resolve(name)
         spec_name = new_name or f"{name}'"
         if spec_name in self._names:

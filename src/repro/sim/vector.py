@@ -42,9 +42,10 @@ two-pass rule exactly.
 
 That turns simulation into:
 
-1. a **vectorized precompute** (numpy int64 end to end): the per-weight
-   subtask parameter columns (:func:`_column_base`) are concatenated
-   once per run; every chunk then derives releases,
+1. a **vectorized precompute** (numpy int64 end to end): the tasks'
+   window-table columns (:class:`~repro.core.subtask.WindowTable`, one
+   job per weight) are concatenated once per run; every chunk then
+   derives releases,
    deadlines and *narrow* per-run int64 priority keys
    ``|deadline | 1-b | gd | row|`` for all rows in a handful of gathers
    and adds (key and release are affine in the job number).  Narrow keys
@@ -87,7 +88,7 @@ not pass ``fastpath=False``, falling back vector → reference.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import chain
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -96,7 +97,6 @@ import numpy as np
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PeriodicTask, PfairTask
 from ..core.metrics import DeadlineMiss, SimStats, TaskStats
-from ..core.subtask import window_table
 from .quantum import DeadlineMissError, SimResult
 from ..core.trace import ScheduleTrace
 
@@ -117,42 +117,6 @@ MAX_KEY_BITS = 62
 #: ``_PAD_KEY`` sorts after every real narrow key, so the per-row pad
 #: items (which carry the previous chunk's state) are never placed.
 _PAD_KEY = 1 << MAX_KEY_BITS
-
-
-@lru_cache(maxsize=None)
-def _column_base(
-    execution: int, period: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One job's subtask parameter columns for ``(e, p)``, phase 0.
-
-    Arrays of length ``e`` indexed by the within-job offset ``j`` (subtask
-    ``j+1`` of job 1): pseudo-release, pseudo-deadline, ``1 - b`` and the
-    job-invariant group-deadline offset ``D - d`` (``-1`` marks a light
-    task, whose group deadline is 0 by convention).  All int64.
-
-    Like :class:`~repro.core.subtask.WindowTable`, subtask parameters are
-    periodic in the subtask index: subtask ``i = q*e + j + 1`` has the
-    parameters of subtask ``j + 1`` shifted by ``q`` periods, so one
-    job's worth of columns per weight covers every job of every task.
-    """
-    table = window_table(execution, period)
-    rel = np.empty(execution, dtype=np.int64)
-    dl = np.empty(execution, dtype=np.int64)
-    bbar = np.empty(execution, dtype=np.int64)
-    gdd = np.empty(execution, dtype=np.int64)
-    for j in range(execution):
-        i = j + 1
-        d = table.deadline(i)
-        gd = table.group_deadline(i)
-        rel[j] = table.release(i)
-        dl[j] = d
-        bbar[j] = 1 - table.b_bit(i)
-        gdd[j] = (gd - d) if gd else -1
-    rel.setflags(write=False)
-    dl.setflags(write=False)
-    bbar.setflags(write=False)
-    gdd.setflags(write=False)
-    return rel, dl, bbar, gdd
 
 
 def _key_layout(tasks: List[PfairTask],
@@ -333,8 +297,8 @@ class VectorPD2Simulator:
         self._rowbits = rowbits
         ngd_mask = (1 << gdbits) - 1
 
-        # Per-run static columns, concatenated across rows: the cached
-        # per-weight job-0 parameter columns plus the shift-invariant
+        # Per-run static columns, concatenated across rows: each task's
+        # window-table columns (one job, phase 0) plus the shift-invariant
         # part of the narrow key (b-bit, group-deadline field, row).
         # Everything a chunk needs is then a gather plus an affine add.
         n = self._n
@@ -344,14 +308,21 @@ class VectorPD2Simulator:
         self._ph_arr = np.array([getattr(t, "phase", 0) for t in rows],
                                 dtype=np.int64)
         self._er_arr = np.array(self._er, dtype=bool)
-        bases = [_column_base(t.execution, t.period) for t in rows]
         self._barr = np.zeros(n, dtype=np.int64)
         np.cumsum(self._e_arr[:-1], out=self._barr[1:])
-        self._rel0c = np.concatenate([b[0] for b in bases])
-        self._dl0c = np.concatenate([b[1] for b in bases])
-        bbarc = np.concatenate([b[2] for b in bases])
-        gddc = np.concatenate([b[3] for b in bases])
-        ngdc = np.where(gddc < 0, ngd_mask, ngd_mask - 1 - gddc)
+        tables = [t.table for t in rows]
+        size = int(self._barr[-1] + self._e_arr[-1])
+
+        def column(lists: Iterable[List[int]]) -> np.ndarray:
+            return np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                               count=size)
+
+        self._rel0c = column(tb.releases for tb in tables)
+        self._dl0c = column(tb.deadlines for tb in tables)
+        bbarc = 1 - column(tb.b_bits for tb in tables)
+        # 0 <= D - d < period for a heavy subtask; D = 0 marks a light one.
+        gdc = column(tb.group_deadlines for tb in tables)
+        ngdc = np.where(gdc == 0, ngd_mask, ngd_mask - 1 - (gdc - self._dl0c))
         rowf = np.repeat(np.arange(n, dtype=np.int64), self._e_arr)
         self._K0c = ((((self._dl0c << 1) | bbarc) << gdbits | ngdc)
                      << rowbits | rowf)

@@ -141,6 +141,24 @@ class TestReweighting:
         # The replacement actually ran.
         assert sys_.sim.stats.stats_for(new_task).quanta > 0
 
+    def test_reweight_of_a_departed_task_joins_now(self):
+        """A task whose departure already took effect is replaced at the
+        current slot, not at its past departure, and the join succeeds."""
+        sys_ = DynamicPfairSystem(2)
+        a = PeriodicTask(1, 2, name="a")
+        sys_.join(a)
+        sys_.advance(4)
+        assert sys_.request_leave(a) == 4
+        sys_.advance(6)
+        join_time, new_task = sys_.reweight(a, 1, 2)
+        assert join_time == new_task.phase == sys_.now == 10
+        assert sys_.advance(1) == []
+        assert sys_.find_task(new_task.task_id) is new_task
+        assert sys_.committed_weight() == Weight(1, 2)
+        sys_.advance(8)
+        assert sys_.sim.stats.stats_for(new_task).quanta == 5  # slots 10..18
+        assert sys_.finish().stats.miss_count == 0
+
     def test_failed_join_still_elapses_its_slot(self):
         """A queued join whose freed capacity was taken is dropped and
         reported; the slot it was due in still runs."""

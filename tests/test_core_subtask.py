@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.subtask import (
     WindowTable,
+    WINDOW_TABLE_CACHE_SIZE,
     b_bit,
     group_deadline,
     pseudo_deadline,
@@ -191,6 +192,38 @@ class TestWindowTable:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             window_table(2, 3).release(0)
+
+    def test_cache_is_bounded(self):
+        assert window_table.cache_info().maxsize == WINDOW_TABLE_CACHE_SIZE
+
+
+def _walked(e, p):
+    return [group_deadline(e, p, i) for i in range(1, e + 1)]
+
+
+class TestOnePassGroupDeadlines:
+    """The table's one backward sweep gives the walk's group deadlines."""
+
+    def test_every_weight_up_to_period_128(self):
+        for p in range(1, 129):
+            for e in range(1, p + 1):
+                assert WindowTable(e, p).group_deadlines == _walked(e, p), \
+                    (e, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(129, 5000).flatmap(
+        lambda p: st.tuples(st.integers(1, p), st.just(p))))
+    def test_large_periods(self, ep):
+        e, p = ep
+        assert WindowTable(e, p).group_deadlines == _walked(e, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3000).flatmap(
+        lambda p: st.tuples(st.integers((p + 1) // 2, p), st.just(p))))
+    def test_heavy_weights(self, ep):
+        e, p = ep
+        assert WindowTable(e, p).group_deadlines == _walked(e, p)
+        assert WindowTable(p, p).group_deadlines == list(range(1, p + 1))
 
 
 @settings(max_examples=30)

@@ -144,6 +144,22 @@ class TestSingleConnection:
                 assert exc.value.code == "unknown-task"
             assert c.ping()["pong"]
 
+    def test_reweight_of_a_departed_task_joins_now(self, server):
+        """M=2: ``a`` (1/2) leaves at slot 4; a reweight at slot 10
+        answers ``joins_at`` 10, and the next advance joins ``a'``."""
+        state, host, port = server
+        with AdmissionClient(host, port) as c:
+            c.admit([spec(1, 2, "a")])
+            c.advance(4)
+            assert c.leave("a")["departures"] == {"a": 4}
+            c.advance(6)
+            rw = c.reweight("a", 1 * Q, 2 * Q)
+            assert rw["joins_at"] == rw["now"] == 10
+            r = c.advance(1)
+            assert r["failed_joins"] == [] and r["misses"] == 0
+            assert r["committed_weight"] == "1/2"
+            assert "a'" in [t["name"] for t in state.describe()["tasks"]]
+
     def test_malformed_lines_get_error_responses(self, server):
         _, host, port = server
         with socket.create_connection((host, port), timeout=10) as raw:

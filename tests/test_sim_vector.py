@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 
 import repro.sim.vector as vec_mod
 from repro.core.priority import EPDFPriority, PD2Priority
+from repro.core.subtask import WINDOW_TABLE_CACHE_SIZE, window_table
 from repro.core.task import PeriodicTask, SporadicTask
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.vector import (
     MAX_CHUNK_SLOTS,
     MAX_KEY_BITS,
     VectorPD2Simulator,
-    _column_base,
     _key_layout,
     supports,
 )
@@ -310,6 +310,20 @@ def _narrow_key(sim, row, index):
     return int(sim._K0c[g]) + (shift + sim._dbias) * sim._KSH
 
 
+def _run_columns(sim, row):
+    """One job's release, deadline, ``1 - b`` and ``D - d`` (``-1`` when
+    light) columns of ``row``, as a run concatenated them: the first two
+    read directly, the last two decoded from the static key ``_K0c``."""
+    lo = int(sim._barr[row])
+    hi = lo + int(sim._e_arr[row])
+    mask = (1 << sim._gdbits) - 1
+    fields = sim._K0c[lo:hi] >> sim._rowbits
+    ngd = fields & mask
+    bbar = (fields >> sim._gdbits) & 1
+    gdd = np.where(ngd == mask, -1, mask - 1 - ngd)
+    return sim._rel0c[lo:hi], sim._dl0c[lo:hi], bbar, gdd
+
+
 class TestAgainstRealSubtasks:
     """The columns the vector kernel reads reproduce every real
     PeriodicTask subtask, and its narrow keys order like PD2Priority."""
@@ -317,8 +331,11 @@ class TestAgainstRealSubtasks:
     @given(real_systems)
     @settings(max_examples=100, deadline=None)
     def test_table_matches_subtasks(self, weighted_phases):
-        for t in _build(weighted_phases, range(len(weighted_phases))):
-            rel, dl, bbar, gdd = _column_base(t.execution, t.period)
+        tasks = _build(weighted_phases, range(len(weighted_phases)))
+        sim = VectorPD2Simulator(tasks, len(tasks))
+        sim.run(1)
+        for pos, t in enumerate(tasks):
+            rel, dl, bbar, gdd = _run_columns(sim, sim._row_of[pos])
             for s in t.subtasks_until(2 * t.period + t.phase):
                 q, j = divmod(s.index - 1, t.execution)
                 shift = q * t.period + t.phase
@@ -351,6 +368,33 @@ class TestAgainstRealSubtasks:
         for ka, ta in entries:
             for kb, tb in entries:
                 assert (ka < kb) == (ta < tb)
+
+
+class TestBoundedTables:
+    """Simulating ever new weights keeps a bounded set of window tables."""
+
+    SETS = 40
+    TASKS = 32  # 40 * 32 = 1,280 fresh weights, past the cache's bound
+
+    def test_fresh_weights_stay_within_the_bound(self):
+        def container_sizes():
+            return {k: len(v) for k, v in vars(vec_mod).items()
+                    if isinstance(v, (dict, list, set))}
+
+        assert not any(hasattr(v, "cache_info")
+                       for v in vars(vec_mod).values())
+        sizes = container_sizes()
+        built = window_table.cache_info().misses
+        for k in range(self.SETS):
+            tasks = [PeriodicTask(1 + i % 3, 900_001 + k * self.TASKS + i)
+                     for i in range(self.TASKS)]
+            result = simulate_pfair(tasks, 1, 10, fastpath=True)
+            assert result.stats.busy_quanta == 10
+            assert window_table.cache_info().currsize \
+                <= WINDOW_TABLE_CACHE_SIZE
+        assert window_table.cache_info().misses - built \
+            == self.SETS * self.TASKS
+        assert container_sizes() == sizes
 
 
 # ---------------------------------------------------------------------------
