@@ -56,6 +56,7 @@ assembly — stays deterministic.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
@@ -130,15 +131,45 @@ class _Attempt:
 
 def _warm_init() -> None:
     """Pool worker initializer: pay the heavy imports once per worker
-    instead of inside the first job's timeout budget (a forked worker
-    inherits them; spawn and forkserver workers do not)."""
+    instead of inside the first job's timeout budget."""
     from ..analysis import schedulability  # noqa: F401  (pulls in the chain)
 
 
+#: Pool workers start as fresh interpreters, never as forks of the
+#: caller.  Callers are threaded (a worker node serves each connection
+#: on its own thread, each building pools), and a fork copies every file
+#: descriptor open at that instant: a worker forked while another
+#: thread's pool is between ``os.pipe()`` and closing its child's end
+#: keeps that end of a sibling's death-sentinel pipe open, so when the
+#: sibling dies its pool never sees the death and the shard waits
+#: forever.  A spawned worker inherits only the descriptors it is given,
+#: plus the environment at its start.
+_POOL_CONTEXT = multiprocessing.get_context("spawn")
+
+
 def new_process_pool(workers: int) -> ProcessPoolExecutor:
-    """A fresh executor of ``workers`` warmed processes.  The caller owns
-    it: nothing else holds or replaces it, and the caller shuts it down."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_warm_init)
+    """A fresh executor of ``workers`` warmed, spawned processes (each
+    started on a submit that finds no idle worker).  The caller owns
+    it: nothing else holds or replaces it, and the caller shuts it
+    down."""
+    return ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
+                               initializer=_warm_init)
+
+
+def _started_pool(workers: int) -> ProcessPoolExecutor:
+    """:func:`new_process_pool` with every worker started: one no-op per
+    worker starts them all, and waiting for the no-ops keeps interpreter
+    start-up out of the first jobs' timeout budgets.  Raises
+    ``BrokenProcessPool`` (after shutting the pool down) when a worker
+    dies starting."""
+    pool = new_process_pool(workers)
+    try:
+        for fut in [pool.submit(int) for _ in range(workers)]:
+            fut.result()
+    except BrokenProcessPool:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    return pool
 
 
 def _backoff(config: RunnerConfig, failures: int) -> float:
@@ -278,7 +309,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                     continue
                 try:
                     if pool is None:
-                        pool = new_process_pool(config.workers)
+                        pool = _started_pool(config.workers)
                     fut = pool.submit(worker, jobs[key])
                 except BrokenProcessPool:
                     # Everything not yet submitted goes back too — `due`

@@ -91,9 +91,9 @@ def pd2_inflate_set(specs: Sequence[TaskSpec], model: OverheadModel,
                     processors: int) -> List[PD2Inflation]:
     """Inflate a whole set (``n_tasks`` is the set size, as in the paper).
 
-    The Fig. 3 search calls this for every candidate M of every random
-    set, so the fixed point runs as one loop over the set rather than a
-    call per task.
+    The fixed point runs as one loop over the set rather than a call per
+    task: :func:`_climb`, which the Fig. 3 search (:func:`pd2_search`)
+    runs on task columns.
     """
     if not specs:
         return []
@@ -113,9 +113,17 @@ def pd2_search(tasks: TaskColumns, model: OverheadModel, first: int,
     total exceeds it can jump to ``max(M + 1, ceil(total))`` and the
     first success is the least.
 
-    The per-task constants are prepared once from the columns; each
+    The per-task constants are prepared once from the columns; a
     candidate runs :func:`_climb` and keeps only quanta and iteration
-    counts.  Eq. (2) is screened on the float total: its terms ``E/P``
+    counts.  The climb depends on ``M`` only through ``S_PD2(N, M)``, so
+    a candidate whose ``S_PD2`` equals the previous candidate's reuses
+    that climb and everything derived from it (the infeasibility
+    verdict, the float total, the exact total if one was built and the
+    largest iteration count): exact under any model, and a NaN
+    ``S_PD2`` never compares equal.  The paper model holds ``S_PD2``
+    flat for ``M >= 16`` and the zero model everywhere, so there a
+    search climbs once per distinct ``S_PD2`` it meets, not once per
+    candidate.  Eq. (2) is screened on the float total: its terms ``E/P``
     lie in ``(0, 1]`` and each is rounded once (``2**-53``), and
     left-to-right summation adds at most ``2**-53`` times each partial
     sum, so the float total is within ``(n + 1)**2 * 2**-53`` of the
@@ -135,20 +143,25 @@ def pd2_search(tasks: TaskColumns, model: OverheadModel, first: int,
     n = len(rows)
     periods = [row[2] for row in rows]
     margin = (n + 1) ** 2 * 2.0 ** -52
+    last_s = math.nan  # never equal: the first candidate climbs
     m = first
     while m <= cap:
-        _, quanta, iterations = _climb(rows, model.pd2_sched_cost(n, m), c, q)
-        if any(map(gt, quanta, periods)):
-            return None  # some task infeasible alone
-        total = sum(map(truediv, quanta, periods))
-        if abs(total - round(total)) <= margin:
-            exact = exact_sum(quanta, periods)
+        s = model.pd2_sched_cost(n, m)
+        if s != last_s:
+            last_s = s
+            _, quanta, iterations = _climb(rows, s, c, q)
+            if any(map(gt, quanta, periods)):
+                return None  # some task infeasible alone
+            total = sum(map(truediv, quanta, periods))
+            exact = (exact_sum(quanta, periods)
+                     if abs(total - round(total)) <= margin else None)
+            its = max(iterations, default=0)
+        if exact is not None:
             if exact <= m:
-                return m, float(exact), max(iterations, default=0)
+                return m, float(exact), its
             m = max(m + 1, math.ceil(exact))
         elif total < m:
-            return (m, float_sum(quanta, periods),
-                    max(iterations, default=0))
+            return m, float_sum(quanta, periods), its
         else:
             m = max(m + 1, math.ceil(total))
     return None
@@ -216,7 +229,8 @@ def _climb(rows: Sequence[_Row], s_pd2: float, c: int, q: int
 
     This is the only implementation of the climb: :func:`pd2_inflate_set`
     wraps its lists into :class:`PD2Inflation` rows, and :func:`pd2_search`
-    runs it once per candidate ``M`` on rows prepared once.
+    runs it on rows prepared once, once per run of equal ``S_PD2`` among
+    its candidates.
     """
     ceil, bisect_after = math.ceil, _BISECT_AFTER
     e_primes: List[int] = []

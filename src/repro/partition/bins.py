@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..core.rational import exact_sum
 from ..workload.spec import TaskSpec
@@ -48,10 +49,13 @@ def _exact_shadow(load_num: int, load_den: int) -> float:
     return spare if -SHADOW_MARGIN <= spare <= 1.0 else math.nan
 
 
-def shadow_after_add(spare: float, adds: int, u: float, load_num: int,
-                     load_den: int) -> Tuple[float, int]:
+def shadow_after_add(spare: float, adds: int, u: float,
+                     exact_load: Callable[[Any], Tuple[int, int]],
+                     key: Any) -> Tuple[float, int]:
     """The shadow and its add count after committing a utilization whose
-    float is ``u``, the new exact load being ``load_num/load_den``.
+    float is ``u``.  ``exact_load(key)`` gives the new exact load as an
+    unreduced ``(num, den)`` pair; it is called only when the shadow is
+    reset, so a caller that keeps no exact load forms one only then.
 
     The one implementation of the shadow update, shared by
     :meth:`ProcessorBin.add` and the column first fit
@@ -61,7 +65,11 @@ def shadow_after_add(spare: float, adds: int, u: float, load_num: int,
     spare -= u
     if adds < _SHADOW_ADDS and -SHADOW_MARGIN <= spare <= 1.0:
         return spare, adds
-    return _exact_shadow(load_num, load_den), 0
+    return _exact_shadow(*exact_load(key)), 0
+
+
+#: A :class:`ProcessorBin`'s exact load pair, for :func:`shadow_after_add`.
+_load_pair = attrgetter("load_num", "load_den")
 
 
 class ProcessorBin:
@@ -121,8 +129,8 @@ class ProcessorBin:
         self.load_num = self.load_num * den + num * self.load_den
         self.load_den *= den
         self.spare_shadow, self._shadow_adds = shadow_after_add(
-            self.spare_shadow, self._shadow_adds, num / den,
-            self.load_num, self.load_den)
+            self.spare_shadow, self._shadow_adds, num / den, _load_pair,
+            self)
         if spec.cache_delay > self.max_cache_delay:
             self.max_cache_delay = spec.cache_delay
         if self.min_period is None or spec.period < self.min_period:

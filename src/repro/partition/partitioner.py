@@ -90,7 +90,7 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
     the tasks ``order`` names: ``(bins opened, total inflated load,
     bin of each fed task in feed order)``, or ``None`` when a task fits
     nowhere, not even on a bin of its own.  The total is the exact sum
-    of the bins' exact loads, correctly rounded to a float
+    of every placed ``e'/p``, correctly rounded to a float
     (:func:`~repro.core.rational.float_sum`).
 
     The decisions are exactly those of
@@ -98,15 +98,20 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
     :meth:`~repro.partition.accept.EDFOverheadTest.admit` on every bin:
     task ``i`` costs ``e' = e + fixed_inflation + max D`` on a bin, the
     largest ``D(T)`` among its residents, and joins the first bin where
-    ``load + e'/p <= 1``.  Each bin is a slot of parallel lists (exact
-    load numerator and denominator, float spare shadow and its add
-    count, largest ``D``).  A probe is screened on the shadow as in
+    ``load + e'/p <= 1``.  Each bin is a slot of parallel lists (float
+    spare shadow and its add count, largest ``D``, the feed position at
+    which it opened); each placed task's bin and ``e'`` are kept in feed
+    order.  A probe is screened on the shadow as in
     :class:`~repro.partition.accept.EDFUtilizationTest` — decided when
     the shadow clears or misses ``e'/p`` by more than
-    :data:`~repro.partition.bins.SHADOW_MARGIN`, cross-multiplied
-    otherwise (NaN included) — and ``misses_any``, the screen for the
-    cheapest cost a bin can charge (no cache term), skips a full bin
-    before its own ``e'`` is formed.
+    :data:`~repro.partition.bins.SHADOW_MARGIN` — and ``misses_any``,
+    the screen for the cheapest cost a bin can charge (no cache term),
+    skips a full bin before its own ``e'`` is formed.  A bin's exact
+    load is formed only for a probe inside the margin (NaN included),
+    which then cross-multiplies, or for a shadow reset
+    (:func:`~repro.partition.bins.shadow_after_add`): from its
+    residents, extending the last load formed for the bin, so a
+    committed task costs no big-integer arithmetic.
 
     ``order`` must be non-increasing in period (``ValueError``
     otherwise), so every resident of a bin is in the set ``P_T`` the
@@ -116,12 +121,27 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
         raise ValueError("inflation must be nonnegative")
     execution, period, cache_delay = (tasks.execution, tasks.period,
                                       tasks.cache_delay)
-    nums: List[int] = []
-    dens: List[int] = []
     spares: List[float] = []
     adds: List[int] = []
     delays: List[int] = []
+    opened: List[int] = []
     placed: List[int] = []
+    e_primes: List[int] = []
+    formed: Dict[int, Tuple[int, int, int]] = {}
+
+    def exact_load(k: int) -> Tuple[int, int]:
+        """Bin ``k``'s exact load as an unreduced pair: the last one
+        formed for it, extended by the tasks placed there since (the
+        first time, since the bin opened)."""
+        num, den, start = formed.get(k, (0, 1, opened[k]))
+        end = len(placed)
+        for j in range(start, end):
+            if placed[j] == k:
+                p_j = period[order[j]]
+                num, den = num * p_j + e_primes[j] * den, den * p_j
+        formed[k] = num, den, end
+        return num, den
+
     margin = SHADOW_MARGIN
     last_p = None
     for i in order:
@@ -141,26 +161,27 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
                     slack = spare - u
                     if slack > margin:
                         break
-                    if not slack < -margin and \
-                            nums[k] * p + e_prime * dens[k] <= dens[k] * p:
-                        break
+                    if not slack < -margin:
+                        num, den = exact_load(k)
+                        if num * p + e_prime * den <= den * p:
+                            break
             k += 1
         else:
             if e_fixed > p:
                 return None
             e_prime, u = e_fixed, e_fixed / p
-            nums.append(0)
-            dens.append(1)
             spares.append(1.0)
             adds.append(0)
             delays.append(0)
-        num = nums[k] = nums[k] * p + e_prime * dens[k]
-        den = dens[k] = dens[k] * p
-        spares[k], adds[k] = shadow_after_add(spares[k], adds[k], u, num, den)
+            opened.append(len(placed))
+        placed.append(k)
+        e_primes.append(e_prime)
+        spares[k], adds[k] = shadow_after_add(spares[k], adds[k], u,
+                                              exact_load, k)
         if cache_delay[i] > delays[k]:
             delays[k] = cache_delay[i]
-        placed.append(k)
-    return len(nums), float_sum(nums, dens), placed
+    return (len(spares), float_sum(e_primes, [period[i] for i in order]),
+            placed)
 
 
 def rm_ff(specs: Sequence[TaskSpec], *, test: str = "response_time",

@@ -2,7 +2,7 @@
 
 The process pool pickles workers by qualified name, so anything the
 engine dispatches must live at module level — lambdas and closures
-defined inside a test cannot cross the fork boundary.  Fault state is
+defined inside a test cannot cross the process boundary.  Fault state is
 carried out-of-band:
 
 * generic jobs (the :func:`~repro.campaign.runner.dispatch_jobs` tests)
@@ -11,8 +11,8 @@ carried out-of-band:
   deterministic fail-once schedule that works across processes;
 * shard workers (the :class:`~repro.campaign.runner.CampaignRunner`
   and worker-node tests) select their victim via environment variables,
-  inherited by pool workers at fork time (every dispatch and every
-  worker server forks fresh workers, so tests set them first); the
+  inherited by pool workers when they start (every dispatch and every
+  worker server starts fresh workers, so tests set them first); the
   die-once worker keys its fuse file by shard id.
 """
 

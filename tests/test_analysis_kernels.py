@@ -125,12 +125,14 @@ class TestPD2SearchMatchesReference:
     def test_integer_total_takes_the_exact_branch(self, exact_sums):
         """Weights 1/2 + 1/4 + 1/4 + 1/2 + 1/2 sum to exactly 2: the
         float total sits on an integer, so M = 1 (from ceil(U)) is
-        rejected on the exact total before M = 2 is accepted on it."""
+        rejected on the exact total before M = 2 is accepted on it.
+        The zero model's S_PD2 is the same at both, so M = 2 reuses
+        M = 1's climb and its exact total: one is built."""
         model = OverheadModel.zero()
         specs = [TaskSpec(1, 2 * Q), TaskSpec(1, 4 * Q), TaskSpec(1, 4 * Q),
                  TaskSpec(1, 2 * Q), TaskSpec(1, 2 * Q)]
         assert search(specs, model) == (2, 2.0, 1)
-        assert exact_sums == [5, 5]
+        assert exact_sums == [5]
         assert_same(specs, model)
 
     def test_float_screen_builds_no_exact_total(self, exact_sums,
@@ -204,6 +206,121 @@ class TestPD2SearchMatchesReference:
                               sched_pd2=lambda n, m: s64 * m / 64)
         specs = [TaskSpec(e, p, cache_delay=d) for e, p, d in rows]
         assert_same(specs, model)
+
+
+def candidates(specs, model, cap):
+    """The candidate M values :func:`reference_search` visits."""
+    seen = []
+    m = max(1, math.ceil(total_utilization(specs)))
+    while m <= cap:
+        seen.append(m)
+        inflations = pd2_inflate_set(specs, model, m)
+        if not all(inf.feasible for inf in inflations):
+            break
+        total = pd2_total_weight(inflations)
+        if total <= m:
+            break
+        m = max(m + 1, math.ceil(total))
+    return seen
+
+
+def climbed(specs, model, cap=None):
+    """``search`` and the S_PD2 of each ``_climb`` it ran; the result
+    must equal ``reference_search``."""
+    ran = []
+    climb = inflation._climb
+
+    def counting_climb(rows, s_pd2, c, q):
+        ran.append(s_pd2)
+        return climb(rows, s_pd2, c, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inflation, "_climb", counting_climb)
+        got = search(specs, model, cap)
+    assert got == reference_search(
+        specs, model, len(specs) if cap is None else cap)
+    return got, ran
+
+
+def distinct_runs(costs):
+    """The first S_PD2 of each run of equal values."""
+    return [s for k, s in enumerate(costs) if k == 0 or s != costs[k - 1]]
+
+
+class TestClimbReuse:
+    """``pd2_search`` climbs once per run of equal S_PD2 among the
+    candidates it visits: a candidate whose S_PD2 equals the previous
+    one's reuses that climb.  A reused climb's total always passes, as
+    the jump lands on or above it."""
+
+    def test_flat_paper_range_climbs_once(self):
+        """The paper model is flat for M >= 16: N = 250 sets whose first
+        candidate is at least 16 visit two candidates and climb once."""
+        model = OverheadModel()
+        for j, u in enumerate((15.5, 24.0, 40.0, 62.0, 90.0)):
+            specs = TaskSetGenerator(250 + j).generate(250, u)
+            assert math.ceil(total_utilization(specs)) >= 16
+            got, ran = climbed(specs, model)
+            assert got[0] is not None
+            assert len(candidates(specs, model, 250)) == 2
+            assert len(ran) == 1
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    def test_zero_model_climbs_once(self, n):
+        model = OverheadModel.zero()
+        for j, u in enumerate(utilization_grid(n, points=5)):
+            specs = TaskSetGenerator(11 * n + j).generate(n, u)
+            assert len(climbed(specs, model)[1]) == 1
+
+    def test_paper_model_below_16_climbs_per_distinct_cost(self):
+        """Below 16 the paper's S_PD2 changes with M, so each candidate
+        there climbs; only a candidate with the previous S_PD2 reuses."""
+        model = OverheadModel()
+        for j, u in enumerate((3.0, 6.0, 10.0, 14.5)):
+            specs = TaskSetGenerator(50 + j).generate(50, u)
+            costs = [model.pd2_sched_cost(50, m)
+                     for m in candidates(specs, model, 50)]
+            assert climbed(specs, model)[1] == distinct_runs(costs)
+
+    def test_repeats_across_a_jump_then_rises(self):
+        """Six tasks (2, 10) with D = 1 (U = 1.2) inflate to 0.6 each
+        when S_PD2 = 0.  With S_PD2 = 0 up to M = 6 the search rejects
+        M = 2 (total 3.6), jumps to the non-adjacent M = 4 and reuses
+        the climb.  With S_PD2 rising to 1/4 at M = 3, M = 4 climbs
+        again (total 4.2) and M = 5 reuses that climb."""
+        specs = [TaskSpec(2, 10, cache_delay=1) for _ in range(6)]
+        flat = OverheadModel(context_switch=0, quantum=1,
+                             sched_pd2=lambda n, m: 0.0 if m < 7 else 1.0)
+        assert candidates(specs, flat, 6) == [2, 4]
+        assert climbed(specs, flat) == ((4, 3.6, 5), [0.0])
+        rising = OverheadModel(context_switch=0, quantum=1,
+                               sched_pd2=lambda n, m: 0.0 if m < 3 else 0.25)
+        assert candidates(specs, rising, 6) == [2, 4, 5]
+        assert climbed(specs, rising) == ((5, 4.2, 5), [0.0, 0.25])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 128), min_size=1, max_size=6),
+           st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.lists(st.integers(1, 40).flatmap(lambda p: st.tuples(
+               st.integers(1, p * 10), st.just(p * 10),
+               st.integers(0, 20))), min_size=1, max_size=12))
+    def test_step_curves(self, levels, widths, rows):
+        """S_PD2 as a step curve in M (multiples of 1/64 µs, so demands
+        are exact; levels rising for an odd count, in any order
+        otherwise): the search equals the reference and climbs once per
+        run of equal S_PD2 among the candidates the reference visits."""
+        levels = sorted(levels) if len(levels) % 2 else levels
+        edges = [sum(widths[:k + 1]) for k in range(len(widths))]
+
+        def step(n, m):
+            k = sum(m > edge for edge in edges)
+            return levels[min(k, len(levels) - 1)] / 64
+
+        model = OverheadModel(context_switch=2, quantum=10, sched_pd2=step)
+        specs = [TaskSpec(e, p, cache_delay=d) for e, p, d in rows]
+        costs = [step(len(specs), m)
+                 for m in candidates(specs, model, len(specs))]
+        assert climbed(specs, model)[1] == distinct_runs(costs)
 
 
 class TestColumnEvaluator:

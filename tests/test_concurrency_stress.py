@@ -192,20 +192,20 @@ class TestOverlappingDispatches:
 #: node, then interpreter exit.
 EXIT_SCRIPT = textwrap.dedent("""
     import socket
+    from math import factorial
     from repro.campaign.runner import RunnerConfig, dispatch_jobs
     from repro.campaign.spec import CampaignGrid, plan_shards
     from repro.distrib.wire import shard_run_request
     from repro.distrib.worker import WorkerServer
     from repro.service.protocol import decode_line, encode
 
-    def square(x):
-        return x * x
-
+    # Spawned pool workers import the job function by name, so it cannot
+    # be defined in this ``-c`` script.
     done = {}
-    dispatch_jobs({f"k{i}": i for i in range(4)}, square,
+    dispatch_jobs({f"k{i}": i for i in range(4)}, factorial,
                   RunnerConfig(workers=2),
                   on_success=lambda k, r, a, e: done.__setitem__(k, r))
-    assert done == {f"k{i}": i * i for i in range(4)}
+    assert done == {f"k{i}": factorial(i) for i in range(4)}
     spec = plan_shards(CampaignGrid(n_tasks=4, utilizations=(1.0,),
                                     sets_per_point=1))[0]
     with WorkerServer(jobs=2) as (host, port):

@@ -62,8 +62,8 @@ FAST = dict(poll_interval_seconds=0.01, status_interval_seconds=0.05)
 @pytest.fixture
 def slow_delay(monkeypatch):
     """Dial in :func:`campaign_fault_workers.slow_shard`'s per-shard
-    stall.  Pool workers inherit the environment at fork, so set it
-    before the worker servers of the test run their first shard."""
+    stall.  Pool workers inherit the environment when they start, so
+    set it before the worker servers of the test run their first shard."""
     def set_delay(seconds):
         monkeypatch.setenv(fw.SLOW_SECONDS_ENV, str(seconds))
 

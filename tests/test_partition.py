@@ -1,10 +1,12 @@
 """Tests for bins, acceptance tests, heuristics, bounds, and partitioners."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.partition import bins as bins_module
 from repro.partition.accept import (
     AcceptanceTest,
     EDFOverheadTest,
@@ -418,6 +420,35 @@ def _assert_shadow_synced(bins):
         assert abs(b.spare_shadow - (1 - float(b.load))) <= SHADOW_MARGIN
 
 
+class CountingOrder(list):
+    """A feed order that counts its indexed reads: the column kernel
+    iterates the order and reads ``order[j]`` only while it forms a
+    bin's exact load from the bin's residents."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+@contextlib.contextmanager
+def shadow_resets(every):
+    """Reset every shadow from its exact load every ``every`` adds inside
+    the block; yields the ``(num, den)`` loads the resets took."""
+    resets = []
+    exact_shadow = bins_module._exact_shadow
+
+    def counting(num, den):
+        resets.append((num, den))
+        return exact_shadow(num, den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bins_module, "_SHADOW_ADDS", every)
+        mp.setattr(bins_module, "_exact_shadow", counting)
+        yield resets
+
+
 def exact_overhead_first_fit(fixed, tasks):
     """The overhead-aware EDF first fit by the base-class scan, probing
     ``EDFOverheadTest.admit`` (exact) on every bin: ``(bins, committed
@@ -502,14 +533,30 @@ class TestFirstFitScreen:
     @settings(max_examples=150, deadline=None)
     @given(ff_feeds(overhead=False))
     def test_utilization_test_matches_exact_scan(self, feed):
+        """Also with a shadow reset every other add, which takes each
+        bin's exact load lazily."""
         _, tasks = feed
         self._check_feed(EDFUtilizationTest(), tasks)
+        with shadow_resets(2) as resets:
+            self._check_feed(EDFUtilizationTest(), tasks)
+        assert resets  # the prefix adds twice to bin 0
 
     @settings(max_examples=150, deadline=None)
     @given(ff_feeds(overhead=True))
     def test_overhead_test_matches_exact_scan(self, feed):
+        """The kernel forms a bin's exact load only for a probe inside
+        the margin (the prefix's completing probe is one) or a shadow
+        reset; the packing is the same with the default reset period and
+        with a reset every other add."""
         fixed, tasks = feed
-        self._check_kernel(fixed, tasks, list(range(len(tasks))))
+        order = CountingOrder(range(len(tasks)))
+        got = edf_overhead_first_fit(TaskColumns.of(tasks), fixed, order)
+        assert order.reads > 0
+        assert got == self._check_kernel(fixed, tasks, order)
+        with shadow_resets(2) as resets:
+            again = edf_overhead_first_fit(TaskColumns.of(tasks), fixed,
+                                           order)
+        assert resets and again == got
 
     def test_name_order_decides_equal_period_and_execution(self):
         """T2 and T10 share ``(p, e)`` but not ``D``.  Name order feeds
