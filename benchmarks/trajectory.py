@@ -7,12 +7,17 @@ change-side series file(s) of a ``compare`` run (the files that
 ``BENCH_e2e.json``::
 
     python3 benchmarks/trajectory.py CHANGE.json [MORE.json ...] \\
-        --pr N --parent SHA [--commit SHA] [--out BENCH_e2e.json]
+        --pr N --parent SHA [--commit SHA] [--out BENCH_e2e.json] \\
+        [--parent-series PARENT.json [MORE.json ...]]
 
 An entry holds the change's sequence number (``pr``), the commit it
 measured, the parent it was compared against, the host, and, per
 workload, the seeds, the failed-operation count and the median and
-quartiles of each end-to-end metric that ``BENCHMARK.json`` lists.  An
+quartiles of each end-to-end metric that ``BENCHMARK.json`` lists.
+With ``--parent-series``, the parent side of the same ``compare`` run
+is summarised the same way under ``parent_workloads``, so a reader can
+set a change beside the parent it was measured with rather than beside
+an entry measured on another day.  Entries without it stay valid.  An
 entry committed together with the change it measures cannot name its
 own hash, so ``commit`` may be ``null``; ``parent`` then locates it.
 Entries marked ``"transcribed": true`` were copied from the medians
@@ -30,7 +35,7 @@ import json
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
@@ -71,18 +76,14 @@ def read_series(paths: Sequence[Path]) -> List[Dict[str, Any]]:
     return records
 
 
-def make_entry(records: Sequence[Dict[str, Any]], spec: Dict[str, Any], *,
-               pr: int, commit: Optional[str],
-               parent: Optional[str]) -> Dict[str, Any]:
-    """One trajectory entry from the change side's run records.
-
-    Every workload of ``spec`` needs at least two runs, each on its own
-    seed and all of one length, or the entry is refused.
-    """
+def _workload_blocks(records: Sequence[Dict[str, Any]], spec: Dict[str, Any],
+                     hosts: List[Dict[str, Any]],
+                     seconds: Set[float]) -> Dict[str, Any]:
+    """Per workload of ``spec``: seeds, failures and metric summaries of
+    one side's run records; adds their hosts and run lengths to
+    ``hosts`` and ``seconds``."""
     metrics = metric_names(spec)
     workloads: Dict[str, Any] = {}
-    hosts: List[Dict[str, Any]] = []
-    seconds = set()
     for w in workload_names(spec):
         runs = [r for r in records if r["workload"] == w]
         seeds = [r["seed"] for r in runs]
@@ -100,17 +101,39 @@ def make_entry(records: Sequence[Dict[str, Any]], spec: Dict[str, Any], *,
         for r in runs:
             if r["host"] not in hosts:
                 hosts.append(r["host"])
+    return workloads
+
+
+def make_entry(records: Sequence[Dict[str, Any]], spec: Dict[str, Any], *,
+               pr: int, commit: Optional[str], parent: Optional[str],
+               parent_records: Optional[Sequence[Dict[str, Any]]] = None
+               ) -> Dict[str, Any]:
+    """One trajectory entry from the change side's run records, and from
+    the parent side's when ``parent_records`` is given.
+
+    Every workload of ``spec`` needs at least two runs per side, each on
+    its own seed and all of one length, or the entry is refused.
+    """
+    hosts: List[Dict[str, Any]] = []
+    seconds: Set[float] = set()
+    workloads = _workload_blocks(records, spec, hosts, seconds)
+    parent_side = (None if parent_records is None else
+                   _workload_blocks(parent_records, spec, hosts, seconds))
     if len(seconds) != 1:
         raise ValueError(f"runs of different lengths: {sorted(seconds)}")
-    return {"pr": pr, "commit": commit, "parent": parent,
-            "transcribed": False,
-            "host": hosts[0] if len(hosts) == 1 else hosts,
-            "seconds": seconds.pop(), "workloads": workloads}
+    entry: Dict[str, Any] = {
+        "pr": pr, "commit": commit, "parent": parent, "transcribed": False,
+        "host": hosts[0] if len(hosts) == 1 else hosts,
+        "seconds": seconds.pop(), "workloads": workloads}
+    if parent_side is not None:
+        entry["parent_workloads"] = parent_side
+    return entry
 
 
 def check_entries(entries: Any, spec: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``entries`` is a list of entries that
-    each hold every workload and every end-to-end metric of ``spec``."""
+    each hold every workload and every end-to-end metric of ``spec``, on
+    the parent side too where an entry records it."""
     if not isinstance(entries, list):
         raise ValueError("BENCH_e2e.json must hold a list of entries")
     workloads, metrics = workload_names(spec), metric_names(spec)
@@ -120,23 +143,32 @@ def check_entries(entries: Any, spec: Dict[str, Any]) -> None:
                     "workloads"):
             if key not in entry:
                 raise ValueError(f"{where}: no {key!r}")
-        if sorted(entry["workloads"]) != sorted(workloads):
-            raise ValueError(f"{where}: workloads "
-                             f"{sorted(entry['workloads'])}")
-        for w, block in entry["workloads"].items():
-            if sorted(block["metrics"]) != sorted(metrics):
-                raise ValueError(f"{where}: {w} metrics "
-                                 f"{sorted(block['metrics'])}")
-            for m, stats in block["metrics"].items():
-                if sorted(stats) != sorted(STAT_KEYS):
-                    raise ValueError(f"{where}: {w}.{m} keys {sorted(stats)}")
-                if not entry["transcribed"] and None in stats.values():
-                    raise ValueError(f"{where}: {w}.{m} measured but null")
-                known = [stats[k] for k in ("q1", "median", "q3")
-                         if stats[k] is not None]
-                if known != sorted(known):
-                    raise ValueError(f"{where}: {w}.{m} quartiles out of "
-                                     f"order: {stats}")
+        for side in ("workloads", "parent_workloads"):
+            if side in entry:
+                _check_side(f"{where} {side}", entry[side], workloads,
+                            metrics, entry["transcribed"])
+
+
+def _check_side(where: str, blocks: Dict[str, Any], workloads: List[str],
+                metrics: List[str], transcribed: bool) -> None:
+    """One side of an entry: every workload, every metric, quartiles in
+    order, and no null in a measured entry."""
+    if sorted(blocks) != sorted(workloads):
+        raise ValueError(f"{where}: workloads {sorted(blocks)}")
+    for w, block in blocks.items():
+        if sorted(block["metrics"]) != sorted(metrics):
+            raise ValueError(f"{where}: {w} metrics "
+                             f"{sorted(block['metrics'])}")
+        for m, stats in block["metrics"].items():
+            if sorted(stats) != sorted(STAT_KEYS):
+                raise ValueError(f"{where}: {w}.{m} keys {sorted(stats)}")
+            if not transcribed and None in stats.values():
+                raise ValueError(f"{where}: {w}.{m} measured but null")
+            known = [stats[k] for k in ("q1", "median", "q3")
+                     if stats[k] is not None]
+            if known != sorted(known):
+                raise ValueError(f"{where}: {w}.{m} quartiles out of "
+                                 f"order: {stats}")
 
 
 def append(entry: Dict[str, Any], out: Path, spec: Dict[str, Any]) -> None:
@@ -160,21 +192,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          "committed with the change itself)")
     ap.add_argument("--parent", default=None,
                     help="the commit the change was compared against")
+    ap.add_argument("--parent-series", type=Path, nargs="+", default=None,
+                    metavar="FILE",
+                    help="the same compare run's parent-side series "
+                         "file(s), recorded beside the change's")
     ap.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = ap.parse_args(argv)
     spec = load_spec()
     try:
+        parent_records = (None if args.parent_series is None
+                          else read_series(args.parent_series))
         entry = make_entry(read_series(args.series), spec, pr=args.pr,
-                           commit=args.commit, parent=args.parent)
+                           commit=args.commit, parent=args.parent,
+                           parent_records=parent_records)
         append(entry, args.out, spec)
     except (OSError, ValueError, KeyError) as exc:
         print(f"trajectory: {exc}", file=sys.stderr)
         return 2
     for w, block in entry["workloads"].items():
         s = block["metrics"]["work_per_s"]
-        print(f"{w}: work_per_s median {s['median']:.6g} "
-              f"[{s['q1']:.6g}, {s['q3']:.6g}] over {len(block['seeds'])} "
-              f"runs")
+        line = (f"{w}: work_per_s median {s['median']:.6g} "
+                f"[{s['q1']:.6g}, {s['q3']:.6g}] over {len(block['seeds'])} "
+                f"runs")
+        if "parent_workloads" in entry:
+            ps = entry["parent_workloads"][w]["metrics"]["work_per_s"]
+            line += (f" (parent {ps['median']:.6g} "
+                     f"[{ps['q1']:.6g}, {ps['q3']:.6g}])")
+        print(line)
     return 0
 
 

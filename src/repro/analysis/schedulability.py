@@ -33,16 +33,14 @@ Both analyses run on task columns
 (:class:`~repro.workload.spec.TaskColumns`): one PD² search
 (:func:`~repro.overheads.inflation.pd2_search`) and one EDF-FF first fit
 (:func:`~repro.partition.partitioner.edf_overhead_first_fit`).  Campaign
-shards hand generator columns straight to :func:`evaluate_columns`;
-trace-replay shards hand their rescaled columns to
-:func:`evaluate_cached_columns`, which adds the shared result cache.
-:func:`evaluate_task_set` is the one
+shards hand generator columns, and trace-replay shards their rescaled
+columns, straight to :func:`evaluate_columns`, which has no result
+cache.  :func:`evaluate_task_set` is the one
 :class:`~repro.workload.spec.TaskSpec` entry point: the ``compare`` CLI,
 the admission service and ``batch-analyze`` all read its point.  It
-takes the columns of the specs and adds the same cache, so a column set
-and the specs it stands for share one cache key.  The analyses assume
-implicit deadlines and independent tasks, so it refuses a task with a
-deadline below its period or a critical section
+takes the columns of the specs and adds :data:`ANALYSIS_CACHE`.  The
+analyses assume implicit deadlines and independent tasks, so it refuses
+a task with a deadline below its period or a critical section
 (:mod:`repro.partition.demand` has the exact EDF test for the former).
 """
 
@@ -51,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..core.rational import float_sum
@@ -66,26 +63,24 @@ __all__ = [
     "ANALYSIS_CACHE",
     "SchedulabilityPoint",
     "evaluate_columns",
-    "evaluate_cached_columns",
     "evaluate_task_set",
     "task_set_signature",
     "task_set_cache_key",
-    "columns_cache_key",
 ]
 
-#: Process-wide schedulability results, shared by every consumer of this
-#: module: :func:`evaluate_task_set` (and hence the admission service's
-#: ``analyze`` verb and ``batch-analyze``) and the trace-replay workers
-#: (:func:`evaluate_cached_columns`) all read and write one keyspace,
-#: keyed by :func:`task_set_cache_key` digests (equal to
-#: :func:`columns_cache_key` on the same tasks).  Campaigns draw duplicate
-#: task sets across grid points and the service re-analyzes the sets it
-#: admits, so sharing one cache turns those repeats into dict lookups.
+#: Process-wide schedulability results of :func:`evaluate_task_set`, and
+#: hence of the ``compare`` CLI, the admission service's ``analyze`` verb
+#: and ``batch-analyze``, keyed by :func:`task_set_cache_key` digests.
+#: The service re-analyzes the sets it admits, so the cache turns those
+#: repeats into dict lookups.  Campaign and trace-replay shards neither
+#: read nor write it: their sets almost never repeat across shards, and
+#: a trace shard reuses a repeated pick's point within the shard.
 #: Analyses under models whose cost curves cannot be fingerprinted
 #: (``task_set_cache_key`` returns ``None``) bypass the cache entirely.
-#: Written from two thread domains — the main thread (campaigns) and the
-#: ``ServerThread`` event loop (service ``analyze``) — which is safe
-#: because :class:`~repro.util.lru.LRUCache` locks internally
+#: Written from two thread domains — the main thread (``compare``, serial
+#: ``batch-analyze``, direct calls) and the ``ServerThread`` event loop
+#: (service ``analyze``) — which is safe because
+#: :class:`~repro.util.lru.LRUCache` locks internally
 #: (staticcheck R007 verifies exactly this; see docs/CONCURRENCY.md).
 ANALYSIS_CACHE = LRUCache(capacity=65536)
 
@@ -107,16 +102,6 @@ def task_set_signature(specs: Sequence[TaskSpec]) -> Tuple:
     ))
 
 
-def _signature_key(signature: Tuple, model: OverheadModel) -> Optional[str]:
-    """The digest of one ``(signature, model)`` pair, ``None`` when the
-    model cannot be fingerprinted."""
-    sig = model.signature()
-    if sig is None:
-        return None
-    payload = repr((sig, signature))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def task_set_cache_key(specs: Sequence[TaskSpec],
                        model: OverheadModel) -> Optional[str]:
     """Stable digest keying one ``(task set, overhead model)`` analysis.
@@ -126,19 +111,11 @@ def task_set_cache_key(specs: Sequence[TaskSpec],
     such a model must not be cached.  The digest is stable across
     processes and Python versions, so it can key on-disk caches too.
     """
-    return _signature_key(task_set_signature(specs), model)
-
-
-def columns_cache_key(tasks: TaskColumns,
-                      model: OverheadModel) -> Optional[str]:
-    """:func:`task_set_cache_key` of the specs ``tasks`` stands for,
-    computed from the columns: the same signature rows, with the
-    implicit deadline (the period), no critical section and no
-    resource, so the two keys are byte-equal and share entries."""
-    p = tasks.period
-    return _signature_key(tuple(sorted(zip(
-        tasks.execution, p, tasks.cache_delay, p, repeat(0), repeat("")))),
-        model)
+    sig = model.signature()
+    if sig is None:
+        return None
+    payload = repr((sig, task_set_signature(specs)))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 #: ``(m, inflated total weight at m, max fixed-point iterations at m)``.
@@ -157,15 +134,6 @@ def _cached(ckey: Tuple, compute: Callable[[], Any]) -> Any:
         hit = compute()
         ANALYSIS_CACHE.put(ckey, hit)
     return hit
-
-
-def _digest(key: Callable[[Any, OverheadModel], Optional[str]], tasks: Any,
-            model: OverheadModel) -> Optional[str]:
-    """``key(tasks, model)``, the cache digest; ``None`` (do not cache)
-    while :func:`repro.util.toggles.set_fastpath` has the cache off."""
-    if not analysis_cache_on():
-        return None
-    return key(tasks, model)
 
 
 def _pd2_search(tasks: TaskColumns, model: OverheadModel, cap: int,
@@ -232,21 +200,14 @@ class SchedulabilityPoint:
 def evaluate_columns(tasks: TaskColumns,
                      model: OverheadModel) -> SchedulabilityPoint:
     """Compute the Fig. 3/Fig. 4 quantities for one task set given as
-    columns — the campaign path, with no result cache (freshly generated
-    random sets practically never repeat, so a key would be pure cost).
+    columns — the campaign and trace-replay path, with no result cache
+    (their sets practically never repeat across shards, so a key would
+    be pure cost).
 
     The empty set needs one processor either way and loses nothing to
     inflation.
     """
     return _evaluate(tasks, model, None)
-
-
-def evaluate_cached_columns(tasks: TaskColumns,
-                            model: OverheadModel) -> SchedulabilityPoint:
-    """:func:`evaluate_columns` through :data:`ANALYSIS_CACHE`, keyed by
-    :func:`columns_cache_key` — the trace-replay path, whose rescaled
-    window samples repeat across shards and runs."""
-    return _evaluate(tasks, model, _digest(columns_cache_key, tasks, model))
 
 
 def evaluate_task_set(specs: Sequence[TaskSpec],
@@ -257,7 +218,9 @@ def evaluate_task_set(specs: Sequence[TaskSpec],
     Raises ``ValueError``, naming the task, when a task has a deadline
     below its period or a critical section: the columns cannot carry
     either, and the analyses would answer for a different set.  The
-    check runs before the key, so a refused set is never cached.
+    check runs before the key, so a refused set is never cached.  The
+    key is ``None`` (do not cache) while
+    :func:`repro.util.toggles.set_fastpath` has the cache off.
     """
     for k, s in enumerate(specs):
         label = s.name or f"task #{k}"
@@ -269,8 +232,9 @@ def evaluate_task_set(specs: Sequence[TaskSpec],
             raise ValueError(
                 f"{label}: critical sections (max_section "
                 f"{s.max_section}) are not analysed")
-    return _evaluate(TaskColumns.of(specs), model,
-                     _digest(task_set_cache_key, specs, model))
+    digest = (task_set_cache_key(specs, model) if analysis_cache_on()
+              else None)
+    return _evaluate(TaskColumns.of(specs), model, digest)
 
 
 def _evaluate(tasks: TaskColumns, model: OverheadModel,

@@ -16,14 +16,15 @@ CI never calls this module: the committed fixture
 ``tests/data/mini.swf`` covers every test and the smoke jobs.  The
 network touch-point is isolated here (and exempt from nothing — the
 module is in R002's determinism scope, so no clocks/RNG; urllib is
-I/O, which R002 does not police).
+I/O, which R002 does not police).  ``urllib.request`` is imported inside
+:func:`fetch_trace`, so importing this module (the replay path does, for
+:func:`sha256_file`) loads no network stack.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -123,6 +124,11 @@ def fetch_trace(name_or_url: str, dest: Union[str, Path], *,
             f"no SHA-256 known for {name_or_url!r} — pass one "
             f"explicitly (repro traces fetch ... --sha256 HEX); "
             f"unverified downloads are refused")
+
+    # Imported here, not at module level: the trace-replay path imports
+    # this module for sha256_file, and urllib.request pulls in http.client
+    # and email, which every CLI and pool-worker start-up would then pay.
+    import urllib.request
 
     dest_path = Path(dest)
     dest_path.parent.mkdir(parents=True, exist_ok=True)

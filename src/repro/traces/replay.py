@@ -15,12 +15,14 @@ instead.  The pipeline:
    fleets) runs unchanged;
 3. :func:`evaluate_trace_shard` is the picklable worker: it picks
    ``n_tasks`` rows from the window pool with the shard's seeded RNG,
-   rescales their execution column to the shard's target utilization
-   in integers (:func:`~repro.traces.mapping.scale_executions`;
-   periods — the trace's shape — untouched), and hands the columns to
-   :func:`~repro.analysis.schedulability.evaluate_cached_columns`: the
-   same analysis kernels and result cache as ``evaluate_task_set``,
-   with no :class:`~repro.workload.spec.TaskSpec` per sampled task.
+   and for each pick not seen before in the shard rescales their
+   execution column to the shard's target utilization in integers
+   (:func:`~repro.traces.mapping.scale_executions`; periods — the
+   trace's shape — untouched) and hands the columns to
+   :func:`~repro.analysis.schedulability.evaluate_columns`: the same
+   analysis kernels as ``evaluate_task_set``, with no
+   :class:`~repro.workload.spec.TaskSpec` per sampled task and no
+   result-cache key.  A repeated pick reuses the shard's earlier point.
    Checkpoints therefore hold ordinary
    :class:`~repro.analysis.schedulability.SchedulabilityPoint` records
    and the resume guarantee is inherited, not re-proven.
@@ -44,8 +46,7 @@ import numpy as np
 
 from ..analysis.experiments import CampaignRow
 from ..analysis.persistence import save_campaign
-from ..analysis.schedulability import (SchedulabilityPoint,
-                                       evaluate_cached_columns)
+from ..analysis.schedulability import SchedulabilityPoint, evaluate_columns
 from ..campaign.checkpoint import CheckpointStore
 from ..campaign.runner import CampaignRunner, Dispatcher, RunnerConfig
 from ..campaign.sched import campaign_row
@@ -272,6 +273,11 @@ def evaluate_trace_shard(
     same shard, same points, on any worker, any run, any resume.  Pools
     smaller than ``n_tasks`` are used whole (every sample identical —
     the window simply has that many jobs).
+
+    A pick is a sorted index tuple, and a shard's rescale target and
+    model are fixed, so a pick drawn twice is the same set: only the
+    first draw of each pick builds its columns and is analysed, and the
+    repeats reuse its point.  The table lives for this call only.
     """
     spec, model, payload = args
     if model is None:
@@ -281,19 +287,23 @@ def evaluate_trace_shard(
     names, execution, period, delay = zip(*payload.tasks)
     pool = len(period)
     rng = np.random.default_rng(spec.seed)
+    analysed: Dict[Tuple[int, ...], SchedulabilityPoint] = {}
     points: List[SchedulabilityPoint] = []
     for _ in range(spec.sets):
         if pool > spec.n_tasks:
-            picked: Sequence[int] = sorted(rng.choice(
-                pool, size=spec.n_tasks, replace=False).tolist())
+            picked = tuple(sorted(rng.choice(
+                pool, size=spec.n_tasks, replace=False).tolist()))
         else:
-            picked = range(pool)
-        p = [period[i] for i in picked]
-        tasks = TaskColumns(
-            scale_executions([execution[i] for i in picked], p,
-                             spec.utilization),
-            p, [delay[i] for i in picked], [names[i] for i in picked])
-        points.append(evaluate_cached_columns(tasks, model))
+            picked = tuple(range(pool))
+        point = analysed.get(picked)
+        if point is None:
+            p = [period[i] for i in picked]
+            tasks = TaskColumns(
+                scale_executions([execution[i] for i in picked], p,
+                                 spec.utilization),
+                p, [delay[i] for i in picked], [names[i] for i in picked])
+            point = analysed[picked] = evaluate_columns(tasks, model)
+        points.append(point)
     return points
 
 

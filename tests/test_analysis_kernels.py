@@ -16,10 +16,10 @@ same point whether its analyses come from a cold or warm
 ``ANALYSIS_CACHE`` or run with the fast path off, and the same point
 as the uncached ``evaluate_columns``; the service's ``analyze`` and
 ``batch_analyze`` must answer from the entries it wrote.  Trace-replay
-shards evaluate rescaled payload columns through the same cache: their
-points must equal the spec path (``scale_to_utilization`` +
-``evaluate_task_set``) cold, warm and uncached, and their column keys
-must equal ``task_set_cache_key`` of the scaled specs.
+shards evaluate rescaled payload columns with no cache key: their points
+must equal the spec path (``scale_to_utilization`` + ``evaluate_columns``
+on every draw), each distinct pick must be analysed once, and a shard
+must leave ``ANALYSIS_CACHE`` as it found it.
 """
 
 import math
@@ -31,19 +31,18 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import utilization_grid
 from repro.analysis.schedulability import (ANALYSIS_CACHE, _pd2_search,
-                                           columns_cache_key,
-                                           evaluate_columns, evaluate_task_set,
-                                           task_set_cache_key)
+                                           evaluate_columns, evaluate_task_set)
 from repro.campaign.sched import batch_analyze, evaluate_shard
-from repro.campaign.spec import CampaignGrid
+from repro.campaign.spec import CampaignGrid, ShardSpec
 from repro.core.rational import exact_sum, float_sum
 from repro.overheads import inflation
 from repro.overheads.inflation import pd2_inflate_set, pd2_total_weight
 from repro.overheads.model import OverheadModel
 from repro.service.state import ServiceState
 from repro.traces.mapping import scale_to_utilization
-from repro.traces.replay import (TraceGrid, build_window_payloads,
-                                 evaluate_trace_shard)
+from repro.traces import replay
+from repro.traces.replay import (TraceGrid, TraceWindowPayload,
+                                 build_window_payloads, evaluate_trace_shard)
 from repro.traces.swf import parse_swf
 from repro.util.toggles import set_fastpath
 from repro.workload.generator import TaskSetGenerator
@@ -403,8 +402,8 @@ class TestAnalysisCache:
 
 def trace_shards():
     """Every shard of a two-window replay of the committed fixture with
-    its payload.  Window 1 has fewer jobs than ``n_tasks``, so its sets
-    repeat and the cold pass already hits the cache."""
+    its payload.  Window 1 has fewer jobs than ``n_tasks``, so each of
+    its shards is one set drawn ``sets`` times."""
     log = parse_swf("tests/data/mini.swf", strict=False)
     grid = TraceGrid(trace_name="mini.swf", trace_sha256="0" * 64,
                      window_seconds=3600, window_offsets=(0, 3600),
@@ -415,69 +414,86 @@ def trace_shards():
 
 
 def spec_samples(shard, payload):
-    """The shard's sets built the spec way: a ``TaskSpec`` per pool row,
-    the same seeded picks, ``scale_to_utilization``."""
+    """The shard's picks and its sets built the spec way: a ``TaskSpec``
+    per pool row, the same seeded draws, ``scale_to_utilization`` on
+    every draw (no table of earlier picks)."""
     pool = [TaskSpec(e, p, name=n, cache_delay=d)
             for n, e, p, d in payload.tasks]
     rng = np.random.default_rng(shard.seed)
-    samples = []
+    picks, samples = [], []
     for _ in range(shard.sets):
-        chosen = pool
+        picked = tuple(range(len(pool)))
         if len(pool) > shard.n_tasks:
-            picked = sorted(rng.choice(len(pool), size=shard.n_tasks,
-                                       replace=False).tolist())
-            chosen = [pool[i] for i in picked]
-        samples.append(scale_to_utilization(chosen, shard.utilization))
-    return samples
+            picked = tuple(sorted(rng.choice(len(pool), size=shard.n_tasks,
+                                             replace=False).tolist()))
+        picks.append(picked)
+        samples.append(scale_to_utilization([pool[i] for i in picked],
+                                            shard.utilization))
+    return picks, samples
+
+
+def check_shard(shard, payload):
+    """Run one shard with its analyses counted and check the contract:
+    the spec path's points, one analysis per distinct pick, and no
+    ``ANALYSIS_CACHE`` read or write."""
+    model = OverheadModel()
+    picks, samples = spec_samples(shard, payload)
+    analysed = []
+
+    def counted(tasks, model):
+        analysed.append(tasks)
+        return evaluate_columns(tasks, model)
+
+    before = ANALYSIS_CACHE.info()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "evaluate_columns", counted)
+        got = evaluate_trace_shard((shard, None, payload))
+    assert ANALYSIS_CACHE.info() == before
+    assert got == [evaluate_columns(TaskColumns.of(specs), model)
+                   for specs in samples]
+    assert len(analysed) == len(set(picks))
+    return len(picks) - len(set(picks))
 
 
 class TestTraceShardCache:
-    def test_cold_warm_and_bypass_agree_with_the_spec_path(self):
+    def test_shard_points_equal_the_spec_path(self):
+        """Every fixture shard equals the spec path, analyses each
+        distinct pick once and leaves a warm analysis cache as it found
+        it; window 1's shards repeat one pick."""
         shards = trace_shards()
-        n_sets = sum(shard.sets for shard, _m, _p in shards)
         ANALYSIS_CACHE.clear()
         try:
-            start = ANALYSIS_CACHE.info()
-            cold = [evaluate_trace_shard(args) for args in shards]
-            info = ANALYSIS_CACHE.info()
-            distinct = info["size"] // 2  # one PD² and one EDF-FF entry
-            # Each distinct set missed twice; repeats already hit.
-            assert info["misses"] - start["misses"] == 2 * distinct
-            assert info["hits"] - start["hits"] == \
-                2 * (n_sets - distinct) > 0
-            warm = [evaluate_trace_shard(args) for args in shards]
-            after = ANALYSIS_CACHE.info()
-            assert after["misses"] == info["misses"]
-            assert after["hits"] - info["hits"] == 2 * n_sets
-            set_fastpath(False)
-            reference = [evaluate_trace_shard(args) for args in shards]
-            # The bypass reads and writes no entry.
-            assert ANALYSIS_CACHE.info() == after
+            # A warm entry for every spec-path set: the shard must not
+            # read it either.
+            for shard, _m, payload in shards:
+                for specs in spec_samples(shard, payload)[1]:
+                    evaluate_task_set(specs, OverheadModel())
+            repeats = [check_shard(shard, payload)
+                       for shard, _m, payload in shards]
         finally:
-            set_fastpath(None)
             ANALYSIS_CACHE.clear()
-        assert cold == warm == reference
-        model = OverheadModel()
-        assert cold == [[evaluate_columns(TaskColumns.of(specs), model)
-                         for specs in spec_samples(shard, payload)]
-                        for shard, _m, payload in shards]
+        assert sum(repeats) > 0
 
-    def test_column_keys_are_the_spec_keys(self):
-        """A trace set and the same specs analysed by the service share
-        one cache entry: the keys are byte-equal."""
-        model = OverheadModel()
-        custom = OverheadModel(sched_pd2=lambda n, m: 0)
-        ANALYSIS_CACHE.clear()
-        try:
-            for shard, _m, payload in trace_shards():
-                evaluate_trace_shard((shard, None, payload))
-                for specs in spec_samples(shard, payload):
-                    tasks = TaskColumns.of(specs)
-                    key = columns_cache_key(tasks, model)
-                    assert key == task_set_cache_key(specs, model)
-                    assert columns_cache_key(tasks, custom) is None
-                    hits = ANALYSIS_CACHE.info()["hits"]
-                    evaluate_task_set(specs, model)
-                    assert ANALYSIS_CACHE.info()["hits"] == hits + 2
-        finally:
-            ANALYSIS_CACHE.clear()
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, 30).flatmap(lambda p: st.tuples(
+            st.integers(1, p), st.just(p), st.integers(0, 3))),
+            min_size=max(1, n - 2), max_size=n + 1),
+        st.sampled_from([0.25, 0.5, 1.0, 1.7]),
+        st.integers(1, 12),
+        st.integers(0, 2 ** 32))))
+    @settings(max_examples=60, deadline=None)
+    def test_pools_around_n_tasks(self, case):
+        """Pools smaller than, equal to and one larger than ``n_tasks``
+        (where picks repeat most) hold the same contract."""
+        n, rows, fraction, sets, seed = case
+        q = 1000
+        payload = TraceWindowPayload(
+            window_offset=0,
+            tasks=tuple((f"t{k}", e * q, p * q, d * q)
+                        for k, (e, p, d) in enumerate(rows)))
+        shard = ShardSpec(shard_id="p0000r000", point_index=0,
+                          replica_index=0, n_tasks=n,
+                          utilization=fraction * min(n, len(rows)),
+                          sets=sets, seed=seed)
+        check_shard(shard, payload)

@@ -18,11 +18,20 @@ The load-bearing claims, each pinned here:
 * a trace payload row that no ``TaskSpec`` would accept is refused at
   construction and wire decode;
 * :class:`TraceGrid` plans shards with the synthetic planner's id
-  scheme and seed strides, and round-trips through its manifest form.
+  scheme and seed strides, and round-trips through its manifest form;
+* ``fetch_trace`` writes only bytes that match the checksum, leaves
+  nothing behind on a mismatch and refuses to read without one (driven
+  offline through a ``file://`` URL), and importing the replay path
+  loads no network stack.
 """
 
+import gzip
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +44,7 @@ from repro.traces.mapping import (MappingConfig, TraceMappingError,
                                   map_jobs, scale_executions,
                                   scale_to_utilization, segment_log,
                                   window_jobs)
+from repro.traces.fetch import TraceFetchError, fetch_trace, sha256_file
 from repro.traces.replay import (TraceGrid, TraceWindowPayload,
                                  build_window_payloads,
                                  evaluate_trace_shard)
@@ -492,3 +502,58 @@ class TestEvaluateTraceShard:
         assert direct == again == over_wire
         assert len(direct) == shard.sets
         assert all(p.m_pd2 is not None for p in direct)
+
+
+class TestFetchTrace:
+    """``fetch_trace`` offline: a ``file://`` URL to a gzipped copy of
+    the fixture stands in for the archive."""
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        gz = tmp_path / "mini.swf.gz"
+        gz.write_bytes(gzip.compress(Path(FIXTURE).read_bytes()))
+        return gz.as_uri()
+
+    def test_matching_checksum_writes_the_decompressed_bytes(
+            self, source, tmp_path):
+        dest = tmp_path / "logs" / "mini.swf"
+        got = fetch_trace(source, dest, sha256=sha256_file(FIXTURE).upper())
+        assert got == dest
+        assert dest.read_bytes() == Path(FIXTURE).read_bytes()
+        assert not dest.with_name("mini.swf.part").exists()
+
+    def test_mismatch_leaves_neither_dest_nor_part(self, source, tmp_path):
+        dest = tmp_path / "mini.swf"
+        with pytest.raises(TraceFetchError, match="SHA-256 mismatch"):
+            fetch_trace(source, dest, sha256="0" * 64)
+        assert not dest.exists()
+        assert not dest.with_name("mini.swf.part").exists()
+
+    def test_no_checksum_is_refused_before_any_read(self, source, tmp_path,
+                                                    monkeypatch):
+        import urllib.request
+
+        def urlopen(*args, **kwargs):
+            raise AssertionError("fetch_trace read without a checksum")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        dest = tmp_path / "mini.swf"
+        with pytest.raises(TraceFetchError, match="no SHA-256 known"):
+            fetch_trace(source, dest)
+        assert not dest.exists()
+        assert not dest.with_name("mini.swf.part").exists()
+
+
+def test_replay_import_loads_no_network_stack():
+    """A fresh interpreter that imports the replay path (as a CLI or a
+    pool worker does) has not imported ``urllib.request``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.traces.replay; "
+         "print('urllib.request' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
