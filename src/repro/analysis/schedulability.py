@@ -77,10 +77,11 @@ __all__ = [
 #: a trace shard reuses a repeated pick's point within the shard.
 #: Analyses under models whose cost curves cannot be fingerprinted
 #: (``task_set_cache_key`` returns ``None``) bypass the cache entirely.
-#: Written from two thread domains — the main thread (``compare``, serial
-#: ``batch-analyze``, direct calls) and the ``ServerThread`` event loop
-#: (service ``analyze``) — which is safe because
-#: :class:`~repro.util.lru.LRUCache` locks internally
+#: Written from three thread domains — the main thread (``compare``,
+#: direct ``batch_analyze`` and ``evaluate_task_set`` calls), the
+#: ``ServerThread`` event loop (service ``analyze``) and the loop's
+#: default-executor thread (the service's ``batch-analyze``) — which is
+#: safe because :class:`~repro.util.lru.LRUCache` locks internally
 #: (staticcheck R007 verifies exactly this; see docs/CONCURRENCY.md).
 ANALYSIS_CACHE = LRUCache(capacity=65536)
 

@@ -47,6 +47,13 @@ Failure semantics, in one place:
   Repeated waves are bounded by ``max_pool_rebuilds``; past that the
   run gives up on whatever is unfinished.
 
+Each job given up on keeps its last cause (:class:`FailedJobs`): the
+exception's type and text, the timeout, or the worker death.
+:class:`CampaignIncomplete` and ``batch_analyze``'s per-set ``"error"``
+name it: a job the pool cannot pickle fails every attempt with
+``TypeError: cannot pickle '_thread.lock' object``, and the caller
+reads exactly that.
+
 This is the single module in ``repro.campaign`` allowed to read clocks
 (staticcheck R002 exempts exactly this file): ``time.monotonic`` for
 deadlines and throughput, wall-clock only for run-metadata timestamps.
@@ -73,7 +80,7 @@ from .progress import ProgressTracker
 from .spec import GridLike
 
 __all__ = ["RunnerConfig", "CampaignRunner", "CampaignIncomplete",
-           "Dispatcher", "dispatch_jobs", "new_process_pool"]
+           "Dispatcher", "FailedJobs", "dispatch_jobs", "new_process_pool"]
 
 
 @dataclass(frozen=True)
@@ -97,19 +104,35 @@ class RunnerConfig:
             raise ValueError("shard_timeout must be positive when set")
 
 
+class FailedJobs(List[str]):
+    """The sorted keys of the jobs :func:`dispatch_jobs` gave up on,
+    with ``causes[key]`` the last failure of each: an exception's type
+    and text, a timeout, or a worker death past the rebuild budget."""
+
+    def __init__(self, causes: Mapping[str, str]) -> None:
+        super().__init__(sorted(causes))
+        self.causes = dict(causes)
+
+
 class CampaignIncomplete(RuntimeError):
     """Some shards exhausted their retry budget.
 
     The run directory (when there is one) remains valid: completed
     shards are checkpointed, so ``repro campaign resume`` retries only
-    the failures once their cause is fixed.
+    the failures once their cause is fixed.  When ``failed`` is a
+    :class:`FailedJobs`, the message names each previewed shard's cause.
     """
 
     def __init__(self, failed: Sequence[str]) -> None:
         self.failed = sorted(failed)
-        preview = ", ".join(self.failed[:5])
+        causes = failed.causes if isinstance(failed, FailedJobs) else {}
+        by_cause: Dict[str, List[str]] = {}
+        for key in self.failed[:5]:
+            by_cause.setdefault(causes.get(key, ""), []).append(key)
+        preview = "; ".join(", ".join(keys) + (f" ({cause})" if cause else "")
+                            for cause, keys in by_cause.items())
         if len(self.failed) > 5:
-            preview += ", ..."
+            preview += "; ..."
         super().__init__(
             f"{len(self.failed)} shard(s) failed after retries: {preview} "
             f"(completed shards are checkpointed; resume retries failures)")
@@ -172,6 +195,10 @@ def _started_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
+def _cause(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _backoff(config: RunnerConfig, failures: int) -> float:
     return config.backoff_seconds * (2 ** max(failures - 1, 0))
 
@@ -194,31 +221,31 @@ def _dispatch_serial(order: List[str], jobs: Mapping[str, Any],
                      worker: Callable[[Any], Any], config: RunnerConfig,
                      on_success: Callable[[str, Any, int, float], None],
                      on_retry: Optional[Callable[[str, str], None]]
-                     ) -> List[str]:
+                     ) -> FailedJobs:
     """In-process dispatch for ``workers == 1`` — same retry budget, no
     pool, no timeouts (a stuck shard would stick the caller regardless).
     Every attempt ends in ``on_success`` or ``on_retry``, so there is no
     separate tick."""
-    failed: List[str] = []
+    failed: Dict[str, str] = {}
     for key in order:
         failures = 0
         while True:
             start = time.monotonic()
             try:
                 result = worker(jobs[key])
-            except Exception:
+            except Exception as exc:
                 failures += 1
                 if on_retry is not None:
                     on_retry(key, "error")
                 if failures > config.max_retries:
-                    failed.append(key)
+                    failed[key] = _cause(exc)
                     break
                 time.sleep(_backoff(config, failures))
                 continue
             on_success(key, result, failures + 1,
                        time.monotonic() - start)
             break
-    return failed
+    return FailedJobs(failed)
 
 
 def dispatch_jobs(jobs: Mapping[str, Any],
@@ -226,8 +253,10 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                   config: RunnerConfig, *,
                   on_success: Callable[[str, Any, int, float], None],
                   on_retry: Optional[Callable[[str, str], None]] = None,
-                  on_tick: Optional[Callable[[], None]] = None) -> List[str]:
-    """Run every job to success or retry exhaustion; return failed keys.
+                  on_tick: Optional[Callable[[], None]] = None
+                  ) -> FailedJobs:
+    """Run every job to success or retry exhaustion; return the failed
+    keys, sorted, with each one's last cause (:class:`FailedJobs`).
 
     ``jobs`` maps a stable key to a picklable payload; ``worker`` must be
     a module-level callable (the pool pickles it).  With ``workers > 1``
@@ -252,7 +281,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     """
     order = sorted(jobs)
     if not order:
-        return []
+        return FailedJobs({})
     if config.workers <= 1:
         return _dispatch_serial(order, jobs, worker, config,
                                 on_success, on_retry)
@@ -262,19 +291,20 @@ def dispatch_jobs(jobs: Mapping[str, Any],
     pending: Dict[Future, _Attempt] = {}
     failures: Dict[str, int] = {}
     finished: Set[str] = set()
-    failed: Set[str] = set()
+    #: Key -> its last failure, for the keys given up on.
+    failed: Dict[str, str] = {}
     #: Timed-out attempts, possibly still running in the pool.
     abandoned: List[Future] = []
     rebuilds = 0
     pool: Optional[ProcessPoolExecutor] = None
 
-    def charge(key: str, reason: str, now: float) -> None:
+    def charge(key: str, reason: str, now: float, cause: str) -> None:
         """Budgeted requeue for an error or timeout."""
         failures[key] = failures.get(key, 0) + 1
         if on_retry is not None:
             on_retry(key, reason)
         if failures[key] > config.max_retries:
-            failed.add(key)
+            failed[key] = cause
         else:
             queue.append((now + _backoff(config, failures[key]), key))
 
@@ -295,7 +325,9 @@ def dispatch_jobs(jobs: Mapping[str, Any],
             pool = None
         if rebuilds > config.max_pool_rebuilds:
             for _, key in queue:
-                failed.add(key)
+                failed[key] = (f"worker death: the pool broke {rebuilds} "
+                               f"times, max_pool_rebuilds="
+                               f"{config.max_pool_rebuilds}")
             queue.clear()
 
     last_tick = time.monotonic()
@@ -346,7 +378,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                     queue.append((now + config.backoff_seconds, att.key))
                     died = True
                 else:
-                    charge(att.key, "error", now)
+                    charge(att.key, "error", now, _cause(exc))
             if died:
                 handle_pool_death(now)
 
@@ -356,7 +388,8 @@ def dispatch_jobs(jobs: Mapping[str, Any],
                         del pending[fut]
                         fut.cancel()  # best-effort; running tasks persist
                         abandoned.append(fut)
-                        charge(att.key, "timeout", now)
+                        charge(att.key, "timeout", now,
+                               f"timeout after {config.shard_timeout:g} s")
 
             if on_tick is not None and \
                     now - last_tick >= config.status_interval_seconds:
@@ -369,7 +402,7 @@ def dispatch_jobs(jobs: Mapping[str, Any],
             # exit hook on the executor's wakeup pipe.
             busy = bool(pending) or not all(f.done() for f in abandoned)
             pool.shutdown(wait=not busy, cancel_futures=busy)
-    return sorted(failed)
+    return FailedJobs(failed)
 
 
 class Dispatcher(Protocol):
@@ -378,7 +411,8 @@ class Dispatcher(Protocol):
     :class:`~repro.distrib.coordinator.Coordinator` is one).
 
     ``run`` takes the runner's ``{shard_id: (spec, model[, payload])}``
-    jobs and returns the failed ids, like :func:`dispatch_jobs`; its
+    jobs and returns the failed ids, like :func:`dispatch_jobs` (as a
+    plain list, the ids carry no causes); its
     ``on_success`` and ``on_retry`` callbacks take one more argument,
     the name of the worker that produced the result or is charged with
     the retry (``None`` when nobody is).  ``status`` returns extra

@@ -224,5 +224,6 @@ def batch_analyze(task_sets: Sequence[Sequence[TaskSpec]], *,
     for key in failed:
         # Non-deterministic failure (e.g. repeated worker death): report
         # it per-set the same way invalid input is reported.
-        results[key] = {"error": "analysis failed after retries"}
+        results[key] = {"error": "analysis failed after retries: "
+                                 f"{failed.causes[key]}"}
     return [results[key] for key in sorted(jobs)]

@@ -22,7 +22,7 @@ Rules (see :mod:`repro.staticcheck.rules` and docs/STATIC_ANALYSIS.md):
 * **R005 hygiene** — no mutable default arguments, bare ``except``, or
   control-flow ``assert`` in library code.
 
-Four further rules are *interprocedural*: they run over a project-wide
+Three further rules are *interprocedural*: they run over a project-wide
 symbol table / call graph (:mod:`repro.staticcheck.callgraph`) with
 thread-domain inference (:mod:`repro.staticcheck.domains`), enforcing
 the concurrency model written down in docs/CONCURRENCY.md:
@@ -34,12 +34,13 @@ the concurrency model written down in docs/CONCURRENCY.md:
   from two thread domains without a recognised lock.
 * **R008 lock-discipline** — no lock-order cycles (lexical or through
   calls), no ``await`` under a sync lock, no bare ``acquire()``.
-* **R009 fork-safety** — nothing transitively holding a lock, socket,
-  or event loop crosses a process boundary.
 
-Retired ids (R004, R010–R015) are never reused.  The vector kernel's
-key budget and dtype soundness are checked by tests that run the real
-kernel (``TestKeyBudget`` and ``TestDtypes`` in
+Retired ids (R004, R009–R015) are never reused.  What crosses a
+process boundary is checked by the pool's own pickling, which refuses
+a lock or socket on every attempt; ``dispatch_jobs`` reports that cause
+(``tests/test_campaign.py``).  The vector kernel's key budget and dtype
+soundness are checked by tests that run the real kernel
+(``TestKeyBudget`` and ``TestDtypes`` in
 ``tests/test_sim_vector.py``), and the JSON-lines wire protocol by
 tests that run its real peers (``tests/test_wire_protocol.py``).
 Campaign determinism (seeds, iteration order, canonical JSON) is

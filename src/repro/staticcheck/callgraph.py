@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for cross-module rules.
 
 The single-file rules (R001–R005) judge one AST at a time; the
-concurrency rules (R006–R009) need to answer questions like "which
+concurrency rules (R006–R008) need to answer questions like "which
 functions does a coroutine reach?" and "what class is this module-level
 global an instance of?".  :class:`ProjectIndex` answers them from the
 same parsed :class:`~repro.staticcheck.engine.ModuleInfo` records the

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.staticcheck",
         description="AST-based invariant checker: exactness, determinism, "
                     "layering, hygiene, and the interprocedural "
-                    "concurrency rules (R006-R009).",
+                    "concurrency rules (R006-R008).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path, default=None,

@@ -1,6 +1,6 @@
-"""The interprocedural concurrency rules: R006–R009.
+"""The interprocedural concurrency rules: R006–R008.
 
-All four rules run over the :class:`~repro.staticcheck.callgraph.ProjectIndex`
+All three rules run over the :class:`~repro.staticcheck.callgraph.ProjectIndex`
 (whole-project symbol table + call graph) and the
 :class:`~repro.staticcheck.domains.DomainAnalysis` thread-domain pass,
 via the engine's ``check_project`` hook.  They exist because PRs 1–2
@@ -20,9 +20,11 @@ on.  The single-file rules cannot see any of that; these can:
   threads deadlocks; ``await`` while holding a sync lock blocks the
   loop for as long as any other thread holds the lock; a bare
   ``acquire()`` leaks on the first exception.
-* **R009 fork/pickle safety** — locks, sockets, and event-loop
-  references do not survive pickling into a ``multiprocessing`` worker
-  (or silently detach, which is worse).
+
+What crosses a process boundary is not a rule: the pool pickles every
+submission and refuses a lock or socket on every attempt, and
+``dispatch_jobs`` reports that cause (``tests/test_campaign.py`` ships
+a lock-holding object as a job function, a payload and a shard worker).
 
 Shared design rule: resolution failures stay *silent*.  A dynamic call
 the index cannot resolve contributes no edge, no domain, no violation —
@@ -43,7 +45,6 @@ __all__ = [
     "BlockingInAsyncRule",
     "DomainConfinementRule",
     "LockDisciplineRule",
-    "ForkSafetyRule",
     "CONCURRENCY_RULES",
 ]
 
@@ -449,9 +450,9 @@ class DomainConfinementRule(Rule):
             writes = sites[key]
             write_domains: Set[str] = set()
             for site in writes:
-                write_domains |= domains.shared_domains_of(site.fn)
+                write_domains |= domains.domains_of(site.fn)
             if len(write_domains) < 2:
-                continue  # confined to one domain (workers own a copy)
+                continue  # confined to one domain
             unprotected = [s for s in writes if not s.protected]
             for site in unprotected:
                 others = sorted(write_domains)
@@ -803,172 +804,9 @@ class LockDisciplineRule(Rule):
                          "these in opposite orders deadlock"))
 
 
-# ---------------------------------------------------------------------------
-# R009 — fork/pickle safety
-
-
-class ForkSafetyRule(Rule):
-    """Nothing holding a lock, socket, thread, or event-loop reference
-    may be shipped into a ``multiprocessing`` worker.
-
-    ``pickle`` either refuses such objects (``TypeError: cannot pickle
-    '_thread.lock' object`` — at submit time, killing the campaign) or,
-    for some types, silently rebuilds a detached copy in the child, which
-    is worse: the worker then "locks" a lock nobody else can see.  The
-    rule resolves every argument shipped to a process-pool submission to
-    its class and walks the class's attribute graph transitively.
-    """
-
-    rule_id = "R009"
-    name = "fork-safety"
-    uses_project = True
-    description = ("objects captured into multiprocessing workers must "
-                   "not transitively hold locks, sockets, threads, or "
-                   "event-loop references")
-
-    #: External constructors whose values must stay in-process.
-    UNSAFE_PREFIXES = (
-        "threading.",
-        "socket.",
-        "asyncio.",
-        "ssl.",
-        "concurrent.futures.",
-        "multiprocessing.",
-        "selectors.",
-    )
-    UNSAFE_EXACT = {"builtins.open"}
-
-    #: Process-backed executors/pools (thread pools pickle nothing).
-    PROCESS_EXECUTORS = {
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "multiprocessing.Pool",
-        "multiprocessing.pool.Pool",
-    }
-    PROCESS_CTORS = {"multiprocessing.Process",
-                     "multiprocessing.context.Process"}
-    SUBMIT_METHODS = {"submit", "apply", "apply_async"}
-    MAP_METHODS = {"map", "map_async", "starmap", "imap", "imap_unordered"}
-
-    def _unsafe_ctor(self, ctor: str) -> bool:
-        return ctor in self.UNSAFE_EXACT or \
-            any(ctor.startswith(p) for p in self.UNSAFE_PREFIXES)
-
-    def _unsafe_path(self, project: ProjectIndex, cls: ClassInfo,
-                     _depth: int = 0,
-                     _seen: Optional[Set[str]] = None
-                     ) -> Optional[Tuple[str, str]]:
-        """``(attribute path, offending constructor)`` when ``cls``
-        transitively holds an unpicklable resource, else ``None``."""
-        if _seen is None:
-            _seen = set()
-        if cls.qname in _seen or _depth > 5:
-            return None
-        _seen.add(cls.qname)
-        attr_types = project.attr_types(cls)
-        for attr in sorted(attr_types):
-            sym = attr_types[attr]
-            if sym.kind == "instance_external" and \
-                    self._unsafe_ctor(sym.ref):  # type: ignore[arg-type]
-                return attr, sym.ref  # type: ignore[return-value]
-            if sym.kind == "instance":
-                nested = self._unsafe_path(project, sym.ref, _depth + 1,
-                                           _seen)
-                if nested is not None:
-                    return f"{attr}.{nested[0]}", nested[1]
-        return None
-
-    def _payload_exprs(self, project: ProjectIndex, fn: FunctionInfo,
-                       call: ast.Call) -> Iterator[Tuple[ast.expr, str]]:
-        """Expressions whose values cross the process boundary at this
-        call, labelled for the message."""
-        func = call.func
-        target = project.resolve_value(fn, func)
-        name = target.external_name
-        if name in self.PROCESS_CTORS:
-            for kw in call.keywords:
-                if kw.arg == "target":
-                    yield kw.value, "as the Process target"
-                elif kw.arg == "args" and isinstance(kw.value,
-                                                     (ast.Tuple, ast.List)):
-                    for elt in kw.value.elts:
-                        yield elt, "in Process args"
-                elif kw.arg == "kwargs" and isinstance(kw.value, ast.Dict):
-                    for v in kw.value.values:
-                        yield v, "in Process kwargs"
-            return
-        if name in self.PROCESS_EXECUTORS:
-            for kw in call.keywords:
-                if kw.arg == "initializer":
-                    yield kw.value, "as the pool initializer"
-                elif kw.arg == "initargs" and isinstance(kw.value,
-                                                         (ast.Tuple,
-                                                          ast.List)):
-                    for elt in kw.value.elts:
-                        yield elt, "in the pool initargs"
-            return
-        if isinstance(func, ast.Attribute) and \
-                func.attr in (self.SUBMIT_METHODS | self.MAP_METHODS):
-            base = project.resolve_value(fn, func.value)
-            if base.kind != "instance_external" or \
-                    base.ref not in self.PROCESS_EXECUTORS:
-                return
-            if call.args:
-                yield call.args[0], f"as the .{func.attr}() callable"
-            if func.attr in self.SUBMIT_METHODS:
-                for arg in call.args[1:]:
-                    yield arg, f"as a .{func.attr}() argument"
-                for kw in call.keywords:
-                    if kw.arg is not None:
-                        yield kw.value, f"as a .{func.attr}() argument"
-            else:
-                # map-style: the iterables' element types are opaque, but
-                # a literal list of resolvable names is worth checking.
-                for arg in call.args[1:]:
-                    if isinstance(arg, (ast.List, ast.Tuple)):
-                        for elt in arg.elts:
-                            yield elt, f"in a .{func.attr}() iterable"
-
-    def _check_payload(self, project: ProjectIndex, fn: FunctionInfo,
-                       expr: ast.expr, label: str) -> Iterator[Violation]:
-        sym = project.resolve_value(fn, expr)
-        cls: Optional[ClassInfo] = None
-        subject = ""
-        if sym.kind == "instance":
-            cls = sym.ref  # type: ignore[assignment]
-            subject = f"a {cls.name} instance"
-        elif sym.kind == "func":
-            bound: FunctionInfo = sym.ref  # type: ignore[assignment]
-            if bound.cls is not None and isinstance(expr, ast.Attribute):
-                cls = bound.cls
-                subject = f"bound method {cls.name}.{bound.name}"
-        if cls is None:
-            return
-        unsafe = self._unsafe_path(project, cls, 0, None)
-        if unsafe is None:
-            return
-        attr_path, ctor = unsafe
-        yield Violation(
-            path=fn.module.relpath,
-            line=getattr(expr, "lineno", 1),
-            col=getattr(expr, "col_offset", 0),
-            rule_id=self.rule_id,
-            message=(f"{subject} crosses a process boundary {label} but "
-                     f"holds {ctor} (via .{attr_path}) — it cannot be "
-                     "pickled into a worker; pass plain data instead"))
-
-    def check_project(self, project: ProjectIndex) -> Iterator[Violation]:
-        for fn in project.all_functions():
-            for site in project.callsites(fn):
-                for expr, label in self._payload_exprs(project, fn,
-                                                       site.node):
-                    yield from self._check_payload(project, fn, expr, label)
-
-
-#: The four concurrency rules, in id order — appended to RULES.
+#: The three concurrency rules, in id order — appended to RULES.
 CONCURRENCY_RULES: Tuple[Rule, ...] = (
     BlockingInAsyncRule(),
     DomainConfinementRule(),
     LockDisciplineRule(),
-    ForkSafetyRule(),
 )

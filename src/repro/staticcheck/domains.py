@@ -1,20 +1,18 @@
 """Thread-domain inference: which execution contexts run each function.
 
-The repository's runtime topology (docs/CONCURRENCY.md) has four kinds
+The repository's runtime topology (docs/CONCURRENCY.md) has three kinds
 of execution context, called *domains* here:
 
-* :data:`MAIN` — the process's main thread: CLI commands, campaign
-  drivers, test bodies, ``atexit`` handlers;
+* :data:`MAIN` — a process's main thread: CLI commands, campaign
+  drivers, test bodies, ``atexit`` handlers, and the jobs a process
+  pool runs (each pool worker is its own address space, so its module
+  state is a per-process copy, as the main thread's is);
 * :data:`THREAD` — an auxiliary ``threading.Thread`` (the
   ``ServerThread`` daemon, ``ThreadPoolExecutor`` workers,
   ``asyncio.to_thread`` / ``run_in_executor`` offloads);
 * :data:`LOOP` — an asyncio event loop (every coroutine, plus every
   synchronous function a coroutine calls — those block the loop while
-  they run, wherever the loop's thread lives);
-* :data:`WORKER` — a ``multiprocessing`` worker process (campaign pool
-  workers).  Workers have their own address space: module-level state
-  written there is a per-process copy, which is why rules that reason
-  about shared memory fold :data:`WORKER` back into :data:`MAIN`.
+  they run, wherever the loop's thread lives).
 
 Inference seeds domains at the entry points the codebase actually uses —
 ``threading.Thread(target=...)``, ``asyncio.run``, pool/executor
@@ -40,29 +38,24 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .callgraph import FunctionInfo, ProjectIndex, Sym
 
-__all__ = ["MAIN", "THREAD", "LOOP", "WORKER", "PROCESS_SHARED_DOMAINS",
-           "DomainAnalysis"]
+__all__ = ["MAIN", "THREAD", "LOOP", "DomainAnalysis"]
 
 MAIN = "main"
 THREAD = "thread"
 LOOP = "event-loop"
-WORKER = "worker"
-
-#: Domains that share the parent process's address space.  A write from
-#: :data:`WORKER` mutates a per-process copy, so shared-state rules map
-#: it to that process's own main thread.
-PROCESS_SHARED_DOMAINS = (MAIN, THREAD, LOOP)
 
 #: External constructors whose ``target=`` callable runs on a new thread.
 _THREAD_CTORS = {"threading.Thread", "threading.Timer"}
-#: External constructors whose ``target=`` callable runs in a new process.
+#: External constructors whose ``target=`` callable runs on the main
+#: thread of a new process.
 _PROCESS_CTORS = {"multiprocessing.Process", "multiprocessing.context.Process"}
-#: Executor classes by the domain their submissions run in.
+#: Executor classes by the domain their submissions run in: a process
+#: pool's job runs on its worker process's main thread.
 _EXECUTOR_DOMAIN = {
-    "concurrent.futures.ProcessPoolExecutor": WORKER,
-    "concurrent.futures.process.ProcessPoolExecutor": WORKER,
-    "multiprocessing.Pool": WORKER,
-    "multiprocessing.pool.Pool": WORKER,
+    "concurrent.futures.ProcessPoolExecutor": MAIN,
+    "concurrent.futures.process.ProcessPoolExecutor": MAIN,
+    "multiprocessing.Pool": MAIN,
+    "multiprocessing.pool.Pool": MAIN,
     "concurrent.futures.ThreadPoolExecutor": THREAD,
     "concurrent.futures.thread.ThreadPoolExecutor": THREAD,
 }
@@ -76,7 +69,7 @@ class DomainAnalysis:
 
     @classmethod
     def of(cls, project: ProjectIndex) -> "DomainAnalysis":
-        """The (memoised) analysis for ``project`` — the four concurrency
+        """The (memoised) analysis for ``project`` — the concurrency
         rules share one inference pass per check run."""
         cached = getattr(project, "_domain_analysis", None)
         if cached is None:
@@ -88,7 +81,6 @@ class DomainAnalysis:
         self.project = project
         self._domains: Dict[str, Set[str]] = {}
         self._why: Dict[Tuple[str, str], str] = {}
-        self._seeded: Set[Tuple[str, str]] = set()
         self._infer()
 
     # -- public API ----------------------------------------------------------
@@ -99,12 +91,6 @@ class DomainAnalysis:
         if found:
             return frozenset(found)
         return frozenset((MAIN,))
-
-    def shared_domains_of(self, fn: FunctionInfo) -> FrozenSet[str]:
-        """Domains of ``fn`` folded onto the address space they mutate:
-        :data:`WORKER` becomes the worker process's own :data:`MAIN`."""
-        return frozenset(MAIN if d == WORKER else d
-                         for d in self.domains_of(fn))
 
     def why(self, fn: FunctionInfo, domain: str) -> str:
         """A witness chain for ``fn`` running in ``domain``."""
@@ -119,7 +105,6 @@ class DomainAnalysis:
         if fn is None:
             return
         self._domains.setdefault(fn.qname, set()).add(domain)
-        self._seeded.add((fn.qname, domain))
         self._why.setdefault((fn.qname, domain), reason)
 
     @staticmethod
@@ -141,13 +126,11 @@ class DomainAnalysis:
                                      "thread")
             if fn.is_async:
                 self._domains.setdefault(fn.qname, set()).add(LOOP)
-                self._seeded.add((fn.qname, LOOP))
                 self._why.setdefault((fn.qname, LOOP),
                                      f"{fn.name} is a coroutine — it only "
                                      "ever executes on an event loop")
             if fn.name == "main" and fn.cls is None:
                 self._domains.setdefault(fn.qname, set()).add(MAIN)
-                self._seeded.add((fn.qname, MAIN))
                 self._why.setdefault((fn.qname, MAIN),
                                      f"{fn.qname} is a CLI entry point")
             for site in project.callsites(fn):
@@ -159,7 +142,7 @@ class DomainAnalysis:
         project = self.project
         name = target.external_name
         if name in _THREAD_CTORS or name in _PROCESS_CTORS:
-            domain = THREAD if name in _THREAD_CTORS else WORKER
+            domain = THREAD if name in _THREAD_CTORS else MAIN
             for kw in call.keywords:
                 if kw.arg == "target":
                     self._seed(project.resolve_callable_ref(fn, kw.value),

@@ -8,7 +8,7 @@ need to know about pragmas.
 
 The rule ids are stable API — pragmas and CI logs refer to them — so
 new checks get new ids rather than changing what an existing id means,
-and a retired id (R004, R010–R015) is never reused.
+and a retired id (R004, R009–R015) is never reused.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 One cache type serves every memoisation point in the system: the
 admission service's per-instance analysis cache
 (:class:`repro.service.state.ServiceState`), the process-wide
-schedulability cache shared by campaign workers and the service
-(:data:`repro.analysis.schedulability.ANALYSIS_CACHE`), and the
-hyperperiod-cycle cache of the PD² fast path
-(:mod:`repro.sim.cache`).  All of them key results by canonical hashes
+schedulability cache of ``evaluate_task_set`` callers such as
+``compare``, ``batch-analyze`` and the service
+(:data:`repro.analysis.schedulability.ANALYSIS_CACHE`; campaign and
+trace shards never touch it), and the hyperperiod-cycle cache of the
+PD² fast path (:mod:`repro.sim.cache`).  All of them key results by
+canonical hashes
 (:func:`repro.analysis.schedulability.task_set_cache_key` and friends) so
 identical questions are answered by O(1) dict lookups.
 
@@ -16,11 +18,13 @@ that depends on mutable state — e.g. the service's live Eq. (2)
 admission — is never cached.
 
 Thread safety: every mutating operation takes an internal
-``threading.RLock``.  The process-wide caches are written both from the
-main thread (campaign drivers) and from the ``ServerThread`` event loop
-(service ``analyze`` requests), and an ``OrderedDict`` mutated from two
-threads can corrupt its recency list; the uncontended lock costs tens of
-nanoseconds against a lookup that saves a full schedulability analysis.
+``threading.RLock``.  ``ANALYSIS_CACHE`` is written from the main
+thread (``compare``, serial ``batch_analyze`` calls), from the
+``ServerThread`` event loop (service ``analyze`` requests) and from the
+loop's default-executor thread (the service's ``batch-analyze``), and
+an ``OrderedDict`` mutated from two threads can corrupt its recency
+list; the uncontended lock costs tens of nanoseconds against a lookup
+that saves a full schedulability analysis.
 staticcheck's R007 (domain confinement) recognises this pattern — a
 class whose mutating methods all run under ``self._lock`` — and treats
 writes through it as synchronised.

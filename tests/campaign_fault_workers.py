@@ -14,9 +14,14 @@ carried out-of-band:
   inherited by pool workers when they start (every dispatch and every
   worker server starts fresh workers, so tests set them first); the
   die-once worker keys its fuse file by shard id.
+
+:class:`LockHolder` is the opposite case: it holds a ``threading.Lock``,
+so the pool cannot pickle it, nor any bound method of it, on any
+attempt.
 """
 
 import os
+import threading
 import time
 
 from repro.campaign.sched import evaluate_shard
@@ -34,6 +39,7 @@ __all__ = [
     "dying_shard",
     "dying_once_shard",
     "slow_shard",
+    "LockHolder",
 ]
 
 #: Shard id that :func:`failing_shard` raises on (every attempt).
@@ -134,3 +140,21 @@ def slow_shard(args):
     changing what any shard computes."""
     time.sleep(float(os.environ.get(SLOW_SECONDS_ENV, "0")))
     return evaluate_shard(args)
+
+
+class LockHolder:
+    """A lock-holding object shipped to a process pool: as a job
+    payload, or through its bound methods as the job function or the
+    shard evaluator.  Pickling it raises ``TypeError: cannot pickle
+    '_thread.lock' object``."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def job(self, payload):
+        with self._lock:
+            return payload
+
+    def shard(self, args):
+        with self._lock:
+            return evaluate_shard(args)

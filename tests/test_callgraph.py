@@ -12,8 +12,7 @@ pass propagates entry-point domains along resolved edges only.
 from pathlib import Path
 
 from repro.staticcheck.callgraph import UNKNOWN, ProjectIndex
-from repro.staticcheck.domains import (LOOP, MAIN, THREAD, WORKER,
-                                       DomainAnalysis)
+from repro.staticcheck.domains import LOOP, MAIN, THREAD, DomainAnalysis
 from repro.staticcheck.engine import load_module
 
 
@@ -334,7 +333,13 @@ class TestDomains:
                 "    return list(pool.map(job, [1, 2]))\n"
             ),
         }))
-        assert WORKER in self._domains(project, "analysis.mod.job")
+        # A pool job runs on its worker process's own main thread; the
+        # witness shows the submission seeded it, not the default.
+        job = project.functions["analysis.mod.job"]
+        analysis = DomainAnalysis.of(project)
+        assert analysis.domains_of(job) == frozenset((MAIN,))
+        assert "submitted to concurrent.futures.ProcessPoolExecutor via " \
+            ".map in analysis.mod.campaign" in analysis.why(job, MAIN)
 
     def test_thread_domain_flows_through_a_dispatch_table(self, tmp_path):
         project = index_of(make_tree(tmp_path, {

@@ -265,6 +265,50 @@ class TestDispatch:
                              on_success=lambda *a: None) == []
 
 
+class TestUnpicklableWork:
+    """A lock-holding object cannot cross into a pool worker: the pool's
+    pickling refuses it on every attempt, and the failure names why."""
+
+    CONFIG = RunnerConfig(workers=2, max_retries=1, **FAST)
+    ATTEMPTS = CONFIG.max_retries + 1
+
+    def dispatch(self, jobs, worker):
+        retries = []
+        failed = dispatch_jobs(
+            jobs, worker, self.CONFIG, on_success=lambda *a: None,
+            on_retry=lambda k, reason: retries.append((k, reason)))
+        assert failed == sorted(jobs)
+        assert sorted(retries) == sorted(
+            (key, "error") for key in jobs for _ in range(self.ATTEMPTS))
+        for key in jobs:
+            assert "cannot pickle" in failed.causes[key]
+
+    def test_bound_method_as_the_job_function(self):
+        self.dispatch({"a": 1, "b": 2}, fw.LockHolder().job)
+
+    def test_lock_holder_as_a_job_payload(self):
+        self.dispatch({"a": fw.LockHolder(), "b": fw.LockHolder()}, repr)
+
+    def test_bound_method_as_the_campaign_worker(self, tmp_path):
+        store = CheckpointStore(tmp_path / "run")
+        runner = CampaignRunner(GRID, fw.LockHolder().shard, store=store,
+                                config=self.CONFIG)
+        with pytest.raises(CampaignIncomplete) as exc_info:
+            runner.run()
+        shard_ids = [s.shard_id for s in plan_shards(GRID)]
+        assert exc_info.value.failed == shard_ids
+        assert "cannot pickle" in str(exc_info.value)
+        status = store.read_status()
+        assert status["state"] == "failed" and status["shards_done"] == 0
+        assert status["retries"] == {"error": self.ATTEMPTS * len(shard_ids)}
+
+    def test_batch_analyze_reports_the_cause_per_set(self):
+        sets = [list(TaskSetGenerator(1).generate(4, 1.0))]
+        (out,) = batch_analyze(sets, model=fw.LockHolder(),
+                               config=self.CONFIG)
+        assert "cannot pickle" in out["error"]
+
+
 # ---------------------------------------------------------------------------
 # Runner: checkpointed runs, crash-resume byte identity
 

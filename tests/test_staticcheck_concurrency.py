@@ -1,4 +1,4 @@
-"""Tests for the interprocedural concurrency rules R006–R009.
+"""Tests for the interprocedural concurrency rules R006–R008.
 
 Same fixture style as ``test_staticcheck.py``: tmp trees mimicking the
 ``src/repro`` layout, exact rule-id + ``file:line`` anchors for the
@@ -360,111 +360,6 @@ class TestLockDiscipline:
         )})
         result = run_checks(root, select=["R008"])
         assert ("service/mod.py", 7) in anchors(result, "R008")
-
-
-# ---------------------------------------------------------------------------
-# R009 — fork/pickle safety
-
-
-class TestForkSafety:
-    def test_instance_holding_a_lock_shipped_to_pool_is_flagged(self, tmp_path):
-        root = make_tree(tmp_path, {"analysis/mod.py": (
-            "import threading\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "class Tracker:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "def job(tracker, n):\n"
-            "    return n\n"
-            "def campaign():\n"
-            "    tracker = Tracker()\n"
-            "    pool = ProcessPoolExecutor()\n"
-            "    return pool.submit(job, tracker, 1)\n"   # line 11
-        )})
-        result = run_checks(root, select=["R009"])
-        assert anchors(result, "R009") == [("analysis/mod.py", 11)]
-        message = hits(result, "R009")[0].message
-        assert "threading.Lock" in message and "._lock" in message
-
-    def test_transitive_resource_through_nested_object_is_found(self, tmp_path):
-        root = make_tree(tmp_path, {"analysis/mod.py": (
-            "import socket\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "class Conn:\n"
-            "    def __init__(self):\n"
-            "        self._sock = socket.create_connection(('h', 1))\n"
-            "class Session:\n"
-            "    def __init__(self):\n"
-            "        self.conn = Conn()\n"
-            "def job(session):\n"
-            "    return 1\n"
-            "def campaign():\n"
-            "    s = Session()\n"
-            "    pool = ProcessPoolExecutor()\n"
-            "    return pool.submit(job, s)\n"
-        )})
-        result = run_checks(root, select=["R009"])
-        (violation,) = hits(result, "R009")
-        assert ".conn._sock" in violation.message
-
-    def test_bound_method_of_lock_holder_as_process_target(self, tmp_path):
-        root = make_tree(tmp_path, {"analysis/mod.py": (
-            "import multiprocessing\n"
-            "import threading\n"
-            "class Campaign:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def run(self):\n"
-            "        return 1\n"
-            "def main():\n"
-            "    c = Campaign()\n"
-            "    p = multiprocessing.Process(target=c.run)\n"  # line 10
-            "    p.start()\n"
-        )})
-        result = run_checks(root, select=["R009"])
-        assert anchors(result, "R009") == [("analysis/mod.py", 10)]
-
-    def test_clean_counterpart_plain_data_passes(self, tmp_path):
-        root = make_tree(tmp_path, {"analysis/mod.py": (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "class Config:\n"
-            "    def __init__(self, workers: int):\n"
-            "        self.workers = workers\n"
-            "def job(n):\n"
-            "    return n * 2\n"
-            "def campaign():\n"
-            "    cfg = Config(2)\n"
-            "    pool = ProcessPoolExecutor()\n"
-            "    return [pool.submit(job, n) for n in range(4)], cfg\n"
-        )})
-        assert run_checks(root, select=["R009"]).ok
-
-    def test_thread_pool_submissions_are_exempt(self, tmp_path):
-        # ThreadPoolExecutor shares the address space: no pickling.
-        root = make_tree(tmp_path, {"analysis/mod.py": (
-            "import threading\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "class Tracker:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "def job(tracker):\n"
-            "    return 1\n"
-            "def main():\n"
-            "    pool = ThreadPoolExecutor()\n"
-            "    return pool.submit(job, Tracker())\n"
-        )})
-        assert run_checks(root, select=["R009"]).ok
-
-    def test_unresolvable_payloads_stay_silent(self, tmp_path):
-        root = make_tree(tmp_path, {"analysis/mod.py": (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def job(x):\n"
-            "    return x\n"
-            "def campaign(payloads):\n"
-            "    pool = ProcessPoolExecutor()\n"
-            "    return pool.map(job, payloads)\n"
-        )})
-        assert run_checks(root, select=["R009"]).ok
 
 
 # ---------------------------------------------------------------------------
