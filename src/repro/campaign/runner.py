@@ -64,12 +64,15 @@ assembly — stays deterministic.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import sys
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from multiprocessing import process as mp_process
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Protocol, Sequence, Set, Tuple)
 
@@ -170,11 +173,36 @@ def _warm_init() -> None:
 _POOL_CONTEXT = multiprocessing.get_context("spawn")
 
 
+def _check_main_file() -> None:
+    """Raise ``RuntimeError`` when a spawned worker could not re-import
+    ``__main__``.  Spawn imports a ``python -m`` main by module name and
+    runs any other main from its ``__file__`` (a ``python -c`` script
+    or an interactive session has none, and needs nothing); a script
+    read from stdin has ``__file__ = "<stdin>"``, which no worker can
+    open, so every worker would die starting and each job would fail as
+    a bare worker death."""
+    main = sys.modules["__main__"]
+    name = getattr(main, "__file__", None)
+    if getattr(main.__spec__, "name", None) is not None or name is None:
+        return
+    path = name
+    if not os.path.isabs(path) and mp_process.ORIGINAL_DIR is not None:
+        path = os.path.join(mp_process.ORIGINAL_DIR, path)
+    if not os.path.exists(path):
+        raise RuntimeError(
+            f"cannot start pool workers: each re-imports __main__ from its "
+            f"file {name!r}, which does not exist (a script read from stdin "
+            f"has none); run the script from a file or with python -c")
+
+
 def new_process_pool(workers: int) -> ProcessPoolExecutor:
     """A fresh executor of ``workers`` warmed, spawned processes (each
     started on a submit that finds no idle worker).  The caller owns
     it: nothing else holds or replaces it, and the caller shuts it
-    down."""
+    down.  Raises ``RuntimeError``, before anything is spawned, when
+    ``__main__`` names a file that does not exist (a script on stdin),
+    since no worker could start."""
+    _check_main_file()
     return ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
                                initializer=_warm_init)
 

@@ -25,10 +25,10 @@ commit so the bin's exact ``load`` stays meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..workload.spec import TaskSpec
-from .bins import SHADOW_MARGIN, ProcessorBin
+from .bins import ProcessorBin
 
 __all__ = [
     "AcceptanceTest",
@@ -41,17 +41,6 @@ __all__ = [
 ]
 
 
-class _Ratio(NamedTuple):
-    """An unnormalised utilization ratio, duck-typed for
-    :meth:`ProcessorBin.add` (which only reads numerator/denominator).
-    The screened EDF ``first_fit`` scan returns it instead of a
-    :class:`Fraction` to skip a gcd per admission; the bin's ``load``
-    property reduces on read, so observable values are unchanged."""
-
-    numerator: int
-    denominator: int
-
-
 class AcceptanceTest:
     """Interface: can ``spec`` join ``bin``, and at what committed load?"""
 
@@ -61,21 +50,6 @@ class AcceptanceTest:
     def admit(self, bin: ProcessorBin, spec: TaskSpec) -> Optional[Fraction]:
         """Return the utilization to commit if acceptable, else ``None``."""
         raise NotImplementedError
-
-    def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
-                  ) -> Optional[Tuple[ProcessorBin, Fraction]]:
-        """First admitting bin in scan order, with its committed load.
-
-        Equivalent to probing every bin with :meth:`admit` and taking the
-        first hit; :class:`EDFUtilizationTest` overrides it with a single
-        screened loop because the first-fit scan is the partitioning hot
-        path.
-        """
-        for b in bins:
-            u = self.admit(b, spec)
-            if u is not None:
-                return b, u
-        return None
 
 
 class EDFUtilizationTest(AcceptanceTest):
@@ -96,26 +70,6 @@ class EDFUtilizationTest(AcceptanceTest):
             return None
         return spec.utilization
 
-    def first_fit(self, bins: Sequence[ProcessorBin], spec: TaskSpec
-                  ) -> Optional[Tuple[ProcessorBin, Fraction]]:
-        # Screened on the bins' float shadows: a shadow that clears the
-        # task's utilization by more than SHADOW_MARGIN admits, one that
-        # misses it by more skips, and only the rest (NaN included: the
-        # ``not <`` test) pay for the exact probe.  See SHADOW_MARGIN for
-        # why no decision differs from probing every bin exactly.
-        e, p = spec.execution, spec.period
-        u = e / p
-        admits, misses = u + SHADOW_MARGIN, u - SHADOW_MARGIN
-        for b in bins:
-            spare = b.spare_shadow
-            if spare > admits:
-                return b, _Ratio(e, p)
-            if not spare < misses:
-                num, den = b.load_num, b.load_den
-                if num * p + e * den <= den * p:
-                    return b, _Ratio(e, p)
-        return None
-
 
 class EDFOverheadTest(AcceptanceTest):
     """EDF test on overhead-inflated costs (Eq. (3), EDF branch).
@@ -124,17 +78,20 @@ class EDFOverheadTest(AcceptanceTest):
     ticks; the cache term is the bin's current ``max_cache_delay``.
 
     Correctness requires feeding tasks in *non-increasing period order*
-    (asserted): then every task already in the bin has a period at least as
-    large as the newcomer's, i.e. is exactly the set ``P_T`` the newcomer
-    can preempt, and no later admission retroactively changes an earlier
-    task's inflation.
+    (``ValueError`` otherwise): then every task already in the bin has a
+    period at least as large as the newcomer's, i.e. is exactly the set
+    ``P_T`` the newcomer can preempt, and no later admission
+    retroactively changes an earlier task's inflation.  Online joins
+    cannot choose their order, so
+    :class:`~repro.partition.partitioner.OnlinePartitioner` probes only
+    the bins that keep it.
 
-    The Fig. 3/4 analysis packs with this test on task columns, screened
-    as in :class:`EDFUtilizationTest`
-    (:func:`~repro.partition.partitioner.edf_overhead_first_fit`); this
-    class serves the spec packers (:func:`~repro.partition.partitioner.edf_ff`,
-    online joins, repacking) and is the exact reference that kernel is
-    tested against.
+    This class serves the spec packers
+    (:func:`~repro.partition.partitioner.edf_ff`, online joins,
+    repacking, failover), which decide by this exact probe alone.  The
+    Fig. 3/4 analysis runs the same decisions on task columns
+    (:func:`~repro.partition.partitioner.edf_overhead_first_fit`, whose
+    float screen is its own) and is tested against this class.
     """
 
     algorithm = "edf"

@@ -2,25 +2,29 @@
 
 Optimal assignment is bin packing (NP-hard in the strong sense), so online
 partitioning uses polynomial heuristics (paper, Sec. 3).  A heuristic here
-is (ordering × placement):
+is placement × ordering × acceptance test:
 
 * placements — **FF** first fit, **BF** best fit (minimum spare after
   addition), **WF** worst fit (maximum spare), **NF** next fit (only the
   most recently opened bin);
 * orderings — as given, decreasing utilization (FFD/BFD/...), decreasing
-  period (required by the overhead-aware EDF test), increasing period.
+  period (required by the overhead-aware EDF test), increasing period;
+* acceptance tests — any :class:`~repro.partition.accept.AcceptanceTest`,
+  probed exactly through its ``admit``.
 
-``partition(...)`` runs one combination against an acceptance test and
-either packs into at most ``max_bins`` processors or reports failure; with
-``max_bins=None`` it opens bins freely, which is how the Fig. 3 campaign
-computes the *minimum* processor count EDF-FF needs.
+``partition(...)`` runs one combination and either packs into at most
+``max_bins`` processors or reports failure; with ``max_bins=None`` it
+opens bins freely, so the processor count is the smallest first fit
+needs.  :data:`PLACEMENTS` is the only placement code: the online
+partitioner and the failover re-homing call its ``"ff"`` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
 from fractions import Fraction
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from ..workload.spec import TaskSpec
 from .accept import AcceptanceTest, EDFUtilizationTest
@@ -87,55 +91,56 @@ ORDERINGS: dict = {
 }
 
 
-def _place_ff(bins: "Sequence[ProcessorBin]",
-            admissions: "Sequence[Optional[Fraction]]"
-            ) -> "Optional[Tuple[ProcessorBin, Fraction]]":
-    for b, u in zip(bins, admissions):
+#: A placement's answer: the chosen bin and the utilization to commit
+#: there, or ``None``.
+_Choice = Optional[Tuple[ProcessorBin, Fraction]]
+
+
+def _place_ff(bins: Sequence[ProcessorBin], spec: TaskSpec,
+              accept: AcceptanceTest) -> _Choice:
+    """The first admitting bin, probing no bin after it."""
+    for b in bins:
+        u = accept.admit(b, spec)
         if u is not None:
             return b, u
     return None
 
 
-def _place_bf(bins: "Sequence[ProcessorBin]",
-            admissions: "Sequence[Optional[Fraction]]"
-            ) -> "Optional[Tuple[ProcessorBin, Fraction]]":
-    best = None
-    for b, u in zip(bins, admissions):
-        if u is None:
-            continue
-        spare_after = b.spare - u
-        if best is None or spare_after < best[2]:
-            best = (b, u, spare_after)
-    return (best[0], best[1]) if best else None
-
-
-def _place_wf(bins: "Sequence[ProcessorBin]",
-            admissions: "Sequence[Optional[Fraction]]"
-            ) -> "Optional[Tuple[ProcessorBin, Fraction]]":
-    best = None
-    for b, u in zip(bins, admissions):
-        if u is None:
-            continue
-        spare_after = b.spare - u
-        if best is None or spare_after > best[2]:
-            best = (b, u, spare_after)
-    return (best[0], best[1]) if best else None
-
-
-def _place_nf(bins: "Sequence[ProcessorBin]",
-            admissions: "Sequence[Optional[Fraction]]"
-            ) -> "Optional[Tuple[ProcessorBin, Fraction]]":
+def _place_nf(bins: Sequence[ProcessorBin], spec: TaskSpec,
+              accept: AcceptanceTest) -> _Choice:
+    """The last bin, if it admits; no other bin is probed."""
     if bins:
-        b, u = bins[-1], admissions[-1]
+        u = accept.admit(bins[-1], spec)
         if u is not None:
-            return b, u
+            return bins[-1], u
     return None
 
 
+def _place_extreme(bins: Sequence[ProcessorBin], spec: TaskSpec,
+                   accept: AcceptanceTest, *, best: bool) -> _Choice:
+    """The admitting bin with the least (``best``) or most spare
+    capacity after the addition, the first such on ties; probes every
+    bin."""
+    chosen = None
+    for b in bins:
+        u = accept.admit(b, spec)
+        if u is None:
+            continue
+        spare_after = b.spare - u
+        if chosen is None or (spare_after < chosen[2] if best
+                              else spare_after > chosen[2]):
+            chosen = (b, u, spare_after)
+    return (chosen[0], chosen[1]) if chosen else None
+
+
+#: Each placement takes ``(bins, spec, accept)`` and returns the chosen
+#: bin with the utilization ``accept`` commits there, or ``None`` when no
+#: bin it probes admits ``spec``.  Acceptance tests are stateless, so a
+#: placement probes only the bins its rule can choose.
 PLACEMENTS: dict = {
     "ff": _place_ff,
-    "bf": _place_bf,
-    "wf": _place_wf,
+    "bf": partial(_place_extreme, best=True),
+    "wf": partial(_place_extreme, best=False),
     "nf": _place_nf,
 }
 
@@ -164,26 +169,8 @@ def partition(specs: Sequence[TaskSpec], *,
         accept = EDFUtilizationTest()
     part = Partition()
     ordered = order_fn(specs)
-    bins = part.bins          # stable list identity; new_bin appends to it
-    is_ff = place_fn is _place_ff
-    ff_scan = accept.first_fit
     for spec in ordered:
-        # First fit commits to the first admitting bin and next fit only
-        # ever looks at the last, so don't probe the rest — acceptance
-        # tests are stateless, making the short-circuit scan equivalent
-        # to probing every bin and discarding the unused answers.  Best
-        # and worst fit genuinely need every admission.
-        if is_ff:
-            chosen = ff_scan(bins, spec)
-        elif place_fn is _place_nf:
-            chosen = None
-            if part.bins:
-                u = accept.admit(part.bins[-1], spec)
-                if u is not None:
-                    chosen = (part.bins[-1], u)
-        else:
-            admissions = [accept.admit(b, spec) for b in part.bins]
-            chosen = place_fn(part.bins, admissions)
+        chosen = place_fn(part.bins, spec, accept)
         if chosen is None:
             if max_bins is not None and part.processors >= max_bins:
                 raise PartitionFailure(spec, part)
@@ -192,10 +179,9 @@ def partition(specs: Sequence[TaskSpec], *,
             if u is None:
                 # Not schedulable even alone (e.g. inflated cost > period).
                 raise PartitionFailure(spec, part)
-            b.add(spec, u)
         else:
             b, u = chosen
-            b.add(spec, u)
+        b.add(spec, u)
     return PartitionResult(partition=part, order=tuple(s.name for s in ordered))
 
 

@@ -26,6 +26,7 @@ costly full repacking a join-heavy system would periodically need.
 
 from __future__ import annotations
 
+import math
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,8 +40,8 @@ from .accept import (
     RMLiuLaylandTest,
     RMResponseTimeTest,
 )
-from .bins import SHADOW_MARGIN, Partition, shadow_after_add
-from .heuristics import PartitionFailure, PartitionResult, partition
+from .bins import Partition
+from .heuristics import PLACEMENTS, PartitionFailure, PartitionResult, partition
 
 __all__ = [
     "edf_ff",
@@ -83,6 +84,36 @@ def edf_ff_order(tasks: TaskColumns) -> List[int]:
         range(len(tasks.period))))]
 
 
+#: How far a column first-fit bin's spare shadow, a float copy of its
+#: spare capacity ``1 - load``, may stray from the exact value before a
+#: probe must not trust it.
+#:
+#: Rounding bound.  The shadow is set from the exact load as
+#: ``1.0 - num/den`` (int true division rounds correctly): error at
+#: most ``2**-52``.  Each placement subtracts a correctly rounded
+#: ``u = e'/p``: error at most ``2**-53 * u`` for the quotient plus
+#: ``2**-53 * |result|`` for the subtraction, which is at most
+#: ``2**-52`` while ``u`` and the shadow lie in ``[0, 1]``.  After ``n``
+#: placements the error is at most ``(n + 1) * 2**-52``; resetting from
+#: the exact load every ``_SHADOW_ADDS = 2**20`` placements caps it at
+#: ``2**-32 < 2.4e-10``.  Comparing the shadow with a rounded
+#: utilization adds at most ``3 * 2**-53`` more, so the total stays
+#: below ``2.5e-10``, and a 1e-9 margin covers it four times over.  A
+#: shadow that leaves ``[-_SHADOW_MARGIN, 1]`` is reset from the exact
+#: load, and an exact load outside that range (above 1 or below 0,
+#: which no placement commits) sets it to NaN, which every screen
+#: comparison fails, so such a bin is always probed exactly.
+_SHADOW_MARGIN = 1e-9
+_SHADOW_ADDS = 1 << 20
+
+
+def _exact_shadow(load_num: int, load_den: int) -> float:
+    """The spare-capacity shadow of an exact load ``load_num/load_den``
+    (NaN outside the range the rounding bound covers)."""
+    spare = 1.0 - load_num / load_den
+    return spare if -_SHADOW_MARGIN <= spare <= 1.0 else math.nan
+
+
 def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
                            order: Sequence[int]
                            ) -> Optional[Tuple[int, float, List[int]]]:
@@ -93,24 +124,21 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
     of every placed ``e'/p``, correctly rounded to a float
     (:func:`~repro.core.rational.float_sum`).
 
-    The decisions are exactly those of
-    :meth:`~repro.partition.accept.AcceptanceTest.first_fit` probing
+    The decisions are exactly those of the generic first fit
+    (:func:`~repro.partition.heuristics.partition`) probing
     :meth:`~repro.partition.accept.EDFOverheadTest.admit` on every bin:
     task ``i`` costs ``e' = e + fixed_inflation + max D`` on a bin, the
     largest ``D(T)`` among its residents, and joins the first bin where
     ``load + e'/p <= 1``.  Each bin is a slot of parallel lists (float
-    spare shadow and its add count, largest ``D``, the feed position at
-    which it opened); each placed task's bin and ``e'`` are kept in feed
-    order.  A probe is screened on the shadow as in
-    :class:`~repro.partition.accept.EDFUtilizationTest` — decided when
-    the shadow clears or misses ``e'/p`` by more than
-    :data:`~repro.partition.bins.SHADOW_MARGIN` — and ``misses_any``,
-    the screen for the cheapest cost a bin can charge (no cache term),
-    skips a full bin before its own ``e'`` is formed.  A bin's exact
-    load is formed only for a probe inside the margin (NaN included),
-    which then cross-multiplies, or for a shadow reset
-    (:func:`~repro.partition.bins.shadow_after_add`): from its
-    residents, extending the last load formed for the bin, so a
+    spare shadow and its placement count, largest ``D``, the feed
+    position at which it opened); each placed task's bin and ``e'`` are
+    kept in feed order.  A probe is decided on the shadow when it clears
+    or misses ``e'/p`` by more than :data:`_SHADOW_MARGIN`, and
+    ``misses_any``, the screen for the cheapest cost a bin can charge
+    (no cache term), skips a full bin before its own ``e'`` is formed.
+    A bin's exact load is formed only for a probe inside the margin (NaN
+    included), which then cross-multiplies, or for a shadow reset: from
+    its residents, extending the last load formed for the bin, so a
     committed task costs no big-integer arithmetic.
 
     ``order`` must be non-increasing in period (``ValueError``
@@ -142,7 +170,7 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
         formed[k] = num, den, end
         return num, den
 
-    margin = SHADOW_MARGIN
+    margin, reset_every = _SHADOW_MARGIN, _SHADOW_ADDS
     last_p = None
     for i in order:
         p = period[i]
@@ -176,8 +204,11 @@ def edf_overhead_first_fit(tasks: TaskColumns, fixed_inflation: int,
             opened.append(len(placed))
         placed.append(k)
         e_primes.append(e_prime)
-        spares[k], adds[k] = shadow_after_add(spares[k], adds[k], u,
-                                              exact_load, k)
+        spare, n = spares[k] - u, adds[k] + 1
+        if n < reset_every and -margin <= spare <= 1.0:
+            spares[k], adds[k] = spare, n
+        else:
+            spares[k], adds[k] = _exact_shadow(*exact_load(k)), 0
         if cache_delay[i] > delays[k]:
             delays[k] = cache_delay[i]
     return (len(spares), float_sum(e_primes, [period[i] for i in order]),
@@ -201,12 +232,13 @@ class OnlinePartitioner:
 
     Joins try the existing bins in index order (classic online FF); leaves
     remove the task and refund its committed utilization.  For the
-    overhead-aware EDF test, online joins violate the decreasing-period
-    discipline the static packer enjoys, so this class (faithfully to an
-    online system) recomputes the *bin-wide* inflation pessimistically: a
-    newcomer is charged the bin's max cache delay regardless of period
-    order, and residents are not re-inflated.  ``repartition`` redoes the
-    full static packing.
+    overhead-aware EDF test, online joins arrive in no particular period
+    order, while the test prices a newcomer only against residents it can
+    preempt (periods at least its own) and never re-inflates a resident.
+    So a join probes only the bins whose residents all have periods at
+    least the newcomer's, empty bins included; a bin holding a
+    shorter-period resident does not admit it.  ``repartition`` redoes
+    the full static packing.
     """
 
     def __init__(self, processors: int, *,
@@ -230,13 +262,17 @@ class OnlinePartitioner:
             raise ValueError("online tasks need unique names")
         if spec.name in self._committed:
             raise ValueError(f"{spec.name} already admitted")
-        for b in self.partition.bins:
-            u = self.accept.admit(b, spec)
-            if u is not None:
-                b.add(spec, u)
-                self._committed[spec.name] = u
-                return b.index
-        return None
+        bins = self.partition.bins
+        if isinstance(self.accept, EDFOverheadTest):
+            bins = [b for b in bins
+                    if b.max_period is None or spec.period <= b.max_period]
+        chosen = PLACEMENTS["ff"](bins, spec, self.accept)
+        if chosen is None:
+            return None
+        b, u = chosen
+        b.add(spec, u)
+        self._committed[spec.name] = u
+        return b.index
 
     def leave(self, name: str) -> None:
         """Remove a task and refund its committed utilization."""
@@ -248,12 +284,7 @@ class OnlinePartitioner:
                 if t.name == name:
                     del b.tasks[i]
                     b.load -= u
-                    b.max_cache_delay = max(
-                        (t.cache_delay for t in b.tasks), default=0)
-                    b.min_period = min(
-                        (t.period for t in b.tasks), default=None)
-                    b.max_period = max(
-                        (t.period for t in b.tasks), default=None)
+                    b.rescan_residents()
                     return
         raise AssertionError("committed task missing from all bins")
 

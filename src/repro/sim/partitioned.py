@@ -13,10 +13,12 @@ which can fail even when total utilization is below ``M − 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..partition.accept import AcceptanceTest, EDFUtilizationTest
 from ..partition.bins import Partition
+from ..partition.heuristics import PLACEMENTS
 from ..workload.spec import TaskSpec
 from ..core.uniproc import UniprocResult, UniprocSimulator, UniTask
 
@@ -87,19 +89,12 @@ def reassign_after_failure(partition: Partition, failed: int, *,
     orphans: List[TaskSpec] = []
     # Largest first improves the odds, like any repacking.
     for spec in sorted(victim.tasks, key=lambda s: -s.utilization):
-        placed = False
-        for b in survivors:
-            u = accept.admit(b, spec)
-            if u is not None:
-                b.add(spec, u)
-                placed = True
-                break
-        if not placed:
+        chosen = PLACEMENTS["ff"](survivors, spec, accept)
+        if chosen is None:
             orphans.append(spec)
+        else:
+            chosen[0].add(spec, chosen[1])
     victim.tasks.clear()
-    from fractions import Fraction
     victim.load = Fraction(0)
-    victim.max_cache_delay = 0
-    victim.min_period = None
-    victim.max_period = None
+    victim.rescan_residents()
     return (not orphans), orphans

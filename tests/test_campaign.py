@@ -264,6 +264,35 @@ class TestDispatch:
         assert dispatch_jobs({}, fw.flaky_job, RunnerConfig(),
                              on_success=lambda *a: None) == []
 
+    def test_pool_refuses_a_main_read_from_stdin(self):
+        """Spawned workers re-import ``__main__`` from its file, and a
+        script on stdin has none: the pool says so before spawning,
+        instead of every job failing as a worker death.  The same
+        script passed with ``-c`` (no ``__file__``) runs."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.campaign.runner import RunnerConfig, dispatch_jobs\n"
+            "out = {}\n"
+            "failed = dispatch_jobs(\n"
+            "    {'a': 3, 'b': 4}, abs,\n"
+            "    RunnerConfig(workers=2, max_pool_rebuilds=1),\n"
+            "    on_success=lambda k, r, *_: out.__setitem__(k, r))\n"
+            "print(sorted(out.items()), list(failed))\n")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        piped = subprocess.run([sys.executable, "-"], input=script, env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert piped.returncode != 0
+        assert "RuntimeError: cannot start pool workers" in piped.stderr
+        assert "'<stdin>'" in piped.stderr
+        assert "worker death" not in piped.stdout + piped.stderr
+        inline = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert inline.returncode == 0, inline.stderr
+        assert inline.stdout == "[('a', 3), ('b', 4)] []\n"
+
 
 class TestUnpicklableWork:
     """A lock-holding object cannot cross into a pool worker: the pool's

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.overheads import inflation as inflation_module
 from repro.overheads.inflation import (
     pd2_inflate,
     pd2_inflate_set,
@@ -253,12 +254,37 @@ def eq3_cases(draw):
                     cache_delay=draw(st.integers(0, 5 * q)))
     c = draw(st.integers(0, q))
     # Multiples of 1/64 keep every demand exact, so "least" is exact too.
-    s_pd2 = draw(st.integers(0, 64 * q)) / 64
+    # Up to 2q, S_PD2 often exceeds C + D(T), where f is non-decreasing
+    # on the falling branch too.
+    s_pd2 = draw(st.integers(0, 128 * q)) / 64
     return spec, c, q, s_pd2
+
+
+def _case(e, p, d, c, q, s_pd2):
+    return TaskSpec(e, p, cache_delay=d), c, q, s_pd2
+
+
+#: Climbs that step one quantum at a time past ``_BISECT_AFTER``
+#: iterations and hand the rest to ``_settle``: the answer on the rising
+#: and on the falling branch, each once with ``S_PD2`` at most
+#: ``C + D(T)`` and once above it.  ``(case, answer, branch)``.
+SETTLE_CASES = [
+    (_case(2505, 152_000, 534, 317, 1000, 114.578125), 58, "rising"),
+    (_case(226, 9_500, 1, 41, 100, 53.15625), 47, "rising"),
+    (_case(2, 96, 1, 0, 1, 0.0), 49, "falling"),
+    (_case(1, 86, 0, 0, 1, 0.984375), 64, "falling"),
+]
+
+
+def _with_settle_cases(test):
+    for case, _answer, _branch in SETTLE_CASES:
+        test = example(case)(test)
+    return test
 
 
 class TestEq3FixedPointProperty:
     @given(eq3_cases())
+    @_with_settle_cases
     @settings(max_examples=300, deadline=None)
     def test_result_is_the_least_covering_quantum_count(self, case):
         spec, c, q, s_pd2 = case
@@ -282,3 +308,27 @@ class TestEq3FixedPointProperty:
             orbit.append(f(orbit[-1]))
         if orbit[-1] <= p_quanta and f(orbit[-1]) == orbit[-1]:
             assert inf.quanta == orbit[-1]
+
+    @pytest.mark.parametrize("case, answer, branch", SETTLE_CASES)
+    def test_long_climbs_reach_the_bisection(self, monkeypatch, case,
+                                             answer, branch):
+        """Each ``SETTLE_CASES`` climb calls ``_settle`` once, after
+        ``_BISECT_AFTER`` iterations with no covering iterate known, and
+        it settles on the stated branch (``E <= (P + 1) / 2`` is
+        rising)."""
+        spec, c, q, s_pd2 = case
+        calls = []
+        settle = inflation_module._settle
+
+        def counting(row, s, c, q, lo, iterations, known=None, nxt=None):
+            calls.append((iterations, known))
+            return settle(row, s, c, q, lo, iterations, known, nxt)
+
+        monkeypatch.setattr(inflation_module, "_settle", counting)
+        model = OverheadModel(context_switch=c, quantum=q,
+                              sched_pd2=lambda n, m: s_pd2)
+        inf = pd2_inflate(spec, model, 1, 1)
+        assert calls == [(inflation_module._BISECT_AFTER, None)]
+        assert inf.feasible and inf.quanta == answer
+        p_quanta = spec.period // q
+        assert (answer <= (p_quanta + 1) // 2) == (branch == "rising")

@@ -1,14 +1,15 @@
 """Tests for bins, acceptance tests, heuristics, bounds, and partitioners."""
 
 import contextlib
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.partition import bins as bins_module
+from repro.partition import partitioner as partitioner_module
 from repro.partition.accept import (
-    AcceptanceTest,
     EDFOverheadTest,
     EDFUtilizationTest,
     RMHyperbolicTest,
@@ -16,7 +17,7 @@ from repro.partition.accept import (
     RMResponseTimeTest,
     rm_response_time,
 )
-from repro.partition.bins import SHADOW_MARGIN, Partition, ProcessorBin
+from repro.partition.bins import Partition, ProcessorBin
 from repro.partition.bounds import (
     lopez_beta,
     lopez_guarantee,
@@ -26,6 +27,8 @@ from repro.partition.bounds import (
     worst_case_achievable,
 )
 from repro.partition.heuristics import (
+    ORDERINGS,
+    PLACEMENTS,
     PartitionFailure,
     best_fit,
     first_fit,
@@ -358,6 +361,19 @@ class TestOnlinePartitioner:
         with pytest.raises(KeyError):
             OnlinePartitioner(1).leave("ghost")
 
+    def test_overhead_join_out_of_period_order_takes_an_empty_bin(self):
+        """A bin holding a shorter-period resident does not admit the
+        newcomer (the test would have to re-inflate that resident), an
+        empty bin does, and nothing raises."""
+        op = OnlinePartitioner(3, accept=EDFOverheadTest(0))
+        assert op.try_join(spec(1, 10, "a")) == 0
+        assert op.try_join(spec(1, 20, "b")) == 1
+        assert op.try_join(spec(1, 5, "c")) == 0  # in order on bin 0
+        assert op.try_join(spec(1, 40, "d")) == 2
+        assert op.try_join(spec(1, 80, "e")) is None  # no bin keeps order
+        op.leave("b")
+        assert op.try_join(spec(1, 80, "e")) == 1  # bin 1 is empty again
+
     def test_repartition_recovers_fragmentation(self):
         """Online FF wastes space that a repack recovers — the paper's
         argument that dynamic partitioned systems need re-partitioning."""
@@ -375,32 +391,14 @@ class TestOnlinePartitioner:
         assert op.try_join(spec(1, 2, "big")) is not None
 
 
-class _CountingBin(ProcessorBin):
-    """A bin that counts reads of its exact load made while ``probing``
-    is set — i.e. the cross-multiplied probes a first-fit scan makes."""
-
-    probing = False
-    exact_probes = 0
-
-    @property
-    def load_num(self):
-        if _CountingBin.probing:
-            _CountingBin.exact_probes += 1
-        return self._load_num
-
-    @load_num.setter
-    def load_num(self, value):
-        self._load_num = value
-
-
 @st.composite
-def ff_feeds(draw, overhead):
+def ff_feeds(draw):
     """``(fixed inflation, tasks)`` for a first-fit feed in non-increasing
     period order.  A prefix of two or more tasks whose inflated costs sum
     to exactly one period fills bin 0 to load 1, so the probe that
     completes it meets a shadow equal to its utilization (inside the
     margin); arbitrary tasks with cache delays follow."""
-    fixed = draw(st.integers(0, 3)) if overhead else 0
+    fixed = draw(st.integers(0, 3))
     units = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
     scale = draw(st.integers(fixed + 1, fixed + 5))
     period = scale * sum(units)
@@ -413,11 +411,6 @@ def ff_feeds(draw, overhead):
     rest = sorted((spec(e, p, f"t{i}", d) for i, (e, p, d) in enumerate(rest)),
                   key=lambda s: -s.period)
     return fixed, prefix + rest
-
-
-def _assert_shadow_synced(bins):
-    for b in bins:
-        assert abs(b.spare_shadow - (1 - float(b.load))) <= SHADOW_MARGIN
 
 
 class CountingOrder(list):
@@ -437,26 +430,27 @@ def shadow_resets(every):
     """Reset every shadow from its exact load every ``every`` adds inside
     the block; yields the ``(num, den)`` loads the resets took."""
     resets = []
-    exact_shadow = bins_module._exact_shadow
+    exact_shadow = partitioner_module._exact_shadow
 
     def counting(num, den):
         resets.append((num, den))
         return exact_shadow(num, den)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bins_module, "_SHADOW_ADDS", every)
-        mp.setattr(bins_module, "_exact_shadow", counting)
+        mp.setattr(partitioner_module, "_SHADOW_ADDS", every)
+        mp.setattr(partitioner_module, "_exact_shadow", counting)
         yield resets
 
 
 def exact_overhead_first_fit(fixed, tasks):
-    """The overhead-aware EDF first fit by the base-class scan, probing
-    ``EDFOverheadTest.admit`` (exact) on every bin: ``(bins, committed
-    load per task)``, or ``None`` once a task fits nowhere."""
+    """The overhead-aware EDF first fit by the generic ``"ff"`` placement,
+    probing ``EDFOverheadTest.admit`` (exact) on every bin up to the
+    first that admits: ``(bins, committed load per task)``, or ``None``
+    once a task fits nowhere."""
     accept = EDFOverheadTest(fixed)
     bins, committed = [], []
     for t in tasks:
-        chosen = AcceptanceTest.first_fit(accept, bins, t)
+        chosen = PLACEMENTS["ff"](bins, t, accept)
         if chosen is None:
             bins.append(ProcessorBin(len(bins)))
             u = accept.admit(bins[-1], t)
@@ -469,42 +463,10 @@ def exact_overhead_first_fit(fixed, tasks):
 
 
 class TestFirstFitScreen:
-    """The EDF first fits screen bins on a float shadow of their spare
-    capacity; every decision must equal the base-class scan, which
-    probes ``admit`` (exact) on every bin.  The utilization test screens
-    :class:`ProcessorBin` shadows in ``EDFUtilizationTest.first_fit``;
-    the overhead-aware test runs as the column kernel
-    ``edf_overhead_first_fit``."""
-
-    def _check_feed(self, accept, tasks):
-        fast, ref = [], []
-        _CountingBin.exact_probes = 0
-        for t in tasks:
-            _CountingBin.probing = True
-            try:
-                got = accept.first_fit(fast, t)
-            finally:
-                _CountingBin.probing = False
-            want = AcceptanceTest.first_fit(accept, ref, t)
-            if want is None:
-                assert got is None
-                for bins in (fast, ref):
-                    bins.append(_CountingBin(len(bins)))
-                    u = accept.admit(bins[-1], t)
-                    if u is None:
-                        return  # infeasible alone: both packers stop here
-                    bins[-1].add(t, u)
-            else:
-                assert got is not None
-                assert got[0].index == want[0].index
-                u = Fraction(got[1].numerator, got[1].denominator)
-                assert u == want[1]
-                got[0].add(t, got[1])
-                want[0].add(t, want[1])
-            assert [b.load for b in fast] == [b.load for b in ref]
-            _assert_shadow_synced(fast)
-        # The completing probe of the exact prefix ran the exact branch.
-        assert _CountingBin.exact_probes > 0
+    """The column EDF-FF kernel ``edf_overhead_first_fit`` screens bins
+    on a float shadow of their spare capacity; every decision must equal
+    the generic first fit, which probes ``EDFOverheadTest.admit`` (exact)
+    on every bin up to the first that admits."""
 
     @staticmethod
     def _check_kernel(fixed, tasks, order):
@@ -531,18 +493,7 @@ class TestFirstFitScreen:
         return got
 
     @settings(max_examples=150, deadline=None)
-    @given(ff_feeds(overhead=False))
-    def test_utilization_test_matches_exact_scan(self, feed):
-        """Also with a shadow reset every other add, which takes each
-        bin's exact load lazily."""
-        _, tasks = feed
-        self._check_feed(EDFUtilizationTest(), tasks)
-        with shadow_resets(2) as resets:
-            self._check_feed(EDFUtilizationTest(), tasks)
-        assert resets  # the prefix adds twice to bin 0
-
-    @settings(max_examples=150, deadline=None)
-    @given(ff_feeds(overhead=True))
+    @given(ff_feeds())
     def test_overhead_test_matches_exact_scan(self, feed):
         """The kernel forms a bin's exact load only for a probe inside
         the margin (the prefix's completing probe is one) or a shadow
@@ -576,85 +527,134 @@ class TestFirstFitScreen:
         assert [[t.name for t in b.tasks] for b in packed.partition] == [
             ["A", "T10"], ["T2"]]
 
-    @pytest.mark.parametrize("accept", [EDFUtilizationTest(),
-                                        EDFOverheadTest(0)])
-    def test_probes_inside_the_margin_are_decided_exactly(self, accept):
+    def test_probes_inside_the_margin_are_decided_exactly(self):
         """Spare capacity and utilizations 1e-10 apart: both probes land
         inside the margin, and the exact test rejects the larger and
-        admits the smaller — on a bin's shadow for the utilization test,
-        in the column kernel for the overhead test."""
-        if isinstance(accept, EDFOverheadTest):
-            # Bin 0 at 99_998/99_999: 1/99_999 fills it exactly, and
-            # 1/99_998 misses by 1e-10 and opens bin 1.
-            first = spec(99_998, 99_999)
-            spare = 1.0 - 99_998 / 99_999
-            for probe, placed in ((spec(1, 99_999), [0, 0]),
-                                  (spec(1, 99_998), [0, 1])):
-                assert abs(spare - 1 / probe.period) <= SHADOW_MARGIN
-                got = self._check_kernel(0, [first, probe], [0, 1])
-                assert got[2] == placed
-            return
-        b = ProcessorBin(0)
-        b.add(spec(99_999, 100_001), Fraction(99_999, 100_000))
-        assert abs(b.spare_shadow - 1 / 99_999) <= SHADOW_MARGIN
-        assert accept.first_fit([b], spec(1, 99_999)) is None
-        got = accept.first_fit([b], spec(1, 100_001))
-        assert got is not None and got[0] is b
+        admits the smaller.  Bin 0 is at 99_998/99_999: 1/99_999 fills
+        it exactly, and 1/99_998 misses by 1e-10 and opens bin 1."""
+        first = spec(99_998, 99_999)
+        spare = 1.0 - 99_998 / 99_999
+        for probe, placed in ((spec(1, 99_999), [0, 0]),
+                              (spec(1, 99_998), [0, 1])):
+            assert (abs(spare - 1 / probe.period)
+                    <= partitioner_module._SHADOW_MARGIN)
+            got = self._check_kernel(0, [first, probe], [0, 1])
+            assert got[2] == placed
 
     def test_period_order_error_fires_on_a_screened_bin(self):
         """Bin 0 is full, so the screen would skip it; the feed-order
-        check still runs first, as the exact scan's does on every bin."""
+        check still runs first, and the generic packer's exact probe
+        raises the same error on it."""
         tasks = TaskColumns.of([spec(10, 10), spec(1, 20)])
         with pytest.raises(ValueError, match="non-increasing period"):
             edf_overhead_first_fit(tasks, 0, [0, 1])
-        b = ProcessorBin(0)
-        b.add(spec(10, 10), Fraction(1))
         with pytest.raises(ValueError, match="non-increasing period"):
-            AcceptanceTest.first_fit(EDFOverheadTest(0), [b], spec(1, 20))
+            partition([spec(10, 10, "a"), spec(1, 20, "b")],
+                      accept=EDFOverheadTest(0))
 
-    def test_out_of_range_load_is_probed_exactly(self):
-        """A load the rounding bound does not cover (here above 1) turns
-        the shadow into NaN, which defers every probe to the exact test."""
-        b = _CountingBin(0)
-        b.add(spec(2, 2), Fraction(3, 2))
-        assert b.spare_shadow != b.spare_shadow  # NaN
-        _CountingBin.exact_probes = 0
-        _CountingBin.probing = True
-        try:
-            assert EDFUtilizationTest().first_fit([b], spec(1, 4)) is None
-        finally:
-            _CountingBin.probing = False
-        assert _CountingBin.exact_probes == 1
-        b.load = Fraction(1, 2)
-        _assert_shadow_synced([b])
+
+def _assert_residents_summed(bins):
+    """Each bin's exact load and resident fields equal a recomputation
+    from its tasks (loads are uninflated: the test feeds no fixed
+    inflation or cache delay)."""
+    for b in bins:
+        assert b.load == sum((t.utilization for t in b.tasks), Fraction(0))
+        assert b.max_cache_delay == max(
+            (t.cache_delay for t in b.tasks), default=0)
+        assert b.min_period == min((t.period for t in b.tasks), default=None)
+        assert b.max_period == max((t.period for t in b.tasks), default=None)
+
+
+class TestResidentFields:
+    """Every path that removes tasks from a bin (online leave, repack,
+    failover) leaves its exact load and resident fields as a
+    recomputation from its tasks gives them."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 11),
                               st.integers(1, 12), st.sampled_from([4, 6, 12])),
                     min_size=1, max_size=40),
            st.booleans())
-    def test_shadow_tracks_load_through_join_leave_repartition(self, ops,
-                                                               overhead):
+    def test_join_leave_repartition_keep_loads_summed(self, ops, overhead):
+        """Joins (in any period order, which never raises), leaves and a
+        repack keep each bin's exact load and resident fields equal to a
+        recomputation from its tasks."""
         accept = EDFOverheadTest(0) if overhead else EDFUtilizationTest()
         op = OnlinePartitioner(3, accept=accept)
         for join, k, e, p in ops:
             name = f"t{k}"
             if join and name not in op._committed:
-                try:
-                    op.try_join(spec(min(e, p), p, name))
-                except ValueError:
-                    pass  # an online join out of period order
+                op.try_join(spec(min(e, p), p, name))
             elif not join and name in op._committed:
                 op.leave(name)
-            _assert_shadow_synced(op.partition.bins)
+            _assert_residents_summed(op.partition.bins)
         op.repartition()
-        _assert_shadow_synced(op.partition.bins)
+        _assert_residents_summed(op.partition.bins)
 
-    def test_shadow_reset_after_failover(self):
+    def test_failover_empties_the_victim(self):
+        """The failover empties the victim bin and keeps every survivor's
+        load and resident fields summed from its tasks."""
         from repro.sim.partitioned import reassign_after_failure
 
         part = edf_ff([spec(1, 2, "a"), spec(1, 3, "b"), spec(2, 3, "c"),
                        spec(1, 6, "d"), spec(1, 4, "e")]).partition
         reassign_after_failure(part, 0)
-        _assert_shadow_synced(part.bins)
+        _assert_residents_summed(part.bins)
         assert part.bins[0].load == 0 and part.bins[0].max_period is None
+
+
+def _packer_sets():
+    """Seeded sets at the sizes the generic packer's callers run (up to
+    N = 30): periods in [20, 600], utilizations skewed light or heavy,
+    cache delays up to 8."""
+    rng = random.Random(33)
+    for n in (3, 6, 10, 14, 20, 30):
+        for _ in range(3):
+            tasks = []
+            for i in range(n):
+                p = 10 * rng.randint(2, 60)
+                u = rng.random() ** rng.choice((1, 2, 4))
+                tasks.append(spec(max(1, int(p * u * 0.95)), p, f"t{i}",
+                                  rng.randint(0, 8)))
+            yield tasks
+
+
+def _packer_decisions():
+    """Every placement × ordering × acceptance test on each set (the
+    overhead-aware EDF test only in its required decreasing-period
+    order): the feed order and each bin's tasks and exact load, or the
+    task a :class:`PartitionFailure` names."""
+    tests = [("edf", EDFUtilizationTest, tuple(ORDERINGS)),
+             ("edf_overhead", lambda: EDFOverheadTest(4),
+              ("decreasing_period",)),
+             ("rm_ll", RMLiuLaylandTest, tuple(ORDERINGS)),
+             ("rm_hyperbolic", RMHyperbolicTest, tuple(ORDERINGS)),
+             ("rm_rta", RMResponseTimeTest, tuple(ORDERINGS))]
+    for tasks in _packer_sets():
+        for placement in sorted(PLACEMENTS):
+            for name, make, orderings in tests:
+                for ordering in orderings:
+                    try:
+                        res = partition(tasks, placement=placement,
+                                        ordering=ordering, accept=make())
+                    except PartitionFailure as exc:
+                        yield (placement, name, ordering, "fail",
+                               exc.spec.name, exc.partition.processors)
+                        continue
+                    yield (placement, name, ordering, res.order,
+                           tuple((tuple(t.name for t in b.tasks), str(b.load))
+                                 for b in res.partition))
+
+
+def test_generic_packer_decisions_are_frozen():
+    """The generic packer's decisions over 18 seeded sets and 68
+    combinations each match a frozen digest (1,224 packings, four of
+    them failing on a task whose inflated cost exceeds its period)."""
+    outcomes = list(_packer_decisions())
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(repr(outcome).encode())
+    assert len(outcomes) == 1224
+    assert sum(o[3] == "fail" for o in outcomes) == 4
+    assert digest.hexdigest() == (
+        "c7f0189df6ece5f2eb4b8e94407bbab1561e2ccc890adbcd85381437b53a80ef")
