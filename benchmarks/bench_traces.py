@@ -38,7 +38,8 @@ from repro.core.erfair import schedule_erfair
 from repro.core.wrr import simulate_wrr
 from repro.overheads.model import OverheadModel
 from repro.sim.cache import HYPERPERIOD_CACHE
-from repro.sim.quantum import simulate_pfair
+from repro.sim.quantum import QuantumSimulator, simulate_pfair
+from repro.sim.vector import VectorPD2Simulator, supports
 from repro.traces.mapping import MappingConfig, map_jobs, machine_size, \
     scale_to_utilization, segment_log
 from repro.traces.swf import parse_swf
@@ -53,11 +54,10 @@ TARGET_U = Fraction(17, 5)  # 0.85 * M, exactly
 HORIZON = 20_000 if full_scale() else 4_000
 MAX_WINDOWS = 8 if full_scale() else 2
 
-#: ``simulate_pfair`` keyword sets selecting each kernel tier, run on
-#: trace-derived sets.
+#: The two PD² kernels, built directly and run on trace-derived sets.
 KERNELS = {
-    "reference": dict(fastpath=False),
-    "vector": dict(fastpath=True),
+    "reference": QuantumSimulator,
+    "vector": VectorPD2Simulator,
 }
 
 
@@ -116,12 +116,13 @@ def _sim_snapshot(result):
 def _assert_kernel_identity(specs, slots):
     """The traces-smoke hard gate: both PD² kernels, identical decisions
     on this trace-derived set."""
+    assert supports(specs_to_pfair_tasks(specs, quantum=1000), M, slots,
+                    None, {"trace": True})
     snaps = {}
-    for name, kw in KERNELS.items():
+    for name, kernel in KERNELS.items():
         HYPERPERIOD_CACHE.clear()
         tasks = specs_to_pfair_tasks(specs, quantum=1000)
-        snaps[name] = _sim_snapshot(
-            simulate_pfair(tasks, M, slots, trace=True, **kw))
+        snaps[name] = _sim_snapshot(kernel(tasks, M, trace=True).run(slots))
     assert snaps["reference"] == snaps["vector"], \
         "vector kernel diverged from the reference on a trace-derived set"
 

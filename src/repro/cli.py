@@ -107,7 +107,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         return 1
     horizon = args.horizon if args.horizon else min(ts.hyperperiod() * 2, 200)
     res = simulate_pfair(tasks, m, horizon, trace=True,
-                         fastpath=False if args.no_fastpath else None)
+                         fastpath=not args.no_fastpath)
     print(f"PD² on {m} processors, {horizon} slots, total weight "
           f"{ts.total_weight()}")
     print(f"misses: {res.stats.miss_count}, preemptions: "

@@ -25,7 +25,7 @@ commit so the bin's exact ``load`` stays meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..workload.spec import TaskSpec
 from .bins import ProcessorBin
@@ -50,6 +50,13 @@ class AcceptanceTest:
     def admit(self, bin: ProcessorBin, spec: TaskSpec) -> Optional[Fraction]:
         """Return the utilization to commit if acceptable, else ``None``."""
         raise NotImplementedError
+
+    def candidates(self, bins: Sequence[ProcessorBin],
+                   spec: TaskSpec) -> Sequence[ProcessorBin]:
+        """The bins a placement whose feed order the caller does not
+        choose (an online join, a failover re-home) may probe for
+        ``spec``: all of them, unless the test constrains the order."""
+        return bins
 
 
 class EDFUtilizationTest(AcceptanceTest):
@@ -81,10 +88,9 @@ class EDFOverheadTest(AcceptanceTest):
     (``ValueError`` otherwise): then every task already in the bin has a
     period at least as large as the newcomer's, i.e. is exactly the set
     ``P_T`` the newcomer can preempt, and no later admission
-    retroactively changes an earlier task's inflation.  Online joins
-    cannot choose their order, so
-    :class:`~repro.partition.partitioner.OnlinePartitioner` probes only
-    the bins that keep it.
+    retroactively changes an earlier task's inflation.  Online joins and
+    failover re-homing cannot choose their order, so they probe only
+    :meth:`candidates`, the bins that keep it.
 
     This class serves the spec packers
     (:func:`~repro.partition.partitioner.edf_ff`, online joins,
@@ -101,13 +107,8 @@ class EDFOverheadTest(AcceptanceTest):
             raise ValueError("inflation must be nonnegative")
         self.fixed_inflation = fixed_inflation
 
-    def inflated_execution(self, bin: ProcessorBin, spec: TaskSpec) -> int:
-        return spec.execution + self.fixed_inflation + bin.max_cache_delay
-
     def admit(self, bin: ProcessorBin, spec: TaskSpec) -> Optional[Fraction]:
-        # bin.max_period is maintained by ProcessorBin.add, replacing the
-        # previous O(|bin|) max() scan on every probe.
-        if bin.max_period is not None and spec.period > bin.max_period:
+        if not _keeps_period_order(bin, spec):
             raise ValueError(
                 "EDFOverheadTest requires tasks in non-increasing period order"
             )
@@ -120,6 +121,17 @@ class EDFOverheadTest(AcceptanceTest):
         if num * spec.period + e_prime * den > den * spec.period:
             return None
         return Fraction(e_prime, spec.period)
+
+    def candidates(self, bins: Sequence[ProcessorBin],
+                   spec: TaskSpec) -> Sequence[ProcessorBin]:
+        return [b for b in bins if _keeps_period_order(b, spec)]
+
+
+def _keeps_period_order(bin: ProcessorBin, spec: TaskSpec) -> bool:
+    """True when every resident of ``bin`` has a period at least
+    ``spec``'s, so all of them are in the set ``P_T`` the newcomer can
+    preempt (``bin.min_period`` is kept by :class:`ProcessorBin`)."""
+    return bin.min_period is None or spec.period <= bin.min_period
 
 
 def _ll_bound(n: int) -> float:

@@ -34,11 +34,9 @@ class ProcessorBin:
         #: Largest D(T) among resident tasks (for Eq. (3) inflation of
         #: subsequently added, shorter-period tasks).
         self.max_cache_delay: int = 0
-        #: Smallest period among resident tasks (RM response-time tests).
+        #: Smallest period among resident tasks (the feed-order rule of
+        #: the overhead-aware EDF test: a newcomer's period is at most it).
         self.min_period: Optional[int] = None
-        #: Largest period among resident tasks (the decreasing-period
-        #: feed-order check of the overhead-aware EDF test).
-        self.max_period: Optional[int] = None
 
     @property
     def load(self) -> Fraction:
@@ -65,16 +63,13 @@ class ProcessorBin:
             self.max_cache_delay = spec.cache_delay
         if self.min_period is None or spec.period < self.min_period:
             self.min_period = spec.period
-        if self.max_period is None or spec.period > self.max_period:
-            self.max_period = spec.period
 
     def rescan_residents(self) -> None:
-        """Recompute ``max_cache_delay``, ``min_period`` and
-        ``max_period`` from the residents, after a caller removed some."""
+        """Recompute ``max_cache_delay`` and ``min_period`` from the
+        residents, after a caller removed some."""
         self.max_cache_delay = max((t.cache_delay for t in self.tasks),
                                    default=0)
         self.min_period = min((t.period for t in self.tasks), default=None)
-        self.max_period = max((t.period for t in self.tasks), default=None)
 
     def __len__(self) -> int:
         return len(self.tasks)

@@ -262,10 +262,7 @@ class OnlinePartitioner:
             raise ValueError("online tasks need unique names")
         if spec.name in self._committed:
             raise ValueError(f"{spec.name} already admitted")
-        bins = self.partition.bins
-        if isinstance(self.accept, EDFOverheadTest):
-            bins = [b for b in bins
-                    if b.max_period is None or spec.period <= b.max_period]
+        bins = self.accept.candidates(self.partition.bins, spec)
         chosen = PLACEMENTS["ff"](bins, spec, self.accept)
         if chosen is None:
             return None

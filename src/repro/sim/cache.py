@@ -1,8 +1,4 @@
-"""Schedule caches: cold-resumption pricing and hyperperiod memoisation.
-
-Two unrelated-looking concerns share this module because both exploit the
-same structural fact about quantum schedules — what happens between two
-points in time is determined by a small amount of boundary state:
+"""Cold-resumption pricing, and the hyperperiod memo's cross-run store.
 
 * **Cache-related preemption delay accounting** (paper, Sec. 4).  The
   paper charges each task a delay ``D(T)`` — the time to re-service its
@@ -19,26 +15,18 @@ points in time is determined by a small amount of boundary state:
   warm (the continuation rule the simulator's processor assignment
   implements).
 
-* **Hyperperiod memoisation** for the PD² vector kernel
-  (:class:`~repro.sim.vector.VectorPD2Simulator`).  A synchronous
-  periodic system is a deterministic automaton whose per-slot decisions
-  depend only on the live subtasks, their windows, and the per-task
-  affinity state.  At a hyperperiod boundary ``t = kH`` that state
-  compresses to a tiny signature per task (relative eligibility, relative
-  subtask index, processor affinity); when a signature repeats, the
-  schedule between the two boundaries repeats forever after, so the
-  per-cycle :class:`~repro.core.metrics.SimStats` delta can be *tiled*
-  across the remaining horizon instead of re-simulated.  The kernel
-  samples signatures and tiles deltas; :class:`CycleLog` does the cycle
-  detection and :data:`HYPERPERIOD_CACHE` remembers measured cycle
-  deltas across runs (keyed by the normalized task set), so a repeated
-  simulation of the same system only simulates its first hyperperiod.
+* :data:`HYPERPERIOD_CACHE` holds the cycle deltas the PD² vector
+  kernel (:class:`~repro.sim.vector.VectorPD2Simulator`) measures, so a
+  repeated simulation of the same system only simulates its first
+  hyperperiod.  The kernel owns the memo itself — boundary signatures,
+  cycle detection, deltas and tiling; this module only keeps the store,
+  where its callers and the benchmark's cache counters find it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -46,17 +34,11 @@ from ..core.task import PfairTask
 from ..core.trace import ScheduleTrace
 from ..util.lru import LRUCache
 
-if TYPE_CHECKING:
-    from .vector import VectorPD2Simulator
-
 __all__ = [
     "CacheModel",
     "ColdResumptions",
     "count_cold_resumptions",
-    "CycleDelta",
-    "CycleLog",
     "HYPERPERIOD_CACHE",
-    "hyperperiod_cache_key",
 ]
 
 
@@ -136,118 +118,21 @@ class CacheModel:
         return sum(c.delay_ticks for c in self.charge(trace, tasks).values())
 
 
-# ---------------------------------------------------------------------------
-# Hyperperiod memoisation for the PD² vector kernel.
-# ---------------------------------------------------------------------------
-
-#: Measured cycle deltas, shared across simulation runs in this process.
-#: Keyed by :func:`hyperperiod_cache_key`; each value is a dict mapping a
-#: boundary signature to its :class:`CycleDelta`.  Entries contain only
-#: plain integers (no task objects, no absolute times), so they apply to
-#: any run of an equivalent system regardless of task ids.
+#: Measured cycle deltas of the PD² vector kernel, shared across runs
+#: in this process.  Keyed by the normalized system (per-task ``(E, P,
+#: early_release)`` by position, the processor count and the global
+#: early-release flag); each value is a dict mapping a boundary signature
+#: to its delta.  Entries hold only plain integers relative to the
+#: boundary (no task objects, no absolute times), so they apply to any
+#: run of an equivalent system regardless of task ids.
+#:
+#: Concurrency (docs/CONCURRENCY.md): the LRU itself is internally
+#: locked, but the kernel mutates the *inner* per-system dict it fetched
+#: in place, without a lock.  That is safe because simulations only ever
+#: run on the main thread of their process (campaign drivers, or a
+#: campaign worker's own main thread) — the admission service never
+#: simulates.  Growing a dict under the GIL is atomic per operation, and
+#: two processes each mutate their own copy.  If simulations are ever
+#: offloaded to threads, give the inner dict the same lock treatment as
+#: :class:`~repro.util.lru.LRUCache`.
 HYPERPERIOD_CACHE = LRUCache(capacity=256)
-
-
-def hyperperiod_cache_key(sim: "VectorPD2Simulator") -> tuple:
-    """Normalized identity of a simulation configuration.
-
-    Everything the slot-to-slot evolution depends on, with task identity
-    reduced to position: weights, per-task/global early-release flags, the
-    processor count and the affinity mode.  Phases are implicitly zero
-    (the memoizer only runs then).
-    """
-    return (
-        tuple((t.execution, t.period, t.early_release) for t in sim.tasks),
-        sim.processors,
-        sim.early_release,
-        sim.preserve_affinity,
-    )
-
-
-class CycleDelta:
-    """Per-cycle statistics delta, all relative to the cycle boundary.
-
-    ``per_task[pos]`` is ``(quanta, preemptions, migrations, jp_rel)`` for
-    the task at position ``pos``, where ``jp_rel`` lists
-    ``(job_offset, count)`` pairs of per-job preemption counts with job
-    indices relative to the boundary.  ``cycles`` is the cycle length in
-    hyperperiods.
-
-    Deltas contain only plain integers relative to the boundary, so a
-    delta measured in one run applies verbatim to any later run of an
-    equivalent system — :data:`HYPERPERIOD_CACHE` entries are shared.
-    """
-
-    __slots__ = ("cycles", "per_task", "busy", "idle")
-
-    def __init__(self, cycles: int,
-                 per_task: Tuple[Tuple[int, int, int, tuple], ...],
-                 busy: int, idle: int) -> None:
-        self.cycles = cycles
-        self.per_task = per_task
-        self.busy = busy
-        self.idle = idle
-
-
-class CycleLog:
-    """Boundary-signature bookkeeping for one vector-kernel run.
-
-    One instance serves one simulation run.  The owner samples a boundary
-    signature at every hyperperiod multiple and drives the protocol:
-
-    1. :meth:`probe` — a cross-run cache hit returns a ready-made
-       :class:`CycleDelta` immediately;
-    2. otherwise :meth:`previous` — a repeat of a signature seen earlier
-       *this run* identifies a cycle; the owner measures the delta from
-       the recorded snapshot and :meth:`store`\\ s it for future runs;
-    3. otherwise :meth:`record` the signature and snapshot and keep
-       simulating; after :data:`MAX_BOUNDARIES` distinct signatures
-       :attr:`exhausted` is set and the owner should stop sampling.
-
-    The class is agnostic to what signatures and snapshots contain; the
-    vector kernel's boundary capture and tiling live with its columns.
-
-    Concurrency (docs/CONCURRENCY.md): :data:`HYPERPERIOD_CACHE` itself
-    is internally locked, but the *inner* per-configuration dict a log
-    fetches from it is mutated in place (``self._cached[sig] = delta``)
-    without a lock.  That is safe because simulations only ever run on
-    the main thread of their process (campaign drivers, or a campaign
-    worker's own main thread) — the admission service never simulates.
-    Growing a dict under the GIL is atomic per operation, and two
-    processes each mutate their own copy.  If simulations are ever
-    offloaded to threads, give the inner dict the same lock treatment as
-    :class:`~repro.util.lru.LRUCache`.
-    """
-
-    #: Boundaries sampled before giving up on finding a cycle.
-    MAX_BOUNDARIES = 16
-
-    __slots__ = ("_seen", "_ckey", "_cached", "exhausted")
-
-    def __init__(self, cache_key: tuple) -> None:
-        self._seen: Dict[tuple, Tuple[int, tuple]] = {}
-        self._ckey = cache_key
-        self._cached: Optional[Dict[tuple, CycleDelta]] = \
-            HYPERPERIOD_CACHE.get(cache_key)
-        self.exhausted = False
-
-    def probe(self, sig: tuple) -> Optional[CycleDelta]:
-        """Cross-run cached delta for ``sig``, or ``None``."""
-        return self._cached.get(sig) if self._cached is not None else None
-
-    def previous(self, sig: tuple) -> Optional[Tuple[int, tuple]]:
-        """``(boundary_time, snapshot)`` of an earlier sighting, or ``None``."""
-        return self._seen.get(sig)
-
-    def store(self, sig: tuple, delta: CycleDelta) -> None:
-        """Publish a measured delta to the cross-run cache."""
-        if self._cached is None:
-            self._cached = {}
-            HYPERPERIOD_CACHE.put(self._ckey, self._cached)
-        self._cached[sig] = delta
-
-    def record(self, sig: tuple, now: int, snapshot: tuple) -> None:
-        """Remember ``sig`` at ``now`` for later cycle detection."""
-        self._seen[sig] = (now, snapshot)
-        if len(self._seen) >= self.MAX_BOUNDARIES:
-            self.exhausted = True

@@ -74,11 +74,13 @@ def reassign_after_failure(partition: Partition, failed: int, *,
     """Try to re-home the failed processor's tasks into the survivors.
 
     First fit over the surviving bins with the given acceptance test
-    (default: exact EDF).  Returns ``(fully_reassigned, orphans)`` — tasks
-    in ``orphans`` could not be placed anywhere, i.e. the partitioned
-    system cannot transparently tolerate this failure (contrast with Pfair,
-    which tolerates the loss of K processors whenever total weight is at
-    most M − K).  The partition is mutated with the successful moves.
+    (default: exact EDF), probing only the bins its
+    :meth:`~repro.partition.accept.AcceptanceTest.candidates` allows
+    (the overhead-aware EDF test keeps its period order).  Returns
+    ``(fully_reassigned, orphans)`` — tasks in ``orphans`` could not be
+    placed anywhere, i.e. the partitioned system cannot transparently
+    tolerate this failure (contrast with Pfair, which tolerates the loss
+    of K processors whenever total weight is at most M − K).  The partition is mutated with the successful moves.
     """
     if accept is None:
         accept = EDFUtilizationTest()
@@ -89,7 +91,8 @@ def reassign_after_failure(partition: Partition, failed: int, *,
     orphans: List[TaskSpec] = []
     # Largest first improves the odds, like any repacking.
     for spec in sorted(victim.tasks, key=lambda s: -s.utilization):
-        chosen = PLACEMENTS["ff"](survivors, spec, accept)
+        chosen = PLACEMENTS["ff"](accept.candidates(survivors, spec), spec,
+                                  accept)
         if chosen is None:
             orphans.append(spec)
         else:

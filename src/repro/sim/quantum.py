@@ -28,7 +28,7 @@ def simulate_pfair(
     horizon: int,
     policy: Optional[PriorityPolicy] = None,
     *,
-    fastpath: Optional[bool] = None,
+    fastpath: bool = True,
     **kwargs: object,
 ) -> SimResult:
     """One-call convenience wrapper: build a simulator and run it.
@@ -38,24 +38,16 @@ def simulate_pfair(
     :class:`~repro.sim.vector.VectorPD2Simulator` when it supports the
     configuration, else the reference :class:`QuantumSimulator`.  Each
     call chooses for itself: ``fastpath=False`` forces the reference
-    (without consulting the vector kernel), and ``fastpath=True``
-    *requires* the vector kernel and raises if the configuration is
-    unsupported.
+    without consulting the vector kernel.  A caller that needs the
+    vector kernel checks :func:`~repro.sim.vector.supports` and builds
+    it directly.
     """
     task_list = list(tasks)
-    if fastpath is not False:
+    if fastpath:
         from .vector import VectorPD2Simulator, supports
 
         if supports(task_list, processors, horizon, policy, kwargs):
             return VectorPD2Simulator(task_list, processors, policy,
                                       **kwargs).run(horizon)
-        if fastpath:
-            raise ValueError(
-                "fastpath=True but the configuration is not supported by "
-                "the vector kernel (see repro.sim.vector.supports)"
-            )
-    # The reference has no hyperperiod memo: the flag is the vector
-    # kernel's, and its answers do not depend on it.
-    kwargs.pop("hyperperiod_memo", None)
     sim = QuantumSimulator(task_list, processors, policy, **kwargs)
     return sim.run(horizon)

@@ -8,7 +8,15 @@ processor, task, subtask), same :class:`~repro.core.metrics.SimStats`,
 same miss records in the same order.  The differential suite
 (``tests/test_kernel_differential.py``, ``tests/test_sim_vector.py``)
 pins the identity across randomized systems including early release,
-nonzero phases, overload and both affinity modes.
+nonzero phases and overload.
+
+The kernel runs the one configuration the paper's PD² argument rests on
+and every caller uses: periodic tasks, PD² priorities, misses recorded
+(``on_miss="record"``) and back-to-back quanta kept on their processor
+(``preserve_affinity=True``, the continuation rule behind Eq. (3)'s
+``min(E-1, P-E)`` charge).  :func:`supports` turns away everything else
+— ``on_miss="raise"``, ``preserve_affinity=False``, other policies,
+arrivals, capacity changes — and the reference answers it.
 
 Why it is fast — the key-order placement theorem
 ------------------------------------------------
@@ -65,14 +73,20 @@ That turns simulation into:
    continuations-first slot order) are the only per-allocation Python
    loops left.
 
-The hyperperiod memo (:mod:`repro.sim.cache`) composes by *chunking*:
-when the memo preconditions hold (synchronous system, no trace, memoing
-enabled, ``2·lcm < horizon``) the kernel runs one hyperperiod per chunk,
-carrying exact per-task state (live subtask, eligibility, affinity)
-across boundaries, and drives the :class:`~repro.sim.cache.CycleLog`
-protocol at each boundary: signatures are relative to the boundary, so
-:data:`~repro.sim.cache.HYPERPERIOD_CACHE` entries replay across runs of
-equivalent systems.
+The hyperperiod memo composes by *chunking*.  A synchronous periodic
+system is a deterministic automaton: at a hyperperiod boundary ``t =
+kH`` its state compresses to a small signature per task (relative
+eligibility, relative subtask index, affinity state), and when a
+signature repeats, the schedule between the two boundaries repeats
+forever after.  When the memo preconditions hold (synchronous system, no
+trace, ``2·lcm < horizon``) the kernel therefore runs one hyperperiod per
+chunk, carrying exact per-task state across boundaries; at each boundary
+it samples the signature, and on a repeat it measures the per-cycle
+stats delta and tiles it across the rest of the horizon.  Signatures and
+deltas are plain integers relative to the boundary, so
+:data:`~repro.sim.cache.HYPERPERIOD_CACHE` keeps measured deltas per
+normalized task set and a later run of an equivalent system tiles after
+its first hyperperiod.
 
 Everything is exact integer arithmetic.  Every column the simulator
 keeps is int64 or bool, and every key handed to a sort is a signed
@@ -97,7 +111,8 @@ import numpy as np
 from ..core.priority import PD2Priority, PriorityPolicy
 from ..core.task import PeriodicTask, PfairTask
 from ..core.metrics import DeadlineMiss, SimStats, TaskStats
-from .quantum import DeadlineMissError, SimResult
+from .cache import HYPERPERIOD_CACHE
+from .quantum import SimResult
 from ..core.trace import ScheduleTrace
 
 __all__ = ["VectorPD2Simulator", "supports"]
@@ -117,6 +132,9 @@ MAX_KEY_BITS = 62
 #: ``_PAD_KEY`` sorts after every real narrow key, so the per-row pad
 #: items (which carry the previous chunk's state) are never placed.
 _PAD_KEY = 1 << MAX_KEY_BITS
+
+#: Hyperperiod boundaries sampled before the memo gives up on a cycle.
+MAX_BOUNDARIES = 16
 
 
 def _key_layout(tasks: List[PfairTask],
@@ -145,7 +163,7 @@ def _key_layout(tasks: List[PfairTask],
 def _chunk_length(tasks: List[PfairTask], horizon: int,
                   use_memo: bool) -> int:
     """Slots simulated per kernel pass: one hyperperiod when the memo
-    protocol applies (so boundaries can be sampled), else the horizon."""
+    applies (so boundaries can be sampled), else the horizon."""
     if use_memo and tasks and all(t.phase == 0 for t in tasks):
         period_lcm = lcm(*(t.period for t in tasks))
         if 2 * period_lcm < horizon:
@@ -164,7 +182,8 @@ def supports(
 
     The workhorse configuration of every experiment in the paper —
     periodic tasks (any phases), PD² priorities, fixed capacity, no
-    arrivals or departures — within the kernel's own resource gates:
+    arrivals or departures, misses recorded and affinity preserved —
+    within the kernel's own resource gates:
     distinct task ids (the row field *is* the task-id tie-break), narrow
     keys that fit int64, and bounded per-chunk subtask and slot counts.
     Anything else falls through to the reference via
@@ -175,6 +194,10 @@ def supports(
     if kwargs.get("arrivals") is not None:
         return False
     if kwargs.get("capacity_fn") is not None:
+        return False
+    if kwargs.get("on_miss", "record") != "record":
+        return False
+    if not kwargs.get("preserve_affinity", True):
         return False
     if processors < 1:
         return False
@@ -187,9 +210,7 @@ def supports(
         seen_ids.add(t.task_id)
     if not tasks or horizon <= 0:
         return True
-    use_memo = (bool(kwargs.get("hyperperiod_memo", True))
-                and not kwargs.get("trace", False))
-    chunk = _chunk_length(tasks, horizon, use_memo)
+    chunk = _chunk_length(tasks, horizon, not kwargs.get("trace", False))
     if chunk > MAX_CHUNK_SLOTS:
         return False
     total = sum((max(0, chunk - t.phase) // t.period + 2) * t.execution
@@ -202,10 +223,11 @@ def supports(
 class VectorPD2Simulator:
     """Struct-of-arrays drop-in for :class:`~repro.sim.quantum.QuantumSimulator`.
 
-    Accepts the reference's constructor surface plus ``hyperperiod_memo``
-    (the unsupported hooks must be ``None``/absent — :func:`supports`
-    gates dispatch) and produces an identical
-    :class:`~repro.sim.quantum.SimResult`.
+    Accepts the reference's constructor surface and produces an
+    identical :class:`~repro.sim.quantum.SimResult`.  The modes
+    :func:`supports` turns away must keep their defaults: ``on_miss``
+    ``"record"``, ``preserve_affinity`` True, no ``arrivals`` or
+    ``capacity_fn`` (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -220,21 +242,18 @@ class VectorPD2Simulator:
         arrivals: Optional[Iterable[Tuple[int, Callable[[], None]]]] = None,
         capacity_fn: Optional[Callable[[int], int]] = None,
         preserve_affinity: bool = True,
-        hyperperiod_memo: bool = True,
     ) -> None:
         if processors < 1:
             raise ValueError("need at least one processor")
-        if on_miss not in ("record", "raise"):
-            raise ValueError(f"on_miss must be 'record' or 'raise', got {on_miss!r}")
+        if on_miss != "record" or not preserve_affinity:
+            raise ValueError("vector kernel runs on_miss='record' with "
+                             "preserve_affinity=True only")
         if arrivals is not None or capacity_fn is not None:
             raise ValueError("vector kernel does not support arrivals/capacity_fn")
         self.tasks: List[PfairTask] = list(tasks)
         self.processors = processors
         self.policy = policy if policy is not None else PD2Priority()
         self.early_release = early_release
-        self.on_miss = on_miss
-        self.preserve_affinity = preserve_affinity
-        self.hyperperiod_memo = hyperperiod_memo
         self.trace: Optional[ScheduleTrace] = ScheduleTrace() if trace else None
         self.stats = SimStats()
         self.last_scheduled_index: Dict[int, int] = {}
@@ -328,43 +347,49 @@ class VectorPD2Simulator:
                      << rowbits | rowf)
         self._KSH = 1 << (1 + gdbits + rowbits)
 
-        chunk = _chunk_length(tasks, horizon,
-                              self.hyperperiod_memo and self.trace is None)
+        chunk = _chunk_length(tasks, horizon, self.trace is None)
         H = 0
-        log = None
+        # Hyperperiod memo: ``seen`` maps this run's boundary signatures
+        # to ``(boundary time, snapshot)``; ``deltas`` is the cross-run
+        # dict of measured cycle deltas for this normalized system.
+        seen: Optional[Dict[tuple, Tuple[int, tuple]]] = None
+        deltas: Optional[Dict[tuple, tuple]] = None
         if chunk < horizon:
-            from .cache import CycleLog, hyperperiod_cache_key
-
             H = self._H = chunk
-            log = CycleLog(hyperperiod_cache_key(self))
+            memo_key = (tuple((t.execution, t.period, t.early_release)
+                              for t in tasks),
+                        self.processors, self.early_release)
+            seen = {}
+            deltas = HYPERPERIOD_CACHE.get(memo_key)
 
         t = 0
         while t < horizon:
-            if log is not None and t > 0 and t % H == 0:
+            if seen is not None and t > 0 and t % H == 0:
                 # Hyperperiod boundary: sample the signature, then tile
                 # a known cycle or record this boundary.  Backlog or a
                 # miss means the signature does not capture the state.
                 if self.stats.misses or bool((self._elig < t).any()):
-                    log = None
+                    seen = None
                 else:
                     sig = self._signature(t)
-                    delta = log.probe(sig)
-                    if delta is None:
-                        prev = log.previous(sig)
-                        if prev is not None:
-                            delta = self._measure(t, *prev)
-                            log.store(sig, delta)
+                    delta = deltas.get(sig) if deltas is not None else None
+                    if delta is None and sig in seen:
+                        delta = self._measure(t, *seen[sig])
+                        if deltas is None:
+                            deltas = {}
+                            HYPERPERIOD_CACHE.put(memo_key, deltas)
+                        deltas[sig] = delta
                     if delta is not None:
-                        cycles = (horizon - t) // (delta.cycles * H)
+                        cycles = (horizon - t) // (delta[0] * H)
                         if cycles > 0:
                             t = self._apply(t, delta, cycles)
-                        log = None
+                        seen = None
                         if t >= horizon:
                             break
                     else:
-                        log.record(sig, t, self._snapshot())
-                        if log.exhausted:
-                            log = None
+                        seen[sig] = (t, self._snapshot())
+                        if len(seen) >= MAX_BOUNDARIES:
+                            seen = None
             t1 = min(t + H, horizon) if H else horizon
             self._simulate_chunk(t, t1)
             t = t1
@@ -458,55 +483,36 @@ class VectorPD2Simulator:
         cont_k = pl[fi_k - 1] == s_k - 1
 
         # -- misses / canonical (slot, key) ordering -------------------------
-        # Miss records, trace records and rank-procs all follow the
-        # reference's (slot, key) emission order; the common fast path
-        # (no misses, no trace, affinity fold) never needs the sort.
-        raise_miss = None
+        # Miss records and trace records follow the reference's (slot,
+        # key) emission order; the common fast path (no misses, no
+        # trace) never needs the sort.
         trace = self.trace
         miss_any = bool((s_k + t0 >= dl_[fi_k]).any())
-        if miss_any or trace is not None or not self.preserve_affinity:
+        if miss_any or trace is not None:
             o2 = np.lexsort((nkey[fi_k], s_k))
             fi_k = fi_k[o2]
             s_k = s_k[o2]
             cont_k = cont_k[o2]
             if miss_any:
                 miss_pos = np.flatnonzero(s_k + t0 >= dl_[fi_k])
-                if self.on_miss == "raise":
-                    # The reference raises at the first late allocation;
-                    # reconstruct its exact partial state.
-                    cut = int(miss_pos[0])
-                    fi_m = int(fi_k[cut])
-                    raise_miss = DeadlineMiss(rows[int(rowid[fi_m])],
-                                              int(idxv[fi_m]), int(dl_[fi_m]),
-                                              int(pl[fi_m]) + t0 + 1)
-                    fi_k = fi_k[:cut]
-                    s_k = s_k[:cut]
-                    cont_k = cont_k[:cut]
-                else:
-                    for pos in miss_pos.tolist():
-                        fi = int(fi_k[pos])
-                        self.stats.misses.append(DeadlineMiss(
-                            rows[int(rowid[fi])], int(idxv[fi]),
-                            int(dl_[fi]), int(pl[fi]) + t0 + 1))
+                for pos in miss_pos.tolist():
+                    fi = int(fi_k[pos])
+                    self.stats.misses.append(DeadlineMiss(
+                        rows[int(rowid[fi])], int(idxv[fi]),
+                        int(dl_[fi]), int(pl[fi]) + t0 + 1))
         n_placed = len(fi_k)
 
-        # -- processors: affinity fold or rank-within-slot -------------------
+        # -- processors: the affinity fold -----------------------------------
         r_all = rowid[fi_k]
-        if self.preserve_affinity:
-            pf_l = self._fold_affinity(fi_k, s_k, cont_k, pads, total)
-            # Migrations, recovered vectorized: a continuation always
-            # keeps its processor, so a changed processor with a real
-            # predecessor is exactly the reference's migration event.
-            pf_arr = np.array(pf_l, dtype=np.int64)
-            pfm = pf_arr[fi_k - 1]
-            mig_mask = (pfm >= 0) & (pf_arr[fi_k] != pfm)
-            if mig_mask.any():
-                self._migr += np.bincount(r_all[mig_mask], minlength=n)
-        else:
-            pf_l, mig = self._rank_procs(fi_k, s_k, pads, total)
-            if mig:
-                self._migr += np.bincount(
-                    rowid[np.asarray(mig, dtype=np.int64)], minlength=n)
+        pf_l = self._fold_affinity(fi_k, s_k, cont_k, pads, total)
+        # Migrations, recovered vectorized: a continuation always keeps
+        # its processor, so a changed processor with a real predecessor
+        # is exactly the reference's migration event.
+        pf_arr = np.array(pf_l, dtype=np.int64)
+        pfm = pf_arr[fi_k - 1]
+        mig_mask = (pfm >= 0) & (pf_arr[fi_k] != pfm)
+        if mig_mask.any():
+            self._migr += np.bincount(r_all[mig_mask], minlength=n)
 
         # -- vectorized stat columns -----------------------------------------
         pre_mask = (~cont_k) & (jobs[fi_k] == jobs[fi_k - 1])
@@ -543,19 +549,8 @@ class VectorPD2Simulator:
             for i2, fi in enumerate(fi_k.tolist()):
                 rec(s_t[i2], pf_l[fi], rows[r_t[i2]], i_t[i2])
 
-        if raise_miss is None:
-            self._busy += n_placed
-            self._idle += M * chunk - n_placed
-        else:
-            # The reference charges busy/idle at the end of each slot, so
-            # the raising slot is not charged.
-            s_m = raise_miss.completed_at - 1 - t0
-            nb = int(np.count_nonzero(s_k < s_m))
-            self._busy += nb
-            self._idle += M * s_m - nb
-            self.stats.misses.append(raise_miss)
-            self._materialize()
-            raise DeadlineMissError(raise_miss)
+        self._busy += n_placed
+        self._idle += M * chunk - n_placed
 
     def _fold_affinity(
         self, fi_s: np.ndarray, s_arr: np.ndarray, cont: np.ndarray,
@@ -656,34 +651,6 @@ class VectorPD2Simulator:
         self._fold_tab = tab
         return tab
 
-    def _rank_procs(
-        self, fi_s: np.ndarray, s_arr: np.ndarray, pads: np.ndarray,
-        total: int,
-    ) -> Tuple[List[int], List[int]]:
-        """``preserve_affinity=False``: processor = rank within the slot.
-
-        Requires the canonical (slot, key) allocation order — the caller
-        always routes this mode through the lexsort.  Fully vectorized —
-        migrations compare each allocation's processor with its
-        predecessor's (the pad carries the previous chunk's last
-        processor).  Same return contract as :meth:`_fold_affinity`.
-        """
-        m = len(fi_s)
-        procs = np.zeros(m, dtype=np.int64)
-        if m:
-            newslot = np.empty(m, dtype=bool)
-            newslot[0] = True
-            newslot[1:] = s_arr[1:] != s_arr[:-1]
-            starts = np.flatnonzero(newslot)
-            reps = np.diff(np.append(starts, m))
-            procs = np.arange(m, dtype=np.int64) - np.repeat(starts, reps)
-        pf = np.full(total, -1, dtype=np.int64)
-        pf[pads] = self._lp
-        pf[fi_s] = procs
-        prev_proc = pf[fi_s - 1]
-        mig = fi_s[(prev_proc >= 0) & (procs != prev_proc)]
-        return pf.tolist(), mig.tolist()
-
     def _count_job_preemptions(self, pr: np.ndarray, pj: np.ndarray) -> None:
         """Fold per-(row, job) preemption counts into the ``_jp`` dicts."""
         jp_all = self._jp
@@ -723,7 +690,7 @@ class VectorPD2Simulator:
                 d2 = jp_all[rr]
                 d2[jj] = d2.get(jj, 0) + 1
 
-    # -- hyperperiod memo protocol (sim.cache.CycleLog) -----------------------
+    # -- hyperperiod memo: boundary signature, cycle delta, tiling -----------
 
     def _signature(self, now: int) -> tuple:
         """Boundary state per task in task order, relative to ``now``.
@@ -753,6 +720,8 @@ class VectorPD2Simulator:
         return tuple(sig)
 
     def _snapshot(self) -> tuple:
+        """Per-task counters and busy/idle at a boundary, in task order,
+        for :meth:`_measure` to difference against."""
         rows = []
         for pos in range(self._n):
             r = self._row_of[pos]
@@ -760,9 +729,15 @@ class VectorPD2Simulator:
                          int(self._migr[r])))
         return (tuple(rows), self._busy, self._idle)
 
-    def _measure(self, now: int, t0: int, snap: tuple):
-        from .cache import CycleDelta
-
+    def _measure(self, now: int, t0: int, snap: tuple) -> tuple:
+        """The cycle delta from boundary ``t0`` (whose snapshot is
+        ``snap``) to ``now``: ``(cycles, per_task, busy, idle)``, with
+        ``cycles`` the cycle length in hyperperiods and ``per_task[pos]``
+        ``(quanta, preemptions, migrations, jp_rel)`` for the task at
+        position ``pos``, where ``jp_rel`` lists ``(job_offset, count)``
+        per-job preemption counts relative to the boundary.  Only plain
+        integers relative to the boundary, so a delta measured in one run
+        applies verbatim to any later run of an equivalent system."""
         rows_s, busy0, idle0 = snap
         per_task = []
         for pos, t in enumerate(self.tasks):
@@ -776,17 +751,18 @@ class VectorPD2Simulator:
             per_task.append((int(self._quanta[r]) - q0,
                              int(self._pre[r]) - p0,
                              int(self._migr[r]) - m0, jp_rel))
-        return CycleDelta((now - t0) // self._H, tuple(per_task),
-                          self._busy - busy0, self._idle - idle0)
+        return ((now - t0) // self._H, tuple(per_task),
+                self._busy - busy0, self._idle - idle0)
 
-    def _apply(self, now: int, delta, c: int) -> int:
+    def _apply(self, now: int, delta: tuple, c: int) -> int:
         """Tile ``delta`` ``c`` times: advance counters, live indices and
         eligibilities by whole cycles without simulating them."""
-        L = delta.cycles * self._H
+        cycles, per_task, busy, idle = delta
+        L = cycles * self._H
         shift = c * L
         for pos, t in enumerate(self.tasks):
             r = self._row_of[pos]
-            dq, dp, dm, jp_rel = delta.per_task[pos]
+            dq, dp, dm, jp_rel = per_task[pos]
             self._quanta[r] += c * dq
             self._pre[r] += c * dp
             self._migr[r] += c * dm
@@ -802,8 +778,8 @@ class VectorPD2Simulator:
             self._last_job[r] += c * jobs_per_cycle
             self._live[r] += c * jobs_per_cycle * t.execution
             self._elig[r] += shift
-        self._busy += c * delta.busy
-        self._idle += c * delta.idle
+        self._busy += c * busy
+        self._idle += c * idle
         return now + shift
 
     # -- result assembly -----------------------------------------------------
@@ -847,10 +823,8 @@ class VectorPD2Simulator:
                     leftovers.append((self.policy.key(st), st))
         leftovers.sort(key=lambda kv: kv[0])
         for _, st in leftovers:
-            miss = DeadlineMiss(st.task, st.index, st.deadline, None)
-            self.stats.misses.append(miss)
-            if self.on_miss == "raise":
-                raise DeadlineMissError(miss)
+            self.stats.misses.append(
+                DeadlineMiss(st.task, st.index, st.deadline, None))
         return SimResult(
             stats=self.stats,
             trace=self.trace,

@@ -11,6 +11,11 @@ order of end-of-run unscheduled misses — the empirical half of the
 kernel's correctness argument (the analytical half is the narrow-key
 order property in ``test_sim_vector.py`` and the key-order placement
 argument in ``sim/vector.py``).
+
+The vector kernel runs only the default ``on_miss="record"`` and
+``preserve_affinity=True``; ``TestReferenceOnlyModes`` checks that
+:func:`supports` turns the other two modes away and that
+:func:`simulate_pfair` then answers exactly as the reference does.
 """
 
 import random
@@ -20,7 +25,7 @@ import pytest
 
 from repro.core.priority import PD2Priority
 from repro.core.task import PeriodicTask
-from repro.sim.quantum import QuantumSimulator, simulate_pfair
+from repro.sim.quantum import DeadlineMissError, QuantumSimulator, simulate_pfair
 from repro.sim.vector import VectorPD2Simulator, supports
 from repro.workload.generator import TaskSetGenerator
 
@@ -130,15 +135,6 @@ class TestDifferential:
             seen_misses += bool(ref["misses_ran"] or ref["misses_never_ran"])
         assert seen_misses > 0  # the sample actually exercised overloads
 
-    def test_no_affinity_leg_matches(self):
-        rng = random.Random(424242)
-        for trial in range(40):
-            weights, phases, m, horizon, er = _random_system(
-                rng, overload_ok=(trial % 2 == 0))
-            ref, vec = _run_both(weights, phases, m, horizon, er,
-                                 preserve_affinity=False)
-            assert ref == vec, f"trial {trial}"
-
     def test_memoised_and_unmemoised_agree(self):
         # Untraced runs let the vector kernel tile hyperperiods; the
         # memoised result must still match the slot-by-slot reference.
@@ -150,16 +146,20 @@ class TestDifferential:
             assert ref == vec, f"trial {trial}"
 
     def test_vector_memoised_and_unmemoised_agree(self):
+        # A trace turns the memo off, so the untraced and the traced
+        # vector runs of one system are its memoised and unmemoised legs.
         rng = random.Random(6)
         for _ in range(25):
             weights, phases, m, horizon, er = _random_system(rng)
             tasks_a, _ = _build(weights, phases, er)
             tasks_b, _ = _build(weights, phases, er)
-            a = VectorPD2Simulator(tasks_a, m, early_release=er,
-                                   hyperperiod_memo=True).run(horizon)
-            b = VectorPD2Simulator(tasks_b, m, early_release=er,
-                                   hyperperiod_memo=False).run(horizon)
-            assert _snapshot(a) == _snapshot(b)
+            a = _snapshot(VectorPD2Simulator(tasks_a, m, early_release=er)
+                          .run(horizon))
+            b = _snapshot(VectorPD2Simulator(tasks_b, m, early_release=er,
+                                             trace=True).run(horizon))
+            assert a.pop("allocations") is None
+            assert b.pop("allocations")
+            assert a == b
 
     def test_hyperperiod_cache_replays_across_runs(self):
         # Cycle deltas stored by one run must replay bit-for-bit in a
@@ -200,25 +200,26 @@ class TestDifferential:
         # simulators; spot-check the dispatcher end to end.
         mk = lambda: [PeriodicTask(e, p, task_id=i)
                       for i, (e, p) in enumerate([(1, 2), (3, 7), (2, 5)])]
+        assert supports(mk(), 2, 140, None, {"trace": True})
         ref = simulate_pfair(mk(), 2, 140, trace=True, fastpath=False)
-        vec = simulate_pfair(mk(), 2, 140, trace=True, fastpath=True)
+        vec = simulate_pfair(mk(), 2, 140, trace=True)
         assert _snapshot(ref) == _snapshot(vec)
 
     def test_on_miss_raise_matches(self):
-        from repro.sim.quantum import DeadlineMissError
-
+        # The reference alone raises; dispatch lands there and raises
+        # the same miss.
         mk = lambda: [PeriodicTask(1, 2, task_id=0),
                       PeriodicTask(1, 2, task_id=1),
                       PeriodicTask(1, 2, task_id=2)]  # weight 1.5 on M=1
         with pytest.raises(DeadlineMissError) as ref_err:
             QuantumSimulator(mk(), 1, on_miss="raise").run(40)
-        with pytest.raises(DeadlineMissError) as vec_err:
-            VectorPD2Simulator(mk(), 1, on_miss="raise").run(40)
-        rm, vm = ref_err.value.miss, vec_err.value.miss
+        with pytest.raises(DeadlineMissError) as got_err:
+            simulate_pfair(mk(), 1, 40, on_miss="raise")
+        rm, gm = ref_err.value.miss, got_err.value.miss
         assert (rm.task.task_id, rm.subtask_index, rm.deadline,
                 rm.completed_at) == \
-               (vm.task.task_id, vm.subtask_index, vm.deadline,
-                vm.completed_at)
+               (gm.task.task_id, gm.subtask_index, gm.deadline,
+                gm.completed_at)
 
     def test_finalize_miss_order_is_canonical(self):
         # End-of-run unscheduled misses come out in priority-key order
@@ -245,12 +246,62 @@ class TestDifferential:
         specs = TaskSetGenerator(1, quantum=1, min_period=50,
                                  max_period=5000).generate(n, 0.85 * 4)
 
-        def run(fastpath):
-            # fastpath=True raises rather than fall back, so the vector
-            # kernel is known to have run.
-            tasks = [PeriodicTask(s.execution, s.period, task_id=i)
-                     for i, s in enumerate(specs)]
-            return _snapshot(simulate_pfair(tasks, 4, 2000, trace=True,
-                                            fastpath=fastpath))
+        def tasks():
+            return [PeriodicTask(s.execution, s.period, task_id=i)
+                    for i, s in enumerate(specs)]
 
-        assert run(False) == run(True), f"divergence at N={n}"
+        assert supports(tasks(), 4, 2000, None, {"trace": True})
+        ref = QuantumSimulator(tasks(), 4, trace=True).run(2000)
+        vec = VectorPD2Simulator(tasks(), 4, trace=True).run(2000)
+        assert _snapshot(ref) == _snapshot(vec), f"divergence at N={n}"
+
+
+class TestReferenceOnlyModes:
+    """``preserve_affinity=False`` and ``on_miss="raise"`` run on the
+    reference alone: :func:`supports` turns them away, and dispatch
+    gives exactly the reference's result, or the reference's
+    :class:`DeadlineMissError` with the same miss."""
+
+    MODES = [pytest.param({"preserve_affinity": False}, id="no-affinity"),
+             pytest.param({"on_miss": "raise"}, id="raise"),
+             pytest.param({"preserve_affinity": False, "on_miss": "raise"},
+                          id="no-affinity-raise")]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_supports_turns_the_mode_away(self, mode):
+        tasks = _build([(1, 3), (2, 5)], [0, 0], False)[0]
+        assert supports(tasks, 2, 60, None, {})
+        assert not supports(tasks, 2, 60, None, mode)
+        assert not supports(tasks, 2, 60, None, dict(mode, trace=True))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dispatch_answers_like_the_reference(self, mode):
+        rng = random.Random(424242)
+        raised = 0
+        for trial in range(40):
+            weights, phases, m, horizon, er = _random_system(
+                rng, overload_ok=(trial % 2 == 0))
+            kwargs = dict(mode, early_release=er, trace=True)
+
+            def tasks():
+                return _build(weights, phases, er)[0]
+
+            ref = _outcome(lambda: QuantumSimulator(
+                tasks(), m, PD2Priority(), **kwargs).run(horizon))
+            got = _outcome(lambda: simulate_pfair(
+                tasks(), m, horizon, PD2Priority(), **kwargs))
+            assert ref == got, f"trial {trial}"
+            raised += ref[0] == "raised"
+        # Overloaded draws really raise in the raise modes.
+        assert (raised > 0) == (mode.get("on_miss") == "raise")
+
+
+def _outcome(run):
+    """``("ok", snapshot)`` of a run, or ``("raised", miss)`` if it
+    raises :class:`DeadlineMissError`."""
+    try:
+        return "ok", _snapshot(run())
+    except DeadlineMissError as exc:
+        miss = exc.miss
+        return "raised", (miss.task.task_id, miss.subtask_index,
+                          miss.deadline, miss.completed_at)

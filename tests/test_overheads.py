@@ -276,8 +276,24 @@ SETTLE_CASES = [
 ]
 
 
+#: Climbs that turn back, ``f(X) < X`` at an iterate ``X``, so
+#: ``_settle`` continues the orbit from ``known = (X, demand)`` inside
+#: ``[lo, X]``.  All have ``q = 1``.  ``(case, answer, ending)``.
+CONTINUE_CASES = [
+    # 3 -> 8 -> 13 -> 10 turns back; 10 fails, 12 covers, f(11) = 11.
+    (_case(3, 13, 0, 1, 1, 0.421875), 11, "fixed point"),
+    # 4 -> 9 -> 15 -> 11 turns back; 11 fails, then the orbit cycles
+    # 13 -> 12 -> 13: 13 covers and 12 fails, which closes [lo, hi].
+    (_case(4, 15, 1, 0, 1, 0.453125), 13, "2-cycle"),
+    # 10 -> 21 -> 14 turns back; 14 -> 20 -> 15 -> 19 -> 15 narrows the
+    # interval to [16, 19] and the orbit's next iterate, 15, lies below
+    # it.  Bisection finds the fixed point 17 the orbit never visits.
+    (_case(10, 21, 1, 0, 1, 0.15625), 17, "leaves"),
+]
+
+
 def _with_settle_cases(test):
-    for case, _answer, _branch in SETTLE_CASES:
+    for case, _answer, _branch in SETTLE_CASES + CONTINUE_CASES:
         test = example(case)(test)
     return test
 
@@ -332,3 +348,38 @@ class TestEq3FixedPointProperty:
         assert inf.feasible and inf.quanta == answer
         p_quanta = spec.period // q
         assert (answer <= (p_quanta + 1) // 2) == (branch == "rising")
+
+    @pytest.mark.parametrize("case, answer, ending", CONTINUE_CASES)
+    def test_turned_back_climbs_continue_in_settle(self, monkeypatch, case,
+                                                   answer, ending):
+        """Each ``CONTINUE_CASES`` climb calls ``_settle`` once with a
+        covering ``known`` iterate, and the continued orbit ends as
+        stated: on a fixed point, on a 2-cycle around the answer, or
+        outside the interval, where bisection takes over."""
+        spec, c, q, s_pd2 = case
+        turns = []
+        settle = inflation_module._settle
+
+        def counting(row, s, c, q, lo, iterations, known=None, nxt=None):
+            if known is not None:
+                turns.append(known[0])
+            return settle(row, s, c, q, lo, iterations, known, nxt)
+
+        monkeypatch.setattr(inflation_module, "_settle", counting)
+        model = OverheadModel(context_switch=c, quantum=q,
+                              sched_pd2=lambda n, m: s_pd2)
+        inf = pd2_inflate(spec, model, 1, 1)
+        assert len(turns) == 1
+        assert inf.feasible and inf.quanta == answer
+        f = _eq3_map(spec, s_pd2, c, q)
+        assert f(turns[0]) < turns[0]
+        orbit = [turns[0]]
+        for _ in range(8):
+            orbit.append(f(orbit[-1]))
+        if ending == "fixed point":
+            assert f(answer) == answer and answer in orbit
+        elif ending == "2-cycle":
+            assert f(answer) == answer - 1 and f(answer - 1) == answer
+            assert answer in orbit
+        else:
+            assert f(answer) == answer and answer not in orbit

@@ -562,7 +562,6 @@ def _assert_residents_summed(bins):
         assert b.max_cache_delay == max(
             (t.cache_delay for t in b.tasks), default=0)
         assert b.min_period == min((t.period for t in b.tasks), default=None)
-        assert b.max_period == max((t.period for t in b.tasks), default=None)
 
 
 class TestResidentFields:
@@ -591,6 +590,24 @@ class TestResidentFields:
         op.repartition()
         _assert_residents_summed(op.partition.bins)
 
+    def test_overhead_failover_skips_bins_out_of_period_order(self):
+        """The overhead-aware failover probes only the survivors whose
+        residents all have periods at least the newcomer's: the long-
+        period task is orphaned instead of raising on a bin holding a
+        shorter period, the short one is re-homed, and every bin's load
+        stays summed from its tasks."""
+        from repro.sim.partitioned import reassign_after_failure
+
+        part = edf_ff([spec(36, 40, "A"), spec(5, 10, "B"),
+                       spec(1, 10, "C")], overhead_inflation=0).partition
+        assert [[t.name for t in b.tasks] for b in part.bins] == \
+            [["A", "C"], ["B"]]
+        ok, orphans = reassign_after_failure(part, 0,
+                                             accept=EDFOverheadTest(0))
+        assert not ok and [t.name for t in orphans] == ["A"]
+        assert [t.name for t in part.bins[1].tasks] == ["B", "C"]
+        _assert_residents_summed(part.bins)
+
     def test_failover_empties_the_victim(self):
         """The failover empties the victim bin and keeps every survivor's
         load and resident fields summed from its tasks."""
@@ -600,7 +617,7 @@ class TestResidentFields:
                        spec(1, 6, "d"), spec(1, 4, "e")]).partition
         reassign_after_failure(part, 0)
         _assert_residents_summed(part.bins)
-        assert part.bins[0].load == 0 and part.bins[0].max_period is None
+        assert part.bins[0].load == 0 and part.bins[0].min_period is None
 
 
 def _packer_sets():

@@ -2,13 +2,15 @@
 
 :class:`~repro.core.quantum.QuantumSimulator` is the engine every
 policy (PD², PD, PF, EPDF), every dynamic system and the admission
-service run on, and most of its options — per-task early release,
+service run on.  The vector kernel runs only PD² over strictly periodic
+tasks with ``on_miss='record'`` and ``preserve_affinity=True``, so the
+vector/reference differential suite cannot pin the other policies,
 sporadic and IS stalls, ``last_subtask`` leaves, ``capacity_fn``,
-``preserve_affinity=False``, ``on_miss='raise'`` — are outside what the
-vector kernel supports, so the vector/reference differential suite
-cannot pin them.  This battery does: each case drives a seeded system
-slot by slot through :meth:`~repro.core.quantum.QuantumSimulator.step`
-and hashes every allocation ``(slot, processor, task position,
+``preserve_affinity=False`` or ``on_miss='raise'``.  This battery does,
+with per-task early release, phases and traces alongside: each case
+drives a seeded system slot by slot through
+:meth:`~repro.core.quantum.QuantumSimulator.step` and hashes every
+allocation ``(slot, processor, task position,
 subtask index)`` together with the run's :class:`~repro.core.metrics.
 SimStats` (per-task counters, ``job_preemptions``, misses in order,
 busy/idle quanta) and the last-scheduled index per task.

@@ -85,11 +85,11 @@ class TestSupports:
         assert supports(_tasks(), 2, 0, None, {})
 
     def test_rejects_oversized_chunks(self):
-        # With the memo off, the chunk is the whole horizon; past the
-        # slot gate the kernel bows out to the reference.
+        # A trace turns the memo off, so the chunk is the whole horizon;
+        # past the slot gate the kernel bows out to the reference.
         tasks = [PeriodicTask(1, 3, task_id=0)]
         big = MAX_CHUNK_SLOTS + 1
-        assert not supports(tasks, 1, big, None, {"hyperperiod_memo": False})
+        assert not supports(tasks, 1, big, None, {"trace": True})
         # The memo caps the chunk at one hyperperiod, so the same
         # horizon is fine when chunking applies.
         assert supports(tasks, 1, big, None, {})
@@ -98,9 +98,9 @@ class TestSupports:
 def _unsupported_inputs():
     """Inputs that lose the accelerated path, by gate."""
     dup = [PeriodicTask(1, 3, task_id=7), PeriodicTask(1, 4, task_id=7)]
-    # Memo off and no tiling: the chunk is the whole horizon.
+    # Traced, so no tiling: the chunk is the whole horizon.
     long_chunk = ([PeriodicTask(1, 3, task_id=0)], MAX_CHUNK_SLOTS + 1,
-                  {"hyperperiod_memo": False})
+                  {"trace": True})
     # A period so large the narrow key's deadline field alone overflows.
     wide = [PeriodicTask(1, 1 << MAX_KEY_BITS, task_id=0)]
     return [
@@ -112,16 +112,12 @@ def _unsupported_inputs():
 
 class TestDispatch:
     def test_explicit_vector_unsupported_raises(self):
-        with pytest.raises(ValueError, match="fastpath=True"):
-            simulate_pfair(_tasks(), 2, 50, EPDFPriority(), fastpath=True)
-
-    @pytest.mark.parametrize("label,tasks,horizon,kwargs",
-                             _unsupported_inputs())
-    def test_fastpath_true_raises_on_every_unsupported_gate(
-            self, label, tasks, horizon, kwargs):
-        assert not supports(tasks, 1, horizon, None, kwargs), label
-        with pytest.raises(ValueError, match="fastpath=True"):
-            simulate_pfair(tasks, 1, horizon, fastpath=True, **kwargs)
+        # A caller that needs the vector kernel builds it, and the kernel
+        # refuses the modes only the reference runs.
+        with pytest.raises(ValueError, match="vector kernel"):
+            VectorPD2Simulator(_tasks(), 2, on_miss="raise")
+        with pytest.raises(ValueError, match="vector kernel"):
+            VectorPD2Simulator(_tasks(), 2, preserve_affinity=False)
 
     @pytest.mark.parametrize("label,tasks,horizon,kwargs",
                              _unsupported_inputs())
@@ -135,7 +131,7 @@ class TestDispatch:
             horizon = 41
         assert not vec_mod.supports(tasks, 1, horizon, None, kwargs), label
         res = simulate_pfair(tasks, 1, horizon, **kwargs)
-        ref = QuantumSimulator(tasks, 1).run(horizon)
+        ref = QuantumSimulator(tasks, 1, **kwargs).run(horizon)
         assert res.stats == ref.stats, label
 
     def test_unsupported_configuration_falls_back(self):
@@ -388,7 +384,8 @@ class TestBoundedTables:
         for k in range(self.SETS):
             tasks = [PeriodicTask(1 + i % 3, 900_001 + k * self.TASKS + i)
                      for i in range(self.TASKS)]
-            result = simulate_pfair(tasks, 1, 10, fastpath=True)
+            assert supports(tasks, 1, 10, None, {})
+            result = VectorPD2Simulator(tasks, 1).run(10)
             assert result.stats.busy_quanta == 10
             assert window_table.cache_info().currsize \
                 <= WINDOW_TABLE_CACHE_SIZE
