@@ -69,17 +69,26 @@ def _parse_weight(text: str) -> Tuple[int, int]:
     return e, p
 
 
-def _positive_int(text: str) -> int:
-    """A process or slot count: an integer of at least one."""
+def _int_at_least(text: str, least: int, what: str) -> int:
+    """``text`` as an integer of at least ``least``, else a usage error."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}")
+            f"expected {what}, got {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """A process or slot count: an integer of at least one."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _count_or_default(text: str) -> int:
+    """A count where 0 asks for the command's default: an integer >= 0."""
+    return _int_at_least(text, 0, "a nonnegative integer")
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
@@ -909,21 +918,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("windows", help="print Pfair windows of a weight")
     p.add_argument("weight", type=_parse_weight, help="weight E/P (quanta)")
-    p.add_argument("--subtasks", type=int, default=0,
+    p.add_argument("--subtasks", type=_count_or_default, default=0,
                    help="how many subtasks (default: two jobs)")
     p.set_defaults(fn=_cmd_windows)
 
     p = sub.add_parser("schedule", help="run PD² on a task set")
     p.add_argument("weights", type=_parse_weight, nargs="+",
                    help="weights E/P (quanta)")
-    p.add_argument("--processors", type=int, default=0,
+    p.add_argument("--processors", type=_count_or_default, default=0,
                    help="processor count (default: ceil of total weight)")
-    p.add_argument("--horizon", type=int, default=0,
+    p.add_argument("--horizon", type=_count_or_default, default=0,
                    help="slots to simulate (default: 2 hyperperiods, <= 200)")
     p.add_argument("--no-fastpath", action="store_true",
                    help="force the reference simulator (disable the "
                         "struct-of-arrays PD² kernel)")
-    p.add_argument("--width", type=int, default=60,
+    p.add_argument("--width", type=_positive_int, default=60,
                    help="columns of schedule to print")
     p.set_defaults(fn=_cmd_schedule)
 

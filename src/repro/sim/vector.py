@@ -52,7 +52,7 @@ That turns simulation into:
 
 1. a **vectorized precompute** (numpy int64 end to end): the tasks'
    window-table columns (:class:`~repro.core.subtask.WindowTable`, one
-   job per weight) are concatenated once per run; every chunk then
+   job per weight) are concatenated once per run; every pass then
    derives releases,
    deadlines and *narrow* per-run int64 priority keys
    ``|deadline | 1-b | gd | row|`` for all rows in a handful of gathers
@@ -73,17 +73,26 @@ That turns simulation into:
    continuations-first slot order) are the only per-allocation Python
    loops left.
 
-The hyperperiod memo composes by *chunking*.  A synchronous periodic
+The kernel works in *bounded passes*.  :meth:`VectorPD2Simulator.run`
+simulates at most :data:`CHUNK_SLOTS` slots per pass, carrying exact
+per-task state (live subtask, its eligibility, affinity state) from one
+pass to the next, and a pass of ``L`` slots materializes at most ``L +
+1`` subtasks per task from its live one on: a task runs at most once
+per slot, and the one past that is the sentinel that carries the
+eligibility into the next pass.  A pass's memory and work are therefore
+O(N·L) whatever the horizon, the overload backlog or the job length.
+
+The hyperperiod memo composes with the passes.  A synchronous periodic
 system is a deterministic automaton: at a hyperperiod boundary ``t =
 kH`` its state compresses to a small signature per task (relative
 eligibility, relative subtask index, affinity state), and when a
 signature repeats, the schedule between the two boundaries repeats
-forever after.  When the memo preconditions hold (synchronous system, no
-trace, ``2·lcm < horizon``) the kernel therefore runs one hyperperiod per
-chunk, carrying exact per-task state across boundaries; at each boundary
-it samples the signature, and on a repeat it measures the per-cycle
-stats delta and tiles it across the rest of the horizon.  Signatures and
-deltas are plain integers relative to the boundary, so
+forever after.  While the memo preconditions hold (synchronous system,
+no trace, ``2·lcm < horizon``, no backlog or miss yet) no pass crosses a
+multiple of ``H``, so the kernel samples the signature at every
+boundary, and on a repeat it measures the per-cycle stats delta and
+tiles it across the rest of the horizon.  Signatures and deltas are
+plain integers relative to the boundary, so
 :data:`~repro.sim.cache.HYPERPERIOD_CACHE` keeps measured deltas per
 normalized task set and a later run of an equivalent system tiles after
 its first hyperperiod.
@@ -117,14 +126,17 @@ from ..core.trace import ScheduleTrace
 
 __all__ = ["VectorPD2Simulator", "supports"]
 
-#: Largest number of precomputed subtasks per chunk before the kernel
-#: bows out (memory gate; the reference handles what falls through).
-MAX_CHUNK_SUBTASKS = 4_000_000
+#: Longest kernel pass (chunk) in slots.  A pass of ``L`` slots
+#: allocates the union-find array per slot and at most ``L + 2``
+#: precompute items per task, so per-pass memory is O(N·L) on any
+#: horizon.
+CHUNK_SLOTS = 4096
 
-#: Largest chunk length in slots: the placement pass allocates the
-#: union-find pointer array and the occupancy countdown per slot.  Very
-#: long horizons without memoisation fall through to the reference.
-MAX_CHUNK_SLOTS = 4_000_000
+#: Largest number of precomputed subtasks in one pass before the kernel
+#: bows out (memory gate; the reference handles what falls through).
+#: With passes capped at ``CHUNK_SLOTS`` only sets of about 1,000 tasks
+#: or more can reach it.
+MAX_CHUNK_SUBTASKS = 4_000_000
 
 #: Narrow keys must fit a signed int64 lane below the pad sentinel.
 MAX_KEY_BITS = 62
@@ -160,15 +172,14 @@ def _key_layout(tasks: List[PfairTask],
     return dbias, gdbits, rowbits, dbits + 1 + gdbits + rowbits
 
 
-def _chunk_length(tasks: List[PfairTask], horizon: int,
-                  use_memo: bool) -> int:
-    """Slots simulated per kernel pass: one hyperperiod when the memo
-    applies (so boundaries can be sampled), else the horizon."""
-    if use_memo and tasks and all(t.phase == 0 for t in tasks):
+def _memo_hyperperiod(tasks: List[PfairTask], horizon: int) -> int:
+    """The hyperperiod ``H`` when the memo applies (a synchronous system
+    whose horizon holds more than two hyperperiods), else 0."""
+    if all(t.phase == 0 for t in tasks):
         period_lcm = lcm(*(t.period for t in tasks))
         if 2 * period_lcm < horizon:
             return period_lcm
-    return horizon
+    return 0
 
 
 def supports(
@@ -185,9 +196,13 @@ def supports(
     arrivals or departures, misses recorded and affinity preserved —
     within the kernel's own resource gates:
     distinct task ids (the row field *is* the task-id tie-break), narrow
-    keys that fit int64, and bounded per-chunk subtask and slot counts.
-    Anything else falls through to the reference via
-    :func:`repro.sim.quantum.simulate_pfair`.
+    keys that fit int64, and at most :data:`MAX_CHUNK_SUBTASKS` items in
+    the first pass.  Passes are at most :data:`CHUNK_SLOTS` slots long
+    whatever the horizon, so no horizon is too long; the first pass
+    materializes each task's jobs released in it, capped at the ``L +
+    2`` items a pass of ``L`` slots ever holds per task (a backlog only
+    fills later passes up to that cap).  Anything else falls through to
+    the reference via :func:`repro.sim.quantum.simulate_pfair`.
     """
     if policy is not None and type(policy) is not PD2Priority:
         return False
@@ -210,10 +225,9 @@ def supports(
         seen_ids.add(t.task_id)
     if not tasks or horizon <= 0:
         return True
-    chunk = _chunk_length(tasks, horizon, not kwargs.get("trace", False))
-    if chunk > MAX_CHUNK_SLOTS:
-        return False
-    total = sum((max(0, chunk - t.phase) // t.period + 2) * t.execution
+    chunk = min(horizon, CHUNK_SLOTS)
+    total = sum(min(chunk + 2,
+                    (max(0, chunk - t.phase) // t.period + 2) * t.execution)
                 for t in tasks)
     if total > MAX_CHUNK_SUBTASKS:
         return False
@@ -347,15 +361,14 @@ class VectorPD2Simulator:
                      << rowbits | rowf)
         self._KSH = 1 << (1 + gdbits + rowbits)
 
-        chunk = _chunk_length(tasks, horizon, self.trace is None)
-        H = 0
+        H = _memo_hyperperiod(tasks, horizon) if self.trace is None else 0
         # Hyperperiod memo: ``seen`` maps this run's boundary signatures
         # to ``(boundary time, snapshot)``; ``deltas`` is the cross-run
         # dict of measured cycle deltas for this normalized system.
         seen: Optional[Dict[tuple, Tuple[int, tuple]]] = None
         deltas: Optional[Dict[tuple, tuple]] = None
-        if chunk < horizon:
-            H = self._H = chunk
+        if H:
+            self._H = H
             memo_key = (tuple((t.execution, t.period, t.early_release)
                               for t in tasks),
                         self.processors, self.early_release)
@@ -390,7 +403,12 @@ class VectorPD2Simulator:
                         seen[sig] = (t, self._snapshot())
                         if len(seen) >= MAX_BOUNDARIES:
                             seen = None
-            t1 = min(t + H, horizon) if H else horizon
+            # Passes span at most CHUNK_SLOTS slots; while the memo is
+            # live none crosses a boundary, so every multiple of H is
+            # sampled.
+            t1 = min(t + CHUNK_SLOTS, horizon)
+            if seen is not None:
+                t1 = min(t1, t - t % H + H)
             self._simulate_chunk(t, t1)
             t = t1
         self._materialize()
@@ -412,8 +430,12 @@ class VectorPD2Simulator:
         # end can place anything (early release never crosses a job
         # boundary), plus the in-flight job of the live subtask; one
         # sentinel subtask past that carries the eligibility forward.
+        # A row runs at most once per slot, so subtask ``live + chunk``
+        # is never placed: capping there bounds a block at chunk + 2
+        # items however deep the backlog or long the job.
         jb = np.maximum((t1 - self._ph_arr - 1) // self._p_arr + 1, 0)
         hi = np.maximum(jb, (live - 1) // e_arr + 1) * e_arr + 1
+        np.minimum(hi, live + chunk, out=hi)
         sizes = hi - live + 2          # block = pad + subtasks live..hi
         offs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(sizes, out=offs[1:])

@@ -151,6 +151,40 @@ class TestCLI:
             build_parser().parse_args([])
 
     @pytest.mark.parametrize("argv, message", [
+        (["schedule", "1/2", "--horizon", "-5"],
+         "expected a nonnegative integer, got -5"),
+        (["schedule", "1/2", "--processors", "-1"],
+         "expected a nonnegative integer, got -1"),
+        (["schedule", "1/2", "--width", "-5"],
+         "expected a positive integer, got -5"),
+        (["schedule", "1/2", "--width", "0"],
+         "expected a positive integer, got 0"),
+        (["schedule", "1/2", "--horizon", "ten"],
+         "expected a nonnegative integer, got 'ten'"),
+        (["windows", "2/5", "--subtasks", "-3"],
+         "expected a nonnegative integer, got -3"),
+    ], ids=["horizon", "processors", "width", "zero-width", "not-a-number",
+            "subtasks"])
+    def test_negative_counts_are_usage_errors(self, argv, message, capsys):
+        # One usage line and exit 2, not a traceback (exit 1) or an
+        # empty table (exit 0).
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not captured.out
+
+    def test_zero_counts_keep_their_defaults(self, capsys):
+        assert main(["windows", "2/5", "--subtasks", "0"]) == 0
+        assert "T4" in capsys.readouterr().out   # two jobs of two subtasks
+        assert main(["schedule", "1/2", "1/3", "--processors", "0",
+                     "--horizon", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "PD² on 1 processors, 12 slots" in out
+
+    @pytest.mark.parametrize("argv, message", [
         (["fig3", "-j", "0"], "expected a positive integer"),
         (["fig4", "--jobs", "-1"], "expected a positive integer"),
         (["campaign", "run", "RUN", "-j", "0"],

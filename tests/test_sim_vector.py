@@ -27,7 +27,7 @@ from repro.core.subtask import WINDOW_TABLE_CACHE_SIZE, window_table
 from repro.core.task import PeriodicTask, SporadicTask
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.vector import (
-    MAX_CHUNK_SLOTS,
+    CHUNK_SLOTS,
     MAX_KEY_BITS,
     VectorPD2Simulator,
     _key_layout,
@@ -39,6 +39,7 @@ from repro.workload.distributions import log_uniform_periods
 from repro.workload.generator import TaskSetGenerator, specs_to_pfair_tasks
 
 from strategies import feasible_task_systems
+from test_kernel_differential import _snapshot
 from test_vector_bridge import _assemble, _edge_period
 
 
@@ -84,28 +85,24 @@ class TestSupports:
         assert supports([], 2, 100, None, {})
         assert supports(_tasks(), 2, 0, None, {})
 
-    def test_rejects_oversized_chunks(self):
-        # A trace turns the memo off, so the chunk is the whole horizon;
-        # past the slot gate the kernel bows out to the reference.
+    def test_traced_horizon_past_the_old_slot_gate_is_supported(self):
+        # A trace turns the memo off, but passes stay CHUNK_SLOTS long
+        # whatever the horizon, so a horizon past the 4,000,000-slot
+        # gate the kernel once had is still supported.  Nothing runs.
         tasks = [PeriodicTask(1, 3, task_id=0)]
-        big = MAX_CHUNK_SLOTS + 1
-        assert not supports(tasks, 1, big, None, {"trace": True})
-        # The memo caps the chunk at one hyperperiod, so the same
-        # horizon is fine when chunking applies.
-        assert supports(tasks, 1, big, None, {})
+        assert supports(tasks, 1, 4_000_001, None, {"trace": True})
+        assert supports(tasks, 1, 4_000_001, None, {})
 
 
 def _unsupported_inputs():
     """Inputs that lose the accelerated path, by gate."""
     dup = [PeriodicTask(1, 3, task_id=7), PeriodicTask(1, 4, task_id=7)]
-    # Traced, so no tiling: the chunk is the whole horizon.
-    long_chunk = ([PeriodicTask(1, 3, task_id=0)], MAX_CHUNK_SLOTS + 1,
-                  {"trace": True})
     # A period so large the narrow key's deadline field alone overflows.
     wide = [PeriodicTask(1, 1 << MAX_KEY_BITS, task_id=0)]
     return [
         ("duplicate ids", dup, 20, {}),
-        ("chunk slots", *long_chunk),
+        # The test lowers MAX_CHUNK_SUBTASKS below this set's first pass.
+        ("chunk subtasks", [PeriodicTask(1, 3, task_id=0)], 41, {}),
         ("key bits", wide, 20, {}),
     ]
 
@@ -124,11 +121,10 @@ class TestDispatch:
     def test_unsupported_inputs_fall_back_to_the_reference(
             self, label, tasks, horizon, kwargs, monkeypatch):
         # Every gate loses the vector tier but keeps the answers: auto
-        # dispatch lands on the reference.  The slot gate is lowered so
-        # the over-long chunk runs in milliseconds.
-        if label == "chunk slots":
-            monkeypatch.setattr(vec_mod, "MAX_CHUNK_SLOTS", 40)
-            horizon = 41
+        # dispatch lands on the reference.  The subtask gate is lowered
+        # so a 41-slot pass (15 items) is over it.
+        if label == "chunk subtasks":
+            monkeypatch.setattr(vec_mod, "MAX_CHUNK_SUBTASKS", 10)
         assert not vec_mod.supports(tasks, 1, horizon, None, kwargs), label
         res = simulate_pfair(tasks, 1, horizon, **kwargs)
         ref = QuantumSimulator(tasks, 1, **kwargs).run(horizon)
@@ -472,3 +468,194 @@ class TestDtypes:
                           n_edge)
         assert _key_layout(tasks, horizon)[3] >= MAX_KEY_BITS - 2
         _assert_dtype_sound(tasks, len(tasks), horizon, trace=True)
+
+
+# ---------------------------------------------------------------------------
+# Bounded passes: every pass spans at most CHUNK_SLOTS slots and holds at
+# most N·(CHUNK_SLOTS + 2) items, and where the passes end never changes
+# a decision.
+
+
+SHORT = 64   # the pass length TestBoundedPasses patches in
+
+
+def _generator_tasks(seed, n, processors, max_period=5000):
+    specs = TaskSetGenerator(seed, quantum=1, min_period=20,
+                             max_period=max_period).generate(
+        n, 0.85 * processors)
+    return [PeriodicTask(s.execution, s.period, task_id=i)
+            for i, s in enumerate(specs)]
+
+
+def _count_passes(monkeypatch):
+    """Record ``(t0, t1)`` of every ``_simulate_chunk`` call."""
+    spans = []
+    real = VectorPD2Simulator._simulate_chunk
+    monkeypatch.setattr(
+        VectorPD2Simulator, "_simulate_chunk",
+        lambda sim, t0, t1: (spans.append((t0, t1)), real(sim, t0, t1))[1])
+    return spans
+
+
+def _both(make, processors, horizon, *, trace=True, er=False):
+    """Reference and vector snapshots of fresh tasks from ``make()``."""
+    ref = QuantumSimulator(make(), processors, early_release=er,
+                           trace=trace).run(horizon)
+    tasks = make()
+    assert supports(tasks, processors, horizon, None,
+                    {"trace": trace, "early_release": er})
+    vec = VectorPD2Simulator(tasks, processors, early_release=er,
+                             trace=trace).run(horizon)
+    return _snapshot(ref), _snapshot(vec)
+
+
+class TestBoundedPasses:
+    """With passes of 64 slots, 3–5 passes give the reference's stats and
+    allocations on every kind of state a pass carries over."""
+
+    @pytest.fixture(autouse=True)
+    def _short_passes(self, monkeypatch):
+        monkeypatch.setattr(vec_mod, "CHUNK_SLOTS", SHORT)
+        self.spans = _count_passes(monkeypatch)
+
+    def _check(self, make, processors, horizon, **kwargs):
+        ref, vec = _both(make, processors, horizon, **kwargs)
+        assert ref == vec
+        assert 3 <= len(self.spans) <= 5
+        assert max(t1 - t0 for t0, t1 in self.spans) == SHORT
+        return ref
+
+    @pytest.mark.parametrize("seed, processors", [(1, 2), (2, 3), (3, 4)])
+    def test_generator_sets(self, seed, processors):
+        ref = self._check(
+            lambda: _generator_tasks(seed, 12, processors, 300),
+            processors, 4 * SHORT + 17)
+        assert not ref["misses_ran"]
+
+    def test_overload_backlog_crosses_passes(self):
+        weights = [(2, 3), (3, 4), (1, 2), (4, 5)]   # 2.72 on M = 2
+        ref = self._check(
+            lambda: [PeriodicTask(e, p, task_id=i)
+                     for i, (e, p) in enumerate(weights)],
+            2, 4 * SHORT)
+        done = [at for *_, at in ref["misses_ran"]]
+        assert min(done) <= SHORT < 3 * SHORT < max(done)
+        assert ref["misses_never_ran"]
+
+    def test_nonzero_phases(self):
+        spec = [(1, 3, 0), (2, 5, 5), (3, 7, 70), (1, 2, 130)]
+        self._check(
+            lambda: [PeriodicTask(e, p, phase=ph, task_id=i)
+                     for i, (e, p, ph) in enumerate(spec)],
+            2, 4 * SHORT)
+
+    def test_global_early_release(self):
+        weights = [(1, 3), (2, 5), (3, 7), (5, 9)]
+        self._check(
+            lambda: [PeriodicTask(e, p, task_id=i)
+                     for i, (e, p) in enumerate(weights)],
+            2, 4 * SHORT, er=True)
+
+    def test_per_task_early_release(self):
+        weights = [(1, 3), (2, 5), (3, 7), (5, 9)]
+        self._check(
+            lambda: [PeriodicTask(e, p, task_id=i, early_release=i % 2 == 0)
+                     for i, (e, p) in enumerate(weights)],
+            2, 4 * SHORT)
+
+    def test_heavy_job_outlasts_a_pass(self):
+        weights = [(150, 160), (1, 4), (3, 10), (7, 9)]
+        ref = self._check(
+            lambda: [PeriodicTask(e, p, task_id=i)
+                     for i, (e, p) in enumerate(weights)],
+            2, 5 * SHORT)
+        assert ref["per_task"][0][0] > 2 * SHORT
+
+    def test_task_runs_every_slot_of_a_pass(self):
+        # A weight-1 task fills each pass, so its carried eligibility
+        # comes from the sentinel, the one item past the pass's last slot.
+        weights = [(1, 3), (2, 5), (6, 6)]
+        ref = self._check(
+            lambda: [PeriodicTask(e, p, task_id=i)
+                     for i, (e, p) in enumerate(weights)],
+            2, 4 * SHORT)
+        assert ref["per_task"][2][0] == 4 * SHORT
+
+    def test_memo_hyperperiod_longer_than_a_pass(self, monkeypatch):
+        # H = lcm(5, 7, 9) = 315 spans five passes.  The memo must sample
+        # the same boundaries, tile the same cycles and hit the
+        # cross-run store as often as with passes of a whole hyperperiod.
+        from repro.sim.cache import HYPERPERIOD_CACHE
+
+        weights = [(1, 5), (2, 7), (3, 9)]
+        horizon = 6 * 315 + 17
+
+        def make():
+            return [PeriodicTask(e, p, task_id=i)
+                    for i, (e, p) in enumerate(weights)]
+
+        tiles = []
+        real_apply = VectorPD2Simulator._apply
+        monkeypatch.setattr(
+            VectorPD2Simulator, "_apply",
+            lambda sim, now, delta, c:
+                (tiles.append((now, c)), real_apply(sim, now, delta, c))[1])
+
+        def two_runs(chunk_slots):
+            monkeypatch.setattr(vec_mod, "CHUNK_SLOTS", chunk_slots)
+            HYPERPERIOD_CACHE.clear()
+            del tiles[:]
+            hits, misses = HYPERPERIOD_CACHE.hits, HYPERPERIOD_CACHE.misses
+            ref, first = _both(make, 1, horizon, trace=False)
+            second = _snapshot(VectorPD2Simulator(make(), 1).run(horizon))
+            assert ref == first == second
+            return (list(tiles), HYPERPERIOD_CACHE.hits - hits,
+                    HYPERPERIOD_CACHE.misses - misses)
+
+        try:
+            short = two_runs(SHORT)
+            assert all(t1 - t0 <= SHORT for t0, t1 in self.spans)
+            assert any(t1 % 315 == 0 and t1 - t0 < SHORT
+                       for t0, t1 in self.spans)
+            whole = two_runs(CHUNK_SLOTS)   # passes of one hyperperiod
+        finally:
+            HYPERPERIOD_CACHE.clear()
+        # The first run finds the cycle at 630 and misses the store; the
+        # second hits it and tiles from the first boundary.
+        assert short == whole == ([(630, 4), (315, 5)], 1, 1)
+
+
+class TestPerPassBound:
+    """Counted, not timed: each pass spans at most CHUNK_SLOTS slots and
+    materializes at most N·(CHUNK_SLOTS + 2) items, whatever the horizon
+    or the backlog."""
+
+    @staticmethod
+    def _passes(monkeypatch, tasks, processors, horizon):
+        spans = _count_passes(monkeypatch)
+        items = []
+        real_fold = VectorPD2Simulator._fold_affinity
+        monkeypatch.setattr(
+            VectorPD2Simulator, "_fold_affinity",
+            lambda sim, fi, s, cont, pads, total:
+                (items.append(total),
+                 real_fold(sim, fi, s, cont, pads, total))[1])
+        assert supports(tasks, processors, horizon, None, {})
+        result = VectorPD2Simulator(tasks, processors).run(horizon)
+        assert len(spans) == len(items) >= horizon // CHUNK_SLOTS
+        assert max(t1 - t0 for t0, t1 in spans) <= CHUNK_SLOTS
+        assert max(items) <= len(tasks) * (CHUNK_SLOTS + 2)
+        return result
+
+    def test_long_generator_run(self, monkeypatch):
+        tasks = _generator_tasks(5, 64, 4)
+        result = self._passes(monkeypatch, tasks, 4, 100_000)
+        assert not result.stats.misses
+
+    def test_overload_backlog(self, monkeypatch):
+        # Four tasks of weight 1/2 on one processor: the backlog grows by
+        # one subtask per slot, yet no pass holds more than its cap.
+        tasks = [PeriodicTask(1, 2, task_id=i) for i in range(4)]
+        result = self._passes(monkeypatch, tasks, 1, 80_000)
+        assert result.stats.busy_quanta == 80_000
+        assert result.stats.misses
