@@ -20,6 +20,7 @@ Run:  python examples/packet_scheduling.py
 import numpy as np
 
 from repro import IntraSporadicTask, PeriodicTask
+from repro.core.subtask import pseudo_release
 from repro.sim import simulate_pfair
 
 HORIZON = 600
@@ -42,10 +43,9 @@ def bursty_flow(execution: int, period: int, horizon: int) -> IntraSporadicTask:
     n_subtasks = horizon * execution // period + 1
     offsets = [0] * n_subtasks
     eligible = []
-    table_release = PeriodicTask(execution, period).table.release
     for i in range(1, n_subtasks + 1):
         burst_head = ((i - 1) // 4) * 4 + 1  # index of this burst's first packet
-        eligible.append(table_release(burst_head))
+        eligible.append(pseudo_release(execution, period, burst_head))
     return IntraSporadicTask(execution, period, offsets=offsets,
                              eligible_times=eligible, name="bursty")
 

@@ -12,14 +12,11 @@ quanta).
 
 from .rational import Weight, weight_sum
 from .subtask import (
-    SubtaskParams,
-    WindowTable,
     b_bit,
     group_deadline,
     pseudo_deadline,
     pseudo_release,
     window_length,
-    window_table,
 )
 from .task import (
     IntraSporadicTask,
@@ -52,9 +49,6 @@ from .wrr import WeightedRoundRobin, WRRResult, simulate_wrr
 __all__ = [
     "Weight",
     "weight_sum",
-    "SubtaskParams",
-    "WindowTable",
-    "window_table",
     "pseudo_release",
     "pseudo_deadline",
     "b_bit",

@@ -20,10 +20,15 @@ modelled exactly as the paper says: the task with the old weight leaves and
 a task with the new weight joins as soon as both the departure has taken
 effect and capacity allows.
 
-The system's state is O(1) per task ever admitted, however long it runs:
-the Eq. (2) sum is kept as a running total (departures are applied when
-they take effect, from a heap), and a job's preemption count is dropped
-from the simulator's per-task stats once the job completes.
+The system's state is O(1) per task ever admitted, whatever the task's
+execution cost and however long the system runs.  Per task it keeps the
+task object (a few integers: window parameters are closed forms on
+``(e, p, i)``, not tables), its weight and any departure slot, and the
+simulator's task-list entry, :class:`~repro.core.metrics.TaskStats` and
+last-scheduled index.  The Eq. (2) sum is kept as a running total
+(departures are applied when they take effect, from a heap), and a
+job's preemption count is dropped from the per-task stats once the job
+completes.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from .quantum import QuantumSimulator, SimResult
 from .priority import PriorityPolicy
 from .rational import Weight
+from .subtask import b_bit, group_deadline, pseudo_deadline
 from .task import PeriodicTask, PfairTask
 
 __all__ = ["AdmissionError", "DynamicPfairSystem", "earliest_leave_time"]
@@ -52,13 +58,14 @@ def earliest_leave_time(task: PfairTask, last_scheduled: int, now: int) -> int:
     """
     if last_scheduled <= 0:
         return now
-    st = task.table  # pattern parameters; IS offsets only delay, never hasten
     # Use the task's *actual* subtask record so IS offsets are honoured.
     sub = task.subtask(last_scheduled)
     if sub is None:  # stream already truncated at/below this index
-        d = st.deadline(last_scheduled)
-        b = st.b_bit(last_scheduled)
-        gd = st.group_deadline(last_scheduled)
+        # Pattern parameters: IS offsets only delay, never hasten.
+        e, p = task.execution, task.period
+        d = pseudo_deadline(e, p, last_scheduled)
+        b = b_bit(e, p, last_scheduled)
+        gd = group_deadline(e, p, last_scheduled)
     else:
         d, b, gd = sub.deadline, sub.b_bit, sub.group_deadline
     if task.weight.is_heavy():

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
+from .subtask import b_bit, pseudo_deadline, pseudo_release
 from .task import Subtask
 
 __all__ = [
@@ -128,17 +129,17 @@ class _PFKey:
     def _bits(self) -> "Iterator[Tuple[int, int]]":
         """Yield (deadline, b-bit) for this subtask and its successors.
 
-        Successor parameters use the window-table pattern shifted by the
+        Successor parameters use the periodic pattern shifted by the
         current subtask's IS offset: PF is defined for periodic tasks, and
         for IS tasks we compare as if no further delays occur (documented
         approximation — future offsets are unknowable online anyway).
         """
         st = self.subtask
-        task = st.task
-        theta = st.release - task.table.release(st.index)
+        e, p = st.task.execution, st.task.period
+        theta = st.release - pseudo_release(e, p, st.index)
         i = st.index
         while True:
-            yield task.table.deadline(i) + theta, task.table.b_bit(i)
+            yield pseudo_deadline(e, p, i) + theta, b_bit(e, p, i)
             i += 1
 
     def __lt__(self, other: "_PFKey") -> bool:

@@ -35,7 +35,7 @@ import itertools
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .rational import Weight, weight_sum
-from .subtask import WindowTable, window_table
+from .subtask import b_bit, group_deadline, pseudo_deadline, pseudo_release
 
 __all__ = [
     "Subtask",
@@ -110,7 +110,6 @@ class PfairTask:
         #: (Anderson & Srinivasan 2001, cited by the paper) set this on a
         #: subset of tasks; optimality is preserved.
         self.early_release = early_release
-        self.table: WindowTable = window_table(execution, period)
         self.task_id = next(_task_counter) if task_id is None else task_id
         self.name = name if name is not None else f"T{self.task_id}"
         #: When set, the task generates no subtasks beyond this index — how a
@@ -139,17 +138,17 @@ class PfairTask:
         theta = self._offset(index)
         if theta is None:
             return None
-        base = self.table.params(index)
-        release = base.release + theta
-        gd = base.group_deadline + theta if base.group_deadline else 0
+        e, p = self.execution, self.period
+        release = pseudo_release(e, p, index) + theta
+        gd = group_deadline(e, p, index)
         return Subtask(
             task=self,
             index=index,
             eligible=self._eligible(index, release),
             release=release,
-            deadline=base.deadline + theta,
-            b_bit=base.b_bit,
-            group_deadline=gd,
+            deadline=pseudo_deadline(e, p, index) + theta,
+            b_bit=b_bit(e, p, index),
+            group_deadline=gd + theta if gd else 0,
         )
 
     def subtasks_until(self, horizon: int) -> Iterable[Subtask]:
@@ -185,14 +184,18 @@ class PeriodicTask(PfairTask):
         if phase < 0:
             raise ValueError(f"phase must be nonnegative, got {phase}")
         self.phase = phase
+        # Per-task constants of the closed-form group deadline (see
+        # repro.core.subtask), hoisted out of the per-allocation call.
+        self._heavy = 2 * execution >= period
+        self._slack = period - execution
 
     def _offset(self, index: int) -> int:
         return self.phase
 
     def subtask(self, index: int) -> Optional[Subtask]:
         # PfairTask.subtask with the hooks folded in (the offset is the
-        # phase, eligibility is the release) and the window table's
-        # columns read directly: the simulator calls this once per
+        # phase, eligibility is the release) and the closed forms of
+        # repro.core.subtask inlined: the simulator calls this once per
         # allocation.  A subclass that overrides _offset or _eligible
         # must override this too.
         last = self.last_subtask
@@ -200,14 +203,19 @@ class PeriodicTask(PfairTask):
             return None
         if index < 1:
             raise ValueError(f"subtask indices are 1-based, got {index}")
-        table = self.table
-        q, j = divmod(index - 1, table.execution)
-        shift = q * table.period + self.phase
-        release = table.releases[j] + shift
-        gd = table.group_deadlines[j]
-        return Subtask(self, index, release, release,
-                       table.deadlines[j] + shift, table.b_bits[j],
-                       gd + shift if gd else 0)
+        e = self.execution
+        p = self.period
+        phase = self.phase
+        ip = index * p
+        d = (ip + e - 1) // e
+        if self._heavy:
+            s = self._slack
+            gd = (((d * s + p - 1) // p * p + s - 1) // s if s else d) + phase
+        else:
+            gd = 0
+        release = (ip - p) // e + phase
+        return Subtask(self, index, release, release, d + phase,
+                       1 if ip % e else 0, gd)
 
 
 class SporadicTask(PfairTask):
@@ -290,7 +298,7 @@ class IntraSporadicTask(PfairTask):
                 f"({theta} after {self.offsets[-1]})"
             )
         index = len(self.offsets) + 1
-        release = self.table.release(index) + theta
+        release = pseudo_release(self.execution, self.period, index) + theta
         if eligible is not None and eligible > release:
             raise ValueError(
                 f"{self.name}: eligibility {eligible} after release {release}"

@@ -31,8 +31,8 @@ admission stays all-or-nothing — a rejected request leaves no trace
 (verified down to the committed-weight fraction by the test suite) — and
 the joins that follow cannot fail, because mutating verbs are serialised.
 Task objects are built only for those joins: a dry run checks ``(name,
-e, p)`` rows and sums their weights exactly, so it leaves no per-weight
-state (window tables) behind in the process.
+e, p)`` rows and sums their weights exactly, so it leaves no state
+behind in the process.
 
 Time is explicit: the system advances only through the ``advance`` verb,
 keeping the service deterministic and replayable.  A wall-clock driver

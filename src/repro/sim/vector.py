@@ -50,10 +50,10 @@ two-pass rule exactly.
 
 That turns simulation into:
 
-1. a **vectorized precompute** (numpy int64 end to end): the tasks'
-   window-table columns (:class:`~repro.core.subtask.WindowTable`, one
-   job per weight) are concatenated once per run; every pass then
-   derives releases,
+1. a **vectorized precompute** (numpy int64 end to end): one job of
+   each task's window parameters is computed once per run from the
+   closed forms of :mod:`repro.core.subtask` (floor divisions over
+   ``(e, p, i)`` columns); every pass then derives releases,
    deadlines and *narrow* per-run int64 priority keys
    ``|deadline | 1-b | gd | row|`` for all rows in a handful of gathers
    and adds (key and release are affine in the job number).  Narrow keys
@@ -111,7 +111,6 @@ not pass ``fastpath=False``, falling back vector → reference.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -170,6 +169,27 @@ def _key_layout(tasks: List[PfairTask],
     gdbits = (max_p + 2).bit_length()
     rowbits = max(1, (len(tasks) - 1).bit_length())
     return dbias, gdbits, rowbits, dbits + 1 + gdbits + rowbits
+
+
+def _window_columns(e: np.ndarray, p: np.ndarray, i: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(r, d, b, D)`` of subtask ``i`` of weight ``e/p``, elementwise
+    over int64 columns with ``1 <= i <= e``: the closed forms of
+    :mod:`repro.core.subtask` in floor division.
+
+    No int64 overflow for any period the key layout admits: the gate
+    fits ``dbits >= bitlen(max_p) + 2`` and ``gdbits >= bitlen(max_p)``
+    in :data:`MAX_KEY_BITS`, so ``p < 2**29``, and the largest products,
+    ``i*p``, ``d*(p-e)`` and ``ceil(d*(p-e)/p)*p``, are at most ``p*p <
+    2**58`` (``i <= e`` and ``d <= p`` within job 1).
+    """
+    ip = i * p
+    d = -(-ip // e)
+    s = p - e
+    s1 = np.maximum(s, 1)  # e = p: D = d, and no division by zero
+    gd = np.where(s > 0, (-(-(d * s) // p) * p + s1 - 1) // s1, d)
+    return ((ip - p) // e, d, (ip % e != 0).astype(np.int64),
+            np.where(2 * e >= p, gd, 0))
 
 
 def _memo_hyperperiod(tasks: List[PfairTask], horizon: int) -> int:
@@ -331,9 +351,10 @@ class VectorPD2Simulator:
         ngd_mask = (1 << gdbits) - 1
 
         # Per-run static columns, concatenated across rows: each task's
-        # window-table columns (one job, phase 0) plus the shift-invariant
-        # part of the narrow key (b-bit, group-deadline field, row).
-        # Everything a chunk needs is then a gather plus an affine add.
+        # job-1 window parameters (phase 0, the closed forms of
+        # repro.core.subtask) plus the shift-invariant part of the narrow
+        # key (b-bit, group-deadline field, row).  Everything a chunk
+        # needs is then a gather plus an affine add.
         n = self._n
         rows = self._rows
         self._e_arr = np.array([t.execution for t in rows], dtype=np.int64)
@@ -343,20 +364,13 @@ class VectorPD2Simulator:
         self._er_arr = np.array(self._er, dtype=bool)
         self._barr = np.zeros(n, dtype=np.int64)
         np.cumsum(self._e_arr[:-1], out=self._barr[1:])
-        tables = [t.table for t in rows]
-        size = int(self._barr[-1] + self._e_arr[-1])
-
-        def column(lists: Iterable[List[int]]) -> np.ndarray:
-            return np.fromiter(chain.from_iterable(lists), dtype=np.int64,
-                               count=size)
-
-        self._rel0c = column(tb.releases for tb in tables)
-        self._dl0c = column(tb.deadlines for tb in tables)
-        bbarc = 1 - column(tb.b_bits for tb in tables)
-        # 0 <= D - d < period for a heavy subtask; D = 0 marks a light one.
-        gdc = column(tb.group_deadlines for tb in tables)
-        ngdc = np.where(gdc == 0, ngd_mask, ngd_mask - 1 - (gdc - self._dl0c))
         rowf = np.repeat(np.arange(n, dtype=np.int64), self._e_arr)
+        index = np.arange(rowf.size, dtype=np.int64) - self._barr[rowf] + 1
+        self._rel0c, self._dl0c, bc, gdc = _window_columns(
+            self._e_arr[rowf], self._p_arr[rowf], index)
+        bbarc = 1 - bc
+        # 0 <= D - d < period for a heavy subtask; D = 0 marks a light one.
+        ngdc = np.where(gdc == 0, ngd_mask, ngd_mask - 1 - (gdc - self._dl0c))
         self._K0c = ((((self._dl0c << 1) | bbarc) << gdbits | ngdc)
                      << rowbits | rowf)
         self._KSH = 1 << (1 + gdbits + rowbits)

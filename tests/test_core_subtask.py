@@ -1,21 +1,20 @@
 """Tests for subtask parameters: releases, deadlines, b-bits, group deadlines.
 
 The ground truth is the paper's definitions (Sec. 2) and its worked
-example, the weight-8/11 task of Fig. 1(a).
+example, the weight-8/11 task of Fig. 1(a).  The group deadline's closed
+form is checked against the definition's cascade walk, kept here as the
+oracle.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.subtask import (
-    WindowTable,
-    WINDOW_TABLE_CACHE_SIZE,
     b_bit,
     group_deadline,
     pseudo_deadline,
     pseudo_release,
     window_length,
-    window_table,
 )
 
 # Strategy: a valid integer weight e/p.
@@ -143,7 +142,7 @@ def test_prop_group_deadline_at_or_after_deadline(ep, i):
 
 @given(weights, st.integers(1, 120))
 def test_prop_group_deadline_definition(ep, i):
-    """The returned value satisfies the paper's defining condition and no
+    """The closed form satisfies the paper's defining condition and no
     earlier time does."""
     e, p = ep
     if 2 * e < p:
@@ -169,67 +168,67 @@ def test_prop_group_deadline_definition(ep, i):
         assert not is_candidate(t)
 
 
-class TestWindowTable:
-    def test_matches_functions(self, fig1_task):
-        table = window_table(8, 11)
-        for i in range(1, 30):
-            assert table.release(i) == pseudo_release(8, 11, i)
-            assert table.deadline(i) == pseudo_deadline(8, 11, i)
-            assert table.b_bit(i) == b_bit(8, 11, i)
-            assert table.group_deadline(i) == group_deadline(8, 11, i)
-            assert table.window_length(i) == window_length(8, 11, i)
-
-    def test_params_bundle(self):
-        table = window_table(3, 4)
-        p = table.params(2)
-        assert p.release == pseudo_release(3, 4, 2)
-        assert p.deadline == pseudo_deadline(3, 4, 2)
-        assert p.window_length == p.deadline - p.release
-
-    def test_cached_instance_shared(self):
-        assert window_table(5, 7) is window_table(5, 7)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            window_table(2, 3).release(0)
-
-    def test_cache_is_bounded(self):
-        assert window_table.cache_info().maxsize == WINDOW_TABLE_CACHE_SIZE
+def walked_group_deadline(e, p, i):
+    """``D(T_i)`` by the definition: walk ``k = i, i+1, ...`` to the first
+    cascade candidate at or after ``d(T_i)`` — ``d(T_k)`` when ``b(T_k) =
+    0``, ``d(T_k) - 1`` when ``|w(T_k)| = 3``.  Candidates are
+    nondecreasing in ``k``, so the first hit is the minimum, and the walk
+    ends at the latest at the job boundary, where the b-bit is 0."""
+    if 2 * e < p:  # light: 0 by convention
+        return 0
+    d_i = pseudo_deadline(e, p, i)
+    k = i
+    while True:
+        d_k = pseudo_deadline(e, p, k)
+        if window_length(e, p, k) == 3 and d_k - 1 >= d_i:
+            return d_k - 1
+        if b_bit(e, p, k) == 0 and d_k >= d_i:
+            return d_k
+        k += 1
 
 
-def _walked(e, p):
-    return [group_deadline(e, p, i) for i in range(1, e + 1)]
+def subtasks(periods, least_execution):
+    """Strategy: ``(e, p, i)`` with ``p`` from ``periods``, ``e`` from
+    ``least_execution(p)`` to ``p`` and ``i`` over the first three jobs."""
+    def of_period(p):
+        return st.integers(least_execution(p), p).flatmap(
+            lambda e: st.tuples(st.just(e), st.just(p),
+                                st.integers(1, 3 * e)))
+
+    return periods.flatmap(of_period)
 
 
-class TestOnePassGroupDeadlines:
-    """The table's one backward sweep gives the walk's group deadlines."""
+class TestClosedFormGroupDeadlines:
+    """The closed form gives the walk's group deadlines."""
 
     def test_every_weight_up_to_period_128(self):
+        # Two jobs: the second checks the shift by one period.
         for p in range(1, 129):
-            for e in range(1, p + 1):
-                assert WindowTable(e, p).group_deadlines == _walked(e, p), \
-                    (e, p)
+            for e in range((p + 1) // 2, p + 1):
+                for i in range(1, 2 * e + 1):
+                    assert group_deadline(e, p, i) == \
+                        walked_group_deadline(e, p, i), (e, p, i)
+            for e in range(1, (p + 1) // 2):
+                assert group_deadline(e, p, 1) == 0
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(129, 5000).flatmap(
-        lambda p: st.tuples(st.integers(1, p), st.just(p))))
-    def test_large_periods(self, ep):
-        e, p = ep
-        assert WindowTable(e, p).group_deadlines == _walked(e, p)
+    @given(subtasks(st.integers(129, 5000), lambda p: 1))
+    def test_large_periods(self, epi):
+        assert group_deadline(*epi) == walked_group_deadline(*epi)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 3000).flatmap(
-        lambda p: st.tuples(st.integers((p + 1) // 2, p), st.just(p))))
-    def test_heavy_weights(self, ep):
-        e, p = ep
-        assert WindowTable(e, p).group_deadlines == _walked(e, p)
-        assert WindowTable(p, p).group_deadlines == list(range(1, p + 1))
+    @settings(max_examples=200, deadline=None)
+    @given(subtasks(st.integers(2, 10 ** 6), lambda p: (p + 1) // 2))
+    def test_heavy_weights(self, epi):
+        e, p, i = epi
+        assert group_deadline(e, p, i) == walked_group_deadline(e, p, i)
+        assert group_deadline(p, p, i) == pseudo_deadline(p, p, i) == i
 
 
 @settings(max_examples=30)
 @given(weights)
 def test_prop_table_group_deadlines_periodic(ep):
-    """GD(T_{i+e}) = GD(T_i) + p for heavy tasks (the memoisation's basis)."""
+    """GD(T_{i+e}) = GD(T_i) + p for heavy tasks (the vector kernel's
+    job-1 columns rest on it)."""
     e, p = ep
     if 2 * e < p:
         return

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.rational import Weight
+from repro.core.subtask import (b_bit, group_deadline, pseudo_deadline,
+                                pseudo_release)
 from repro.core.task import (
     IntraSporadicTask,
     PeriodicTask,
@@ -15,12 +17,16 @@ from repro.core.task import (
 
 class TestPeriodic:
     def test_synchronous_matches_table(self):
-        t = PeriodicTask(3, 7)
-        for i in range(1, 10):
-            st_ = t.subtask(i)
-            assert st_.release == t.table.release(i)
-            assert st_.deadline == t.table.deadline(i)
-            assert st_.eligible == st_.release
+        """The inlined closed forms give the subtask functions' values."""
+        for e, p in ((3, 7), (8, 11), (5, 5), (1, 2)):
+            t = PeriodicTask(e, p)
+            for i in range(1, 3 * e + 1):
+                st_ = t.subtask(i)
+                assert st_.release == pseudo_release(e, p, i)
+                assert st_.deadline == pseudo_deadline(e, p, i)
+                assert st_.b_bit == b_bit(e, p, i)
+                assert st_.group_deadline == group_deadline(e, p, i)
+                assert st_.eligible == st_.release
 
     def test_phase_shifts_everything(self):
         base = PeriodicTask(3, 7)

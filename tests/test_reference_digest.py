@@ -31,6 +31,7 @@ from repro.core.dynamic import DynamicPfairSystem
 from repro.core.priority import (EPDFPriority, PD2Priority, PDPriority,
                                  PFPriority)
 from repro.core.quantum import DeadlineMissError, QuantumSimulator
+from repro.core.subtask import pseudo_release
 from repro.core.task import IntraSporadicTask, PeriodicTask, SporadicTask
 
 POLICIES = {"PD2": PD2Priority, "PD": PDPriority, "PF": PFPriority,
@@ -92,7 +93,7 @@ def _sporadic_is(rng):
             theta = arrive_at = 0
             for k in range(2, 3 * e + 2):
                 theta += rng.choice([0, 0, 0, 1, 2])
-                release = task.table.release(k) + theta
+                release = pseudo_release(e, p, k) + theta
                 early = max(0, release - rng.randint(0, 2)) \
                     if rng.random() < 0.3 else None
                 # Calls stay in index order: offsets must not decrease.

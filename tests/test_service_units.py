@@ -7,12 +7,15 @@ socket layer itself is exercised end to end in ``test_service.py``.
 """
 
 import pickle
+import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 
 from repro.analysis.schedulability import task_set_cache_key, task_set_signature
 from repro.core.rational import weight_sum
-from repro.core.subtask import window_table
+from repro.core.task import PeriodicTask
 from repro.overheads.model import OverheadModel
 from repro.util.lru import LRUCache
 from repro.util.metrics import Counter, LatencyHistogram, MetricsRegistry
@@ -266,26 +269,65 @@ class TestServiceState:
         assert st.system.sim.stats.miss_count == 0
         assert abs(sizes[1] - sizes[0]) <= 0.1 * sizes[0], sizes
 
+    def test_admitted_task_memory_is_bounded(self):
+        """Admitting a task costs O(1) memory whatever its execution
+        cost: 300 real admits of fresh 2-task sets with e of 100-2,000
+        quanta, with leaves and advances between them, grow the traced
+        heap by under 4 KB per admitted task (a per-weight table of
+        ``e`` entries would cost tens of KB)."""
+        rng = random.Random(1)
+        st = ServiceState(4)
+        live = []
+
+        def admit_one():
+            specs = []
+            for _ in range(2):
+                e = rng.randint(100, 2000)
+                p = e * rng.randint(20, 40) + rng.randint(0, e)
+                specs.append(TaskSpec(e * 1000, p * 1000))
+            r = st.admit(specs)
+            assert r["admitted"], r
+            live.append(r["tasks"])
+            if len(live) > 40:
+                st.leave(live.pop(0))
+            st.advance(5)
+
+        for _ in range(50):  # warm-up: caches and live set at steady size
+            admit_one()
+        sets = 300
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(sets):
+                admit_one()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert st.system.sim.stats.miss_count == 0
+        assert grown / (2 * sets) < 4096, grown / (2 * sets)
+
     def test_dry_run_never_joins(self):
         st = ServiceState(2)
         r = st.admit(_specs((1000, 2000)), dry_run=True)
         assert r["admitted"] and r["dry_run"]
         assert st.describe()["tasks"] == []
 
-    def test_dry_run_builds_no_window_tables(self):
+    def test_dry_run_builds_no_periodic_task(self):
         """A dry run only adds weights: asking about 50 new weights
-        builds no window table (the bounded cache's size alone would
-        stop growing once it is full, so count the tables built)."""
+        builds no task object."""
         st = ServiceState(64)
         st.admit(_specs((1000, 2000)))
-        before = window_table.cache_info().misses
-        for i in range(50):
-            r = st.admit([TaskSpec(1000, (200 + i) * 1000),
-                          TaskSpec(3000, (331 + 2 * i) * 1000)],
-                         dry_run=True)
-            assert r["admitted"] and r["dry_run"]
-        assert window_table.cache_info().misses == before
-        assert [t["name"] for t in st.describe()["tasks"]] == ["t0"]
+        with mock.patch("repro.service.state.PeriodicTask",
+                        wraps=PeriodicTask) as built:
+            for i in range(50):
+                r = st.admit([TaskSpec(1000, (200 + i) * 1000),
+                              TaskSpec(3000, (331 + 2 * i) * 1000)],
+                             dry_run=True)
+                assert r["admitted"] and r["dry_run"]
+            assert built.call_count == 0
+            st.admit(_specs((1000, 3000), prefix="u"))
+            assert built.call_count == 1
+        assert [t["name"] for t in st.describe()["tasks"]] == ["t0", "u0"]
 
     def test_admit_responses_frozen(self):
         """Responses and errors, byte for byte as the wire carries them:

@@ -7,9 +7,10 @@ constructor validation, the degenerate horizons the vectorized paths
 must not mishandle, the narrow-key bit budget under the real
 ``max_period`` defaults, and the kernel's dtype soundness (integer
 columns, signed-integer sort keys).  It also holds the hypothesis
-properties the kernel's correctness rests on: the per-weight subtask
-columns reproduce every real subtask, and the narrow int64 keys order
-like :meth:`PD2Priority.key` tuples.
+properties the kernel's correctness rests on: the per-run subtask
+columns reproduce every real subtask (up to the largest period the key
+layout admits), and the narrow int64 keys order like
+:meth:`PD2Priority.key` tuples.
 """
 
 import dataclasses
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 import repro.sim.vector as vec_mod
 from repro.core.priority import EPDFPriority, PD2Priority
-from repro.core.subtask import WINDOW_TABLE_CACHE_SIZE, window_table
+from repro.core.subtask import (b_bit, group_deadline, pseudo_deadline,
+                                pseudo_release)
 from repro.core.task import PeriodicTask, SporadicTask
 from repro.sim.quantum import QuantumSimulator, simulate_pfair
 from repro.sim.vector import (
@@ -31,6 +33,7 @@ from repro.sim.vector import (
     MAX_KEY_BITS,
     VectorPD2Simulator,
     _key_layout,
+    _window_columns,
     supports,
 )
 from repro.traces.mapping import MappingConfig
@@ -362,13 +365,55 @@ class TestAgainstRealSubtasks:
                 assert (ka < kb) == (ta < tb)
 
 
-class TestBoundedTables:
-    """Simulating ever new weights keeps a bounded set of window tables."""
+def _largest_admitted_period(horizon):
+    """The largest period the narrow key layout admits for two tasks of
+    that period over ``horizon`` slots (the layout grows with it)."""
+    def fits(p):
+        tasks = [PeriodicTask(1, p, task_id=i) for i in range(2)]
+        return _key_layout(tasks, horizon)[3] <= MAX_KEY_BITS
 
-    SETS = 40
-    TASKS = 32  # 40 * 32 = 1,280 fresh weights, past the cache's bound
+    lo, hi = 1, 1 << 40
+    assert fits(lo) and not fits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
-    def test_fresh_weights_stay_within_the_bound(self):
+
+class TestClosedFormColumns:
+    """The kernel's int64 closed-form columns equal the subtask functions
+    up to the largest period the key layout admits, where the products
+    come closest to overflowing."""
+
+    HORIZON = 10
+    P = _largest_admitted_period(HORIZON)
+
+    def test_largest_period_is_below_two_to_the_29(self):
+        # _window_columns' no-overflow argument rests on this bound.
+        assert 2 ** 28 <= self.P < 2 ** 29
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_columns_match_functions(self, data):
+        p = self.P - data.draw(st.integers(0, 3))
+        es = [1, 2, p // 2, (p + 1) // 2, p // 2 + 1, p - 2, p - 1, p,
+              data.draw(st.integers(1, p)),
+              data.draw(st.integers((p + 1) // 2, p))]
+        triples = []
+        for e in es:
+            for i in (1, 2, e // 2, e - 1, e, data.draw(st.integers(1, e))):
+                if 1 <= i <= e:
+                    triples.append((e, p, i))
+        cols = [np.array(c, dtype=np.int64) for c in zip(*triples)]
+        rel, dl, b, gd = _window_columns(*cols)
+        for k, (e, p, i) in enumerate(triples):
+            assert (int(rel[k]), int(dl[k]), int(b[k]), int(gd[k])) == (
+                pseudo_release(e, p, i), pseudo_deadline(e, p, i),
+                b_bit(e, p, i), group_deadline(e, p, i)), (e, p, i)
+
+    def test_fresh_weights_leave_no_module_state(self):
+        """Simulating 1,280 distinct weights leaves the kernel module's
+        containers as they were and adds no cache to it."""
         def container_sizes():
             return {k: len(v) for k, v in vars(vec_mod).items()
                     if isinstance(v, (dict, list, set))}
@@ -376,18 +421,35 @@ class TestBoundedTables:
         assert not any(hasattr(v, "cache_info")
                        for v in vars(vec_mod).values())
         sizes = container_sizes()
-        built = window_table.cache_info().misses
-        for k in range(self.SETS):
-            tasks = [PeriodicTask(1 + i % 3, 900_001 + k * self.TASKS + i)
-                     for i in range(self.TASKS)]
+        for k in range(40):
+            tasks = [PeriodicTask(1 + i % 3, 900_001 + k * 32 + i)
+                     for i in range(32)]
             assert supports(tasks, 1, 10, None, {})
             result = VectorPD2Simulator(tasks, 1).run(10)
             assert result.stats.busy_quanta == 10
-            assert window_table.cache_info().currsize \
-                <= WINDOW_TABLE_CACHE_SIZE
-        assert window_table.cache_info().misses - built \
-            == self.SETS * self.TASKS
         assert container_sizes() == sizes
+
+    def test_kernel_runs_at_the_largest_period(self):
+        p = self.P
+
+        def make():
+            return [PeriodicTask(3, p, task_id=0),
+                    PeriodicTask(2, p - 1, task_id=1)]
+
+        ref, vec = _both(make, 1, self.HORIZON)
+        assert ref == vec
+        assert not supports([PeriodicTask(1, p + 1, task_id=i)
+                             for i in range(2)], 1, self.HORIZON, None, {})
+        tasks = make()
+        sim = VectorPD2Simulator(tasks, 1)
+        sim.run(self.HORIZON)
+        for pos, t in enumerate(tasks):
+            rel, dl, bbar, gdd = _run_columns(sim, sim._row_of[pos])
+            for j in range(t.execution):
+                s = t.subtask(j + 1)
+                assert (int(rel[j]), int(dl[j]), 1 - int(bbar[j])) == \
+                    (s.release, s.deadline, s.b_bit)
+                assert gdd[j] == -1 and s.group_deadline == 0
 
 
 # ---------------------------------------------------------------------------
